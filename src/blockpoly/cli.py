@@ -14,9 +14,9 @@ import numpy as np
 from . import io, transforms
 from .decoupler import closed_loop_eval, design_decoupling
 from .errors import BlockPolyError, NoConvergence
-from .horner import IterConfig, horner_iterate, newton_horner, two_stage
-from .pipeline import PipelineConfig, full_factorize, full_solvent_sets, verify
-from .polynomial import SolventSet, SpectralFactorChain
+from .horner import IterConfig
+from .pipeline import PipelineConfig, full_factorize, refiner, verify
+from .polynomial import SolventSet, SpectralFactorChain, is_complete_set
 from .qd import QDConfig, qd_run
 
 EXIT_OK = 0
@@ -87,9 +87,7 @@ def factorize(input_file, method, max_iter, tol, solvents, out):
                 traces.append((f"refine[{i}]", io.iter_trace_rows(t)))
         else:
             # repeated extraction + deflation with the chosen local method
-            solver = {"horner": horner_iterate,
-                      "newton-horner": newton_horner,
-                      "two-stage": two_stage}[method]
+            solver = refiner(method)
             current = p
             factors = []
             for i in range(p.l):
@@ -109,7 +107,6 @@ def factorize(input_file, method, max_iter, tol, solvents, out):
             left = transforms.chain_to_left_solvents(p, chain)
             io.save_solvents(os.path.join(out, "solvents_right.json"), right)
             io.save_solvents(os.path.join(out, "solvents_left.json"), left)
-            from .polynomial import is_complete_set
             report.completeness = is_complete_set(p, right)
         io.save_report(os.path.join(out, "report.json"), report)
         io.save_trace_csv(os.path.join(out, "trace.csv"), traces)

@@ -36,7 +36,7 @@ from .errors import (
     SingularMatrix,
 )
 from .pipeline import PipelineConfig, factorize_nonmonic
-from .polynomial import MatrixPolynomial, SpectralFactorChain, reconstruct
+from .polynomial import MatrixPolynomial, SpectralFactorChain, companion_right, reconstruct
 
 
 @dataclass(frozen=True)
@@ -206,21 +206,10 @@ def controller_form(sys: MFDSystem):
     C_c = [N_0, N_1, ..., N_{l-1}] (numerator blocks zero-padded to l).
     """
     m, l = sys.m, sys.l
-    d_poly = sys.denominator_polynomial()
-    a_c = np.zeros((m * l, m * l))
-    for i in range(l - 1):
-        a_c[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = np.eye(m)
-    for i in range(l):
-        a_c[(l - 1) * m:, i * m:(i + 1) * m] = -sys.denominator[i]
+    a_c = companion_right(sys.denominator_polynomial())
     b_c = np.zeros((m * l, m))
     b_c[(l - 1) * m:, :] = np.eye(m)
     c_c = np.zeros((m, m * l))
     for i, n_i in enumerate(sys.numerator):
         c_c[:, i * m:(i + 1) * m] = n_i
     return a_c, b_c, c_c
-
-
-def transfer_at(a_c, b_c, c_c, lam) -> np.ndarray:
-    """C (λI - A)^{-1} B at a scalar λ (diagnostic helper)."""
-    n = a_c.shape[0]
-    return c_c @ np.linalg.solve(complex(lam) * np.eye(n) - a_c, b_c)

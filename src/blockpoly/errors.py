@@ -119,6 +119,18 @@ class DeflationResidualLarge(BlockPolyError):
         )
 
 
+class SolventResidualLarge(BlockPolyError):
+    """A chain→solvent step emitted a solvent above the residual gate."""
+
+    def __init__(self, index, residual, message=None):
+        self.index = index
+        self.residual = residual
+        super().__init__(
+            message
+            or f"solvent from transform step {index} has residual {residual:.3e}"
+        )
+
+
 class SpectrumOverlap(BlockPolyError):
     """Chain factors share spectrum; the transform requires disjointness."""
 

@@ -8,10 +8,13 @@ fall below η AND the relative residual must fall below the residual guard):
   (λI - X); linear convergence;
 * Newton-Horner: a true Newton step on A_R(X) = 0 through the explicit
   m² x m² Fréchet matrix; quadratic convergence near simple solvents;
-* two-stage Block Horner: double synthetic division producing B_l = A_R(X)
-  and C_{l-1} (the matrix analogue of p'(x)); X' = X - B_l inv(C_{l-1}).
-  At m = 1 this is exactly scalar Newton; for matrices the one-sided C_{l-1}
-  differs from the Fréchet derivative, so convergence is linear.
+* two-stage Block Horner: a double synthetic division.  Dividing A(λ) by
+  (λI - X) gives the quotient B(λ) and the remainder B_l = A_R(X); dividing
+  B(λ) by (λI - X) again leaves the remainder C_{l-1} = B_R(X), the matrix
+  analogue of p'(x), and X' = X - B_l inv(C_{l-1}).  C_{l-1} equals the
+  closed form Δ(X) = Σ (l-i) A_i X^{l-1-i}.  At m = 1 this is exactly scalar
+  Newton; for matrices the one-sided C_{l-1} differs from the Fréchet
+  derivative, so convergence is linear.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     SingularStep,
     StagnantWithoutResidual,
 )
-from .polynomial import MatrixPolynomial, eval_right
+from .polynomial import MatrixPolynomial, eval_right, synthetic_div_right
 
 #: Relative residual guard: an iterate only counts as converged below this.
 RESIDUAL_GUARD = 1e-8
@@ -138,21 +141,13 @@ def _run_iteration(p, cfg, step, step_error):
     )
 
 
-def horner_b_coefficients(p: MatrixPolynomial, x):
-    """Quotient coefficients B_0..B_{l-1} and remainder B_l = A_R(X)."""
-    b = [p.coeffs[0].copy()]
-    for k in range(1, p.l + 1):
-        b.append(p.coeffs[k] + b[-1] @ x)
-    return b
-
-
 def horner_iterate(p: MatrixPolynomial, cfg: IterConfig | None = None):
     """Plain Block Horner fixed-point iteration X' = -inv(B_{l-1}(X)) A_l."""
     cfg = cfg or IterConfig()
 
     def step(x):
-        b = horner_b_coefficients(p, x)
-        return -linalg.solve(b[p.l - 1], p.coeffs[p.l])
+        quotient, _ = synthetic_div_right(p, x)
+        return -linalg.solve(quotient.coeffs[-1], p.coeffs[p.l])
 
     return _run_iteration(p, cfg, step, SingularStep)
 
@@ -201,47 +196,18 @@ def newton_horner(p: MatrixPolynomial, cfg: IterConfig | None = None):
     return _run_iteration(p, cfg, step, SingularStep)
 
 
-def two_stage_c_coefficient(p: MatrixPolynomial, x):
-    """(B_l, C_{l-1}) from the double synthetic-division table."""
-    b = horner_b_coefficients(p, x)
-    c = b[0].copy()
-    for k in range(1, p.l):
-        c = b[k] + c @ x
-    return b[p.l], c
-
-
-def two_stage_delta(p: MatrixPolynomial, x) -> np.ndarray:
-    """Δ(X) = l X^{l-1} + (l-1) A_1 X^{l-2} + ... + A_{l-1}."""
-    m, l = p.m, p.l
-    powers = [np.eye(m)]
-    for _ in range(l - 1):
-        powers.append(powers[-1] @ x)
-    d = np.zeros((m, m))
-    for i in range(l):
-        d += (l - i) * p.coeffs[i] @ powers[l - 1 - i]
-    return d
-
-
-def two_stage(p: MatrixPolynomial, cfg: IterConfig | None = None,
-              variant: str = "qchain"):
+def two_stage(p: MatrixPolynomial, cfg: IterConfig | None = None):
     """Two-stage Block Horner: X' = X - A_R(X) inv(C_{l-1}(X)).
 
-    ``variant`` selects the divisor: "qchain" uses the double-division
-    C_{l-1}; "delta" uses the closed-form Δ(X).  The two coincide for the
-    right-power coefficient layout used here; both reduce to scalar Newton
-    at m = 1.
+    Right division by (λI - X) gives the quotient q and B_l = A_R(X); the
+    second division's remainder is C_{l-1} = q_R(X).  Reduces to scalar
+    Newton at m = 1.
     """
     cfg = cfg or IterConfig()
-    if variant not in ("qchain", "delta"):
-        raise ValueError("variant must be 'qchain' or 'delta'")
 
     def step(x):
-        if variant == "qchain":
-            bl, c = two_stage_c_coefficient(p, x)
-        else:
-            bl = eval_right(p, x)
-            c = two_stage_delta(p, x)
-        return x - bl @ linalg.invert(c)
+        quotient, b_l = synthetic_div_right(p, x)
+        return x - b_l @ linalg.invert(eval_right(quotient, x))
 
     return _run_iteration(p, cfg, step, SingularStep)
 

@@ -130,8 +130,3 @@ def eigvals(a) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"eigvals needs a square matrix, got {a.shape}")
     return np.linalg.eigvals(a)
-
-
-def mat_power(a: np.ndarray, k: int) -> np.ndarray:
-    """Non-negative integer matrix power."""
-    return np.linalg.matrix_power(np.asarray(a, dtype=float), k)

@@ -34,8 +34,6 @@ from .polynomial import (
     MatrixPolynomial,
     SolventSet,
     SpectralFactorChain,
-    eval_left,
-    eval_right,
     is_complete_set,
     reconstruct,
     residual_left,
@@ -44,7 +42,7 @@ from .polynomial import (
 )
 from .qd import QDConfig, qd_run
 
-REFINE_METHODS = ("horner", "newton-horner", "two-stage", "two-stage-delta")
+REFINE_METHODS = ("horner", "newton-horner", "two-stage")
 
 
 @dataclass
@@ -78,14 +76,14 @@ class VerificationReport:
     warnings: list = field(default_factory=list)
 
 
-def _refine(p: MatrixPolynomial, method: str, cfg: IterConfig):
-    if method == "horner":
-        return horner_iterate(p, cfg)
-    if method == "newton-horner":
-        return newton_horner(p, cfg)
-    if method == "two-stage":
-        return two_stage(p, cfg, variant="qchain")
-    return two_stage(p, cfg, variant="delta")
+def refiner(method: str):
+    """The Horner-family solver named by a ``REFINE_METHODS`` entry.
+
+    The names are looked up at call time, so a wrapper installed on this
+    module's solver names at run time is the one called.
+    """
+    return {"horner": horner_iterate, "newton-horner": newton_horner,
+            "two-stage": two_stage}[method]
 
 
 def _qd_seeds(p: MatrixPolynomial, cfg: PipelineConfig):
@@ -137,7 +135,7 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
                 max_iterations=cfg.iter.max_iterations,
             )
             try:
-                x, trace = _refine(current, cfg.refine_method, icfg)
+                x, trace = refiner(cfg.refine_method)(current, icfg)
                 break
             except BlockPolyError as exc:
                 last_error = exc

@@ -12,11 +12,19 @@ stored with ``A_0`` first.  All solver modules require monic input
 are stored rightmost-first: ``factors[0] = Q_1`` is the rightmost factor and
 therefore a right solvent; ``factors[-1] = Q_l`` is the leftmost factor and a
 left solvent.
+
+Every left-side operation is its right twin applied to the transposed data.
+With pᵀ the polynomial whose coefficients are the transposed A_i,
+
+    A_L(X) = A_Rᵀ(Xᵀ)ᵀ,
+
+and A(λ) = (λI - X) S(λ) + R is the transpose of
+Aᵀ(λ) = Sᵀ(λ)(λI - Xᵀ) + Rᵀ, so only the right-side recurrences are coded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,11 +145,22 @@ class CompletenessReport:
         )
 
 
-def eval_right(p: MatrixPolynomial, x) -> np.ndarray:
-    """A_R(X) = Σ A_i X^{l-i}, computed by the nested block recursion."""
+def _transpose(p: MatrixPolynomial) -> MatrixPolynomial:
+    """pᵀ: the λ-matrix whose coefficients are the transposed A_i."""
+    return MatrixPolynomial([c.T for c in p.coeffs])
+
+
+def _square(p: MatrixPolynomial, x) -> np.ndarray:
+    """x as an m x m matrix for p, checked before any transposition."""
     x = linalg.as_matrix(x)
     if x.shape != (p.m, p.m):
         raise DimensionMismatch(f"x must be {p.m}x{p.m}, got {x.shape}")
+    return x
+
+
+def eval_right(p: MatrixPolynomial, x) -> np.ndarray:
+    """A_R(X) = Σ A_i X^{l-i}, computed by the nested block recursion."""
+    x = _square(p, x)
     b = p.coeffs[0].copy()
     for k in range(1, p.l + 1):
         b = b @ x + p.coeffs[k]
@@ -149,48 +168,32 @@ def eval_right(p: MatrixPolynomial, x) -> np.ndarray:
 
 
 def eval_left(p: MatrixPolynomial, x) -> np.ndarray:
-    """A_L(X) = Σ X^{l-i} A_i, the left-evaluation mirror."""
-    x = linalg.as_matrix(x)
-    if x.shape != (p.m, p.m):
-        raise DimensionMismatch(f"x must be {p.m}x{p.m}, got {x.shape}")
-    b = p.coeffs[0].copy()
-    for k in range(1, p.l + 1):
-        b = x @ b + p.coeffs[k]
-    return b
+    """A_L(X) = Σ X^{l-i} A_i, evaluated as A_Rᵀ(Xᵀ)ᵀ."""
+    return eval_right(_transpose(p), _square(p, x).T).T
 
 
 def synthetic_div_right(p: MatrixPolynomial, x):
     """Divide A(λ) = Q(λ)(λI - X) + R on the right.
 
-    Returns ``(quotient, remainder)`` with quotient coefficients
-    ``B_k = A_k + B_{k-1} X`` and ``remainder = eval_right(p, x)``.
+    Returns ``(quotient, remainder)``.  The recurrence B_0 = I,
+    B_k = A_k + B_{k-1} X gives the quotient coefficients B_0..B_{l-1}, and
+    its last term B_l = A_R(X) is the remainder.
     """
     p.require_monic()
-    x = linalg.as_matrix(x)
-    if x.shape != (p.m, p.m):
-        raise DimensionMismatch(f"x must be {p.m}x{p.m}")
-    b = [p.coeffs[0].copy()]
-    for k in range(1, p.l):
-        b.append(p.coeffs[k] + b[-1] @ x)
-    remainder = p.coeffs[p.l] + b[-1] @ x if p.l >= 1 else p.coeffs[0]
+    x = _square(p, x)
     if p.l == 0:
         raise DimensionMismatch("cannot divide a degree-0 polynomial")
-    return MatrixPolynomial(b), remainder
+    b = [p.coeffs[0].copy()]
+    for k in range(1, p.l + 1):
+        b.append(p.coeffs[k] + b[-1] @ x)
+    return MatrixPolynomial(b[:-1]), b[-1]
 
 
 def synthetic_div_left(p: MatrixPolynomial, x):
-    """Divide A(λ) = (λI - X) S(λ) + R on the left (B_k = A_k + X B_{k-1})."""
-    p.require_monic()
-    x = linalg.as_matrix(x)
-    if x.shape != (p.m, p.m):
-        raise DimensionMismatch(f"x must be {p.m}x{p.m}")
-    if p.l == 0:
-        raise DimensionMismatch("cannot divide a degree-0 polynomial")
-    b = [p.coeffs[0].copy()]
-    for k in range(1, p.l):
-        b.append(p.coeffs[k] + x @ b[-1])
-    remainder = p.coeffs[p.l] + x @ b[-1]
-    return MatrixPolynomial(b), remainder
+    """Divide A(λ) = (λI - X) S(λ) + R on the left, as the transpose of the
+    right division of pᵀ by (λI - Xᵀ)."""
+    quotient, remainder = synthetic_div_right(_transpose(p), _square(p, x).T)
+    return _transpose(quotient), remainder.T
 
 
 def companion_right(p: MatrixPolynomial) -> np.ndarray:
@@ -205,45 +208,21 @@ def companion_right(p: MatrixPolynomial) -> np.ndarray:
     return c
 
 
-def companion_left(p: MatrixPolynomial) -> np.ndarray:
-    """Block transpose of :func:`companion_right`."""
-    p.require_monic()
-    m, l = p.m, p.l
-    c = np.zeros((m * l, m * l))
-    for i in range(l - 1):
-        c[(i + 1) * m:(i + 2) * m, i * m:(i + 1) * m] = np.eye(m)
-    for i in range(l):
-        c[i * m:(i + 1) * m, (l - 1) * m:] = -p.coeffs[l - i]
-    return c
-
-
-def companion_c3(p: MatrixPolynomial) -> np.ndarray:
-    """Companion variant with -A_1 ... -A_l down the first block column."""
-    p.require_monic()
-    m, l = p.m, p.l
-    c = np.zeros((m * l, m * l))
-    for i in range(l):
-        c[i * m:(i + 1) * m, :m] = -p.coeffs[i + 1]
-    for i in range(l - 1):
-        c[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = np.eye(m)
-    return c
-
-
 def block_vandermonde(s: SolventSet) -> np.ndarray:
-    """Block Vandermonde V with block rows I, R_i, ..., R_i^{l-1} (right side)
-    or the block-transposed layout for left sets.
+    """Block Vandermonde V: block column j holds I, R_j, ..., R_j^{l-1} for a
+    right set.  A left set gives the transpose of that layout built from the
+    transposed solvents, so block row j holds I, L_j, ..., L_j^{l-1}.
     """
+    if s.side == "left":
+        return block_vandermonde(SolventSet("right", [x.T for x in s.solvents])).T
     l = len(s)
     m = s.solvents[0].shape[0]
     v = np.zeros((m * l, m * l))
     for j, x in enumerate(s.solvents):
         power = np.eye(m)
         for i in range(l):
-            if s.side == "right":
-                v[i * m:(i + 1) * m, j * m:(j + 1) * m] = power
-            else:
-                v[j * m:(j + 1) * m, i * m:(i + 1) * m] = power
-            power = power @ x if s.side == "right" else x @ power
+            v[i * m:(i + 1) * m, j * m:(j + 1) * m] = power
+            power = power @ x
     return v
 
 

@@ -19,6 +19,9 @@ companion form.  At convergence the Q-row holds the spectral factors in
 dominance order, the dominant block first; the dominant block is the
 RIGHTMOST factor of the chain (validated by reconstruction: only the
 dominant-rightmost ordering multiplies back to the input coefficients).
+
+A Q-block that turns singular mid-sweep ends the run with ``SingularPivot``;
+the tableau is not jittered and retried.
 """
 
 from __future__ import annotations
@@ -47,8 +50,6 @@ class QDConfig:
     # Transient E-norm humps spanning ~45 sweeps occur on spectra with close
     # block moduli plus complex pairs; the window must outlast them.
     stall_window: int = 60
-    jitter_retry: bool = False
-    jitter_scale: float = 1e-8
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -150,18 +151,7 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
     best = float("inf")
     since_best = 0
     for _ in range(cfg.max_iterations):
-        try:
-            t = qd_step(t)
-        except SingularPivot:
-            if not cfg.jitter_retry:
-                raise
-            rng = np.random.default_rng(0)
-            t.q_row = [
-                q + cfg.jitter_scale * max(1.0, linalg.frob_norm(q))
-                * rng.standard_normal(q.shape)
-                for q in t.q_row
-            ]
-            t = qd_step(t)
+        t = qd_step(t)
         rel = t.max_relative_e()
         trace.sweeps.append(t.iteration)
         trace.e_block_norms.append(t.e_norms())
@@ -186,27 +176,3 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
         trace=trace,
         tableau=t,
     )
-
-
-def lr_decompose_c3(p: MatrixPolynomial) -> np.ndarray:
-    """R_0: the block upper-bidiagonal factor of the companion LR splitting.
-
-    Diagonal blocks -A_1, -A_2 A_1^{-1}, ..., -A_l A_{l-1}^{-1}; identity
-    superdiagonal blocks.  Provided for diagnostics and to seed
-    :func:`qd_init` consistently.
-    """
-    if not p.is_monic:
-        raise NotMonic("LR decomposition requires a monic polynomial")
-    m, l = p.m, p.l
-    r0 = np.zeros((m * l, m * l))
-    prev = np.eye(m)
-    for k in range(1, l + 1):
-        try:
-            block = -p.coeffs[k] @ linalg.invert(prev) if k > 1 else -p.coeffs[1]
-        except SingularMatrix as exc:
-            raise SingularCoefficient(k - 1) from exc
-        r0[(k - 1) * m:k * m, (k - 1) * m:k * m] = block
-        if k < l:
-            r0[(k - 1) * m:k * m, k * m:(k + 1) * m] = np.eye(m)
-        prev = p.coeffs[k]
-    return r0

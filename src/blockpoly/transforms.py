@@ -1,16 +1,19 @@
 """Similarity-transform conversions between chains and solvent sets.
 
 Chain storage is rightmost-first throughout (``factors[0]`` is the rightmost
-factor of the product).  The chain→solvent transforms process the chain from
-its LEFTMOST factor inward: factor Q is pulled out of the current polynomial
-by synthetic division on the matching side, the remaining (deflated)
-coefficients A_{ji} build an m² x m² Kronecker system
+factor of the product).  :func:`chain_to_right_solvents` processes the chain
+from its LEFTMOST factor inward: factor Q is pulled out of the current
+polynomial by left synthetic division, and the remaining (deflated)
+coefficients A_{ji} build the m² x m² Kronecker system
 
-    G = Σ_j kron((Q^{d-j})^T, A_{ji})        (right solvents)
-    H = Σ_j kron(A_{ji}^T, Q^{d-j})          (left solvents)
+    G = Σ_j kron((Q^{d-j})^T, A_{ji})
 
-whose solution against vec(I) gives the similarity P with R = P Q P^{-1}
-(resp. L = S^{-1} Q S).  Output solvent sets are indexed so that R_i and L_i
+whose solution against vec(I) gives the similarity P with R = P Q P^{-1}.
+
+The left-side transforms are the right ones applied to the transposed data.
+Transposing A(λ) = (λI - Q_l) ... (λI - Q_1) gives
+Aᵀ(λ) = (λI - Q_1ᵀ) ... (λI - Q_lᵀ), whose right solvents are the transposed
+left solvents of A.  Output solvent sets are indexed so that R_i and L_i
 share spectrum (index 1 carries the leftmost factor's spectrum, matching the
 worked-example ordering R_l = rightmost factor = right solvent).
 """
@@ -30,14 +33,14 @@ from .errors import (
     ResidualTooLarge,
     SingularKroneckerSystem,
     SingularMatrix,
+    SolventResidualLarge,
     SpectrumOverlap,
 )
 from .polynomial import (
     MatrixPolynomial,
     SolventSet,
     SpectralFactorChain,
-    eval_left,
-    eval_right,
+    _transpose,
     residual_left,
     residual_right,
     synthetic_div_left,
@@ -47,7 +50,7 @@ from .polynomial import (
 #: Default relative-residual gate for matrices claimed to be solvents/factors.
 SOLVENT_GATE = 1e-6
 
-#: |det| below this (relative to norm scale) fails the rank-m check.
+#: σ_min / σ_max at or below this fails the rank-m check.
 RANK_TOL = 1e-10
 
 
@@ -62,8 +65,8 @@ class TransformResult:
 
 
 def _rank_check(t: np.ndarray) -> bool:
-    scale = max(1.0, linalg.frob_norm(t) ** t.shape[0])
-    return abs(linalg.det(t)) > RANK_TOL * scale
+    sv = np.linalg.svd(t, compute_uv=False)
+    return bool(sv[-1] > RANK_TOL * sv[0])
 
 
 def right_to_left_solvent(p: MatrixPolynomial, r, gate: float = SOLVENT_GATE) -> TransformResult:
@@ -121,38 +124,46 @@ def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
     Processes the chain leftmost-first; each step left-divides the current
     polynomial by (λI - Q), solves the G-system for P, and emits
     R = P Q P^{-1}.  Output index 1 carries the leftmost factor's spectrum;
-    the last output equals the rightmost factor (P = I there).
+    the last output equals the rightmost factor (P = I there).  Each emitted
+    solvent must be a right solvent of p to the gate, or the step fails.
     """
     p.require_monic()
     _check_disjoint(chain)
     current = p
     solvents = []
+    tol = max(gate, 1e-6)
     scale = p.coefficient_scale()
     for step, q in enumerate(reversed(chain.factors)):
         d = current.l - 1
         if d == 0:
-            solvents.append(np.array(q))
+            solvent = np.array(q)
+        else:
+            quotient, remainder = synthetic_div_left(current, q)
+            rem = linalg.frob_norm(remainder) / scale
+            if rem > tol:
+                raise DeflationResidualLarge(step, rem)
+            m = p.m
+            powers = [np.eye(m)]
+            for _ in range(d):
+                powers.append(powers[-1] @ q)
+            g = np.zeros((m * m, m * m))
+            for j in range(d + 1):
+                g += linalg.kron(powers[d - j].T, quotient.coeffs[j])
+            try:
+                vec_p = linalg.solve(g, linalg.vec(np.eye(m)))
+            except SingularMatrix as exc:
+                raise SingularKroneckerSystem(str(exc)) from exc
+            pmat = linalg.unvec(vec_p, m, m)
+            if not _rank_check(pmat):
+                raise RankDeficientTransformer(step)
+            solvent = pmat @ q @ linalg.invert(pmat)
+            current = quotient
+        res = residual_right(p, solvent)
+        if res > tol:
+            raise SolventResidualLarge(step, res)
+        solvents.append(solvent)
+        if d == 0:
             break
-        quotient, remainder = synthetic_div_left(current, q)
-        rem = linalg.frob_norm(remainder) / scale
-        if rem > max(gate, 1e-6):
-            raise DeflationResidualLarge(step, rem)
-        m = p.m
-        powers = [np.eye(m)]
-        for _ in range(d):
-            powers.append(powers[-1] @ q)
-        g = np.zeros((m * m, m * m))
-        for j in range(d + 1):
-            g += linalg.kron(powers[d - j].T, quotient.coeffs[j])
-        try:
-            vec_p = linalg.solve(g, linalg.vec(np.eye(m)))
-        except SingularMatrix as exc:
-            raise SingularKroneckerSystem(str(exc)) from exc
-        pmat = linalg.unvec(vec_p, m, m)
-        if not _rank_check(pmat):
-            raise RankDeficientTransformer(step)
-        solvents.append(pmat @ q @ linalg.invert(pmat))
-        current = quotient
     return SolventSet("right", solvents)
 
 
@@ -160,41 +171,15 @@ def chain_to_left_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
                            gate: float = SOLVENT_GATE) -> SolventSet:
     """Recover the complete left solvent set from a factor chain.
 
-    Mirror of :func:`chain_to_right_solvents`: processes rightmost-first with
-    right synthetic division and the H-system, emitting L = S^{-1} Q S.  The
-    output is reversed at the end so L_i pairs in spectrum with R_i.
+    The right solvents of pᵀ from the transposed chain, transposed back and
+    reversed so that L_i pairs in spectrum with R_i.  Step k of the errors
+    is the k-th factor from the right, the order in which this side
+    divides them out.
     """
-    p.require_monic()
     _check_disjoint(chain)
-    current = p
-    solvents = []
-    scale = p.coefficient_scale()
-    for step, q in enumerate(chain.factors):
-        d = current.l - 1
-        if d == 0:
-            solvents.append(np.array(q))
-            break
-        quotient, remainder = synthetic_div_right(current, q)
-        rem = linalg.frob_norm(remainder) / scale
-        if rem > max(gate, 1e-6):
-            raise DeflationResidualLarge(step, rem)
-        m = p.m
-        powers = [np.eye(m)]
-        for _ in range(d):
-            powers.append(powers[-1] @ q)
-        h = np.zeros((m * m, m * m))
-        for j in range(d + 1):
-            h += linalg.kron(quotient.coeffs[j].T, powers[d - j])
-        try:
-            vec_s = linalg.solve(h, linalg.vec(np.eye(m)))
-        except SingularMatrix as exc:
-            raise SingularKroneckerSystem(str(exc)) from exc
-        smat = linalg.unvec(vec_s, m, m)
-        if not _rank_check(smat):
-            raise RankDeficientTransformer(step)
-        solvents.append(linalg.solve(smat, q @ smat))
-        current = quotient
-    return SolventSet("left", list(reversed(solvents)))
+    dual = SpectralFactorChain([q.T for q in reversed(chain.factors)])
+    right = chain_to_right_solvents(_transpose(p), dual, gate)
+    return SolventSet("left", [r.T for r in reversed(right.solvents)])
 
 
 def right_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFactorChain:
@@ -225,30 +210,18 @@ def right_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFacto
 
 
 def left_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFactorChain:
-    """Mirror of :func:`right_solvents_to_chain` for a complete left set.
+    """Build a factor chain from a complete left set.
 
-    Recursion M_0(L_j) = I, Q_k = M_{k-1}(L_k)^{-1} L_k M_{k-1}(L_k),
-    M_k(L_j) = L_j M_{k-1}(L_j) - M_{k-1}(L_j) Q_k; Q from L_1 is the
-    LEFTMOST factor, so the collected factors are reversed into
-    rightmost-first storage.
+    The chain of pᵀ built from the transposed solvents, with its factors
+    transposed and reversed: Q from L_1 is the LEFTMOST factor of p.
     """
-    p.require_monic()
     if s.side != "left" or len(s) != p.l:
         raise IncompleteSet(
             f"need a complete left set of {p.l} solvents, got {len(s)} ({s.side})"
         )
-    m = p.m
-    m_mats = [np.eye(m) for _ in range(p.l)]
-    factors = []
-    for k in range(p.l):
-        mk = m_mats[k]
-        if not _rank_check(mk):
-            raise RankDeficientTransformer(k)
-        qk = linalg.solve(mk, s.solvents[k] @ mk)
-        factors.append(qk)
-        for j in range(k + 1, p.l):
-            m_mats[j] = s.solvents[j] @ m_mats[j] - m_mats[j] @ qk
-    return SpectralFactorChain(list(reversed(factors)))
+    dual = SolventSet("right", [x.T for x in s.solvents])
+    chain = right_solvents_to_chain(_transpose(p), dual)
+    return SpectralFactorChain([q.T for q in reversed(chain.factors)])
 
 
 def deflate_right(p: MatrixPolynomial, q, gate_rtol: float = SOLVENT_GATE) -> MatrixPolynomial:

@@ -11,7 +11,6 @@ from blockpoly.horner import (
     horner_iterate,
     newton_horner,
     two_stage,
-    two_stage_delta,
 )
 from blockpoly.polynomial import (
     MatrixPolynomial,
@@ -19,6 +18,7 @@ from blockpoly.polynomial import (
     reconstruct,
     residual_right,
     scalar_polynomial,
+    synthetic_div_right,
 )
 
 from conftest import random_chain
@@ -134,12 +134,22 @@ def test_two_stage_scalar_is_newton():
 
 
 def test_two_stage_variants_agree():
-    chain = random_chain(2, 3, np.random.default_rng(6))
-    p = reconstruct(chain)
-    x0 = chain.factors[0] + 0.01
-    t1 = run_steps(two_stage, p, x0, 3, variant="qchain")
-    t2 = run_steps(two_stage, p, x0, 3, variant="delta")
-    assert np.allclose(t1.iterates[-1], t2.iterates[-1], atol=1e-10)
+    # The double-division divisor C_{l-1} and the closed form
+    # Δ(X) = Σ (l-i) A_i X^{l-1-i} are one matrix, so one two-stage step
+    # covers both forms of the method.
+    rng = np.random.default_rng(6)
+    for m, l in [(1, 1), (2, 3), (3, 2), (4, 4)]:
+        chain = random_chain(m, l, rng)
+        p = reconstruct(chain)
+        x = chain.factors[0] + 0.01 * rng.standard_normal((m, m))
+        quotient, _ = synthetic_div_right(p, x)
+        c = eval_right(quotient, x)
+        powers = [np.linalg.matrix_power(x, l - 1 - i) for i in range(l)]
+        delta = sum((l - i) * p.coeffs[i] @ powers[i] for i in range(l))
+        # rounding bound: a few ulps of the summed term magnitudes
+        scale = sum((l - i) * linalg.frob_norm(p.coeffs[i]) * linalg.frob_norm(powers[i])
+                    for i in range(l))
+        assert linalg.frob_norm(c - delta) <= 64 * np.finfo(float).eps * scale
 
 
 def test_two_stage_example4_fifteen_iterations(example4):

@@ -82,9 +82,3 @@ def test_eigvals_conjugate_closed_and_trace():
         ev = linalg.eigvals(a)
         assert np.allclose(np.sort_complex(ev), np.sort_complex(np.conj(ev)))
         assert sum(ev).real == pytest.approx(np.trace(a), rel=1e-8, abs=1e-8)
-
-
-def test_mat_power():
-    a = np.array([[1.0, 1.0], [0.0, 2.0]])
-    assert np.allclose(linalg.mat_power(a, 0), np.eye(2))
-    assert np.allclose(linalg.mat_power(a, 3), a @ a @ a)

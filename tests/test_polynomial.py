@@ -8,8 +8,6 @@ from blockpoly.polynomial import (
     SolventSet,
     SpectralFactorChain,
     block_vandermonde,
-    companion_c3,
-    companion_left,
     companion_right,
     eval_left,
     eval_right,
@@ -111,30 +109,6 @@ def test_companion_scalar():
     assert np.allclose(companion_right(p), [[0.0, 1.0], [-2.0, 3.0]])
     got = np.sort_complex(linalg.eigvals(companion_right(p)))
     assert np.allclose(got, [1.0, 2.0])
-
-
-def test_companion_left_is_block_transpose(example1):
-    a_r = companion_right(example1)
-    a_l = companion_left(example1)
-    m, l = example1.m, example1.l
-    for i in range(l):
-        for j in range(l):
-            blk_r = a_r[i * m:(i + 1) * m, j * m:(j + 1) * m]
-            blk_l = a_l[j * m:(j + 1) * m, i * m:(i + 1) * m]
-            assert np.allclose(blk_l, blk_r)
-
-
-def test_companion_c3_structure(example1):
-    c3 = companion_c3(example1)
-    m, l = example1.m, example1.l
-    for i in range(l):
-        blk = c3[i * m:(i + 1) * m, 0:m]
-        assert np.allclose(blk, -example1.coeffs[i + 1])
-    # same spectrum as the right companion form
-    assert np.allclose(
-        np.sort_complex(linalg.eigvals(c3)),
-        np.sort_complex(linalg.eigvals(companion_right(example1))),
-    )
 
 
 def test_companion_requires_monic():

@@ -9,7 +9,7 @@ from blockpoly.polynomial import (
     residual_right,
     scalar_polynomial,
 )
-from blockpoly.qd import QDConfig, lr_decompose_c3, qd_init, qd_run, qd_step
+from blockpoly.qd import QDConfig, qd_init, qd_run, qd_step
 
 from conftest import random_chain
 
@@ -139,21 +139,3 @@ def test_qd_no_convergence_carries_tableau():
     assert exc.value.tableau is not None
     assert len(exc.value.tableau.q_row) == 2
     assert len(exc.value.trace.max_relative_e) == 3
-
-
-def test_lr_decompose_scalar():
-    r0 = lr_decompose_c3(scalar_polynomial([1.0, -3.0, 2.0]))
-    assert np.allclose(r0, [[3.0, 1.0], [0.0, 2.0 / 3.0]])
-
-
-def test_lr_decompose_linear():
-    a1 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(lr_decompose_c3(MatrixPolynomial([np.eye(2), a1])), -a1)
-
-
-def test_lr_decompose_example1_diagonal(example1):
-    r0 = lr_decompose_c3(example1)
-    a = example1.coeffs
-    blocks = [-a[1], -a[2] @ linalg.invert(a[1]), -a[3] @ linalg.invert(a[2])]
-    for i, blk in enumerate(blocks):
-        assert np.allclose(r0[2 * i:2 * i + 2, 2 * i:2 * i + 2], blk)

@@ -6,6 +6,7 @@ from blockpoly.errors import (
     IncompleteSet,
     InputNotSolvent,
     ResidualTooLarge,
+    SolventResidualLarge,
     SpectrumOverlap,
 )
 from blockpoly.polynomial import (
@@ -18,6 +19,8 @@ from blockpoly.polynomial import (
     scalar_polynomial,
 )
 from blockpoly.transforms import (
+    SOLVENT_GATE,
+    _rank_check,
     chain_to_left_solvents,
     chain_to_right_solvents,
     deflate_right,
@@ -126,6 +129,34 @@ def test_chain_transforms_reject_overlapping_spectra():
     p = reconstruct(chain)
     with pytest.raises(SpectrumOverlap):
         chain_to_right_solvents(p, chain)
+
+
+def test_rank_check_is_scale_invariant():
+    assert _rank_check(np.eye(32))
+    assert _rank_check(1e-8 * np.eye(32))
+    assert not _rank_check(np.diag([1.0, 1e-11]))
+
+
+def test_chain_to_solvents_order_8_degree_3():
+    # Step 0's P is of full rank (condition number 7.8e4), but its |det| is
+    # far below ||P||_F^m: the rank test must not depend on that scale.
+    chain = random_chain(8, 3, np.random.default_rng(830))
+    p = reconstruct(chain)
+    right = chain_to_right_solvents(p, chain)
+    left = chain_to_left_solvents(p, chain)
+    assert max(residual_right(p, r) for r in right.solvents) <= SOLVENT_GATE
+    assert max(residual_left(p, x) for x in left.solvents) <= SOLVENT_GATE
+
+
+def test_chain_to_right_solvents_gates_each_solvent():
+    # Step 0's P has condition number 2.8e6 here and its solvent comes back
+    # with residual 2.3e-6: the step must fail rather than return it.
+    chain = random_chain(8, 3, np.random.default_rng(831))
+    p = reconstruct(chain)
+    with pytest.raises(SolventResidualLarge) as exc:
+        chain_to_right_solvents(p, chain)
+    assert exc.value.index == 0
+    assert exc.value.residual > SOLVENT_GATE
 
 
 def test_roundtrip_right():
