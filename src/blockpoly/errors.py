@@ -22,10 +22,11 @@ class SingularMatrix(BlockPolyError):
 
     Attributes
     ----------
-    pivot_index : int
-        Zero-based elimination step at which the pivot fell below threshold.
+    pivot_index : int or None
+        Zero-based elimination step at which the pivot fell below threshold;
+        None when every pivot cleared it but LAPACK could not invert.
     pivot_value : float
-        Magnitude of the offending pivot.
+        Magnitude of the offending pivot (0.0 when ``pivot_index`` is None).
     """
 
     def __init__(self, pivot_index, pivot_value, message=None):

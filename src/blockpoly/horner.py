@@ -1,7 +1,9 @@
 """Iterative extraction of a rightmost factor / right solvent.
 
-Three schemes share one stopping contract (relative step δ in percent must
-fall below η AND the relative residual must fall below the residual guard):
+Three schemes share one stopping contract: the relative residual must fall
+below the residual guard, AND the relative step δ in percent must fall below η
+or stop shrinking (δ_k >= δ_{k-1}, the rounding floor of an ill-conditioned
+step):
 
 * plain Block Horner: the fixed-point map X' = -inv(B_{l-1}(X)) A_l, where
   B_{l-1} is the last quotient coefficient of right synthetic division by
@@ -117,7 +119,9 @@ def _run_iteration(p, cfg, step, step_error):
         trace.append(x_new, delta, res)
         x = x_new
         rel = res / scale
-        if delta <= cfg.eta and rel <= RESIDUAL_GUARD:
+        # Under the guard, a step that no longer shrinks is at the rounding
+        # floor: further steps only repeat it.
+        if rel <= RESIDUAL_GUARD and (delta <= cfg.eta or delta >= trace.deltas[-2]):
             return x, trace
         if delta <= cfg.eta:
             # δ says converged but the residual does not: only flag false

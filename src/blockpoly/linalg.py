@@ -1,16 +1,30 @@
 """Dense linear-algebra kernel used by every other module.
 
-``invert``/``solve`` are implemented here with partial-pivoted Gaussian
-elimination so singularity is detected against an explicit pivot threshold and
-reported with the offending pivot index.  Structural helpers (``kron``,
-``vec``/``unvec``, ``frob_norm``) fix the conventions the transform modules
-rely on: ``vec`` stacks columns, so ``vec(A X B) = kron(B.T, A) vec(X)``.
+``solve``/``invert`` run on LAPACK through ``numpy.linalg``: one call of
+``np.linalg.inv``, then a product with the right-hand side.  LAPACK does not
+expose its pivots, so the singularity decision is made by a certificate on the
+inverse.  With PA = LU and partial pivoting every |l_ij| <= 1, so every pivot
+satisfies |u_kk| >= 1 / (||A^{-1}||_F sqrt(n(n+1)/2)) (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., §9).  When
 
-Eigenvalues are delegated to numpy's LAPACK-backed solver; they are used only
-for spectra diagnostics, never inside the factorization iterations.
+    ||A||_F ||A^{-1}||_F sqrt(n(n+1)/2) pivot_rtol < 1/2
+
+no pivot can fall below ``pivot_rtol * ||A||_F``, with a factor 2 to spare for
+rounding, and the LAPACK inverse is used as is.  A matrix that the certificate
+cannot clear goes to :func:`_lu_factor`, a Python partial-pivoted elimination
+kept only as the arbiter: it raises ``SingularMatrix`` with the index and
+magnitude of the first pivot under the threshold, or accepts the matrix, and
+then the LAPACK inverse is returned.
+
+Structural helpers (``kron``, ``vec``/``unvec``, ``frob_norm``) fix the
+conventions the transform modules rely on: ``vec`` stacks columns, so
+``vec(A X B) = kron(B.T, A) vec(X)``.  Eigenvalues serve only spectra
+diagnostics, never the factorization iterations.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,16 +45,18 @@ def as_matrix(a) -> np.ndarray:
 
 
 def frob_norm(a) -> float:
-    """Frobenius norm: sqrt of the sum of squared entries."""
-    return float(np.sqrt(np.sum(np.abs(np.asarray(a, dtype=complex)) ** 2)))
+    """Frobenius norm: sqrt of the sum of squared magnitudes (complex too)."""
+    return float(np.linalg.norm(a))
 
 
-def _lu_factor(a: np.ndarray, pivot_rtol: float):
-    """LU with partial pivoting.  Returns (lu, perm) or raises SingularMatrix."""
+def _lu_factor(a: np.ndarray, pivot_rtol: float) -> None:
+    """Partial-pivoted elimination that raises SingularMatrix on a small pivot.
+
+    The arbiter for matrices the inverse's certificate cannot clear; its
+    factors are not kept.
+    """
     n = a.shape[0]
     lu = a.astype(float).copy()
-    perm = np.arange(n)
-    swaps = 0
     threshold = pivot_rtol * max(frob_norm(a), 1e-300)
     for k in range(n):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
@@ -49,57 +65,62 @@ def _lu_factor(a: np.ndarray, pivot_rtol: float):
             raise SingularMatrix(k, pivot)
         if p != k:
             lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            swaps += 1
         lu[k + 1:, k] /= lu[k, k]
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm, swaps
+
+
+def _inverse(a: np.ndarray, pivot_rtol: float) -> np.ndarray:
+    """LAPACK inverse of a square ``a``, gated like :func:`_lu_factor`."""
+    n = a.shape[0]
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is not None:
+        bound = frob_norm(a) * frob_norm(inv) * math.sqrt(n * (n + 1) / 2)
+        if bound * pivot_rtol < 0.5:
+            return inv
+    _lu_factor(a, pivot_rtol)
+    if inv is None or not np.all(np.isfinite(inv)):
+        # Elimination kept every pivot above the threshold, yet LAPACK met an
+        # exact zero pivot or overflowed: there is no inverse to return.
+        raise SingularMatrix(
+            None, 0.0,
+            "singular matrix: LAPACK could not invert a matrix whose "
+            "elimination pivots all clear the threshold",
+        )
+    return inv
 
 
 def solve(a, b, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
-    """Solve ``a @ x = b`` by partial-pivoted elimination.
+    """Solve ``a @ x = b`` as ``inv(a) @ b`` with the gated LAPACK inverse.
 
     Raises
     ------
     SingularMatrix
-        If a pivot magnitude falls below ``pivot_rtol * ||a||_F``; the error
-        carries the pivot index.
+        If a pivot magnitude of partial-pivoted elimination falls below
+        ``pivot_rtol * ||a||_F``; the error carries the pivot index.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"solve needs a square matrix, got {a.shape}")
     b = np.asarray(b, dtype=float)
-    b2 = b.reshape(a.shape[0], -1) if b.ndim == 1 else b
-    if b2.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"rhs rows {b2.shape[0]} != matrix rows {a.shape[0]}")
-    lu, perm, _ = _lu_factor(a, pivot_rtol)
-    n = a.shape[0]
-    x = b2[perm].astype(float).copy()
-    for k in range(n):                      # forward substitution (unit lower)
-        x[k + 1:] -= np.outer(lu[k + 1:, k], x[k])
-    for k in range(n - 1, -1, -1):          # back substitution
-        x[k] /= lu[k, k]
-        x[:k] -= np.outer(lu[:k, k], x[k])
-    return x.reshape(b.shape) if b.ndim == 1 else x
+    if b.shape[0] != a.shape[0]:
+        raise DimensionMismatch(f"rhs rows {b.shape[0]} != matrix rows {a.shape[0]}")
+    return _inverse(a, pivot_rtol) @ b
 
 
 def invert(a, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
-    """Matrix inverse via the same pivoted elimination as :func:`solve`."""
+    """Matrix inverse through :func:`solve` with the identity as right side."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"invert needs a square matrix, got {a.shape}")
     return solve(a, np.eye(a.shape[0]), pivot_rtol=pivot_rtol)
 
 
-def det(a, pivot_rtol: float = 0.0) -> float:
-    """Determinant from the LU factorization (0.0 when elimination breaks down)."""
-    a = as_matrix(a)
-    try:
-        lu, _, swaps = _lu_factor(a, pivot_rtol if pivot_rtol > 0 else 1e-300)
-    except SingularMatrix:
-        return 0.0
-    sign = -1.0 if swaps % 2 else 1.0
-    return float(sign * np.prod(np.diag(lu)))
+def det(a) -> float:
+    """Determinant from LAPACK's LU factorization."""
+    return float(np.linalg.det(as_matrix(a)))
 
 
 def kron(a, b) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blockpoly import linalg
-from blockpoly.errors import InsufficientTrace, NoConvergence
+from blockpoly.errors import InsufficientTrace, NoConvergence, SingularALast
 from blockpoly.horner import (
     IterConfig,
     convergence_bounds_check,
@@ -115,6 +115,31 @@ def test_newton_horner_exact_solvent_immediate():
     p = reconstruct(chain)
     x, trace = newton_horner(p, IterConfig(x0=chain.factors[0]))
     assert len(trace.deltas) <= 1
+
+
+def test_newton_horner_stops_at_rounding_floor():
+    # The grid chain m=16, l=4, s=3: its Fréchet systems are so ill-conditioned
+    # that δ stays near 1e-7 % once the residual reaches rounding level.
+    chain = random_chain(16, 4, np.random.default_rng(16043))
+    p = reconstruct(chain)
+    q = chain.factors[0]
+    d = np.random.default_rng(0).standard_normal((16, 16))
+    x0 = q + 1e-4 * linalg.frob_norm(q) / linalg.frob_norm(d) * d
+    x, trace = newton_horner(p, IterConfig(x0=x0, max_iterations=20))
+    assert trace.residuals[-1] / p.coefficient_scale() <= 1e-12
+    assert linalg.frob_norm(x - q) <= 1e-6
+
+
+@pytest.mark.parametrize("a_last", [
+    np.zeros((2, 2)),                            # LAPACK cannot invert it
+    np.outer([0.1, 0.3], [0.7, 0.2]),            # only elimination rejects it
+], ids=["zero", "rank1"])
+def test_newton_horner_singular_a_last(a_last):
+    if a_last.any():
+        np.linalg.inv(a_last)                    # LAPACK inverts it: rounding hides the rank
+    p = MatrixPolynomial([np.eye(2), np.array([[1.0, 2.0], [0.0, 3.0]]), a_last])
+    with pytest.raises(SingularALast):
+        newton_horner(p, IterConfig(x0=np.eye(2)))
 
 
 def test_newton_horner_example4(example4):

@@ -1,12 +1,90 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import blockpoly
 from blockpoly import linalg
 from blockpoly.errors import SingularMatrix
 
 
 def test_frob_norm_identity():
     assert linalg.frob_norm(np.eye(2)) == pytest.approx(np.sqrt(2))
+
+
+def test_frob_norm_complex():
+    z = np.array([[3 + 4j, -1j], [0.5, 2 - 2j]])
+    assert linalg.frob_norm(z) == pytest.approx(math.sqrt(np.sum(np.abs(z) ** 2)), rel=1e-15)
+
+
+def _graded(rng):
+    """U diag(s) V^T, n in 1..12, σ_min/σ_max log-uniform in [1e-16, 1e-6]."""
+    n = int(rng.integers(1, 13))
+    ratio = 10.0 ** rng.uniform(-16, -6)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    inner = np.sort(rng.uniform(0, 1, max(n - 2, 0)))
+    s = scale * ratio ** np.concatenate([[0.0], inner, [1.0]])[-n:]
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return u @ np.diag(s) @ v.T, s[0] / s[-1]
+
+
+def _pivot_failure(fn, *args):
+    try:
+        fn(*args)
+    except SingularMatrix as exc:
+        return exc.pivot_index, exc.pivot_value
+    return None
+
+
+def test_solve_singular_decisions_match_elimination():
+    rng = np.random.default_rng(20000)
+    eps = np.finfo(float).eps
+    outcomes = set()
+    for _ in range(2000):
+        a, kappa = _graded(rng)
+        n = a.shape[0]
+        b = rng.standard_normal((n, 2))
+        certified = (linalg.frob_norm(a) * linalg.frob_norm(np.linalg.inv(a))
+                     * math.sqrt(n * (n + 1) / 2) * linalg.PIVOT_RTOL < 0.5)
+        expected = _pivot_failure(linalg._lu_factor, a, linalg.PIVOT_RTOL)
+        assert not (certified and expected), "a certified matrix failed elimination"
+        assert _pivot_failure(linalg.solve, a, b) == expected
+        if expected is None:
+            x, ref = linalg.solve(a, b), np.linalg.solve(a, b)
+            assert linalg.frob_norm(x - ref) <= 4 * n * kappa * eps * linalg.frob_norm(ref)
+        outcomes.add("certified" if certified else "raised" if expected else "arbitrated")
+    assert outcomes == {"certified", "raised", "arbitrated"}
+
+
+def test_lapack_failure_on_accepted_matrix_is_singular(monkeypatch):
+    # Elimination accepts a subnormal 1x1 (its threshold is floored at
+    # 1e-312), but the LAPACK inverse overflows.
+    with pytest.raises(SingularMatrix) as exc:
+        linalg.solve(np.array([[1e-310]]), np.ones(1))
+    assert exc.value.pivot_index is None
+
+    def refuse(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(linalg.np.linalg, "inv", refuse)
+    with pytest.raises(SingularMatrix) as exc:
+        linalg.solve(np.eye(3), np.ones(3))
+    assert exc.value.pivot_index is None
+
+
+def test_import_loads_no_scipy():
+    # scipy's import alone costs more than the whole of blockpoly's set-up.
+    code = ("import blockpoly, sys; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blockpoly.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_solve_identity():
