@@ -76,8 +76,8 @@ class SingularStep(BlockPolyError):
     """The step matrix (B_{l-1}, C_{l-1} or Delta) is singular."""
 
 
-class SingularFrechet(BlockPolyError):
-    """The Fréchet derivative matrix is singular at the current iterate."""
+class SingularSylvester(BlockPolyError):
+    """The system Σ_j C_j H X^{d-j} = R of a Newton step or a transform is singular."""
 
 
 class SingularALast(BlockPolyError):
@@ -102,10 +102,6 @@ class RankDeficientTransformer(BlockPolyError):
     def __init__(self, index, message=None):
         self.index = index
         super().__init__(message or f"transformer {index} is rank deficient")
-
-
-class SingularKroneckerSystem(BlockPolyError):
-    """The m^2 x m^2 Kronecker system of a transform is singular."""
 
 
 class DeflationResidualLarge(BlockPolyError):

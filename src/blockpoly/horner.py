@@ -8,8 +8,9 @@ step):
 * plain Block Horner: the fixed-point map X' = -inv(B_{l-1}(X)) A_l, where
   B_{l-1} is the last quotient coefficient of right synthetic division by
   (λI - X); linear convergence;
-* Newton-Horner: a true Newton step on A_R(X) = 0 through the explicit
-  m² x m² Fréchet matrix; quadratic convergence near simple solvents;
+* Newton-Horner: a true Newton step on A_R(X) = 0, one
+  :func:`linalg.solve_sylvester` (home of the vec/Kronecker convention) on
+  the quotient coefficients; quadratic convergence near simple solvents;
 * two-stage Block Horner: a double synthetic division.  Dividing A(λ) by
   (λI - X) gives the quotient B(λ) and the remainder B_l = A_R(X); dividing
   B(λ) by (λI - X) again leaves the remainder C_{l-1} = B_R(X), the matrix
@@ -31,7 +32,6 @@ from .errors import (
     InsufficientTrace,
     NoConvergence,
     SingularALast,
-    SingularFrechet,
     SingularMatrix,
     SingularStep,
     StagnantWithoutResidual,
@@ -157,30 +157,21 @@ def horner_iterate(p: MatrixPolynomial, cfg: IterConfig | None = None):
 
 
 def frechet_matrix(p: MatrixPolynomial, x) -> np.ndarray:
-    """The m² x m² matrix J with vec(dA_R(X; H)) = J vec(H).
+    """The m² x m² matrix J with vec(dA_R(X; H)) = J vec(H), for monic p.
 
-    Assembled from the product rule on Σ A_i X^{l-i}:
-    J = Σ_{i=0}^{l-1} Σ_{j=0}^{l-i-1} kron((X^{l-i-1-j})^T, A_i X^j).
+    The product rule on Σ A_i X^{l-i} gathers, in front of H X^{l-1-j}, the
+    quotient coefficient B_j = Σ_{i<=j} A_i X^{j-i} of right division by
+    (λI - X), so J is the Sylvester matrix of B_0..B_{l-1}.
     """
-    x = linalg.as_matrix(x)
-    if x.shape != (p.m, p.m):
-        raise DimensionMismatch(f"x must be {p.m}x{p.m}")
-    m, l = p.m, p.l
-    powers = [np.eye(m)]
-    for _ in range(l):
-        powers.append(powers[-1] @ x)
-    j = np.zeros((m * m, m * m))
-    for i in range(l):
-        for k in range(l - i):
-            j += linalg.kron(powers[l - i - 1 - k].T, p.coeffs[i] @ powers[k])
-    return j
+    return linalg.sylvester_matrix(synthetic_div_right(p, x)[0].coeffs, x)
 
 
 def newton_horner(p: MatrixPolynomial, cfg: IterConfig | None = None):
-    """Newton iteration on A_R(X) = 0 via the explicit Fréchet matrix.
+    """Newton iteration on A_R(X) = 0: X' = X - L^{-1}(A_R(X)).
 
-    Quadratic residual decay near a solvent with nonsingular Fréchet
-    derivative.
+    L(H) = Σ_j B_j H X^{l-1-j} is the Fréchet derivative, with B_j from the
+    right division whose remainder is A_R(X).  Quadratic residual decay near
+    a solvent with nonsingular L; a singular L raises ``SingularSylvester``.
     """
     cfg = cfg or IterConfig()
     p.require_monic()
@@ -190,12 +181,8 @@ def newton_horner(p: MatrixPolynomial, cfg: IterConfig | None = None):
         raise SingularALast(str(exc)) from exc
 
     def step(x):
-        residual = eval_right(p, x)
-        try:
-            correction = linalg.solve(frechet_matrix(p, x), linalg.vec(residual))
-        except SingularMatrix as exc:
-            raise SingularFrechet(str(exc)) from exc
-        return x - linalg.unvec(correction, p.m, p.m)
+        quotient, residual = synthetic_div_right(p, x)
+        return x - linalg.solve_sylvester(quotient.coeffs, x, residual)
 
     return _run_iteration(p, cfg, step, SingularStep)
 

@@ -16,10 +16,16 @@ kept only as the arbiter: it raises ``SingularMatrix`` with the index and
 magnitude of the first pivot under the threshold, or accepts the matrix, and
 then the LAPACK inverse is returned.
 
-Structural helpers (``kron``, ``vec``/``unvec``, ``frob_norm``) fix the
-conventions the transform modules rely on: ``vec`` stacks columns, so
-``vec(A X B) = kron(B.T, A) vec(X)``.  Eigenvalues serve only spectra
-diagnostics, never the factorization iterations.
+:func:`solve_sylvester` solves the polynomial Sylvester equation
+
+    Σ_j C_j H X^{d-j} = R,    d = len(coeffs) - 1,
+
+which the Newton step, the Fréchet matrix and both similarity transforms
+reduce to.  It is the one place that fixes the vec/Kronecker convention:
+``vec`` stacks columns, so ``vec(C H X^k) = kron((X^k).T, C) vec(H)``, and
+:func:`sylvester_matrix` assembles the d+1 Kronecker terms for the gated
+:func:`solve`.  Eigenvalues serve only spectra diagnostics, never the
+factorization iterations.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix, SingularSylvester
 
 #: Relative pivot threshold: a pivot below ``PIVOT_RTOL * ||a||_F`` is singular.
 PIVOT_RTOL = 1e-12
@@ -123,11 +129,6 @@ def det(a) -> float:
     return float(np.linalg.det(as_matrix(a)))
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with block structure a[i,j] * b."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def vec(a) -> np.ndarray:
     """Column-stacking vectorization (so vec(AXB) = kron(B.T, A) vec(X))."""
     return np.asarray(a, dtype=float).reshape(-1, order="F")
@@ -139,6 +140,42 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
     if v.size != rows * cols:
         raise DimensionMismatch(f"cannot reshape length {v.size} to {rows}x{cols}")
     return v.reshape(rows, cols, order="F")
+
+
+def sylvester_matrix(coeffs, x) -> np.ndarray:
+    """The matrix S with vec(Σ_j C_j H X^{d-j}) = S vec(H), d = len(coeffs) - 1.
+
+    S = Σ_j kron((X^{d-j}).T, C_j): one Kronecker term per coefficient, with
+    the powers of X built by one product each.
+    """
+    x = as_matrix(x)
+    mats = [as_matrix(c) for c in coeffs]
+    m = mats[0].shape[0]
+    if x.shape[0] != x.shape[1] or any(c.shape != (m, m) for c in mats):
+        raise DimensionMismatch("need square coefficients of one order and a square X")
+    power = np.eye(x.shape[0])
+    s = np.kron(power, mats[-1])
+    for c in reversed(mats[:-1]):
+        power = power @ x
+        s += np.kron(power.T, c)
+    return s
+
+
+def solve_sylvester(coeffs, x, rhs) -> np.ndarray:
+    """Solve Σ_j C_j H X^{d-j} = rhs for H with d = len(coeffs) - 1.
+
+    A singular system raises ``SingularSylvester`` with the message of the
+    ``SingularMatrix`` that :func:`solve` raised.
+    """
+    s = sylvester_matrix(coeffs, x)
+    rhs = as_matrix(rhs)
+    if rhs.shape[1] != np.shape(x)[0]:
+        raise DimensionMismatch(f"rhs has {rhs.shape[1]} columns, X is {np.shape(x)}")
+    try:
+        h = solve(s, vec(rhs))
+    except SingularMatrix as exc:
+        raise SingularSylvester(str(exc)) from exc
+    return unvec(h, *rhs.shape)
 
 
 def eigvals(a) -> np.ndarray:

@@ -44,6 +44,9 @@ from .qd import QDConfig, qd_run
 
 REFINE_METHODS = ("horner", "newton-horner", "two-stage")
 
+#: Jittered default guesses tried per factor when Q.D. preconditions fail.
+MULTI_START = 5
+
 
 @dataclass
 class PipelineConfig:
@@ -53,7 +56,6 @@ class PipelineConfig:
     qd: QDConfig = field(default_factory=QDConfig)
     iter: IterConfig = field(default_factory=IterConfig)
     verify_tol: float = 1e-8
-    multi_start: int = 5   # fallback restarts when Q.D. preconditions fail
 
     def __post_init__(self):
         if self.refine_method not in REFINE_METHODS:
@@ -124,7 +126,7 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
             guesses = [seeds[k]]
         else:
             guesses = [default_guess(current, jitter_seed=s)
-                       for s in range(cfg.multi_start)]
+                       for s in range(MULTI_START)]
         x = None
         trace = None
         last_error = None

@@ -226,7 +226,7 @@ def block_vandermonde(s: SolventSet) -> np.ndarray:
     return v
 
 
-def _pair_spectra(target, candidate, tol):
+def _pair_spectra(target, candidate):
     """Greedy nearest-pair matching; returns the max pairing distance."""
     remaining = list(candidate)
     worst = 0.0
@@ -249,7 +249,7 @@ def is_complete_set(p: MatrixPolynomial, s: SolventSet, tol: float = 1e-6) -> Co
     solvent_eigs = [linalg.eigvals(x) for x in s.solvents]
     union = np.concatenate(solvent_eigs)
     scale = max(1.0, float(np.max(np.abs(companion_eigs))))
-    report.max_pairing_error = _pair_spectra(companion_eigs, union, tol)
+    report.max_pairing_error = _pair_spectra(companion_eigs, union)
     report.spectrum_union_matches = report.max_pairing_error <= tol * scale
     disjoint = True
     for i in range(len(s)):
@@ -295,8 +295,3 @@ def residual_right(p: MatrixPolynomial, x) -> float:
 def residual_left(p: MatrixPolynomial, x) -> float:
     """Relative left-evaluation residual."""
     return linalg.frob_norm(eval_left(p, x)) / p.coefficient_scale()
-
-
-def scalar_polynomial(coeffs) -> MatrixPolynomial:
-    """Convenience constructor for m=1 polynomials from scalar coefficients."""
-    return MatrixPolynomial([np.array([[float(c)]]) for c in coeffs])

@@ -4,11 +4,13 @@ Chain storage is rightmost-first throughout (``factors[0]`` is the rightmost
 factor of the product).  :func:`chain_to_right_solvents` processes the chain
 from its LEFTMOST factor inward: factor Q is pulled out of the current
 polynomial by left synthetic division, and the remaining (deflated)
-coefficients A_{ji} build the m² x m² Kronecker system
+coefficients A_{ji} give the polynomial Sylvester equation
 
-    G = Σ_j kron((Q^{d-j})^T, A_{ji})
+    Σ_j A_{ji} P Q^{d-j} = I
 
-whose solution against vec(I) gives the similarity P with R = P Q P^{-1}.
+whose solution P is the similarity with R = P Q P^{-1}.  Both this system
+and the one of :func:`right_to_left_solvent` are solved by
+:func:`linalg.solve_sylvester`, which holds the vec/Kronecker convention.
 
 The left-side transforms are the right ones applied to the transposed data.
 Transposing A(λ) = (λI - Q_l) ... (λI - Q_1) gives
@@ -31,8 +33,6 @@ from .errors import (
     InputNotSolvent,
     RankDeficientTransformer,
     ResidualTooLarge,
-    SingularKroneckerSystem,
-    SingularMatrix,
     SolventResidualLarge,
     SpectrumOverlap,
 )
@@ -60,7 +60,6 @@ class TransformResult:
 
     output: object
     transformer: np.ndarray
-    rank_ok: bool
     residual: float
 
 
@@ -72,8 +71,9 @@ def _rank_check(t: np.ndarray) -> bool:
 def right_to_left_solvent(p: MatrixPolynomial, r, gate: float = SOLVENT_GATE) -> TransformResult:
     """Convert a right solvent R into a left solvent L = Q^{-1} R Q.
 
-    vec(Q) solves (Σ B_i^T ⊗ R^{l-1-i}) vec(Q) = vec(I) with B_i the quotient
-    coefficients of A(λ) divided by (λI - R) on the right.
+    Q solves Σ_i R^{l-1-i} Q B_i = I with B_i the quotient coefficients of
+    A(λ) divided by (λI - R) on the right; transposed, that is the Sylvester
+    equation Σ_i B_iᵀ Qᵀ (Rᵀ)^{l-1-i} = I.
     """
     p.require_monic()
     r = linalg.as_matrix(r)
@@ -82,25 +82,13 @@ def right_to_left_solvent(p: MatrixPolynomial, r, gate: float = SOLVENT_GATE) ->
             f"right-solvent residual {residual_right(p, r):.3e} exceeds gate {gate:.1e}"
         )
     quotient, _ = synthetic_div_right(p, r)
-    m, l = p.m, p.l
-    powers = [np.eye(m)]
-    for _ in range(l - 1):
-        powers.append(powers[-1] @ r)
-    system = np.zeros((m * m, m * m))
-    for i in range(l):
-        system += linalg.kron(quotient.coeffs[i].T, powers[l - 1 - i])
-    try:
-        vec_q = linalg.solve(system, linalg.vec(np.eye(m)))
-    except SingularMatrix as exc:
-        raise SingularKroneckerSystem(str(exc)) from exc
-    q = linalg.unvec(vec_q, m, m)
+    q = linalg.solve_sylvester(_transpose(quotient).coeffs, r.T, np.eye(p.m)).T
     if not _rank_check(q):
         raise RankDeficientTransformer(0, "similarity matrix Q is rank deficient")
     left = linalg.solve(q, r @ q)
     return TransformResult(
         output=left,
         transformer=q,
-        rank_ok=True,
         residual=residual_left(p, left),
     )
 
@@ -122,7 +110,7 @@ def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
     """Recover the complete right solvent set from a factor chain.
 
     Processes the chain leftmost-first; each step left-divides the current
-    polynomial by (λI - Q), solves the G-system for P, and emits
+    polynomial by (λI - Q), solves Σ_j A_j P Q^{d-j} = I for P, and emits
     R = P Q P^{-1}.  Output index 1 carries the leftmost factor's spectrum;
     the last output equals the rightmost factor (P = I there).  Each emitted
     solvent must be a right solvent of p to the gate, or the step fails.
@@ -142,18 +130,7 @@ def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
             rem = linalg.frob_norm(remainder) / scale
             if rem > tol:
                 raise DeflationResidualLarge(step, rem)
-            m = p.m
-            powers = [np.eye(m)]
-            for _ in range(d):
-                powers.append(powers[-1] @ q)
-            g = np.zeros((m * m, m * m))
-            for j in range(d + 1):
-                g += linalg.kron(powers[d - j].T, quotient.coeffs[j])
-            try:
-                vec_p = linalg.solve(g, linalg.vec(np.eye(m)))
-            except SingularMatrix as exc:
-                raise SingularKroneckerSystem(str(exc)) from exc
-            pmat = linalg.unvec(vec_p, m, m)
+            pmat = linalg.solve_sylvester(quotient.coeffs, q, np.eye(p.m))
             if not _rank_check(pmat):
                 raise RankDeficientTransformer(step)
             solvent = pmat @ q @ linalg.invert(pmat)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blockpoly.io import load_mfd, load_polynomial
-from blockpoly.polynomial import SpectralFactorChain
+from blockpoly.polynomial import MatrixPolynomial, SpectralFactorChain
 
 FIXTURES = os.path.join(
     os.path.dirname(__file__), "..", "src", "blockpoly", "fixtures"
@@ -40,6 +40,11 @@ def example4():
 @pytest.fixture
 def gas_turbine():
     return load_mfd(fixture_path("gas_turbine.json"))
+
+
+def scalar_polynomial(coeffs) -> MatrixPolynomial:
+    """An m=1 polynomial from scalar coefficients, leading one first."""
+    return MatrixPolynomial([np.array([[float(c)]]) for c in coeffs])
 
 
 def random_chain(m: int, l: int, rng, gap: float = 2.0, top: float = 8.0):

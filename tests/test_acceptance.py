@@ -33,11 +33,15 @@ from blockpoly.polynomial import (
     eval_right,
     reconstruct,
     residual_right,
-    scalar_polynomial,
 )
 from blockpoly.qd import QDConfig, qd_run
 
-from conftest import random_chain, scalar_with_separated_roots, spectrum_pair_error
+from conftest import (
+    random_chain,
+    scalar_polynomial,
+    scalar_with_separated_roots,
+    spectrum_pair_error,
+)
 
 
 def _rel(got, want):

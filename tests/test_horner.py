@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from blockpoly import linalg
-from blockpoly.errors import InsufficientTrace, NoConvergence, SingularALast
+from blockpoly.errors import (
+    InsufficientTrace,
+    NoConvergence,
+    SingularALast,
+    SingularSylvester,
+)
 from blockpoly.horner import (
     IterConfig,
     convergence_bounds_check,
@@ -17,11 +22,10 @@ from blockpoly.polynomial import (
     eval_right,
     reconstruct,
     residual_right,
-    scalar_polynomial,
     synthetic_div_right,
 )
 
-from conftest import random_chain
+from conftest import random_chain, scalar_polynomial
 
 
 def run_steps(fn, p, x0, n, **kw):
@@ -140,6 +144,14 @@ def test_newton_horner_singular_a_last(a_last):
     p = MatrixPolynomial([np.eye(2), np.array([[1.0, 2.0], [0.0, 3.0]]), a_last])
     with pytest.raises(SingularALast):
         newton_horner(p, IterConfig(x0=np.eye(2)))
+
+
+def test_newton_horner_singular_derivative():
+    # p(x) = x² - 2x - 3 at x = 1: the derivative 2x - 2 vanishes while the
+    # residual is -4, so the Newton system has no solution.
+    p = scalar_polynomial([1.0, -2.0, -3.0])
+    with pytest.raises(SingularSylvester, match=r"pivot 0 has magnitude 0\.000e\+00"):
+        newton_horner(p, IterConfig(x0=[[1.0]]))
 
 
 def test_newton_horner_example4(example4):

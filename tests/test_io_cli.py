@@ -12,10 +12,9 @@ from blockpoly.polynomial import (
     SolventSet,
     SpectralFactorChain,
     reconstruct,
-    scalar_polynomial,
 )
 
-from conftest import fixture_path, random_chain
+from conftest import fixture_path, random_chain, scalar_polynomial
 
 
 @pytest.fixture

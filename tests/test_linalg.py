@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import blockpoly
 from blockpoly import linalg
-from blockpoly.errors import SingularMatrix
+from blockpoly.errors import DimensionMismatch, SingularMatrix
 
 
 def test_frob_norm_identity():
@@ -87,6 +88,25 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_only_linalg_assembles_kronecker_systems():
+    # linalg.solve_sylvester holds the vec/Kronecker convention; a module
+    # that builds a Kronecker product or vectorizes would keep a second copy.
+    src = os.path.dirname(os.path.abspath(linalg.__file__))
+    offenders = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "linalg.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            ident = (node.attr if isinstance(node, ast.Attribute)
+                     else node.id if isinstance(node, ast.Name)
+                     else node.name if isinstance(node, ast.alias) else None)
+            if ident in ("kron", "vec", "unvec"):
+                offenders.append(f"{name}:{node.lineno} {ident}")
+    assert not offenders, "Kronecker/vec use outside linalg.py: " + ", ".join(offenders)
+
+
 def test_solve_identity():
     b = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.allclose(linalg.solve(np.eye(2), b), b)
@@ -127,14 +147,26 @@ def test_vec_column_stacking():
 
 
 def test_vec_kron_identity():
+    # The coefficients [A, 0] make Σ_j C_j H X^{1-j} = A H B, so the matrix
+    # must be kron(B.T, A) under column stacking; H is 3x4.
     rng = np.random.default_rng(2)
     for _ in range(10):
-        a = rng.standard_normal((3, 2))
-        x = rng.standard_normal((2, 4))
-        b = rng.standard_normal((4, 3))
+        a = rng.standard_normal((3, 3))
+        x = rng.standard_normal((3, 4))
+        b = rng.standard_normal((4, 4))
         lhs = linalg.vec(a @ x @ b)
-        rhs = linalg.kron(b.T, a) @ linalg.vec(x)
+        rhs = linalg.sylvester_matrix([a, np.zeros((3, 3))], b) @ linalg.vec(x)
         assert np.linalg.norm(lhs - rhs) < 1e-10
+
+
+def test_sylvester_shape_checks():
+    with pytest.raises(DimensionMismatch):
+        linalg.sylvester_matrix([np.eye(2), np.eye(3)], np.eye(2))
+    with pytest.raises(DimensionMismatch):
+        linalg.sylvester_matrix([np.eye(2)], np.ones((2, 3)))
+    # H is 3x2 here, so a 2x3 right side has the right size but not the shape
+    with pytest.raises(DimensionMismatch):
+        linalg.solve_sylvester([np.eye(3)], np.eye(2), np.ones((2, 3)))
 
 
 def test_eigvals_diagonal():

@@ -13,11 +13,10 @@ from blockpoly.polynomial import (
     MatrixPolynomial,
     SpectralFactorChain,
     reconstruct,
-    scalar_polynomial,
 )
 from blockpoly.qd import QDConfig
 
-from conftest import random_chain, spectrum_pair_error
+from conftest import random_chain, scalar_polynomial, spectrum_pair_error
 
 
 def test_scalar_cubic():

@@ -14,10 +14,11 @@ from blockpoly.polynomial import (
     is_complete_set,
     latent_roots,
     reconstruct,
-    scalar_polynomial,
     synthetic_div_left,
     synthetic_div_right,
 )
+
+from conftest import scalar_polynomial
 
 RNG = np.random.default_rng(11)
 

@@ -7,11 +7,10 @@ from blockpoly.polynomial import (
     MatrixPolynomial,
     reconstruct,
     residual_right,
-    scalar_polynomial,
 )
 from blockpoly.qd import QDConfig, qd_init, qd_run, qd_step
 
-from conftest import random_chain
+from conftest import random_chain, scalar_polynomial
 
 
 def test_qd_init_scalar():

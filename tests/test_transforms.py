@@ -6,6 +6,7 @@ from blockpoly.errors import (
     IncompleteSet,
     InputNotSolvent,
     ResidualTooLarge,
+    SingularSylvester,
     SolventResidualLarge,
     SpectrumOverlap,
 )
@@ -16,7 +17,6 @@ from blockpoly.polynomial import (
     reconstruct,
     residual_left,
     residual_right,
-    scalar_polynomial,
 )
 from blockpoly.transforms import (
     SOLVENT_GATE,
@@ -29,7 +29,7 @@ from blockpoly.transforms import (
     right_to_left_solvent,
 )
 
-from conftest import random_chain, spectrum_pair_error
+from conftest import random_chain, scalar_polynomial, spectrum_pair_error
 
 
 def test_right_to_left_linear():
@@ -37,7 +37,6 @@ def test_right_to_left_linear():
     p = MatrixPolynomial([np.eye(2), -c])
     res = right_to_left_solvent(p, c)
     assert np.allclose(res.output, c)
-    assert res.rank_ok
 
 
 def test_right_to_left_scalar_identity():
@@ -67,6 +66,13 @@ def test_right_to_left_gate():
     p = reconstruct(chain)
     with pytest.raises(InputNotSolvent):
         right_to_left_solvent(p, chain.factors[0] + 1.0)
+
+
+def test_right_to_left_double_root():
+    # (λ - 1)²: the quotient λ - 1 vanishes at R = 1, so Q cannot be solved for.
+    p = scalar_polynomial([1.0, -2.0, 1.0])
+    with pytest.raises(SingularSylvester, match=r"pivot 0 has magnitude 0\.000e\+00"):
+        right_to_left_solvent(p, [[1.0]])
 
 
 def test_right_solvents_to_chain_trivial():
