@@ -9,8 +9,11 @@ step):
   B_{l-1} is the last quotient coefficient of right synthetic division by
   (λI - X); linear convergence;
 * Newton-Horner: a true Newton step on A_R(X) = 0, one
-  :func:`linalg.solve_sylvester` (home of the vec/Kronecker convention) on
-  the quotient coefficients; quadratic convergence near simple solvents;
+  :func:`linalg.solve_sylvester` on the quotient coefficients.  From order
+  ``linalg.SPECTRAL_MIN_ORDER`` on it solves column by column in X's
+  eigenvector basis when that is certified, else it solves the dense m² x m²
+  Kronecker system, which also decides singularity; quadratic convergence
+  near simple solvents;
 * two-stage Block Horner: a double synthetic division.  Dividing A(λ) by
   (λI - X) gives the quotient B(λ) and the remainder B_l = A_R(X); dividing
   B(λ) by (λI - X) again leaves the remainder C_{l-1} = B_R(X), the matrix

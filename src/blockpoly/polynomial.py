@@ -25,6 +25,7 @@ Aᵀ(λ) = Sᵀ(λ)(λI - Xᵀ) + Rᵀ, so only the right-side recurrences are c
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,13 @@ class MatrixPolynomial:
                 )
         object.__setattr__(self, "coeffs", mats)
 
+    @classmethod
+    def _wrap(cls, mats):
+        """A polynomial on finite m x m float arrays that need no checks."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(mats))
+        return p
+
     @property
     def m(self) -> int:
         """Matrix order."""
@@ -62,8 +70,9 @@ class MatrixPolynomial:
         """Polynomial degree."""
         return len(self.coeffs) - 1
 
-    @property
+    @cached_property
     def is_monic(self) -> bool:
+        """A_0 = I to ``MONIC_ATOL``; computed once, the coefficients are frozen."""
         return bool(
             np.allclose(self.coeffs[0], np.eye(self.m), atol=MONIC_ATOL)
         )
@@ -147,7 +156,11 @@ class CompletenessReport:
 
 def _transpose(p: MatrixPolynomial) -> MatrixPolynomial:
     """pᵀ: the λ-matrix whose coefficients are the transposed A_i."""
-    return MatrixPolynomial([c.T for c in p.coeffs])
+    t = MatrixPolynomial._wrap([c.T for c in p.coeffs])
+    if "is_monic" in vars(p):
+        # A_0ᵀ is as close to I as A_0, entry for entry.
+        vars(t)["is_monic"] = p.is_monic
+    return t
 
 
 def _square(p: MatrixPolynomial, x) -> np.ndarray:
@@ -186,7 +199,9 @@ def synthetic_div_right(p: MatrixPolynomial, x):
     b = [p.coeffs[0].copy()]
     for k in range(1, p.l + 1):
         b.append(p.coeffs[k] + b[-1] @ x)
-    return MatrixPolynomial(b[:-1]), b[-1]
+    if not np.isfinite(b[:-1]).all():
+        raise DimensionMismatch("matrix contains non-finite entries")
+    return MatrixPolynomial._wrap(b[:-1]), b[-1]
 
 
 def synthetic_div_left(p: MatrixPolynomial, x):

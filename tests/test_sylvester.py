@@ -4,15 +4,19 @@ The Newton step, ``frechet_matrix`` and both similarity transforms go through
 ``linalg.sylvester_matrix``/``solve_sylvester``.  The references below are
 the earlier formulas, each assembled term by term with ``np.kron``, so these
 property tests check that the quotient-based systems are the same systems.
+They run below ``linalg.SPECTRAL_MIN_ORDER``; the tests at the end check the
+spectral route above it against the dense route and its elimination arbiter.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from blockpoly import linalg
-from blockpoly.horner import frechet_matrix
+from blockpoly.errors import SingularMatrix, SingularSylvester
+from blockpoly.horner import IterConfig, frechet_matrix, newton_horner
 from blockpoly.polynomial import (
     MatrixPolynomial,
     SpectralFactorChain,
@@ -21,6 +25,8 @@ from blockpoly.polynomial import (
     synthetic_div_right,
 )
 from blockpoly.transforms import chain_to_right_solvents, right_to_left_solvent
+
+from conftest import random_chain
 
 EPS = np.finfo(float).eps
 
@@ -142,3 +148,113 @@ def test_chain_to_right_solvents_match_g_solve(chain):
     for r, (r_ref, kappa) in zip(got, want):
         tol = 2 * SOLVE_TOL * p.m ** 2 * kappa * linalg.frob_norm(r_ref)
         assert linalg.frob_norm(r - r_ref) <= tol
+
+
+def _spectral_case(rng):
+    """(coeffs, X, rhs, kind) at an order where the spectral route runs.
+
+    C_0 = I and C_1..C_d are Gaussian, d in 1..3.  X is V T V^{-1} with
+    V = randn + 2I and T of one of four kinds: a Gaussian matrix (complex
+    spectrum), a Jordan block of size 2 or 3 on a diagonal, the same block
+    with ε in its corner (eigenvalues ε^{1/size} apart), or a diagonal T with
+    C_d moved so that M(λ_0) = Σ_j C_j λ_0^{d-j} has σ_min ≈ τ ||M(λ_0)||.
+    The near-singular kind takes an orthogonal V: there the eigenvector
+    basis is exact to rounding, so only the certificate can tell a system
+    the dense gate rejects from one it accepts.
+    """
+    m = int(rng.integers(linalg.SPECTRAL_MIN_ORDER, linalg.SPECTRAL_MIN_ORDER + 3))
+    d = int(rng.integers(1, 4))
+    kind = str(rng.choice(["gaussian", "jordan", "near-defective", "near-singular"]))
+    coeffs = [np.eye(m)] + [rng.standard_normal((m, m)) for _ in range(d)]
+    lam = rng.uniform(-4, 4, m)
+    t = rng.standard_normal((m, m)) if kind == "gaussian" else np.diag(lam)
+    if kind in ("jordan", "near-defective"):
+        size = int(rng.integers(2, 4))
+        t[:size, :size] = lam[0] * np.eye(size) + np.eye(size, k=1)
+        if kind == "near-defective":
+            t[size - 1, 0] = 10.0 ** rng.uniform(-16, -6)
+    v = rng.standard_normal((m, m)) + 2 * np.eye(m)
+    if kind == "near-singular":
+        v = np.linalg.qr(v)[0]
+        tau = 0.0 if rng.uniform() < 0.2 else 10.0 ** rng.uniform(-16, -6)
+        m0 = sum(c * lam[0] ** (d - j) for j, c in enumerate(coeffs))
+        u = rng.standard_normal(m)
+        u /= np.linalg.norm(u)
+        coeffs[-1] = coeffs[-1] - (1 - tau) * np.outer(m0 @ u, u)
+    x = v @ t @ np.linalg.inv(v)
+    return coeffs, x, rng.standard_normal((m, m)), kind
+
+
+def test_spectral_route_never_accepts_what_elimination_rejects():
+    # The spectral route may only return where the dense gate's certificate
+    # clears J, so where _lu_factor accepts; its answer then matches the
+    # dense solve.  Anything else takes the dense route, whose decision is
+    # _lu_factor's.
+    rng = np.random.default_rng(80000)
+    outcomes = set()
+    for _ in range(240):
+        coeffs, x, rhs, kind = _spectral_case(rng)
+        m, d = x.shape[0], len(coeffs) - 1
+        n = m * m
+        s = linalg.sylvester_matrix(coeffs, x)
+        try:
+            linalg._lu_factor(s, linalg.PIVOT_RTOL)
+            expected = None
+        except SingularMatrix as exc:
+            expected = (exc.pivot_index, exc.pivot_value)
+        h = linalg._spectral_sylvester(coeffs, x, linalg._powers(x, d), rhs)
+        if h is not None:
+            assert expected is None, f"spectral route accepted a rejected {kind} system"
+            gate = (linalg.frob_norm(s) * linalg.frob_norm(np.linalg.inv(s))
+                    * np.sqrt(n * (n + 1) / 2) * linalg.PIVOT_RTOL)
+            assert gate < 0.5, f"spectral route accepted an uncertified {kind} system"
+        try:
+            got = linalg.solve_sylvester(coeffs, x, rhs)
+            raised = None
+        except SingularSylvester as exc:
+            raised = (exc.__cause__.pivot_index, exc.__cause__.pivot_value)
+        assert raised == expected
+        if expected is None:
+            want = linalg.unvec(linalg.solve(s, linalg.vec(rhs)), m, m)
+            tol = SOLVE_TOL * m ** 2 * np.linalg.cond(s) * linalg.frob_norm(want)
+            assert linalg.frob_norm(got - want) <= tol, kind
+        outcomes.add(("accepted" if h is not None else "fallback", kind))
+    accepted = {k for route, k in outcomes if route == "accepted"}
+    fallback = {k for route, k in outcomes if route == "fallback"}
+    assert {"gaussian", "near-defective", "near-singular"} <= accepted
+    assert {"jordan", "near-defective", "near-singular"} <= fallback
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_spectral_route_taken_at_order_16(monkeypatch, l):
+    # A silent fallback to the m² x m² Kronecker solve would erase the
+    # spectral route's gain unnoticed, so the assembly is made to fail: the
+    # solve at the solvent and a Newton polish must not need it.
+    rng = np.random.default_rng(160 + l)
+    chain = random_chain(16, l, rng)
+    p, x = reconstruct(chain), chain.factors[0]
+    quotient, _ = synthetic_div_right(p, x)
+    rhs = rng.standard_normal((16, 16))
+
+    def refuse(*args):
+        raise AssertionError("dense route taken")
+
+    monkeypatch.setattr(linalg, "sylvester_matrix", refuse)
+    h = linalg.solve_sylvester(quotient.coeffs, x, rhs)
+    powers = linalg._powers(x, l - 1)
+    residual = linalg._sylvester_apply(list(quotient.coeffs), powers, h) - rhs
+    assert linalg.frob_norm(residual) <= 1e-12 * linalg.frob_norm(rhs)
+    d = rng.standard_normal((16, 16))
+    x0 = x + 1e-4 * linalg.frob_norm(x) / linalg.frob_norm(d) * d
+    got, _ = newton_horner(p, IterConfig(x0=x0))
+    assert linalg.frob_norm(got - x) <= 1e-10 * linalg.frob_norm(x)
+
+
+def test_exact_singular_order_16_falls_back():
+    # J = 0 at m = 16: the batched inverse fails, and the dense route raises
+    # the same pivot message as the scalar cases of test_horner/test_transforms.
+    eye = np.eye(16)
+    with pytest.raises(SingularSylvester, match=r"pivot 0 has magnitude 0\.000e\+00"):
+        newton_horner(MatrixPolynomial([eye, -2 * eye, -3 * eye]), IterConfig(x0=eye))
+    with pytest.raises(SingularSylvester, match=r"pivot 0 has magnitude 0\.000e\+00"):
+        right_to_left_solvent(MatrixPolynomial([eye, -2 * eye, eye]), eye)
