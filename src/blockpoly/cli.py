@@ -61,19 +61,20 @@ def factorize(input_file, method, max_iter, tol, solvents, out):
         p = io.load_polynomial(input_file)
     except io.FileFormatError as exc:
         _fail_input(str(exc))
+    qd_args, iter_args = {}, {}
+    if max_iter is not None:
+        qd_args["max_iterations"] = iter_args["max_iterations"] = max_iter
+    if tol is not None:
+        qd_args["e_tol"] = iter_args["eta"] = tol
+    try:
+        qd_cfg = QDConfig(**qd_args)
+        iter_cfg = IterConfig(**iter_args)
+    except ValueError as exc:
+        _fail_input(str(exc))
     _ensure_out(out)
     overrides = {"method": method, "max_iter": max_iter, "tol": tol,
                  "solvents": bool(solvents)}
     io.save_manifest(out, "factorize", input_file, overrides)
-
-    qd_cfg = QDConfig()
-    iter_cfg = IterConfig()
-    if max_iter is not None:
-        qd_cfg.max_iterations = max_iter
-        iter_cfg.max_iterations = max_iter
-    if tol is not None:
-        qd_cfg.e_tol = tol
-        iter_cfg.eta = tol
 
     traces = []
     try:
@@ -94,8 +95,7 @@ def factorize(input_file, method, max_iter, tol, solvents, out):
                 if current.l == 1:
                     factors.append(-current.coeffs[1])
                     break
-                x, t = solver(current, IterConfig(
-                    eta=iter_cfg.eta, max_iterations=iter_cfg.max_iterations))
+                x, t = solver(current, iter_cfg)
                 factors.append(x)
                 traces.append((f"extract[{i}]", io.iter_trace_rows(t)))
                 current = transforms.deflate_right(current, x)
@@ -254,7 +254,10 @@ def verify_cmd(input_file, against, tol, out):
         chain = io.load_factors(against)
     except io.FileFormatError as exc:
         _fail_input(str(exc))
-    report = verify(p, chain=chain)
+    try:
+        report = verify(p, chain=chain)
+    except BlockPolyError as exc:
+        _fail_numerical(str(exc))
     text = io.dumps_canonical(io.report_to_dict(report))
     if out:
         _ensure_out(out)

@@ -84,14 +84,6 @@ class SingularALast(BlockPolyError):
     """A_l is singular but the requested method needs its inverse."""
 
 
-class StagnantWithoutResidual(BlockPolyError):
-    """Step sizes collapsed but the residual stayed large: false convergence."""
-
-    def __init__(self, message, trace=None):
-        self.trace = trace
-        super().__init__(message)
-
-
 class InputNotSolvent(BlockPolyError):
     """A transform received a matrix that fails the solvent residual gate."""
 

@@ -1,26 +1,32 @@
 """Iterative extraction of a rightmost factor / right solvent.
 
-Three schemes share one stopping contract: the relative residual must fall
-below the residual guard, AND the relative step δ in percent must fall below η
-or stop shrinking (δ_k >= δ_{k-1}, the rounding floor of an ill-conditioned
-step):
+Each scheme is a map X -> X' built from one right synthetic division of
+A(λ) by (λI - X), which gives the quotient B_0..B_{l-1} and the remainder
+B_l = A_R(X):
 
 * plain Block Horner: the fixed-point map X' = -inv(B_{l-1}(X)) A_l, where
-  B_{l-1} is the last quotient coefficient of right synthetic division by
-  (λI - X); linear convergence;
+  B_{l-1} is the last quotient coefficient; linear convergence;
 * Newton-Horner: a true Newton step on A_R(X) = 0, one
   :func:`linalg.solve_sylvester` on the quotient coefficients.  From order
   ``linalg.SPECTRAL_MIN_ORDER`` on it solves column by column in X's
   eigenvector basis when that is certified, else it solves the dense m² x m²
   Kronecker system, which also decides singularity; quadratic convergence
   near simple solvents;
-* two-stage Block Horner: a double synthetic division.  Dividing A(λ) by
-  (λI - X) gives the quotient B(λ) and the remainder B_l = A_R(X); dividing
-  B(λ) by (λI - X) again leaves the remainder C_{l-1} = B_R(X), the matrix
-  analogue of p'(x), and X' = X - B_l inv(C_{l-1}).  C_{l-1} equals the
-  closed form Δ(X) = Σ (l-i) A_i X^{l-1-i}.  At m = 1 this is exactly scalar
-  Newton; for matrices the one-sided C_{l-1} differs from the Fréchet
-  derivative, so convergence is linear.
+* two-stage Block Horner: a double synthetic division.  Dividing B(λ) by
+  (λI - X) again leaves the remainder C_{l-1} = B_R(X), the matrix analogue
+  of p'(x), and X' = X - B_l inv(C_{l-1}).  C_{l-1} equals the closed form
+  Δ(X) = Σ (l-i) A_i X^{l-1-i}.  At m = 1 this is exactly scalar Newton; for
+  matrices the one-sided C_{l-1} differs from the Fréchet derivative, so
+  convergence is linear.
+
+One driver divides each iterate once: the remainder's norm is the residual,
+and the quotient and remainder make the step.  It accepts an iterate once
+‖A_R(X)‖_F / max(1, ‖A_l‖_F) <= ``RESIDUAL_GUARD`` AND the relative step δ in
+percent is <= η or stopped shrinking (δ_k >= δ_{k-1}, the rounding floor of an
+ill-conditioned step), and raises ``NoConvergence`` when the budget ends.  No
+test for false convergence is needed: X' = X forces B_l = A_R(X) = 0 in all
+three maps (B_{l-1} X + A_l = B_l for plain Horner), so every fixed point is a
+solvent, and a small step with a large residual is slow progress.
 """
 
 from __future__ import annotations
@@ -37,18 +43,11 @@ from .errors import (
     SingularALast,
     SingularMatrix,
     SingularStep,
-    StagnantWithoutResidual,
 )
 from .polynomial import MatrixPolynomial, eval_right, synthetic_div_right
 
 #: Relative residual guard: an iterate only counts as converged below this.
 RESIDUAL_GUARD = 1e-8
-
-#: Residual above which a δ-stall is reported as false convergence.
-STAGNATION_RESIDUAL = 1e-4
-
-#: Consecutive small-δ, non-improving iterations before declaring stagnation.
-STAGNATION_WINDOW = 25
 
 
 @dataclass
@@ -99,47 +98,32 @@ def _delta_pct(x_new, x_old) -> float:
 
 
 def _run_iteration(p, cfg, step, step_error):
-    """Shared driver: apply ``step`` until the dual stopping criterion holds."""
+    """Shared driver: divide each iterate once, then stop or take
+    ``step(x, quotient, remainder)``."""
     p.require_monic()
     x = linalg.as_matrix(cfg.x0) if cfg.x0 is not None else default_guess(p)
     if x.shape != (p.m, p.m):
         raise DimensionMismatch(f"x0 must be {p.m}x{p.m}")
     scale = p.coefficient_scale()
     trace = ConvergenceTrace()
-    res = linalg.frob_norm(eval_right(p, x))
-    trace.append(x, float("nan"), res)
-    if res / scale <= RESIDUAL_GUARD:
+    quotient, remainder = synthetic_div_right(p, x)
+    trace.append(x, float("nan"), linalg.frob_norm(remainder))
+    if trace.residuals[-1] / scale <= RESIDUAL_GUARD:
         return x, trace
-    stagnant = 0
-    best_res = res
     for _ in range(cfg.max_iterations):
         try:
-            x_new = step(x)
+            x_new = step(x, quotient, remainder)
         except SingularMatrix as exc:
             raise step_error(str(exc)) from exc
         delta = _delta_pct(x_new, x)
-        res = linalg.frob_norm(eval_right(p, x_new))
-        trace.append(x_new, delta, res)
         x = x_new
-        rel = res / scale
+        quotient, remainder = synthetic_div_right(p, x)
+        trace.append(x, delta, linalg.frob_norm(remainder))
         # Under the guard, a step that no longer shrinks is at the rounding
         # floor: further steps only repeat it.
-        if rel <= RESIDUAL_GUARD and (delta <= cfg.eta or delta >= trace.deltas[-2]):
+        if (trace.residuals[-1] / scale <= RESIDUAL_GUARD
+                and (delta <= cfg.eta or delta >= trace.deltas[-2])):
             return x, trace
-        if delta <= cfg.eta:
-            # δ says converged but the residual does not: only flag false
-            # convergence once the residual also stops improving.
-            if res >= best_res * 0.99:
-                stagnant += 1
-            else:
-                stagnant = 0
-            if stagnant >= STAGNATION_WINDOW and rel > STAGNATION_RESIDUAL:
-                raise StagnantWithoutResidual(
-                    f"step sizes below η={cfg.eta}% but relative residual "
-                    f"stuck at {rel:.3e}",
-                    trace=trace,
-                )
-        best_res = min(best_res, res)
     raise NoConvergence(
         f"no convergence in {cfg.max_iterations} iterations "
         f"(last δ={trace.deltas[-1]:.3e}%, relative residual "
@@ -152,8 +136,7 @@ def horner_iterate(p: MatrixPolynomial, cfg: IterConfig | None = None):
     """Plain Block Horner fixed-point iteration X' = -inv(B_{l-1}(X)) A_l."""
     cfg = cfg or IterConfig()
 
-    def step(x):
-        quotient, _ = synthetic_div_right(p, x)
+    def step(x, quotient, remainder):
         return -linalg.solve(quotient.coeffs[-1], p.coeffs[p.l])
 
     return _run_iteration(p, cfg, step, SingularStep)
@@ -183,9 +166,8 @@ def newton_horner(p: MatrixPolynomial, cfg: IterConfig | None = None):
     except SingularMatrix as exc:
         raise SingularALast(str(exc)) from exc
 
-    def step(x):
-        quotient, residual = synthetic_div_right(p, x)
-        return x - linalg.solve_sylvester(quotient.coeffs, x, residual)
+    def step(x, quotient, remainder):
+        return x - linalg.solve_sylvester(quotient.coeffs, x, remainder)
 
     return _run_iteration(p, cfg, step, SingularStep)
 
@@ -199,9 +181,8 @@ def two_stage(p: MatrixPolynomial, cfg: IterConfig | None = None):
     """
     cfg = cfg or IterConfig()
 
-    def step(x):
-        quotient, b_l = synthetic_div_right(p, x)
-        return x - b_l @ linalg.invert(eval_right(quotient, x))
+    def step(x, quotient, remainder):
+        return x - remainder @ linalg.invert(eval_right(quotient, x))
 
     return _run_iteration(p, cfg, step, SingularStep)
 
@@ -248,8 +229,9 @@ def convergence_bounds_check(p: MatrixPolynomial, trace: ConvergenceTrace,
     for k in range(len(xs) - 1):
         xk, xk1 = xs[k], xs[k + 1]
         xi = linalg.frob_norm(xk1 - xk)
-        residual = linalg.frob_norm(eval_right(p, xk))
-        shifted = p.coeffs[p.l] - eval_right(p, xk)
+        a_r = eval_right(p, xk)
+        residual = linalg.frob_norm(a_r)
+        shifted = p.coeffs[p.l] - a_r
         lower = xi / (linalg.frob_norm(xk) * linalg.frob_norm(linalg.invert(shifted)))
         upper = (linalg.frob_norm(shifted) * linalg.frob_norm(linalg.invert(xk)) * xi)
         slack = 1e-9 * max(1.0, residual)

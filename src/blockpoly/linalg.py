@@ -7,9 +7,9 @@ inverse.  With PA = LU and partial pivoting every |l_ij| <= 1, so every pivot
 satisfies |u_kk| >= 1 / (||A^{-1}||_F sqrt(n(n+1)/2)) (Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2nd ed., §9).  When
 
-    ||A||_F ||A^{-1}||_F sqrt(n(n+1)/2) pivot_rtol < 1/2
+    ||A||_F ||A^{-1}||_F sqrt(n(n+1)/2) PIVOT_RTOL < 1/2
 
-no pivot can fall below ``pivot_rtol * ||A||_F``, with a factor 2 to spare for
+no pivot can fall below ``PIVOT_RTOL * ||A||_F``, with a factor 2 to spare for
 rounding, and the LAPACK inverse is used as is.  A matrix that the certificate
 cannot clear goes to :func:`_lu_factor`, a Python partial-pivoted elimination
 kept only as the arbiter: it raises ``SingularMatrix`` with the index and
@@ -108,7 +108,7 @@ def _lu_factor(a: np.ndarray, pivot_rtol: float) -> None:
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
 
 
-def _inverse(a: np.ndarray, pivot_rtol: float) -> np.ndarray:
+def _inverse(a: np.ndarray) -> np.ndarray:
     """LAPACK inverse of a square ``a``, gated like :func:`_lu_factor`."""
     n = a.shape[0]
     try:
@@ -117,9 +117,9 @@ def _inverse(a: np.ndarray, pivot_rtol: float) -> np.ndarray:
         inv = None
     if inv is not None:
         bound = frob_norm(a) * frob_norm(inv) * math.sqrt(n * (n + 1) / 2)
-        if bound * pivot_rtol < 0.5:
+        if bound * PIVOT_RTOL < 0.5:
             return inv
-    _lu_factor(a, pivot_rtol)
+    _lu_factor(a, PIVOT_RTOL)
     if inv is None or not np.all(np.isfinite(inv)):
         # Elimination kept every pivot above the threshold, yet LAPACK met an
         # exact zero pivot or overflowed: there is no inverse to return.
@@ -131,14 +131,14 @@ def _inverse(a: np.ndarray, pivot_rtol: float) -> np.ndarray:
     return inv
 
 
-def solve(a, b, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
+def solve(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` as ``inv(a) @ b`` with the gated LAPACK inverse.
 
     Raises
     ------
     SingularMatrix
         If a pivot magnitude of partial-pivoted elimination falls below
-        ``pivot_rtol * ||a||_F``; the error carries the pivot index.
+        ``PIVOT_RTOL * ||a||_F``; the error carries the pivot index.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -146,15 +146,15 @@ def solve(a, b, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs rows {b.shape[0]} != matrix rows {a.shape[0]}")
-    return _inverse(a, pivot_rtol) @ b
+    return _inverse(a) @ b
 
 
-def invert(a, pivot_rtol: float = PIVOT_RTOL) -> np.ndarray:
-    """Matrix inverse through :func:`solve` with the identity as right side."""
+def invert(a) -> np.ndarray:
+    """Matrix inverse: the gated LAPACK inverse that :func:`solve` multiplies by."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"invert needs a square matrix, got {a.shape}")
-    return solve(a, np.eye(a.shape[0]), pivot_rtol=pivot_rtol)
+    return _inverse(a)
 
 
 def det(a) -> float:

@@ -47,6 +47,9 @@ REFINE_METHODS = ("horner", "newton-horner", "two-stage")
 #: Jittered default guesses tried per factor when Q.D. preconditions fail.
 MULTI_START = 5
 
+#: Relative remainder gate on each deflation of a refined factor.
+VERIFY_TOL = 1e-8
+
 
 @dataclass
 class PipelineConfig:
@@ -55,13 +58,10 @@ class PipelineConfig:
     refine_method: str = "newton-horner"
     qd: QDConfig = field(default_factory=QDConfig)
     iter: IterConfig = field(default_factory=IterConfig)
-    verify_tol: float = 1e-8
 
     def __post_init__(self):
         if self.refine_method not in REFINE_METHODS:
             raise ValueError(f"refine_method must be one of {REFINE_METHODS}")
-        if self.verify_tol <= 0:
-            raise ValueError("verify_tol must be positive")
 
 
 @dataclass
@@ -146,7 +146,7 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
         factors.append(x)
         traces.append(trace)
         try:
-            current = transforms.deflate_right(current, x, gate_rtol=cfg.verify_tol)
+            current = transforms.deflate_right(current, x, gate_rtol=VERIFY_TOL)
         except BlockPolyError as exc:
             raise PipelineStageError("deflate", k, exc)
     chain = SpectralFactorChain(factors)
@@ -191,10 +191,11 @@ def verify(p: MatrixPolynomial, chain: SpectralFactorChain | None = None,
         report.per_factor_residuals = []
         deflated = p
         for f in chain.factors:
-            report.per_factor_residuals.append(residual_right(deflated, f))
-            if deflated.l == 1:
+            stage_scale = deflated.coefficient_scale()
+            deflated, remainder = synthetic_div_right(deflated, f)
+            report.per_factor_residuals.append(linalg.frob_norm(remainder) / stage_scale)
+            if deflated.l == 0:
                 break
-            deflated, _ = synthetic_div_right(deflated, f)
         refs_targets = list(chain.factors)
     if solvents is not None:
         res_fn = residual_right if solvents.side == "right" else residual_left

@@ -40,6 +40,11 @@ from .errors import (
 )
 from .polynomial import MatrixPolynomial, SpectralFactorChain
 
+#: Sweeps without a new best max relative E-norm before Q.D. reports a stall.
+#: Transient E-norm humps spanning ~45 sweeps occur on spectra with close
+#: block moduli plus complex pairs; the window must outlast them.
+STALL_WINDOW = 60
+
 
 @dataclass
 class QDConfig:
@@ -47,9 +52,6 @@ class QDConfig:
 
     max_iterations: int = 200
     e_tol: float = 1e-10
-    # Transient E-norm humps spanning ~45 sweeps occur on spectra with close
-    # block moduli plus complex pairs; the window must outlast them.
-    stall_window: int = 60
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -163,10 +165,10 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
             since_best = 0
         else:
             since_best += 1
-            if since_best >= cfg.stall_window:
+            if since_best >= STALL_WINDOW:
                 raise NoConvergence(
                     f"Q.D. stalled: max relative E-norm {rel:.3e} did not "
-                    f"improve over {cfg.stall_window} sweeps",
+                    f"improve over {STALL_WINDOW} sweeps",
                     trace=trace,
                     tableau=t,
                 )

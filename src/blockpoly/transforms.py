@@ -75,13 +75,11 @@ def right_to_left_solvent(p: MatrixPolynomial, r, gate: float = SOLVENT_GATE) ->
     A(λ) divided by (λI - R) on the right; transposed, that is the Sylvester
     equation Σ_i B_iᵀ Qᵀ (Rᵀ)^{l-1-i} = I.
     """
-    p.require_monic()
+    quotient, remainder = synthetic_div_right(p, r)
     r = linalg.as_matrix(r)
-    if residual_right(p, r) > gate:
-        raise InputNotSolvent(
-            f"right-solvent residual {residual_right(p, r):.3e} exceeds gate {gate:.1e}"
-        )
-    quotient, _ = synthetic_div_right(p, r)
+    rel = linalg.frob_norm(remainder) / p.coefficient_scale()
+    if rel > gate:
+        raise InputNotSolvent(f"right-solvent residual {rel:.3e} exceeds gate {gate:.1e}")
     q = linalg.solve_sylvester(_transpose(quotient).coeffs, r.T, np.eye(p.m)).T
     if not _rank_check(q):
         raise RankDeficientTransformer(0, "similarity matrix Q is rank deficient")
@@ -203,10 +201,10 @@ def left_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFactor
 
 def deflate_right(p: MatrixPolynomial, q, gate_rtol: float = SOLVENT_GATE) -> MatrixPolynomial:
     """Divide out a rightmost factor, gating on the discarded remainder."""
-    rel = residual_right(p, q)
+    quotient, remainder = synthetic_div_right(p, q)
+    rel = linalg.frob_norm(remainder) / p.coefficient_scale()
     if rel > gate_rtol:
         raise ResidualTooLarge(
             f"deflation gate: relative remainder {rel:.3e} exceeds {gate_rtol:.1e}"
         )
-    quotient, _ = synthetic_div_right(p, q)
     return quotient

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockpoly import linalg
+from blockpoly import horner, linalg
 from blockpoly.errors import (
     InsufficientTrace,
     NoConvergence,
@@ -200,6 +200,38 @@ def test_two_stage_example4_fifteen_iterations(example4):
     assert linalg.frob_norm(a_r) <= 0.05
     printed = np.array([[-0.0081, 0.0106], [0.0265, 0.0145]])
     assert np.max(np.abs(a_r - printed)) < 5e-3
+
+
+def test_two_stage_example4_runs_to_the_guard_with_eta_disabled(example4):
+    # The two-stage map converges at rate 0.985 around a complex pair, so its
+    # residual oscillates; with every δ counted as small, only the residual
+    # guard may end the run.
+    x0 = np.array([[5.2114, 4.8890], [2.3159, 6.2406]])
+    x, _ = two_stage(example4, IterConfig(x0=x0, eta=1e30, max_iterations=2000))
+    assert residual_right(example4, x) / example4.coefficient_scale() <= 1e-8
+
+
+def test_one_division_per_iterate(monkeypatch):
+    calls = {"synthetic_div_right": 0, "eval_right": 0}
+
+    def counted(name):
+        fn = getattr(horner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(horner, name, counted(name))
+    rng = np.random.default_rng(12)
+    chain = random_chain(3, 3, rng)
+    p = reconstruct(chain)
+    x0 = chain.factors[0] + 1e-3 * rng.standard_normal((3, 3))
+    _, trace = newton_horner(p, IterConfig(x0=x0))
+    steps = len(trace.iterates) - 1
+    assert steps >= 2
+    assert calls == {"synthetic_div_right": steps + 1, "eval_right": 0}
 
 
 def test_two_stage_exact_solvent_immediate():

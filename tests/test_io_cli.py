@@ -144,6 +144,22 @@ def test_cli_factorize_no_convergence_exit_2(runner, tmp_path):
     assert os.path.exists(os.path.join(out, "trace.csv"))
 
 
+@pytest.mark.parametrize("args", [
+    ["--method=qd", "--max-iter=0"],
+    ["--method=pipeline", "--max-iter=0"],
+    ["--method=newton-horner", "--tol=-1"],
+], ids=["qd-budget", "pipeline-budget", "newton-tol"])
+def test_cli_factorize_invalid_option_exit_1(runner, tmp_path, args):
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["factorize", fixture_path("example1.json"), *args, f"--out={out}"]
+    )
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert "error: " in result.output
+    assert not out.exists()
+
+
 def test_cli_convert_roundtrip(runner, tmp_path):
     chain = random_chain(2, 2, np.random.default_rng(2))
     p = reconstruct(chain)
@@ -204,6 +220,17 @@ def test_cli_decouple_wrong_mode_count_exit_1(runner, tmp_path):
          f"--out={tmp_path / 'o'}"],
     )
     assert result.exit_code == 1
+
+
+def test_cli_verify_non_monic_exit_2(runner, tmp_path):
+    ppath = str(tmp_path / "p.json")
+    io.save_polynomial(ppath, MatrixPolynomial([2 * np.eye(2), np.eye(2), np.eye(2)]))
+    fpath = str(tmp_path / "factors.json")
+    io.save_factors(fpath, SpectralFactorChain([np.eye(2), np.eye(2)]))
+    result = runner.invoke(main, ["verify", ppath, f"--against={fpath}"])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 2
+    assert "numerical failure: " in result.output
 
 
 def test_cli_verify(runner, tmp_path):

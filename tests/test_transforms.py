@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockpoly import linalg
+from blockpoly import linalg, polynomial, transforms
 from blockpoly.errors import (
     IncompleteSet,
     InputNotSolvent,
@@ -225,6 +225,18 @@ def test_deflate_right_gate():
     p = reconstruct(chain)
     with pytest.raises(ResidualTooLarge):
         deflate_right(p, chain.factors[0] + 1.0)
+
+
+def test_deflate_right_divides_once(monkeypatch):
+    calls = []
+    divide, evaluate = transforms.synthetic_div_right, polynomial.eval_right
+    monkeypatch.setattr(transforms, "synthetic_div_right",
+                        lambda *args: calls.append("div") or divide(*args))
+    monkeypatch.setattr(polynomial, "eval_right",
+                        lambda *args: calls.append("eval") or evaluate(*args))
+    chain = random_chain(2, 2, np.random.default_rng(12))
+    deflate_right(reconstruct(chain), chain.factors[0])
+    assert calls == ["div"]
 
 
 def test_example1_printed_sets(example1):
