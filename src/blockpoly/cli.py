@@ -29,6 +29,12 @@ def _fail_input(msg):
     sys.exit(EXIT_INPUT)
 
 
+def _require_monic(p):
+    """Exit as an input error unless the loaded polynomial has A_0 = I."""
+    if not p.is_monic:
+        _fail_input("the polynomial is not monic: its leading coefficient A_0 must be I")
+
+
 def _fail_numerical(msg):
     click.echo(f"numerical failure: {msg}", err=True)
     sys.exit(EXIT_NUMERICAL)
@@ -61,6 +67,7 @@ def factorize(input_file, method, max_iter, tol, solvents, out):
         p = io.load_polynomial(input_file)
     except io.FileFormatError as exc:
         _fail_input(str(exc))
+    _require_monic(p)
     qd_args, iter_args = {}, {}
     if max_iter is not None:
         qd_args["max_iterations"] = iter_args["max_iterations"] = max_iter
@@ -144,6 +151,7 @@ def convert(input_file, direction, factors_file, solvents_file, out):
         solv = io.load_solvents(solvents_file) if solvents_file else None
     except io.FileFormatError as exc:
         _fail_input(str(exc))
+    _require_monic(p)
     if direction.startswith("chain") and chain is None:
         _fail_input("--factors is required for chain-to-* conversions")
     if not direction.startswith("chain") and solv is None:
@@ -254,6 +262,7 @@ def verify_cmd(input_file, against, tol, out):
         chain = io.load_factors(against)
     except io.FileFormatError as exc:
         _fail_input(str(exc))
+    _require_monic(p)
     try:
         report = verify(p, chain=chain)
     except BlockPolyError as exc:

@@ -27,11 +27,15 @@ class SingularMatrix(BlockPolyError):
         None when every pivot cleared it but LAPACK could not invert.
     pivot_value : float
         Magnitude of the offending pivot (0.0 when ``pivot_index`` is None).
+    block : int
+        Index of the failing matrix in the stack that was inverted (0 for a
+        single matrix).
     """
 
     def __init__(self, pivot_index, pivot_value, message=None):
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
+        self.block = 0
         super().__init__(
             message
             or f"singular matrix: pivot {pivot_index} has magnitude {pivot_value:.3e}"

@@ -1,20 +1,24 @@
 """Dense linear-algebra kernel used by every other module.
 
 ``solve``/``invert`` run on LAPACK through ``numpy.linalg``: one call of
-``np.linalg.inv``, then a product with the right-hand side.  LAPACK does not
-expose its pivots, so the singularity decision is made by a certificate on the
-inverse.  With PA = LU and partial pivoting every |l_ij| <= 1, so every pivot
-satisfies |u_kk| >= 1 / (||A^{-1}||_F sqrt(n(n+1)/2)) (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., §9).  When
+``np.linalg.inv``, then a product with the right-hand side.
+:func:`invert_blocks` inverts a stack of matrices with one such call; a single
+matrix is the stack of one.  LAPACK does not expose its pivots, so the
+singularity decision is made by a certificate on the inverse.  With PA = LU
+and partial pivoting every |l_ij| <= 1, so every pivot satisfies
+|u_kk| >= 1 / (||A^{-1}||_F sqrt(n(n+1)/2)) (Higham, *Accuracy and Stability
+of Numerical Algorithms*, 2nd ed., §9).  When
 
     ||A||_F ||A^{-1}||_F sqrt(n(n+1)/2) PIVOT_RTOL < 1/2
 
 no pivot can fall below ``PIVOT_RTOL * ||A||_F``, with a factor 2 to spare for
-rounding, and the LAPACK inverse is used as is.  A matrix that the certificate
-cannot clear goes to :func:`_lu_factor`, a Python partial-pivoted elimination
-kept only as the arbiter: it raises ``SingularMatrix`` with the index and
-magnitude of the first pivot under the threshold, or accepts the matrix, and
-then the LAPACK inverse is returned.
+rounding, and the LAPACK inverse is used as is.  The norms in the certificate
+are computed for a whole stack at once.  A matrix that it cannot clear goes to
+:func:`_lu_factor`, a Python partial-pivoted elimination kept only as the
+arbiter, one matrix at a time in stack order: it raises ``SingularMatrix`` with
+the index and magnitude of the first pivot under the threshold, and the
+position of the matrix in the stack, or accepts the matrix, and then the LAPACK
+inverse is returned.
 
 :func:`solve_sylvester` solves the polynomial Sylvester equation
 
@@ -88,6 +92,17 @@ def frob_norm(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def frob_norms(a) -> np.ndarray:
+    """Frobenius norms of a real (k, n, n) stack.
+
+    Each equals :func:`frob_norm` of its matrix bit for bit: a row times a
+    column goes to the same BLAS dot that ``np.linalg.norm`` calls.
+    """
+    k, n, _ = a.shape
+    flat = a.reshape(k, n * n)
+    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]).ravel())
+
+
 def _lu_factor(a: np.ndarray, pivot_rtol: float) -> None:
     """Partial-pivoted elimination that raises SingularMatrix on a small pivot.
 
@@ -108,27 +123,46 @@ def _lu_factor(a: np.ndarray, pivot_rtol: float) -> None:
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
 
 
-def _inverse(a: np.ndarray) -> np.ndarray:
-    """LAPACK inverse of a square ``a``, gated like :func:`_lu_factor`."""
-    n = a.shape[0]
+def _inverse(a: np.ndarray):
+    """LAPACK inverses of a (k, n, n) stack, each gated like :func:`_lu_factor`.
+
+    Returns the inverses and the norms ||A_i||_F, as floats, that the
+    certificate used.  The norms come from one batched call each; only the
+    matrices the certificate cannot clear go to the arbiter, in stack order,
+    and the first one rejected raises, with the error's ``block`` naming it.
+    """
+    n = a.shape[-1]
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        inv = None
-    if inv is not None:
-        bound = frob_norm(a) * frob_norm(inv) * math.sqrt(n * (n + 1) / 2)
-        if bound * PIVOT_RTOL < 0.5:
-            return inv
-    _lu_factor(a, PIVOT_RTOL)
-    if inv is None or not np.all(np.isfinite(inv)):
-        # Elimination kept every pivot above the threshold, yet LAPACK met an
-        # exact zero pivot or overflowed: there is no inverse to return.
-        raise SingularMatrix(
-            None, 0.0,
-            "singular matrix: LAPACK could not invert a matrix whose "
-            "elimination pivots all clear the threshold",
-        )
-    return inv
+        # Some matrix has an exact zero pivot.  Invert one at a time; where
+        # LAPACK fails the NaN inverse sends the matrix to the arbiter.
+        inv = np.full(a.shape, np.nan)
+        for i, block in enumerate(a):
+            try:
+                inv[i] = np.linalg.inv(block)
+            except np.linalg.LinAlgError:
+                pass
+    scale = math.sqrt(n * (n + 1) / 2)
+    norms = frob_norms(a).tolist()
+    for i, inv_norm in enumerate(frob_norms(inv).tolist()):
+        if norms[i] * inv_norm * scale * PIVOT_RTOL < 0.5:
+            continue
+        try:
+            # as_matrix rejects a non-finite matrix, as invert does
+            _lu_factor(as_matrix(a[i]), PIVOT_RTOL)
+            if not np.all(np.isfinite(inv[i])):
+                # Elimination kept every pivot above the threshold, yet LAPACK
+                # met an exact zero pivot or overflowed: there is no inverse.
+                raise SingularMatrix(
+                    None, 0.0,
+                    "singular matrix: LAPACK could not invert a matrix whose "
+                    "elimination pivots all clear the threshold",
+                )
+        except SingularMatrix as exc:
+            exc.block = i
+            raise
+    return inv, norms
 
 
 def solve(a, b) -> np.ndarray:
@@ -146,7 +180,8 @@ def solve(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs rows {b.shape[0]} != matrix rows {a.shape[0]}")
-    return _inverse(a) @ b
+    inv, _ = _inverse(a[None])
+    return inv[0] @ b
 
 
 def invert(a) -> np.ndarray:
@@ -154,6 +189,20 @@ def invert(a) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"invert needs a square matrix, got {a.shape}")
+    inv, _ = _inverse(a[None])
+    return inv[0]
+
+
+def invert_blocks(a):
+    """Gated inverses of a (k, n, n) stack, and the norms ||A_i||_F of the gate.
+
+    One LAPACK call does what ``[invert(b) for b in a]`` does: the first matrix
+    that :func:`invert` would reject raises the same error, and the error's
+    ``block`` is its index in the stack.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"invert_blocks needs a (k, n, n) stack, got {a.shape}")
     return _inverse(a)
 
 

@@ -20,8 +20,12 @@ dominance order, the dominant block first; the dominant block is the
 RIGHTMOST factor of the chain (validated by reconstruction: only the
 dominant-rightmost ordering multiplies back to the input coefficients).
 
-A Q-block that turns singular mid-sweep ends the run with ``SingularPivot``;
-the tableau is not jittered and retried.
+The tableau is stored as stacked arrays, so a sweep is a few batched NumPy
+operations on all blocks at once: the Q-row update is one expression, the
+pivot blocks Q_0' .. Q_{l-2}' are inverted together by the gated
+:func:`linalg.invert_blocks`, and the interior E-row is two batched products.
+A Q-block that turns singular mid-sweep ends the run with ``SingularPivot``,
+naming the first such block; the tableau is not jittered and retried.
 """
 
 from __future__ import annotations
@@ -62,27 +66,18 @@ class QDConfig:
 
 @dataclass
 class QDTableau:
-    """Current Q-row and E-row of the tableau.
+    """Current Q-row and E-row of the tableau, as stacks of m x m blocks.
 
-    ``e_row`` has l+1 blocks with fixed zero boundaries E_0 and E_l.
+    ``q_row`` is an (l, m, m) array and ``e_row`` an (l+1, m, m) array with
+    fixed zero boundary blocks E_0 and E_l.  ``pivot_norms`` holds ||Q_i||_F
+    for the pivot blocks Q_0 .. Q_{l-2}, as the sweep's inverse gate computed
+    them; the initial row has none.
     """
 
-    m: int
-    l: int
-    q_row: list
-    e_row: list
+    q_row: np.ndarray
+    e_row: np.ndarray
     iteration: int = 0
-
-    def max_relative_e(self) -> float:
-        """max over interior blocks of ||E_i||_F / max(1, ||Q_i||_F)."""
-        worst = 0.0
-        for i in range(1, self.l):
-            qn = max(1.0, linalg.frob_norm(self.q_row[i - 1]))
-            worst = max(worst, linalg.frob_norm(self.e_row[i]) / qn)
-        return worst
-
-    def e_norms(self) -> list:
-        return [linalg.frob_norm(e) for e in self.e_row[1:self.l]]
+    pivot_norms: list | None = None
 
 
 @dataclass
@@ -104,30 +99,30 @@ def qd_init(p: MatrixPolynomial) -> QDTableau:
     if not p.is_monic:
         raise NotMonic("Q.D. requires a monic polynomial")
     m, l = p.m, p.l
-    q_row = [-p.coeffs[1].copy()] + [np.zeros((m, m)) for _ in range(l - 1)]
-    e_row = [np.zeros((m, m))]
-    for k in range(1, l):
-        try:
-            e_row.append(p.coeffs[k + 1] @ linalg.invert(p.coeffs[k]))
-        except SingularMatrix as exc:
-            raise SingularCoefficient(k) from exc
-    e_row.append(np.zeros((m, m)))
-    return QDTableau(m=m, l=l, q_row=q_row, e_row=e_row, iteration=0)
+    coeffs = np.array(p.coeffs)
+    try:
+        inv, _ = linalg.invert_blocks(coeffs[1:l])
+    except SingularMatrix as exc:
+        raise SingularCoefficient(exc.block + 1) from exc
+    q_row = np.zeros((l, m, m))
+    q_row[0] = -coeffs[1]
+    e_row = np.zeros((l + 1, m, m))
+    e_row[1:l] = coeffs[2:] @ inv
+    return QDTableau(q_row=q_row, e_row=e_row)
 
 
 def qd_step(t: QDTableau) -> QDTableau:
-    """One full row-generation sweep."""
-    l, m = t.l, t.m
+    """One full row-generation sweep over the stacked blocks."""
     q, e = t.q_row, t.e_row
-    new_q = [q[i - 1] + e[i] - e[i - 1] for i in range(1, l + 1)]
-    new_e = [np.zeros((m, m))]
-    for i in range(1, l):
-        try:
-            new_e.append(new_q[i] @ e[i] @ linalg.invert(new_q[i - 1]))
-        except SingularMatrix as exc:
-            raise SingularPivot(i - 1, t.iteration + 1) from exc
-    new_e.append(np.zeros((m, m)))
-    return QDTableau(m=m, l=l, q_row=new_q, e_row=new_e, iteration=t.iteration + 1)
+    new_q = q + e[1:] - e[:-1]
+    try:
+        inv, pivot_norms = linalg.invert_blocks(new_q[:-1])
+    except SingularMatrix as exc:
+        raise SingularPivot(exc.block, t.iteration + 1) from exc
+    new_e = np.zeros(e.shape)
+    new_e[1:-1] = new_q[1:] @ e[1:-1] @ inv
+    return QDTableau(q_row=new_q, e_row=new_e, iteration=t.iteration + 1,
+                     pivot_norms=pivot_norms)
 
 
 def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
@@ -154,9 +149,11 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
     since_best = 0
     for _ in range(cfg.max_iterations):
         t = qd_step(t)
-        rel = t.max_relative_e()
+        # max over interior blocks of ||E_i||_F / max(1, ||Q_{i-1}||_F)
+        e_norms = linalg.frob_norms(t.e_row[1:-1]).tolist()
+        rel = max([0.0] + [e / max(1.0, q) for e, q in zip(e_norms, t.pivot_norms)])
         trace.sweeps.append(t.iteration)
-        trace.e_block_norms.append(t.e_norms())
+        trace.e_block_norms.append(e_norms)
         trace.max_relative_e.append(rel)
         if rel <= cfg.e_tol:
             return SpectralFactorChain(list(t.q_row)), trace

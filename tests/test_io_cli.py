@@ -222,15 +222,40 @@ def test_cli_decouple_wrong_mode_count_exit_1(runner, tmp_path):
     assert result.exit_code == 1
 
 
-def test_cli_verify_non_monic_exit_2(runner, tmp_path):
+def _non_monic_files(tmp_path):
+    """A 2x2 polynomial file with A_0 = 2I, and a factors file of its order."""
     ppath = str(tmp_path / "p.json")
     io.save_polynomial(ppath, MatrixPolynomial([2 * np.eye(2), np.eye(2), np.eye(2)]))
     fpath = str(tmp_path / "factors.json")
     io.save_factors(fpath, SpectralFactorChain([np.eye(2), np.eye(2)]))
-    result = runner.invoke(main, ["verify", ppath, f"--against={fpath}"])
+    return ppath, fpath
+
+
+def _assert_input_error(result):
     assert isinstance(result.exception, SystemExit), result.exception
-    assert result.exit_code == 2
-    assert "numerical failure: " in result.output
+    assert result.exit_code == 1
+    assert "error: the polynomial is not monic" in result.output
+
+
+def test_cli_verify_non_monic_exit_1(runner, tmp_path):
+    ppath, fpath = _non_monic_files(tmp_path)
+    _assert_input_error(runner.invoke(main, ["verify", ppath, f"--against={fpath}"]))
+
+
+def test_cli_factorize_non_monic_exit_1(runner, tmp_path):
+    ppath, _ = _non_monic_files(tmp_path)
+    out = tmp_path / "out"
+    _assert_input_error(runner.invoke(main, ["factorize", ppath, f"--out={out}"]))
+    assert not out.exists()
+
+
+def test_cli_convert_non_monic_exit_1(runner, tmp_path):
+    ppath, fpath = _non_monic_files(tmp_path)
+    out = tmp_path / "out"
+    _assert_input_error(runner.invoke(
+        main, ["convert", ppath, "--direction=chain-to-right", f"--factors={fpath}",
+               f"--out={out}"]))
+    assert not out.exists()
 
 
 def test_cli_verify(runner, tmp_path):

@@ -21,9 +21,10 @@ def test_frob_norm_complex():
     assert linalg.frob_norm(z) == pytest.approx(math.sqrt(np.sum(np.abs(z) ** 2)), rel=1e-15)
 
 
-def _graded(rng):
-    """U diag(s) V^T, n in 1..12, σ_min/σ_max log-uniform in [1e-16, 1e-6]."""
-    n = int(rng.integers(1, 13))
+def _graded(rng, n=None):
+    """U diag(s) V^T, n in 1..12 unless given, σ_min/σ_max log-uniform in
+    [1e-16, 1e-6]."""
+    n = int(rng.integers(1, 13)) if n is None else n
     ratio = 10.0 ** rng.uniform(-16, -6)
     scale = 10.0 ** rng.uniform(-3, 3)
     inner = np.sort(rng.uniform(0, 1, max(n - 2, 0)))
@@ -59,6 +60,40 @@ def test_solve_singular_decisions_match_elimination():
             assert linalg.frob_norm(x - ref) <= 4 * n * kappa * eps * linalg.frob_norm(ref)
         outcomes.add("certified" if certified else "raised" if expected else "arbitrated")
     assert outcomes == {"certified", "raised", "arbitrated"}
+
+
+def test_invert_blocks_is_invert_in_stack_order():
+    # Stacks of graded matrices, some singular to the gate and some with a
+    # NaN: a stack gives what invert gives for each matrix, or the error of
+    # the first matrix that invert rejects.
+    rng = np.random.default_rng(20001)
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        stack = np.array([_graded(rng, n)[0] for _ in range(int(rng.integers(1, 5)))])
+        if rng.uniform() < 0.2:
+            stack[rng.integers(len(stack)), 0, 0] = np.nan
+        want = None
+        for i, a in enumerate(stack):
+            try:
+                linalg.invert(a)
+            except (SingularMatrix, DimensionMismatch) as exc:
+                want = (i, type(exc), str(exc))
+                break
+        try:
+            inv, norms = linalg.invert_blocks(stack)
+        except (SingularMatrix, DimensionMismatch) as exc:
+            assert want is not None and (type(exc), str(exc)) == want[1:]
+            if isinstance(exc, SingularMatrix):
+                assert exc.block == want[0]
+            outcomes.add(type(exc).__name__)
+            continue
+        assert want is None
+        for i, a in enumerate(stack):
+            assert np.array_equal(inv[i], linalg.invert(a))
+            assert norms[i] == linalg.frob_norm(a)
+        outcomes.add("inverted")
+    assert outcomes == {"inverted", "SingularMatrix", "DimensionMismatch"}
 
 
 def test_lapack_failure_on_accepted_matrix_is_singular(monkeypatch):
