@@ -221,9 +221,9 @@ def decouple(input_file, modes, eval_points, out):
         result = design_decoupling(sys_mfd, mode_blocks)
         payload = {
             "F": result.F.tolist(),
-            "desired_chain": [f.tolist() for f in result.desired_chain.factors],
-            "Dd_coefficients_descending": [c.tolist() for c in result.Dd.coeffs],
-            "Kc_blocks_ascending": [k.tolist() for k in result.Kc_blocks],
+            "desired_chain": result.desired_chain.factors.tolist(),
+            "Dd_coefficients_descending": result.Dd.coeffs.tolist(),
+            "Kc_blocks_ascending": result.Kc_blocks.tolist(),
             "zero_residuals": result.zero_residuals,
             "warnings": result.warnings,
         }

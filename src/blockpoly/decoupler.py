@@ -41,24 +41,21 @@ from .polynomial import MatrixPolynomial, SpectralFactorChain, companion_right, 
 
 @dataclass(frozen=True)
 class MFDSystem:
-    """Right MFD with ascending coefficient lists (index = power of λ).
+    """Right MFD with ascending coefficient stacks (index = power of λ).
 
     ``numerator[i]`` is N_i, ``denominator[i]`` is D_i; D_l must be the
     identity and the numerator degree must be strictly smaller.
     """
 
-    numerator: tuple
-    denominator: tuple
+    numerator: np.ndarray
+    denominator: np.ndarray
 
     def __init__(self, numerator, denominator):
-        num = tuple(linalg.as_matrix(c) for c in numerator)
-        den = tuple(linalg.as_matrix(c) for c in denominator)
-        if not num or not den:
-            raise DimensionMismatch("numerator and denominator must be nonempty")
-        m = den[0].shape[0]
-        for c in num + den:
-            if c.shape != (m, m):
-                raise DimensionMismatch(f"all coefficients must be {m}x{m}")
+        num = linalg.as_blocks(numerator)
+        den = linalg.as_blocks(denominator)
+        m = den.shape[1]
+        if num.shape[1] != m:
+            raise DimensionMismatch(f"all coefficients must be {m}x{m}")
         if len(num) >= len(den):
             raise DimensionMismatch("need deg N < deg D")
         if not np.allclose(den[-1], np.eye(m), atol=1e-12):
@@ -68,7 +65,7 @@ class MFDSystem:
 
     @property
     def m(self) -> int:
-        return self.denominator[0].shape[0]
+        return self.denominator.shape[1]
 
     @property
     def k(self) -> int:
@@ -82,10 +79,10 @@ class MFDSystem:
 
     def numerator_polynomial(self) -> MatrixPolynomial:
         """Descending-coefficient view (leading N_k first)."""
-        return MatrixPolynomial(list(reversed(self.numerator)))
+        return MatrixPolynomial(self.numerator[::-1])
 
     def denominator_polynomial(self) -> MatrixPolynomial:
-        return MatrixPolynomial(list(reversed(self.denominator)))
+        return MatrixPolynomial(self.denominator[::-1])
 
     def eval_numerator(self, lam) -> np.ndarray:
         return self.numerator_polynomial().eval_scalar(lam)
@@ -101,7 +98,7 @@ class DecouplingResult:
     F: np.ndarray
     desired_chain: SpectralFactorChain
     Dd: MatrixPolynomial                  # monic, descending coefficients
-    Kc_blocks: list                       # [K_c0, ..., K_c,l-1] ascending
+    Kc_blocks: np.ndarray                 # [K_c0, ..., K_c,l-1] ascending
     J_blocks: list
     zero_chain: SpectralFactorChain | None  # numerator block zeros, rightmost-first
     zero_residuals: list = field(default_factory=list)
@@ -116,7 +113,7 @@ def design_decoupling(sys: MFDSystem, modes: list,
 
     ``modes`` supplies the l - k diagonal blocks J_1..J_{l-k}.
     """
-    m, k, l = sys.m, sys.k, sys.l
+    k, l = sys.k, sys.l
     j_blocks = [linalg.as_matrix(j) for j in modes]
     if len(j_blocks) != l - k:
         raise DimensionMismatch(f"need {l - k} mode blocks, got {len(j_blocks)}")
@@ -147,17 +144,14 @@ def design_decoupling(sys: MFDSystem, modes: list,
 
     # Desired chain, rightmost-first: the numerator zeros keep their positions
     # (so they cancel), the conjugated mode blocks fill the leftmost slots.
-    desired = list(zero_chain.factors) if zero_chain is not None else []
-    for j in j_blocks:
-        desired.append(n_lead_inv @ j @ n_lead)
+    desired = np.array([n_lead_inv @ j @ n_lead for j in j_blocks])
+    if zero_chain is not None:
+        desired = np.concatenate([zero_chain.factors, desired])
     desired_chain = SpectralFactorChain(desired)
     dd = reconstruct(desired_chain)
 
-    # K_ci = D_di - D_i in ascending index i = 0..l-1.
-    kc = []
-    for i in range(l):
-        ddi = dd.coeffs[l - i]           # descending storage -> power i
-        kc.append(ddi - sys.denominator[i])
+    # K_ci = D_di - D_i in ascending index i = 0..l-1 (dd.coeffs is descending).
+    kc = dd.coeffs[:0:-1] - sys.denominator[:-1]
     result = DecouplingResult(
         F=n_lead_inv,
         desired_chain=desired_chain,
@@ -207,9 +201,7 @@ def controller_form(sys: MFDSystem):
     """
     m, l = sys.m, sys.l
     a_c = companion_right(sys.denominator_polynomial())
-    b_c = np.zeros((m * l, m))
-    b_c[(l - 1) * m:, :] = np.eye(m)
+    b_c = np.eye(m * l, m, k=-(l - 1) * m)
     c_c = np.zeros((m, m * l))
-    for i, n_i in enumerate(sys.numerator):
-        c_c[:, i * m:(i + 1) * m] = n_i
+    c_c[:, :m * (sys.k + 1)] = np.hstack(sys.numerator)
     return a_c, b_c, c_c

@@ -97,7 +97,7 @@ def _delta_pct(x_new, x_old) -> float:
     return 100.0 * linalg.frob_norm(x_new - x_old) / denom
 
 
-def _run_iteration(p, cfg, step, step_error):
+def _run_iteration(p, cfg, step):
     """Shared driver: divide each iterate once, then stop or take
     ``step(x, quotient, remainder)``."""
     p.require_monic()
@@ -114,7 +114,7 @@ def _run_iteration(p, cfg, step, step_error):
         try:
             x_new = step(x, quotient, remainder)
         except SingularMatrix as exc:
-            raise step_error(str(exc)) from exc
+            raise SingularStep(str(exc)) from exc
         delta = _delta_pct(x_new, x)
         x = x_new
         quotient, remainder = synthetic_div_right(p, x)
@@ -139,7 +139,7 @@ def horner_iterate(p: MatrixPolynomial, cfg: IterConfig | None = None):
     def step(x, quotient, remainder):
         return -linalg.solve(quotient.coeffs[-1], p.coeffs[p.l])
 
-    return _run_iteration(p, cfg, step, SingularStep)
+    return _run_iteration(p, cfg, step)
 
 
 def frechet_matrix(p: MatrixPolynomial, x) -> np.ndarray:
@@ -169,7 +169,7 @@ def newton_horner(p: MatrixPolynomial, cfg: IterConfig | None = None):
     def step(x, quotient, remainder):
         return x - linalg.solve_sylvester(quotient.coeffs, x, remainder)
 
-    return _run_iteration(p, cfg, step, SingularStep)
+    return _run_iteration(p, cfg, step)
 
 
 def two_stage(p: MatrixPolynomial, cfg: IterConfig | None = None):
@@ -184,7 +184,7 @@ def two_stage(p: MatrixPolynomial, cfg: IterConfig | None = None):
     def step(x, quotient, remainder):
         return x - remainder @ linalg.invert(eval_right(quotient, x))
 
-    return _run_iteration(p, cfg, step, SingularStep)
+    return _run_iteration(p, cfg, step)
 
 
 @dataclass

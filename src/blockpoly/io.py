@@ -75,12 +75,33 @@ def write_json(path, obj):
 
 
 def _matrix_from_json(data, m, what):
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{what}: {exc}") from exc
     if arr.shape != (m, m):
         raise FileFormatError(f"{what}: expected a {m}x{m} array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise FileFormatError(f"{what}: non-finite entries")
     return arr
+
+
+def _count(data, key, path) -> int:
+    """``data[key]``, an order or a degree, as an integer >= 1."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise FileFormatError(f"{path}: '{key}' must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _blocks_from_json(data, key, what, path):
+    """The nonempty list ``data[key]`` of m x m matrices, with m the file's
+    'order' if it gives one, else the row count of the first matrix."""
+    items = data.get(key)
+    if not isinstance(items, list) or not items:
+        raise FileFormatError(f"{path}: '{key}' must be a nonempty list")
+    m = _count(data, "order", path) if "order" in data else len(items[0])
+    return [_matrix_from_json(x, m, f"{path}: {what} {i}") for i, x in enumerate(items)]
 
 
 def _load_json(path):
@@ -97,19 +118,12 @@ def load_polynomial(path) -> MatrixPolynomial:
     for key in ("order", "degree", "coefficients"):
         if key not in data:
             raise FileFormatError(f"{path}: missing key '{key}'")
-    m = int(data["order"])
-    l = int(data["degree"])
-    coeffs = data["coefficients"]
-    if len(coeffs) != l + 1:
+    l = _count(data, "degree", path)
+    mats = _blocks_from_json(data, "coefficients", "coefficient", path)
+    if len(mats) != l + 1:
         raise FileFormatError(
-            f"{path}: degree {l} needs {l + 1} coefficients, got {len(coeffs)}"
+            f"{path}: degree {l} needs {l + 1} coefficients, got {len(mats)}"
         )
-    mats = []
-    for i, c in enumerate(coeffs):
-        try:
-            mats.append(_matrix_from_json(c, m, f"coefficient {i}"))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: coefficient {i}: {exc}") from exc
     return MatrixPolynomial(mats)
 
 
@@ -118,7 +132,7 @@ def save_polynomial(path, p: MatrixPolynomial):
         "format_version": FORMAT_VERSION,
         "order": p.m,
         "degree": p.l,
-        "coefficients": [c.tolist() for c in p.coeffs],
+        "coefficients": p.coeffs.tolist(),
     })
 
 
@@ -128,11 +142,8 @@ def load_mfd(path) -> MFDSystem:
     for key in ("order", "numerator", "denominator"):
         if key not in data:
             raise FileFormatError(f"{path}: missing key '{key}'")
-    m = int(data["order"])
-    num = [_matrix_from_json(c, m, f"numerator[{i}]")
-           for i, c in enumerate(data["numerator"])]
-    den = [_matrix_from_json(c, m, f"denominator[{i}]")
-           for i, c in enumerate(data["denominator"])]
+    num = _blocks_from_json(data, "numerator", "numerator", path)
+    den = _blocks_from_json(data, "denominator", "denominator", path)
     try:
         return MFDSystem(num, den)
     except Exception as exc:
@@ -141,22 +152,18 @@ def load_mfd(path) -> MFDSystem:
 
 def load_factors(path) -> SpectralFactorChain:
     data = _load_json(path)
-    if "factors" not in data:
-        raise FileFormatError(f"{path}: missing key 'factors'")
-    m = int(data.get("order") or len(data["factors"][0]))
-    mats = [_matrix_from_json(f, m, f"factor {i}")
-            for i, f in enumerate(data["factors"])]
-    return SpectralFactorChain(mats)
+    return SpectralFactorChain(_blocks_from_json(data, "factors", "factor", path))
 
 
 def load_solvents(path) -> SolventSet:
     data = _load_json(path)
     if "solvents" not in data or "side" not in data:
         raise FileFormatError(f"{path}: missing 'solvents' or 'side'")
-    m = int(data.get("order") or len(data["solvents"][0]))
-    mats = [_matrix_from_json(s, m, f"solvent {i}")
-            for i, s in enumerate(data["solvents"])]
-    return SolventSet(data["side"], mats)
+    mats = _blocks_from_json(data, "solvents", "solvent", path)
+    try:
+        return SolventSet(data["side"], mats)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def save_factors(path, chain: SpectralFactorChain):
@@ -164,16 +171,16 @@ def save_factors(path, chain: SpectralFactorChain):
         "format_version": FORMAT_VERSION,
         "order": chain.m,
         "convention": "rightmost-first",
-        "factors": [f.tolist() for f in chain.factors],
+        "factors": chain.factors.tolist(),
     })
 
 
 def save_solvents(path, s: SolventSet):
     write_json(path, {
         "format_version": FORMAT_VERSION,
-        "order": s.solvents[0].shape[0] if s.solvents else 0,
+        "order": s.solvents.shape[1],
         "side": s.side,
-        "solvents": [x.tolist() for x in s.solvents],
+        "solvents": s.solvents.tolist(),
     })
 
 

@@ -1,5 +1,9 @@
 """Dense linear-algebra kernel used by every other module.
 
+:func:`as_matrix` and :func:`as_blocks` are the two input validators: every
+list of m x m blocks in the package (coefficients, chains, solvent sets) is
+the read-only float (k, m, m) stack that :func:`as_blocks` returns.
+
 ``solve``/``invert`` run on LAPACK through ``numpy.linalg``: one call of
 ``np.linalg.inv``, then a product with the right-hand side.
 :func:`invert_blocks` inverts a stack of matrices with one such call; a single
@@ -85,6 +89,26 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise DimensionMismatch("matrix contains non-finite entries")
     return m
+
+
+def as_blocks(mats) -> np.ndarray:
+    """Coerce a nonempty sequence of m x m matrices to a (k, m, m) float stack.
+
+    The stack is validated like :func:`as_matrix` and returned as a read-only
+    view, so the caller's own array stays writable.
+    """
+    try:
+        a = np.asarray(mats, dtype=float)
+    except ValueError as exc:
+        # NumPy's error for blocks of different shapes
+        raise DimensionMismatch("blocks must all have one shape") from exc
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or not len(a):
+        raise DimensionMismatch(f"expected a nonempty (k, m, m) stack, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DimensionMismatch("matrix contains non-finite entries")
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def frob_norm(a) -> float:
@@ -225,13 +249,11 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
 
 
 def _sylvester_operands(coeffs, x):
-    """The coefficients and X as checked float matrices."""
+    """The coefficients as a checked stack and X as a checked square matrix."""
     x = as_matrix(x)
-    mats = [as_matrix(c) for c in coeffs]
-    m = mats[0].shape[0]
-    if x.shape[0] != x.shape[1] or any(c.shape != (m, m) for c in mats):
+    if x.shape[0] != x.shape[1]:
         raise DimensionMismatch("need square coefficients of one order and a square X")
-    return mats, x
+    return as_blocks(coeffs), x
 
 
 def _powers(x, d):
@@ -289,8 +311,8 @@ def _spectral_sylvester(mats, x, powers, rhs):
         return None
 
     # ||J||_F by the Gram identity, plus the rounding of its inner products.
-    terms = np.array([powers[d - j] for j in range(d + 1)]).reshape(d + 1, -1)
-    coef = np.array(mats).reshape(d + 1, -1)
+    terms = np.array(powers[::-1]).reshape(d + 1, -1)
+    coef = np.asarray(mats).reshape(d + 1, -1)
     gram_c = coef @ coef.T
     gram = (terms @ terms.T) * gram_c
     sizes = np.sqrt(np.diag(gram))

@@ -10,7 +10,7 @@ precision even when Q.D. alone had only a few correct digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class VerificationReport:
     rightmost_residual: float = float("inf")
     leftmost_residual: float = float("inf")
     completeness: CompletenessReport | None = None
-    reference_norm_errors: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
 
@@ -93,12 +92,12 @@ def _qd_seeds(p: MatrixPolynomial, cfg: PipelineConfig):
     warnings = []
     try:
         chain, trace = qd_run(p, cfg.qd)
-        return list(chain.factors), warnings
+        return chain.factors, warnings
     except NoConvergence as exc:
         warnings.append(
             f"Q.D. did not reach e_tol ({exc}); using the final Q-row as seeds"
         )
-        return list(exc.tableau.q_row), warnings
+        return exc.tableau.q_row, warnings
     except SingularCoefficient as exc:
         warnings.append(
             f"Q.D. preconditions failed ({exc}); falling back to default guesses"
@@ -128,16 +127,10 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
             guesses = [default_guess(current, jitter_seed=s)
                        for s in range(MULTI_START)]
         x = None
-        trace = None
         last_error = None
         for guess in guesses:
-            icfg = IterConfig(
-                x0=guess,
-                eta=cfg.iter.eta,
-                max_iterations=cfg.iter.max_iterations,
-            )
             try:
-                x, trace = refiner(cfg.refine_method)(current, icfg)
+                x, trace = refiner(cfg.refine_method)(current, replace(cfg.iter, x0=guess))
                 break
             except BlockPolyError as exc:
                 last_error = exc
@@ -171,18 +164,14 @@ def full_solvent_sets(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
 
 
 def verify(p: MatrixPolynomial, chain: SpectralFactorChain | None = None,
-           solvents: SolventSet | None = None,
-           references: list | None = None) -> VerificationReport:
+           solvents: SolventSet | None = None) -> VerificationReport:
     """Report-only verification of a chain or solvent set against p."""
     report = VerificationReport()
-    refs_targets = []
     if chain is not None:
         recon = reconstruct(chain)
-        num = max(
-            linalg.frob_norm(recon.coeffs[k] - p.coeffs[k])
-            for k in range(min(len(recon.coeffs), len(p.coeffs)))
-        )
-        scale = max(linalg.frob_norm(c) for c in p.coeffs)
+        k = min(len(recon.coeffs), len(p.coeffs))
+        num = float(linalg.frob_norms(recon.coeffs[:k] - p.coeffs[:k]).max())
+        scale = float(linalg.frob_norms(p.coeffs).max())
         report.reconstruction_error = num / max(scale, 1.0)
         report.rightmost_residual = residual_right(p, chain.factors[0])
         report.leftmost_residual = residual_left(p, chain.factors[-1])
@@ -196,20 +185,10 @@ def verify(p: MatrixPolynomial, chain: SpectralFactorChain | None = None,
             report.per_factor_residuals.append(linalg.frob_norm(remainder) / stage_scale)
             if deflated.l == 0:
                 break
-        refs_targets = list(chain.factors)
     if solvents is not None:
         res_fn = residual_right if solvents.side == "right" else residual_left
         report.per_solvent_residuals = [res_fn(p, x) for x in solvents.solvents]
         report.completeness = is_complete_set(p, solvents)
-        refs_targets = list(solvents.solvents)
-    if references is not None:
-        # the norm-difference metric (|‖X*‖ - ‖X‖|)/‖X*‖ reported verbatim;
-        # acceptance always gates on evaluation residuals instead.
-        for ref, got in zip(references, refs_targets):
-            nref = linalg.frob_norm(ref)
-            report.reference_norm_errors.append(
-                abs(nref - linalg.frob_norm(got)) / max(nref, 1e-300)
-            )
     return report
 
 
@@ -221,9 +200,7 @@ def factorize_nonmonic(n_poly: MatrixPolynomial, cfg: PipelineConfig | None = No
     """
     cfg = cfg or PipelineConfig()
     lead = n_poly.coeffs[0]
-    lead_inv = linalg.invert(lead)
-    monic = MatrixPolynomial(
-        [np.eye(n_poly.m)] + [lead_inv @ c for c in n_poly.coeffs[1:]]
-    )
-    chain, report, traces = full_factorize(monic, cfg)
+    monic = linalg.invert(lead) @ n_poly.coeffs
+    monic[0] = np.eye(n_poly.m)
+    chain, report, traces = full_factorize(MatrixPolynomial(monic), cfg)
     return lead, chain, report, traces

@@ -13,6 +13,11 @@ are stored rightmost-first: ``factors[0] = Q_1`` is the rightmost factor and
 therefore a right solvent; ``factors[-1] = Q_l`` is the leftmost factor and a
 left solvent.
 
+Coefficients, chains and solvent sets are each stored as one read-only float
+(k, m, m) array built by :func:`linalg.as_blocks`: ``coeffs[i]`` is A_i,
+``factors[i]`` is Q_{i+1}, and whole-list operations (transposition,
+reversal, batched products) act on the stack at once.
+
 Every left-side operation is its right twin applied to the transposed data.
 With pᵀ the polynomial whose coefficients are the transposed A_i,
 
@@ -37,33 +42,19 @@ MONIC_ATOL = 1e-12
 
 @dataclass(frozen=True)
 class MatrixPolynomial:
-    """Coefficients ``[A_0, A_1, ..., A_l]`` of an order-m, degree-l λ-matrix."""
+    """Coefficients A_0 .. A_l of an order-m, degree-l λ-matrix: an (l+1, m, m) stack."""
 
-    coeffs: tuple
+    coeffs: np.ndarray
 
     def __init__(self, coeffs):
-        mats = tuple(linalg.as_matrix(c) for c in coeffs)
-        if not mats:
+        if not len(coeffs):
             raise DimensionMismatch("need at least one coefficient")
-        m = mats[0].shape[0]
-        for c in mats:
-            if c.shape != (m, m):
-                raise DimensionMismatch(
-                    f"all coefficients must be {m}x{m}, got {c.shape}"
-                )
-        object.__setattr__(self, "coeffs", mats)
-
-    @classmethod
-    def _wrap(cls, mats):
-        """A polynomial on finite m x m float arrays that need no checks."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", tuple(mats))
-        return p
+        object.__setattr__(self, "coeffs", linalg.as_blocks(coeffs))
 
     @property
     def m(self) -> int:
         """Matrix order."""
-        return self.coeffs[0].shape[0]
+        return self.coeffs.shape[1]
 
     @property
     def l(self) -> int:
@@ -95,23 +86,18 @@ class MatrixPolynomial:
 
 @dataclass(frozen=True)
 class SpectralFactorChain:
-    """Ordered spectral factors, ``factors[0]`` = rightmost factor Q_1."""
+    """Spectral factors as an (l, m, m) stack; ``factors[0]`` is the rightmost, Q_1."""
 
-    factors: tuple
+    factors: np.ndarray
 
     def __init__(self, factors):
-        mats = tuple(linalg.as_matrix(f) for f in factors)
-        if not mats:
+        if not len(factors):
             raise DimensionMismatch("chain needs at least one factor")
-        m = mats[0].shape[0]
-        for f in mats:
-            if f.shape != (m, m):
-                raise DimensionMismatch(f"all factors must be {m}x{m}")
-        object.__setattr__(self, "factors", mats)
+        object.__setattr__(self, "factors", linalg.as_blocks(factors))
 
     @property
     def m(self) -> int:
-        return self.factors[0].shape[0]
+        return self.factors.shape[1]
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -119,17 +105,16 @@ class SpectralFactorChain:
 
 @dataclass(frozen=True)
 class SolventSet:
-    """A set of right or left solvents. ``side`` is 'right' or 'left'."""
+    """Right or left solvents as a (k, m, m) stack; ``side`` is 'right' or 'left'."""
 
     side: str
-    solvents: tuple
+    solvents: np.ndarray
 
     def __init__(self, side, solvents):
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
-        mats = tuple(linalg.as_matrix(s) for s in solvents)
         object.__setattr__(self, "side", side)
-        object.__setattr__(self, "solvents", mats)
+        object.__setattr__(self, "solvents", linalg.as_blocks(solvents))
 
     def __len__(self) -> int:
         return len(self.solvents)
@@ -156,7 +141,7 @@ class CompletenessReport:
 
 def _transpose(p: MatrixPolynomial) -> MatrixPolynomial:
     """pᵀ: the λ-matrix whose coefficients are the transposed A_i."""
-    t = MatrixPolynomial._wrap([c.T for c in p.coeffs])
+    t = MatrixPolynomial(p.coeffs.transpose(0, 2, 1))
     if "is_monic" in vars(p):
         # A_0ᵀ is as close to I as A_0, entry for entry.
         vars(t)["is_monic"] = p.is_monic
@@ -190,18 +175,17 @@ def synthetic_div_right(p: MatrixPolynomial, x):
 
     Returns ``(quotient, remainder)``.  The recurrence B_0 = I,
     B_k = A_k + B_{k-1} X gives the quotient coefficients B_0..B_{l-1}, and
-    its last term B_l = A_R(X) is the remainder.
+    its last term B_l = A_R(X) is the remainder.  A non-finite quotient
+    raises ``DimensionMismatch``.
     """
     p.require_monic()
     x = _square(p, x)
     if p.l == 0:
         raise DimensionMismatch("cannot divide a degree-0 polynomial")
-    b = [p.coeffs[0].copy()]
+    b = p.coeffs.copy()
     for k in range(1, p.l + 1):
-        b.append(p.coeffs[k] + b[-1] @ x)
-    if not np.isfinite(b[:-1]).all():
-        raise DimensionMismatch("matrix contains non-finite entries")
-    return MatrixPolynomial._wrap(b[:-1]), b[-1]
+        b[k] = p.coeffs[k] + b[k - 1] @ x
+    return MatrixPolynomial(b[:-1]), b[-1]
 
 
 def synthetic_div_left(p: MatrixPolynomial, x):
@@ -214,12 +198,8 @@ def synthetic_div_left(p: MatrixPolynomial, x):
 def companion_right(p: MatrixPolynomial) -> np.ndarray:
     """Block companion with -A_l ... -A_1 along the last block row."""
     p.require_monic()
-    m, l = p.m, p.l
-    c = np.zeros((m * l, m * l))
-    for i in range(l - 1):
-        c[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = np.eye(m)
-    for j in range(l):
-        c[(l - 1) * m:, j * m:(j + 1) * m] = -p.coeffs[l - j]
+    c = np.eye(p.m * p.l, k=p.m)
+    c[-p.m:] = np.hstack(-p.coeffs[:0:-1])
     return c
 
 
@@ -229,16 +209,13 @@ def block_vandermonde(s: SolventSet) -> np.ndarray:
     transposed solvents, so block row j holds I, L_j, ..., L_j^{l-1}.
     """
     if s.side == "left":
-        return block_vandermonde(SolventSet("right", [x.T for x in s.solvents])).T
-    l = len(s)
-    m = s.solvents[0].shape[0]
-    v = np.zeros((m * l, m * l))
-    for j, x in enumerate(s.solvents):
-        power = np.eye(m)
-        for i in range(l):
-            v[i * m:(i + 1) * m, j * m:(j + 1) * m] = power
-            power = power @ x
-    return v
+        return block_vandermonde(SolventSet("right", s.solvents.transpose(0, 2, 1))).T
+    l, m = s.solvents.shape[:2]
+    powers = np.empty((l, l, m, m))       # powers[i, j] = R_j^i
+    powers[0] = np.eye(m)
+    for i in range(1, l):
+        powers[i] = powers[i - 1] @ s.solvents
+    return powers.transpose(0, 2, 1, 3).reshape(m * l, m * l)
 
 
 def _pair_spectra(target, candidate):
@@ -255,26 +232,28 @@ def _pair_spectra(target, candidate):
     return worst
 
 
+def spectral_overlap(spectra, bound):
+    """The first pair ``(i, j, gap)``, i < j, of rows of the (k, m) eigenvalue
+    array ``spectra`` whose closest eigenvalues lie within ``bound``; or None."""
+    gaps = np.abs(spectra[:, None, :, None] - spectra[None, :, None, :]).min(axis=(2, 3))
+    close = np.argwhere(np.triu(gaps <= bound, 1))
+    if not len(close):
+        return None
+    i, j = close[0]
+    return int(i), int(j), gaps[i, j]
+
+
 def is_complete_set(p: MatrixPolynomial, s: SolventSet, tol: float = 1e-6) -> CompletenessReport:
     """Check the complete-set conditions: spectrum union, disjointness, det V."""
     report = CompletenessReport()
     if len(s) != p.l:
         return report
     companion_eigs = linalg.eigvals(companion_right(p))
-    solvent_eigs = [linalg.eigvals(x) for x in s.solvents]
-    union = np.concatenate(solvent_eigs)
+    solvent_eigs = np.linalg.eigvals(s.solvents)
     scale = max(1.0, float(np.max(np.abs(companion_eigs))))
-    report.max_pairing_error = _pair_spectra(companion_eigs, union)
+    report.max_pairing_error = _pair_spectra(companion_eigs, solvent_eigs.ravel())
     report.spectrum_union_matches = report.max_pairing_error <= tol * scale
-    disjoint = True
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            d = np.min(
-                np.abs(solvent_eigs[i][:, None] - solvent_eigs[j][None, :])
-            )
-            if d <= tol * scale:
-                disjoint = False
-    report.pairwise_disjoint = disjoint
+    report.pairwise_disjoint = spectral_overlap(solvent_eigs, tol * scale) is None
     v = block_vandermonde(s)
     report.vandermonde_det = linalg.det(v)
     sv = np.linalg.svd(v, compute_uv=False)
@@ -284,15 +263,12 @@ def is_complete_set(p: MatrixPolynomial, s: SolventSet, tol: float = 1e-6) -> Co
 
 def reconstruct(chain: SpectralFactorChain) -> MatrixPolynomial:
     """Multiply out (λI - Q_l)...(λI - Q_1) into coefficient form."""
-    m = chain.m
-    coeffs = [np.eye(m), -chain.factors[0]]
-    for q in chain.factors[1:]:
-        # left-multiply the accumulated polynomial by (λI - q)
-        new = [coeffs[0]]
-        for k in range(1, len(coeffs)):
-            new.append(coeffs[k] - q @ coeffs[k - 1])
-        new.append(-q @ coeffs[-1])
-        coeffs = new
+    f = chain.factors
+    coeffs = np.zeros((len(f) + 1, chain.m, chain.m))
+    coeffs[0] = np.eye(chain.m)
+    for k in range(1, len(f) + 1):
+        # left-multiply the accumulated degree-(k-1) polynomial by (λI - Q_k)
+        coeffs[1:k + 1] -= f[k - 1] @ coeffs[:k]
     return MatrixPolynomial(coeffs)
 
 

@@ -99,15 +99,14 @@ def qd_init(p: MatrixPolynomial) -> QDTableau:
     if not p.is_monic:
         raise NotMonic("Q.D. requires a monic polynomial")
     m, l = p.m, p.l
-    coeffs = np.array(p.coeffs)
     try:
-        inv, _ = linalg.invert_blocks(coeffs[1:l])
+        inv, _ = linalg.invert_blocks(p.coeffs[1:l])
     except SingularMatrix as exc:
         raise SingularCoefficient(exc.block + 1) from exc
     q_row = np.zeros((l, m, m))
-    q_row[0] = -coeffs[1]
+    q_row[0] = -p.coeffs[1]
     e_row = np.zeros((l + 1, m, m))
-    e_row[1:l] = coeffs[2:] @ inv
+    e_row[1:l] = p.coeffs[2:] @ inv
     return QDTableau(q_row=q_row, e_row=e_row)
 
 
@@ -143,7 +142,7 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
     t = qd_init(p)
     trace = QDTrace()
     if p.l == 1:
-        return SpectralFactorChain([t.q_row[0]]), trace
+        return SpectralFactorChain(t.q_row), trace
 
     best = float("inf")
     since_best = 0
@@ -156,7 +155,7 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
         trace.e_block_norms.append(e_norms)
         trace.max_relative_e.append(rel)
         if rel <= cfg.e_tol:
-            return SpectralFactorChain(list(t.q_row)), trace
+            return SpectralFactorChain(t.q_row), trace
         if rel < best * (1 - 1e-12):
             best = rel
             since_best = 0

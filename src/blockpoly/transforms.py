@@ -43,6 +43,7 @@ from .polynomial import (
     _transpose,
     residual_left,
     residual_right,
+    spectral_overlap,
     synthetic_div_left,
     synthetic_div_right,
 )
@@ -92,15 +93,13 @@ def right_to_left_solvent(p: MatrixPolynomial, r, gate: float = SOLVENT_GATE) ->
 
 
 def _check_disjoint(chain: SpectralFactorChain, tol: float = 1e-6):
-    spectra = [linalg.eigvals(f) for f in chain.factors]
-    scale = max(1.0, max(float(np.max(np.abs(s))) for s in spectra))
-    for i in range(len(spectra)):
-        for j in range(i + 1, len(spectra)):
-            d = np.min(np.abs(spectra[i][:, None] - spectra[j][None, :]))
-            if d <= tol * scale:
-                raise SpectrumOverlap(
-                    f"factors {i} and {j} share spectrum (min gap {d:.3e})"
-                )
+    spectra = np.linalg.eigvals(chain.factors)
+    scale = max(1.0, float(np.max(np.abs(spectra))))
+    overlap = spectral_overlap(spectra, tol * scale)
+    if overlap is not None:
+        raise SpectrumOverlap(
+            "factors {} and {} share spectrum (min gap {:.3e})".format(*overlap)
+        )
 
 
 def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
@@ -119,10 +118,10 @@ def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
     solvents = []
     tol = max(gate, 1e-6)
     scale = p.coefficient_scale()
-    for step, q in enumerate(reversed(chain.factors)):
+    for step, q in enumerate(chain.factors[::-1]):
         d = current.l - 1
         if d == 0:
-            solvent = np.array(q)
+            solvent = q
         else:
             quotient, remainder = synthetic_div_left(current, q)
             rem = linalg.frob_norm(remainder) / scale
@@ -152,9 +151,9 @@ def chain_to_left_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
     divides them out.
     """
     _check_disjoint(chain)
-    dual = SpectralFactorChain([q.T for q in reversed(chain.factors)])
+    dual = SpectralFactorChain(chain.factors[::-1].transpose(0, 2, 1))
     right = chain_to_right_solvents(_transpose(p), dual, gate)
-    return SolventSet("left", [r.T for r in reversed(right.solvents)])
+    return SolventSet("left", right.solvents[::-1].transpose(0, 2, 1))
 
 
 def right_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFactorChain:
@@ -170,17 +169,15 @@ def right_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFacto
         raise IncompleteSet(
             f"need a complete right set of {p.l} solvents, got {len(s)} ({s.side})"
         )
-    m = p.m
-    n_mats = [np.eye(m) for _ in range(p.l)]
-    factors = []
+    r = s.solvents
+    n_mats = np.tile(np.eye(p.m), (p.l, 1, 1))    # n_mats[j] = N_k(R_j)
+    factors = np.empty(r.shape)
     for k in range(p.l):
         nk = n_mats[k]
         if not _rank_check(nk):
             raise RankDeficientTransformer(k)
-        qk = nk @ s.solvents[k] @ linalg.invert(nk)
-        factors.append(qk)
-        for j in range(k + 1, p.l):
-            n_mats[j] = n_mats[j] @ s.solvents[j] - qk @ n_mats[j]
+        factors[k] = nk @ r[k] @ linalg.invert(nk)
+        n_mats[k + 1:] = n_mats[k + 1:] @ r[k + 1:] - factors[k] @ n_mats[k + 1:]
     return SpectralFactorChain(factors)
 
 
@@ -194,9 +191,9 @@ def left_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFactor
         raise IncompleteSet(
             f"need a complete left set of {p.l} solvents, got {len(s)} ({s.side})"
         )
-    dual = SolventSet("right", [x.T for x in s.solvents])
+    dual = SolventSet("right", s.solvents.transpose(0, 2, 1))
     chain = right_solvents_to_chain(_transpose(p), dual)
-    return SpectralFactorChain([q.T for q in reversed(chain.factors)])
+    return SpectralFactorChain(chain.factors[::-1].transpose(0, 2, 1))
 
 
 def deflate_right(p: MatrixPolynomial, q, gate_rtol: float = SOLVENT_GATE) -> MatrixPolynomial:

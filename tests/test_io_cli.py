@@ -22,6 +22,11 @@ def runner():
     return CliRunner()
 
 
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
 def test_polynomial_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     p = MatrixPolynomial([np.eye(2)] + [rng.standard_normal((2, 2)) for _ in range(2)])
@@ -94,7 +99,7 @@ def test_cli_factorize_example1_with_solvents(runner, tmp_path):
          "--solvents", f"--out={out}"],
     )
     assert result.exit_code == 0, result.output
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = json.loads(_read(os.path.join(out, "report.json")))
     assert report["reconstruction_error"] <= 1e-8
     assert all(r <= 1e-6 for r in report["per_solvent_residuals"])
     assert os.path.exists(os.path.join(out, "solvents_right.json"))
@@ -111,7 +116,7 @@ def test_cli_factorize_deterministic(runner, tmp_path):
             env={"SOURCE_DATE_EPOCH": "0"},
         )
         assert result.exit_code == 0, result.output
-        outs.append(open(os.path.join(out, "factors.json")).read())
+        outs.append(_read(os.path.join(out, "factors.json")))
     assert outs[0] == outs[1]
 
 
@@ -181,7 +186,7 @@ def test_cli_convert_roundtrip(runner, tmp_path):
          f"--solvents={os.path.join(out1, 'solvents_right.json')}", f"--out={out2}"],
     )
     assert r2.exit_code == 0, r2.output
-    report = json.load(open(os.path.join(out2, "report.json")))
+    report = json.loads(_read(os.path.join(out2, "report.json")))
     assert report["reconstruction_error"] < 1e-6
 
 
@@ -202,7 +207,7 @@ def test_cli_decouple_gas_turbine(runner, tmp_path):
          "--eval=0,1,2+1j", f"--out={out}"],
     )
     assert result.exit_code == 0, result.output
-    data = json.load(open(os.path.join(out, "decoupling.json")))
+    data = json.loads(_read(os.path.join(out, "decoupling.json")))
     assert max(row["max_error"] for row in data["closed_loop_table"]) < 1e-6
 
 
@@ -231,10 +236,14 @@ def _non_monic_files(tmp_path):
     return ppath, fpath
 
 
-def _assert_input_error(result):
+def _assert_exit_1(result, message):
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == 1
-    assert "error: the polynomial is not monic" in result.output
+    assert f"error: {message}" in result.output
+
+
+def _assert_input_error(result):
+    _assert_exit_1(result, "the polynomial is not monic")
 
 
 def test_cli_verify_non_monic_exit_1(runner, tmp_path):
@@ -270,3 +279,46 @@ def test_cli_verify(runner, tmp_path):
          f"--against={os.path.join(out, 'factors.json')}"],
     )
     assert r2.exit_code == 0, r2.output
+
+
+def _write_json(path, data):
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    return str(path)
+
+
+def _polynomial_file(tmp_path, **changes):
+    """A monic 2x2 degree-1 polynomial file, with ``changes`` to its keys."""
+    data = {"format_version": "1", "order": 2, "degree": 1,
+            "coefficients": [np.eye(2).tolist(), [[1.0, 0.0], [0.0, 2.0]]]}
+    return _write_json(tmp_path / "p.json", {**data, **changes})
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"order": "x"}, "order"),
+    ({"order": 0}, "order"),
+    ({"degree": 0, "coefficients": [np.eye(2).tolist()]}, "degree"),
+    ({"degree": -1, "coefficients": []}, "degree"),
+    ({"degree": 1.5}, "degree"),
+], ids=["order-not-integer", "order-0", "degree-0", "degree-negative", "degree-float"])
+def test_cli_factorize_bad_order_or_degree_exit_1(runner, tmp_path, changes, key):
+    path = _polynomial_file(tmp_path, **changes)
+    result = runner.invoke(main, ["factorize", path, f"--out={tmp_path / 'o'}"])
+    _assert_exit_1(result, f"{path}: '{key}' must be an integer >= 1")
+
+
+@pytest.mark.parametrize("command", ["verify", "convert-factors", "convert-solvents"])
+def test_cli_empty_block_list_exit_1(runner, tmp_path, command):
+    ppath = _polynomial_file(tmp_path)
+    fpath = _write_json(tmp_path / "f.json", {"order": 2, "factors": []})
+    spath = _write_json(tmp_path / "s.json", {"side": "right", "solvents": []})
+    out = f"--out={tmp_path / 'o'}"
+    args = {
+        "verify": ["verify", ppath, f"--against={fpath}"],
+        "convert-factors": ["convert", ppath, "--direction=chain-to-right",
+                            f"--factors={fpath}", out],
+        "convert-solvents": ["convert", ppath, "--direction=right-to-chain",
+                             f"--solvents={spath}", out],
+    }[command]
+    key, path = ("solvents", spath) if command == "convert-solvents" else ("factors", fpath)
+    _assert_exit_1(runner.invoke(main, args), f"{path}: '{key}' must be a nonempty list")

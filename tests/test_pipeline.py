@@ -95,14 +95,6 @@ def test_verify_perturbed_chain_scaling():
     assert 1e-6 < report.reconstruction_error < 1e-1
 
 
-def test_verify_reference_norm_metric():
-    rng = np.random.default_rng(4)
-    chain = random_chain(2, 2, rng)
-    p = reconstruct(chain)
-    report = verify(p, chain=chain, references=list(chain.factors))
-    assert all(e < 1e-12 for e in report.reference_norm_errors)
-
-
 def test_qd_budget_exhaustion_still_refines():
     # tiny Q.D. budget: seeds are rough, refinement must still land
     rng = np.random.default_rng(5)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from blockpoly import linalg
-from blockpoly.errors import NotMonic
+from blockpoly.decoupler import MFDSystem
+from blockpoly.errors import DimensionMismatch, NotMonic
 from blockpoly.polynomial import (
     MatrixPolynomial,
     SolventSet,
@@ -186,3 +187,65 @@ def test_latent_roots_example3_repeated(example3):
     got = np.sort_complex(latent_roots(example3))
     want = np.sort_complex(np.concatenate([w_eigs, w_eigs]))
     assert np.max(np.abs(got - want)) < 0.1  # 4-digit data, defective eigenvalues
+
+
+E2 = np.eye(2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MatrixPolynomial([E2, [[1, 2], [3]]]),
+    lambda: MatrixPolynomial([E2, np.eye(3)]),
+    lambda: MatrixPolynomial([np.ones((2, 3))]),
+    lambda: MatrixPolynomial(np.ones((2, 2))),
+    lambda: MatrixPolynomial([E2, np.full((2, 2), np.nan)]),
+    lambda: MatrixPolynomial([]),
+    lambda: SpectralFactorChain([E2, [[1, 2], [3]]]),
+    lambda: SpectralFactorChain([np.ones((3, 2))]),
+    lambda: SpectralFactorChain([np.full((2, 2), np.inf)]),
+    lambda: SpectralFactorChain([]),
+    lambda: SolventSet("right", [E2, np.eye(3)]),
+    lambda: SolventSet("left", [np.ones((2, 3))]),
+    lambda: SolventSet("right", [E2, np.full((2, 2), -np.inf)]),
+    lambda: SolventSet("right", []),
+    lambda: MFDSystem([np.eye(3)], [E2, E2]),
+    lambda: MFDSystem([[[1, 2], [3]]], [E2, E2]),
+    lambda: MFDSystem([np.full((2, 2), np.nan)], [E2, E2]),
+    lambda: MFDSystem([], [E2, E2]),
+], ids=["poly-ragged", "poly-mixed-order", "poly-non-square", "poly-2d", "poly-nan",
+        "poly-empty", "chain-ragged", "chain-non-square", "chain-inf", "chain-empty",
+        "solvents-mixed-order", "solvents-non-square", "solvents-inf", "solvents-empty",
+        "mfd-mixed-order", "mfd-ragged", "mfd-nan", "mfd-empty"])
+def test_block_constructors_raise_dimension_mismatch(build):
+    with pytest.raises(DimensionMismatch):
+        build()
+
+
+def test_empty_messages_are_kept():
+    with pytest.raises(DimensionMismatch, match="need at least one coefficient"):
+        MatrixPolynomial([])
+    with pytest.raises(DimensionMismatch, match="chain needs at least one factor"):
+        SpectralFactorChain([])
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda a: MatrixPolynomial(a), "coeffs"),
+    (lambda a: SpectralFactorChain(a), "factors"),
+    (lambda a: SolventSet("left", a), "solvents"),
+    (lambda a: MFDSystem(a[:1], a), "numerator"),
+    (lambda a: MFDSystem(a[:1], a), "denominator"),
+])
+def test_blocks_are_read_only_float_stacks(build, field):
+    a = np.stack([np.eye(2), np.eye(2)])
+    blocks = getattr(build(a), field)
+    assert blocks.dtype == np.float64 and blocks.ndim == 3
+    with pytest.raises(ValueError):
+        blocks[0][0, 0] = 5.0
+    a[0, 0, 1] = 7.0                       # the caller's array stays writable
+    assert a.flags.writeable
+
+
+def test_as_blocks_stacks_a_list_of_blocks():
+    got = linalg.as_blocks([[[1, 2], [3, 4]], np.eye(2)])
+    assert got.dtype == np.float64 and got.shape == (2, 2, 2)
+    assert not got.flags.writeable
+    assert np.array_equal(got[0], [[1.0, 2.0], [3.0, 4.0]])
