@@ -13,10 +13,10 @@ import numpy as np
 
 from . import io, transforms
 from .decoupler import closed_loop_eval, design_decoupling
-from .errors import BlockPolyError, NoConvergence
+from .errors import BlockPolyError, DimensionMismatch, NoConvergence
 from .horner import IterConfig
 from .pipeline import PipelineConfig, full_factorize, refiner, verify
-from .polynomial import SolventSet, SpectralFactorChain, is_complete_set
+from .polynomial import SolventSet, SpectralFactorChain, check_order, is_complete_set
 from .qd import QDConfig, qd_run
 
 EXIT_OK = 0
@@ -33,6 +33,14 @@ def _require_monic(p):
     """Exit as an input error unless the loaded polynomial has A_0 = I."""
     if not p.is_monic:
         _fail_input("the polynomial is not monic: its leading coefficient A_0 must be I")
+
+
+def _require_order(p, blocks, what):
+    """Exit as an input error unless a loaded block stack has the polynomial's order."""
+    try:
+        check_order(p, blocks, what)
+    except DimensionMismatch as exc:
+        _fail_input(str(exc))
 
 
 def _fail_numerical(msg):
@@ -156,6 +164,10 @@ def convert(input_file, direction, factors_file, solvents_file, out):
         _fail_input("--factors is required for chain-to-* conversions")
     if not direction.startswith("chain") and solv is None:
         _fail_input("--solvents is required for this conversion")
+    if chain is not None:
+        _require_order(p, chain.factors, "factors")
+    if solv is not None:
+        _require_order(p, solv.solvents, "solvents")
     _ensure_out(out)
     io.save_manifest(out, "convert", input_file, {"direction": direction})
     try:
@@ -263,6 +275,7 @@ def verify_cmd(input_file, against, tol, out):
     except io.FileFormatError as exc:
         _fail_input(str(exc))
     _require_monic(p)
+    _require_order(p, chain.factors, "factors")
     try:
         report = verify(p, chain=chain)
     except BlockPolyError as exc:

@@ -7,9 +7,15 @@ the read-only float (k, m, m) stack that :func:`as_blocks` returns.
 ``solve``/``invert`` run on LAPACK through ``numpy.linalg``: one call of
 ``np.linalg.inv``, then a product with the right-hand side.
 :func:`invert_blocks` inverts a stack of matrices with one such call; a single
-matrix is the stack of one.  LAPACK does not expose its pivots, so the
-singularity decision is made by a certificate on the inverse.  With PA = LU
-and partial pivoting every |l_ij| <= 1, so every pivot satisfies
+matrix is the stack of one.  Every gated inverse goes through the same two
+helpers: :func:`lapack_inverse`, the LAPACK call with a NaN inverse for each
+matrix LAPACK fails, and :func:`gate_inverses`, the certificate and then the
+arbiter below, on norms computed beforehand.  ``qd`` calls them directly, so
+that it can take the norms of a whole block of sweeps at once.
+
+LAPACK does not expose its pivots, so the singularity decision is made by a
+certificate on the inverse.  With PA = LU and partial pivoting every
+|l_ij| <= 1, so every pivot satisfies
 |u_kk| >= 1 / (||A^{-1}||_F sqrt(n(n+1)/2)) (Higham, *Accuracy and Stability
 of Numerical Algorithms*, 2nd ed., §9).  When
 
@@ -147,35 +153,45 @@ def _lu_factor(a: np.ndarray, pivot_rtol: float) -> None:
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
 
 
-def _inverse(a: np.ndarray):
-    """LAPACK inverses of a (k, n, n) stack, each gated like :func:`_lu_factor`.
+def lapack_inverse(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv`` of a (..., n, n) stack, NaN where LAPACK fails a matrix.
 
-    Returns the inverses and the norms ||A_i||_F, as floats, that the
-    certificate used.  The norms come from one batched call each; only the
-    matrices the certificate cannot clear go to the arbiter, in stack order,
-    and the first one rejected raises, with the error's ``block`` naming it.
+    The inverses are not gated: :func:`gate_inverses` decides which of them stand.
     """
-    n = a.shape[-1]
     try:
-        inv = np.linalg.inv(a)
+        return np.linalg.inv(a)
     except np.linalg.LinAlgError:
         # Some matrix has an exact zero pivot.  Invert one at a time; where
         # LAPACK fails the NaN inverse sends the matrix to the arbiter.
         inv = np.full(a.shape, np.nan)
-        for i, block in enumerate(a):
+        for i in np.ndindex(a.shape[:-2]):
             try:
-                inv[i] = np.linalg.inv(block)
+                inv[i] = np.linalg.inv(a[i])
             except np.linalg.LinAlgError:
                 pass
+        return inv
+
+
+def gate_inverses(a, inv, norms, inv_norms) -> None:
+    """The certificate, then the arbiter, on a stack and its LAPACK inverses.
+
+    ``a`` and ``inv`` are (..., n, n) stacks, and ``norms`` and ``inv_norms``
+    arrays of their Frobenius norms, of the leading shape.  Only the matrices
+    the certificate cannot clear go to :func:`_lu_factor`, in C order, and the
+    first one rejected raises, with the error's ``block`` its flat index.  The
+    certificate takes Python floats, whose products overflow to inf quietly.
+    """
+    n = a.shape[-1]
     scale = math.sqrt(n * (n + 1) / 2)
-    norms = frob_norms(a).tolist()
-    for i, inv_norm in enumerate(frob_norms(inv).tolist()):
-        if norms[i] * inv_norm * scale * PIVOT_RTOL < 0.5:
+    pairs = zip(norms.ravel().tolist(), inv_norms.ravel().tolist())
+    for i, (norm, inv_norm) in enumerate(pairs):
+        if norm * inv_norm * scale * PIVOT_RTOL < 0.5:
             continue
+        at = np.unravel_index(i, norms.shape)
         try:
             # as_matrix rejects a non-finite matrix, as invert does
-            _lu_factor(as_matrix(a[i]), PIVOT_RTOL)
-            if not np.all(np.isfinite(inv[i])):
+            _lu_factor(as_matrix(a[at]), PIVOT_RTOL)
+            if not np.all(np.isfinite(inv[at])):
                 # Elimination kept every pivot above the threshold, yet LAPACK
                 # met an exact zero pivot or overflowed: there is no inverse.
                 raise SingularMatrix(
@@ -186,7 +202,21 @@ def _inverse(a: np.ndarray):
         except SingularMatrix as exc:
             exc.block = i
             raise
-    return inv, norms
+
+
+def _inverse(a: np.ndarray):
+    """Gated LAPACK inverses of a (k, n, n) stack, and the norms ||A_i||_F.
+
+    The norms come from one batched call each.  An inverse's entries are
+    squared for its norm, which may overflow to inf; that fails the
+    certificate and leaves the decision to the arbiter.
+    """
+    inv = lapack_inverse(a)
+    norms = frob_norms(a)
+    with np.errstate(over="ignore"):
+        inv_norms = frob_norms(inv)
+    gate_inverses(a, inv, norms, inv_norms)
+    return inv, norms.tolist()
 
 
 def solve(a, b) -> np.ndarray:

@@ -34,6 +34,7 @@ from .polynomial import (
     MatrixPolynomial,
     SolventSet,
     SpectralFactorChain,
+    check_order,
     is_complete_set,
     reconstruct,
     residual_left,
@@ -168,6 +169,7 @@ def verify(p: MatrixPolynomial, chain: SpectralFactorChain | None = None,
     """Report-only verification of a chain or solvent set against p."""
     report = VerificationReport()
     if chain is not None:
+        check_order(p, chain.factors, "factors")
         recon = reconstruct(chain)
         k = min(len(recon.coeffs), len(p.coeffs))
         num = float(linalg.frob_norms(recon.coeffs[:k] - p.coeffs[:k]).max())
@@ -186,6 +188,7 @@ def verify(p: MatrixPolynomial, chain: SpectralFactorChain | None = None,
             if deflated.l == 0:
                 break
     if solvents is not None:
+        check_order(p, solvents.solvents, "solvents")
         res_fn = residual_right if solvents.side == "right" else residual_left
         report.per_solvent_residuals = [res_fn(p, x) for x in solvents.solvents]
         report.completeness = is_complete_set(p, solvents)

@@ -243,8 +243,16 @@ def spectral_overlap(spectra, bound):
     return int(i), int(j), gaps[i, j]
 
 
+def check_order(p: MatrixPolynomial, blocks: np.ndarray, what: str) -> None:
+    """Raise ``DimensionMismatch`` unless a (k, m, m) stack has p's order m."""
+    if blocks.shape[1] != p.m:
+        raise DimensionMismatch(
+            f"{what} have order {blocks.shape[1]}, the polynomial has order {p.m}")
+
+
 def is_complete_set(p: MatrixPolynomial, s: SolventSet, tol: float = 1e-6) -> CompletenessReport:
     """Check the complete-set conditions: spectrum union, disjointness, det V."""
+    check_order(p, s.solvents, "solvents")
     report = CompletenessReport()
     if len(s) != p.l:
         return report

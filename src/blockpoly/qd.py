@@ -22,20 +22,39 @@ dominant-rightmost ordering multiplies back to the input coefficients).
 
 The tableau is stored as stacked arrays, so a sweep is a few batched NumPy
 operations on all blocks at once: the Q-row update is one expression, the
-pivot blocks Q_0' .. Q_{l-2}' are inverted together by the gated
-:func:`linalg.invert_blocks`, and the interior E-row is two batched products.
-A Q-block that turns singular mid-sweep ends the run with ``SingularPivot``,
-naming the first such block; the tableau is not jittered and retried.
+pivot blocks Q_0' .. Q_{l-2}' are inverted together by one LAPACK call, and the
+interior E-row is two batched products.
+
+:func:`qd_run` runs the sweeps in blocks of up to ``_BLOCK``.  Within a block a
+sweep does only that arithmetic, into one preallocated buffer, and the LAPACK
+inverses are not yet gated.  After the block, one batched call takes the norms
+of every pivot, inverse and interior E block of the block, and the relative
+E-norms of all its sweeps are computed as one array.  The decisions are then
+replayed sweep by sweep, in the order of a one-sweep loop:
+
+* the stop test (``e_tol``) and the stall counter find the last sweep used;
+* the gate of :func:`linalg.gate_inverses` (certificate, then arbiter) runs on
+  the pivots up to that sweep, and the first one it rejects ends the run with
+  ``SingularPivot`` naming that block and sweep;
+* the trace takes the sweeps up to that sweep.
+
+The sweeps computed after it are dropped, so every result, error and trace is
+that of gating and testing each sweep as it is made.  The tableau is not
+jittered and retried.  Each block after the first is sized from the geometric
+decay of the last block's relative E-norms, so that few sweeps are dropped;
+the size decides no outcome.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .errors import (
+    DimensionMismatch,
     NoConvergence,
     NotMonic,
     SingularCoefficient,
@@ -48,6 +67,9 @@ from .polynomial import MatrixPolynomial, SpectralFactorChain
 #: Transient E-norm humps spanning ~45 sweeps occur on spectra with close
 #: block moduli plus complex pairs; the window must outlast them.
 STALL_WINDOW = 60
+
+#: Most sweeps in one block of :func:`qd_run`.
+_BLOCK = 8
 
 
 @dataclass
@@ -92,13 +114,15 @@ class QDTrace:
 def qd_init(p: MatrixPolynomial) -> QDTableau:
     """Build the initial tableau row from the polynomial coefficients.
 
-    Requires A_1 ... A_{l-1} nonsingular (the LR derivation forms the
-    quotients A_{k+1} A_k^{-1}).  The interior E blocks carry the positive
-    sign fixed by the scalar-reduction oracle.
+    Requires degree l >= 1 and A_1 ... A_{l-1} nonsingular (the LR derivation
+    forms the quotients A_{k+1} A_k^{-1}).  The interior E blocks carry the
+    positive sign fixed by the scalar-reduction oracle.
     """
     if not p.is_monic:
         raise NotMonic("Q.D. requires a monic polynomial")
     m, l = p.m, p.l
+    if l < 1:
+        raise DimensionMismatch("Q.D. needs degree >= 1")
     try:
         inv, _ = linalg.invert_blocks(p.coeffs[1:l])
     except SingularMatrix as exc:
@@ -110,18 +134,61 @@ def qd_init(p: MatrixPolynomial) -> QDTableau:
     return QDTableau(q_row=q_row, e_row=e_row)
 
 
+def _sweeps(q, e, n):
+    """``n`` sweeps of the rhombus rules from the row ``(q, e)``, not gated.
+
+    Returns the Q-rows (n, l, m, m), the E-rows (n, l+1, m, m), the LAPACK
+    inverses of the pivots Q_0 .. Q_{l-2} (n, l-1, m, m), and the Frobenius
+    norms of the pivots, of those inverses and of the interior E blocks, each
+    (n, l-1).  The three stacks share one buffer, so one batched call takes
+    every norm.  A sweep after a singular pivot may overflow, but no caller
+    uses it.
+    """
+    l, m = q.shape[:2]
+    buf = np.zeros((n, 3 * l, m, m))
+    qs, es, invs = buf[:, :l], buf[:, l:2 * l + 1], buf[:, 2 * l + 1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for new_q, new_e, inv in zip(qs, es, invs):
+            np.add(q, e[1:], out=new_q)
+            new_q -= e[:-1]
+            inv[...] = linalg.lapack_inverse(new_q[:-1])
+            np.matmul(new_q[1:] @ e[1:-1], inv, out=new_e[1:-1])
+            q, e = new_q, new_e
+        norms = linalg.frob_norms(buf.reshape(-1, m, m)).reshape(n, 3 * l)
+    return qs, es, invs, (norms[:, :l - 1], norms[:, 2 * l + 1:], norms[:, l + 1:2 * l])
+
+
+def _gate(qs, invs, pivot_norms, inv_norms, done):
+    """Gate the pivots of sweeps ``done + 1`` .. ``done + len(qs)`` in order.
+
+    Raises ``SingularPivot`` for the first pivot the gate rejects.
+    """
+    try:
+        linalg.gate_inverses(qs[:, :-1], invs, pivot_norms, inv_norms)
+    except SingularMatrix as exc:
+        sweep, exc.block = divmod(exc.block, qs.shape[1] - 1)
+        raise SingularPivot(exc.block, done + sweep + 1) from exc
+
+
 def qd_step(t: QDTableau) -> QDTableau:
     """One full row-generation sweep over the stacked blocks."""
-    q, e = t.q_row, t.e_row
-    new_q = q + e[1:] - e[:-1]
-    try:
-        inv, pivot_norms = linalg.invert_blocks(new_q[:-1])
-    except SingularMatrix as exc:
-        raise SingularPivot(exc.block, t.iteration + 1) from exc
-    new_e = np.zeros(e.shape)
-    new_e[1:-1] = new_q[1:] @ e[1:-1] @ inv
-    return QDTableau(q_row=new_q, e_row=new_e, iteration=t.iteration + 1,
-                     pivot_norms=pivot_norms)
+    qs, es, invs, (pivot_norms, inv_norms, _) = _sweeps(t.q_row, t.e_row, 1)
+    _gate(qs, invs, pivot_norms, inv_norms, t.iteration)
+    return QDTableau(q_row=qs[0], e_row=es[0], iteration=t.iteration + 1,
+                     pivot_norms=pivot_norms[0].tolist())
+
+
+def _block_size(rels, e_tol):
+    """Sweeps for the next block: ``_BLOCK``, or fewer when the geometric
+    decay of the last block's relative E-norms ``rels`` reaches ``e_tol``
+    sooner."""
+    first, last = rels[0], rels[-1]
+    if not 0.0 < last < first < math.inf:
+        return _BLOCK
+    rate = (last / first) ** (1.0 / (len(rels) - 1))
+    if not 0.0 < rate < 1.0:
+        return _BLOCK
+    return max(1, min(_BLOCK, math.ceil(math.log(e_tol / last) / math.log(rate))))
 
 
 def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
@@ -144,33 +211,52 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
     if p.l == 1:
         return SpectralFactorChain(t.q_row), trace
 
+    q, e = t.q_row, t.e_row
     best = float("inf")
     since_best = 0
-    for _ in range(cfg.max_iterations):
-        t = qd_step(t)
+    done = 0
+    size = _BLOCK
+    stalled = False
+    while True:
+        qs, es, invs, (pivot_norms, inv_norms, e_norms) = _sweeps(
+            q, e, min(size, cfg.max_iterations - done))
         # max over interior blocks of ||E_i||_F / max(1, ||Q_{i-1}||_F)
-        e_norms = linalg.frob_norms(t.e_row[1:-1]).tolist()
-        rel = max([0.0] + [e / max(1.0, q) for e, q in zip(e_norms, t.pivot_norms)])
-        trace.sweeps.append(t.iteration)
-        trace.e_block_norms.append(e_norms)
-        trace.max_relative_e.append(rel)
-        if rel <= cfg.e_tol:
-            return SpectralFactorChain(t.q_row), trace
-        if rel < best * (1 - 1e-12):
-            best = rel
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= STALL_WINDOW:
-                raise NoConvergence(
-                    f"Q.D. stalled: max relative E-norm {rel:.3e} did not "
-                    f"improve over {STALL_WINDOW} sweeps",
-                    trace=trace,
-                    tableau=t,
-                )
-    raise NoConvergence(
-        f"Q.D. budget of {cfg.max_iterations} sweeps exhausted "
-        f"(max relative E-norm {trace.max_relative_e[-1]:.3e})",
-        trace=trace,
-        tableau=t,
-    )
+        with np.errstate(invalid="ignore"):
+            rels = np.fmax.reduce(e_norms / np.fmax(pivot_norms, 1.0),
+                                  axis=1, initial=0.0).tolist()
+        # the stop and stall tests in sweep order find the last sweep used
+        converged = False
+        for last, rel in enumerate(rels):
+            if rel <= cfg.e_tol:
+                converged = True
+                break
+            if rel < best * (1 - 1e-12):
+                best = rel
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= STALL_WINDOW:
+                    stalled = True
+                    break
+        used = last + 1
+        _gate(qs[:used], invs[:used], pivot_norms[:used], inv_norms[:used], done)
+        trace.sweeps.extend(range(done + 1, done + used + 1))
+        trace.e_block_norms.extend(e_norms[:used].tolist())
+        trace.max_relative_e.extend(rels[:used])
+        done += used
+        if converged:
+            return SpectralFactorChain(qs[last]), trace
+        if stalled or done == cfg.max_iterations:
+            break
+        q, e = qs[-1], es[-1]
+        size = _block_size(rels, cfg.e_tol)
+
+    if stalled:
+        msg = (f"Q.D. stalled: max relative E-norm {rels[last]:.3e} did not "
+               f"improve over {STALL_WINDOW} sweeps")
+    else:
+        msg = (f"Q.D. budget of {cfg.max_iterations} sweeps exhausted "
+               f"(max relative E-norm {rels[last]:.3e})")
+    t = QDTableau(q_row=qs[last], e_row=es[last], iteration=done,
+                  pivot_norms=pivot_norms[last].tolist())
+    raise NoConvergence(msg, trace=trace, tableau=t)

@@ -41,6 +41,7 @@ from .polynomial import (
     SolventSet,
     SpectralFactorChain,
     _transpose,
+    check_order,
     residual_left,
     residual_right,
     spectral_overlap,
@@ -169,6 +170,7 @@ def right_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFacto
         raise IncompleteSet(
             f"need a complete right set of {p.l} solvents, got {len(s)} ({s.side})"
         )
+    check_order(p, s.solvents, "solvents")
     r = s.solvents
     n_mats = np.tile(np.eye(p.m), (p.l, 1, 1))    # n_mats[j] = N_k(R_j)
     factors = np.empty(r.shape)

@@ -144,9 +144,6 @@ def test_block_vandermonde_matches_reference(solvents, side):
     assert np.array_equal(got, ref_block_vandermonde(solvents, side))
 
 
-# A tiny N_k's inverse overflows its squared norm in the inverse's gate, in
-# both versions alike (the arbiter then decides).
-@pytest.mark.filterwarnings("ignore:overflow encountered in:RuntimeWarning")
 @SETTINGS
 @given(block_lists())
 def test_right_solvents_to_chain_matches_reference(solvents):

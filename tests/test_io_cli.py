@@ -322,3 +322,21 @@ def test_cli_empty_block_list_exit_1(runner, tmp_path, command):
     }[command]
     key, path = ("solvents", spath) if command == "convert-solvents" else ("factors", fpath)
     _assert_exit_1(runner.invoke(main, args), f"{path}: '{key}' must be a nonempty list")
+
+
+@pytest.mark.parametrize("command, what", [
+    (["verify", "{p}", "--against={f}"], "factors"),
+    (["convert", "{p}", "--direction=chain-to-right", "--factors={f}", "--out={o}"],
+     "factors"),
+    (["convert", "{p}", "--direction=right-to-chain", "--solvents={s}", "--out={o}"],
+     "solvents"),
+], ids=["verify", "convert-factors", "convert-solvents"])
+def test_cli_blocks_of_another_order_exit_1(runner, tmp_path, command, what):
+    paths = {k: str(tmp_path / name) for k, name in
+             (("p", "p.json"), ("f", "factors.json"), ("s", "solvents.json"), ("o", "out"))}
+    io.save_polynomial(paths["p"], reconstruct(random_chain(2, 2, np.random.default_rng(7))))
+    blocks = [np.eye(3), 2 * np.eye(3)]
+    io.save_factors(paths["f"], SpectralFactorChain(blocks))
+    io.save_solvents(paths["s"], SolventSet("right", blocks))
+    result = runner.invoke(main, [arg.format(**paths) for arg in command])
+    _assert_exit_1(result, f"{what} have order 3, the polynomial has order 2")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockpoly import linalg
+from blockpoly.errors import DimensionMismatch
 from blockpoly.pipeline import (
     PipelineConfig,
     factorize_nonmonic,
@@ -11,6 +12,7 @@ from blockpoly.pipeline import (
 )
 from blockpoly.polynomial import (
     MatrixPolynomial,
+    SolventSet,
     SpectralFactorChain,
     reconstruct,
 )
@@ -93,6 +95,22 @@ def test_verify_perturbed_chain_scaling():
     )
     report = verify(p, chain=noisy)
     assert 1e-6 < report.reconstruction_error < 1e-1
+
+
+@pytest.mark.parametrize("kwargs, what", [
+    ({"chain": SpectralFactorChain([np.eye(3), 2 * np.eye(3)])}, "factors"),
+    ({"solvents": SolventSet("right", [np.eye(3), 2 * np.eye(3)])}, "solvents"),
+], ids=["chain", "solvents"])
+def test_verify_rejects_blocks_of_another_order(kwargs, what):
+    p = reconstruct(random_chain(2, 2, np.random.default_rng(6)))
+    with pytest.raises(DimensionMismatch,
+                       match=f"^{what} have order 3, the polynomial has order 2$"):
+        verify(p, **kwargs)
+
+
+def test_full_factorize_degree_zero_raises_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match=r"^Q.D. needs degree >= 1$"):
+        full_factorize(MatrixPolynomial([np.eye(2)]))
 
 
 def test_qd_budget_exhaustion_still_refines():

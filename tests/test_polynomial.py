@@ -141,6 +141,13 @@ def test_is_complete_set_scalar():
     assert not bad.complete
 
 
+def test_is_complete_set_rejects_solvents_of_another_order():
+    p = scalar_polynomial([1.0, -3.0, 2.0])
+    with pytest.raises(DimensionMismatch,
+                       match="^solvents have order 2, the polynomial has order 1$"):
+        is_complete_set(p, SolventSet("right", [np.eye(2), 2 * np.eye(2)]))
+
+
 def test_reconstruct_single_factor():
     q = RNG.standard_normal((2, 2))
     p = reconstruct(SpectralFactorChain([q]))

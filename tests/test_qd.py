@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from blockpoly import linalg
+from blockpoly import qd
 from blockpoly.errors import (
+    DimensionMismatch,
     NoConvergence,
     SingularCoefficient,
     SingularMatrix,
@@ -18,7 +20,16 @@ from blockpoly.polynomial import (
     reconstruct,
     residual_right,
 )
-from blockpoly.qd import QDConfig, QDTableau, qd_init, qd_run, qd_step
+from blockpoly.qd import (
+    _BLOCK,
+    STALL_WINDOW,
+    QDConfig,
+    QDTableau,
+    QDTrace,
+    qd_init,
+    qd_run,
+    qd_step,
+)
 
 from conftest import random_chain, scalar_polynomial
 
@@ -40,6 +51,97 @@ def ref_qd_step(q, e, sweep):
             raise SingularPivot(i - 1, sweep) from exc
     new_e.append(np.zeros_like(q[0]))
     return new_q, new_e
+
+
+def ref_qd_run(p, cfg):
+    """:func:`qd_run` as a loop of :func:`ref_qd_step`, one sweep at a time.
+
+    Each sweep is gated, traced and tested for the stop and the stall as soon
+    as it is made.  Returns ``(q_row, trace)`` as lists.
+    """
+    t = qd_init(p)
+    q, e = list(t.q_row), list(t.e_row)
+    trace = QDTrace()
+    if p.l == 1:
+        return q, trace
+    best, since_best = math.inf, 0
+    for sweep in range(1, cfg.max_iterations + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, e = ref_qd_step(q, e, sweep)
+            e_norms = [linalg.frob_norm(b) for b in e[1:-1]]
+            pivot_norms = [linalg.frob_norm(b) for b in q[:-1]]
+        rel = max([0.0] + [x / max(1.0, y) for x, y in zip(e_norms, pivot_norms)])
+        trace.sweeps.append(sweep)
+        trace.e_block_norms.append(e_norms)
+        trace.max_relative_e.append(rel)
+        if rel <= cfg.e_tol:
+            return q, trace
+        tableau = QDTableau(np.array(q), np.array(e), sweep, pivot_norms)
+        if rel < best * (1 - 1e-12):
+            best, since_best = rel, 0
+        else:
+            since_best += 1
+            if since_best >= STALL_WINDOW:
+                raise NoConvergence(
+                    f"Q.D. stalled: max relative E-norm {rel:.3e} did not "
+                    f"improve over {STALL_WINDOW} sweeps", trace=trace, tableau=tableau)
+    raise NoConvergence(
+        f"Q.D. budget of {cfg.max_iterations} sweeps exhausted "
+        f"(max relative E-norm {rel:.3e})", trace=trace, tableau=tableau)
+
+
+def _run_outcome(run, p, cfg):
+    """What a Q.D. run returned or raised, in a form :func:`_assert_same_run` compares."""
+    try:
+        q_row, trace = run(p, cfg)
+    except NoConvergence as exc:
+        return exc, exc.trace, exc.tableau
+    except Exception as exc:  # the error itself is the outcome compared
+        return exc, None, None
+    if hasattr(q_row, "factors"):
+        q_row = q_row.factors
+    return np.asarray(q_row), trace, None
+
+
+def _assert_same_run(got, want):
+    (g, g_trace, g_tab), (w, w_trace, w_tab) = got, want
+    if isinstance(w, Exception):
+        _assert_same_error(g, w)
+    else:
+        assert np.array_equal(g, w)
+    if w_trace is not None:
+        assert g_trace.sweeps == w_trace.sweeps
+        assert g_trace.e_block_norms == w_trace.e_block_norms
+        assert g_trace.max_relative_e == w_trace.max_relative_e
+        assert all(type(x) is float for x in g_trace.max_relative_e)
+    if w_tab is not None:
+        assert np.array_equal(g_tab.q_row, w_tab.q_row)
+        assert np.array_equal(g_tab.e_row, w_tab.e_row)
+        assert (g_tab.iteration, g_tab.pivot_norms) == (w_tab.iteration, w_tab.pivot_norms)
+
+
+def _block_of(sweep, sizes):
+    """'first', 'middle' or 'last': where ``sweep`` falls in the blocks of ``sizes``."""
+    start = 0
+    for n in sizes:
+        if sweep <= start + n:
+            return "first" if sweep == start + 1 else "last" if sweep == start + n else "middle"
+        start += n
+    raise AssertionError(f"sweep {sweep} is outside the blocks {sizes}")
+
+
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """The sizes of the blocks that qd_run computes, in order."""
+    sizes = []
+    sweeps = qd._sweeps
+
+    def spy(q, e, n):
+        sizes.append(n)
+        return sweeps(q, e, n)
+
+    monkeypatch.setattr(qd, "_sweeps", spy)
+    return sizes
 
 
 def _tableau(q, interior, iteration=0):
@@ -188,9 +290,6 @@ def test_qd_no_convergence_carries_tableau():
     assert len(exc.value.trace.max_relative_e) == 3
 
 
-# A tiny pivot's inverse overflows its squared norm in both sweeps; the
-# certificate then fails and the arbiter decides.
-@pytest.mark.filterwarnings("ignore:overflow encountered in:RuntimeWarning")
 @SETTINGS
 @given(tableaux())
 def test_qd_step_matches_blockwise_sweep(t):
@@ -264,3 +363,119 @@ def test_qd_init_singular_coefficient_keeps_k(zero_at):
         qd_init(MatrixPolynomial(coeffs))
     assert exc.value.k == zero_at
     assert str(exc.value) == f"coefficient A_{zero_at} is singular"
+
+
+def test_qd_init_degree_zero_raises_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match=r"^Q.D. needs degree >= 1$"):
+        qd_init(MatrixPolynomial([np.eye(2)]))
+
+
+@st.composite
+def small_integer_runs(draw):
+    """Monic polynomials with entries in -3..3, and budgets over a few blocks.
+
+    Exact zero pivots (LAPACK fails the stack), pivots the gate rejects,
+    singular coefficients, stops and exhausted budgets are all common here.
+    """
+    m, l = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    coeffs = draw(hnp.arrays(np.float64, (l, m, m), elements=st.integers(-3, 3).map(float)))
+    cfg = QDConfig(max_iterations=draw(st.integers(1, 3 * _BLOCK + 1)),
+                   e_tol=draw(st.sampled_from([1e-1, 1e-3, 1e-6, 1e-10])))
+    return MatrixPolynomial(np.concatenate([np.eye(m)[None], coeffs])), cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_integer_runs())
+def test_qd_run_matches_one_sweep_loop(run):
+    p, cfg = run
+    _assert_same_run(_run_outcome(qd_run, p, cfg), _run_outcome(ref_qd_run, p, cfg))
+
+
+def test_qd_run_stops_at_each_position_of_a_block(block_sizes):
+    # E decays by 1/2 a sweep, so e_tol = the relative E-norm of sweep s
+    # stops the run at sweep s
+    p = scalar_polynomial([1.0, -3.0, 2.0])
+    budget = 3 * _BLOCK + 1
+    with pytest.raises(NoConvergence) as exc:
+        ref_qd_run(p, QDConfig(max_iterations=budget, e_tol=1e-300))
+    rels = exc.value.trace.max_relative_e
+    assert all(a > b for a, b in zip(rels, rels[1:]))
+    positions = set()
+    for stop in range(1, budget + 1):
+        cfg = QDConfig(max_iterations=budget, e_tol=rels[stop - 1])
+        block_sizes.clear()
+        got = _run_outcome(qd_run, p, cfg)
+        _assert_same_run(got, _run_outcome(ref_qd_run, p, cfg))
+        assert got[1].sweeps[-1] == stop
+        positions.add(_block_of(stop, block_sizes))
+    assert positions == {"first", "middle", "last"}
+
+
+def test_qd_run_stall_matches_one_sweep_loop():
+    p = scalar_polynomial([1.0, -3.0, -3.0, -1.0])
+    cfg = QDConfig(max_iterations=100)
+    got = _run_outcome(qd_run, p, cfg)
+    _assert_same_run(got, _run_outcome(ref_qd_run, p, cfg))
+    assert str(got[0]).startswith("Q.D. stalled") and got[1].sweeps[-1] == STALL_WINDOW + 1
+
+
+#: (A_1 .. A_l, the sweep of the first singular pivot, whether LAPACK fails
+#: the pivot stack of that sweep); found by a search over entries in -3..3.
+SINGULAR_PIVOTS = [
+    ([[[-1, 1], [-3, 2]], [[-2, 2], [-3, -3]]], 1, False),
+    ([[[3, 1], [-2, -1]], [[-1, -1], [-3, 0]]], 2, False),
+    ([[[3, 2], [-3, 0]], [[1, 3], [-1, -2]]], 3, False),
+    ([[[-1, 3], [1, 3]], [[2, 1], [0, -2]]], 4, False),
+    ([[[-1, 3], [-1, -2]], [[-2, 0], [2, 1]], [[2, 1], [-1, -1]]], 5, False),
+    ([[[1, 2], [-3, -2]], [[-1, -1], [-1, -2]]], 6, False),
+    ([[[-2, 1], [-2, 2]], [[-1, 2], [-1, 2]]], 7, False),
+    ([[[1, 0], [-2, -2]], [[0, -1], [3, 3]], [[-3, -2], [-1, -1]]], 8, False),
+    ([[[1, -1], [3, -1]], [[-3, 1], [1, -1]]], 9, False),
+    ([[[2, 2], [-1, -3]], [[1, 1], [3, 3]]], 16, False),
+    ([[[1]], [[1]]], 1, True),
+    ([[[-2]], [[2]], [[-1]]], 3, True),
+    ([[[-1]], [[2]], [[-1]]], 5, True),
+    ([[[1]], [[-2]], [[-3]]], 6, True),
+]
+
+
+def _monic(blocks):
+    blocks = np.array(blocks, dtype=float)
+    return MatrixPolynomial(np.concatenate([np.eye(blocks.shape[1])[None], blocks]))
+
+
+def test_singular_pivots_cover_every_position_of_the_first_block():
+    assert set(range(1, _BLOCK + 2)) <= {sweep for _, sweep, _ in SINGULAR_PIVOTS}
+    assert any(lapack and 1 < sweep < _BLOCK for _, sweep, lapack in SINGULAR_PIVOTS)
+
+
+@pytest.mark.parametrize("blocks, sweep, lapack", SINGULAR_PIVOTS)
+def test_qd_run_raises_the_first_singular_pivot_of_the_one_sweep_loop(blocks, sweep, lapack):
+    p = _monic(blocks)
+    cfg = QDConfig(max_iterations=3 * _BLOCK + 1)
+    got = _run_outcome(qd_run, p, cfg)
+    _assert_same_run(got, _run_outcome(ref_qd_run, p, cfg))
+    assert isinstance(got[0], SingularPivot) and got[0].sweep == sweep
+    t = qd_init(p)
+    for _ in range(sweep - 1):
+        t = qd_step(t)
+    pivots = (t.q_row + t.e_row[1:] - t.e_row[:-1])[:-1]
+    try:
+        np.linalg.inv(pivots)
+        failed = False
+    except np.linalg.LinAlgError:
+        failed = True
+    assert failed == lapack
+
+
+def test_singular_pivot_after_the_stop_in_the_same_block_is_not_raised():
+    blocks, sweep, _ = SINGULAR_PIVOTS[6]
+    assert sweep == 7 <= _BLOCK
+    p = _monic(blocks)
+    with pytest.raises(NoConvergence) as exc:
+        ref_qd_run(p, QDConfig(max_iterations=sweep - 1, e_tol=1e-300))
+    rels = exc.value.trace.max_relative_e
+    cfg = QDConfig(max_iterations=_BLOCK, e_tol=min(rels[:3]))
+    got = _run_outcome(qd_run, p, cfg)
+    _assert_same_run(got, _run_outcome(ref_qd_run, p, cfg))
+    assert got[1].sweeps[-1] <= 3

@@ -3,6 +3,7 @@ import pytest
 
 from blockpoly import linalg, polynomial, transforms
 from blockpoly.errors import (
+    DimensionMismatch,
     IncompleteSet,
     InputNotSolvent,
     ResidualTooLarge,
@@ -93,6 +94,13 @@ def test_right_solvents_to_chain_requires_complete_count():
     p = scalar_polynomial([1.0, -3.0, 2.0])
     with pytest.raises(IncompleteSet):
         right_solvents_to_chain(p, SolventSet("right", [[[2.0]]]))
+
+
+def test_right_solvents_to_chain_rejects_solvents_of_another_order():
+    p = scalar_polynomial([1.0, -3.0, 2.0])
+    with pytest.raises(DimensionMismatch,
+                       match="^solvents have order 2, the polynomial has order 1$"):
+        right_solvents_to_chain(p, SolventSet("right", [np.eye(2), 2 * np.eye(2)]))
 
 
 def test_chain_to_right_solvents_orientation():
