@@ -16,7 +16,7 @@ from .decoupler import closed_loop_eval, design_decoupling
 from .errors import BlockPolyError, DimensionMismatch, NoConvergence
 from .horner import IterConfig
 from .pipeline import PipelineConfig, full_factorize, refiner, verify
-from .polynomial import SolventSet, SpectralFactorChain, check_order, is_complete_set
+from .polynomial import SolventSet, SpectralFactorChain, check_chain, check_order, is_complete_set
 from .qd import QDConfig, qd_run
 
 EXIT_OK = 0
@@ -35,10 +35,11 @@ def _require_monic(p):
         _fail_input("the polynomial is not monic: its leading coefficient A_0 must be I")
 
 
-def _require_order(p, blocks, what):
-    """Exit as an input error unless a loaded block stack has the polynomial's order."""
+def _require(check, *args):
+    """Exit as an input error where a check of loaded blocks against the
+    polynomial raises ``DimensionMismatch``."""
     try:
-        check_order(p, blocks, what)
+        check(*args)
     except DimensionMismatch as exc:
         _fail_input(str(exc))
 
@@ -165,9 +166,9 @@ def convert(input_file, direction, factors_file, solvents_file, out):
     if not direction.startswith("chain") and solv is None:
         _fail_input("--solvents is required for this conversion")
     if chain is not None:
-        _require_order(p, chain.factors, "factors")
+        _require(check_chain, p, chain)
     if solv is not None:
-        _require_order(p, solv.solvents, "solvents")
+        _require(check_order, p, solv.solvents, "solvents")
     _ensure_out(out)
     io.save_manifest(out, "convert", input_file, {"direction": direction})
     try:
@@ -275,7 +276,7 @@ def verify_cmd(input_file, against, tol, out):
     except io.FileFormatError as exc:
         _fail_input(str(exc))
     _require_monic(p)
-    _require_order(p, chain.factors, "factors")
+    _require(check_chain, p, chain)
     try:
         report = verify(p, chain=chain)
     except BlockPolyError as exc:

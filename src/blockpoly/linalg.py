@@ -4,14 +4,15 @@
 list of m x m blocks in the package (coefficients, chains, solvent sets) is
 the read-only float (k, m, m) stack that :func:`as_blocks` returns.
 
-``solve``/``invert`` run on LAPACK through ``numpy.linalg``: one call of
-``np.linalg.inv``, then a product with the right-hand side.
-:func:`invert_blocks` inverts a stack of matrices with one such call; a single
-matrix is the stack of one.  Every gated inverse goes through the same two
-helpers: :func:`lapack_inverse`, the LAPACK call with a NaN inverse for each
-matrix LAPACK fails, and :func:`gate_inverses`, the certificate and then the
-arbiter below, on norms computed beforehand.  ``qd`` calls them directly, so
-that it can take the norms of a whole block of sweeps at once.
+``solve``/``invert`` run on LAPACK through ``numpy.linalg``.  :func:`invert`
+takes one matrix or a (k, n, n) stack and inverts it with one call of
+``np.linalg.inv``; :func:`solve` multiplies the right-hand side by that
+inverse.  Every gated inverse goes through the same two helpers:
+:func:`lapack_inverses`, the LAPACK call with a NaN inverse for each matrix
+LAPACK fails, and :func:`gate_inverses`, the certificate and then the arbiter
+below, on norms computed beforehand.  No function returns the norms.  ``qd``
+calls the two helpers directly, so that it can take the norms of a whole block
+of sweeps at once.
 
 LAPACK does not expose its pivots, so the singularity decision is made by a
 certificate on the inverse.  With PA = LU and partial pivoting every
@@ -153,7 +154,7 @@ def _lu_factor(a: np.ndarray, pivot_rtol: float) -> None:
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
 
 
-def lapack_inverse(a: np.ndarray) -> np.ndarray:
+def lapack_inverses(a: np.ndarray) -> np.ndarray:
     """``np.linalg.inv`` of a (..., n, n) stack, NaN where LAPACK fails a matrix.
 
     The inverses are not gated: :func:`gate_inverses` decides which of them stand.
@@ -189,7 +190,7 @@ def gate_inverses(a, inv, norms, inv_norms) -> None:
             continue
         at = np.unravel_index(i, norms.shape)
         try:
-            # as_matrix rejects a non-finite matrix, as invert does
+            # as_matrix rejects a non-finite matrix
             _lu_factor(as_matrix(a[at]), PIVOT_RTOL)
             if not np.all(np.isfinite(inv[at])):
                 # Elimination kept every pivot above the threshold, yet LAPACK
@@ -202,21 +203,6 @@ def gate_inverses(a, inv, norms, inv_norms) -> None:
         except SingularMatrix as exc:
             exc.block = i
             raise
-
-
-def _inverse(a: np.ndarray):
-    """Gated LAPACK inverses of a (k, n, n) stack, and the norms ||A_i||_F.
-
-    The norms come from one batched call each.  An inverse's entries are
-    squared for its norm, which may overflow to inf; that fails the
-    certificate and leaves the decision to the arbiter.
-    """
-    inv = lapack_inverse(a)
-    norms = frob_norms(a)
-    with np.errstate(over="ignore"):
-        inv_norms = frob_norms(inv)
-    gate_inverses(a, inv, norms, inv_norms)
-    return inv, norms.tolist()
 
 
 def solve(a, b) -> np.ndarray:
@@ -234,30 +220,29 @@ def solve(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatch(f"rhs rows {b.shape[0]} != matrix rows {a.shape[0]}")
-    inv, _ = _inverse(a[None])
-    return inv[0] @ b
+    return invert(a) @ b
 
 
 def invert(a) -> np.ndarray:
-    """Matrix inverse: the gated LAPACK inverse that :func:`solve` multiplies by."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"invert needs a square matrix, got {a.shape}")
-    inv, _ = _inverse(a[None])
-    return inv[0]
+    """Gated LAPACK inverse of an n x n matrix, or of each matrix of a (k, n, n) stack.
 
-
-def invert_blocks(a):
-    """Gated inverses of a (k, n, n) stack, and the norms ||A_i||_F of the gate.
-
-    One LAPACK call does what ``[invert(b) for b in a]`` does: the first matrix
-    that :func:`invert` would reject raises the same error, and the error's
-    ``block`` is its index in the stack.
+    One LAPACK call does what a loop over the stack would: the first matrix
+    that the gate rejects raises, with the error's ``block`` its index in the
+    stack (0 for a single matrix), and a non-finite matrix fails the
+    certificate and raises ``DimensionMismatch`` from the arbiter.  An
+    inverse's entries are squared for its norm, which may overflow to inf;
+    that too fails the certificate and leaves the decision to the arbiter.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise DimensionMismatch(f"invert_blocks needs a (k, n, n) stack, got {a.shape}")
-    return _inverse(a)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(
+            f"invert needs a square matrix or a (k, n, n) stack, got {a.shape}")
+    stack = a[None] if a.ndim == 2 else a
+    inv = lapack_inverses(stack)
+    with np.errstate(over="ignore"):
+        inv_norms = frob_norms(inv)
+    gate_inverses(stack, inv, frob_norms(stack), inv_norms)
+    return inv[0] if a.ndim == 2 else inv
 
 
 def det(a) -> float:

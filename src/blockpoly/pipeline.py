@@ -34,6 +34,7 @@ from .polynomial import (
     MatrixPolynomial,
     SolventSet,
     SpectralFactorChain,
+    check_chain,
     check_order,
     is_complete_set,
     reconstruct,
@@ -169,10 +170,9 @@ def verify(p: MatrixPolynomial, chain: SpectralFactorChain | None = None,
     """Report-only verification of a chain or solvent set against p."""
     report = VerificationReport()
     if chain is not None:
-        check_order(p, chain.factors, "factors")
+        check_chain(p, chain)
         recon = reconstruct(chain)
-        k = min(len(recon.coeffs), len(p.coeffs))
-        num = float(linalg.frob_norms(recon.coeffs[:k] - p.coeffs[:k]).max())
+        num = float(linalg.frob_norms(recon.coeffs - p.coeffs).max())
         scale = float(linalg.frob_norms(p.coeffs).max())
         report.reconstruction_error = num / max(scale, 1.0)
         report.rightmost_residual = residual_right(p, chain.factors[0])

@@ -250,6 +250,14 @@ def check_order(p: MatrixPolynomial, blocks: np.ndarray, what: str) -> None:
             f"{what} have order {blocks.shape[1]}, the polynomial has order {p.m}")
 
 
+def check_chain(p: MatrixPolynomial, chain: SpectralFactorChain) -> None:
+    """Raise ``DimensionMismatch`` unless a chain has p's order and l factors."""
+    check_order(p, chain.factors, "factors")
+    if len(chain) != p.l:
+        raise DimensionMismatch(
+            f"the chain has {len(chain)} factors, the polynomial has degree {p.l}")
+
+
 def is_complete_set(p: MatrixPolynomial, s: SolventSet, tol: float = 1e-6) -> CompletenessReport:
     """Check the complete-set conditions: spectrum union, disjointness, det V."""
     check_order(p, s.solvents, "solvents")

@@ -91,15 +91,12 @@ class QDTableau:
     """Current Q-row and E-row of the tableau, as stacks of m x m blocks.
 
     ``q_row`` is an (l, m, m) array and ``e_row`` an (l+1, m, m) array with
-    fixed zero boundary blocks E_0 and E_l.  ``pivot_norms`` holds ||Q_i||_F
-    for the pivot blocks Q_0 .. Q_{l-2}, as the sweep's inverse gate computed
-    them; the initial row has none.
+    fixed zero boundary blocks E_0 and E_l.
     """
 
     q_row: np.ndarray
     e_row: np.ndarray
     iteration: int = 0
-    pivot_norms: list | None = None
 
 
 @dataclass
@@ -124,7 +121,7 @@ def qd_init(p: MatrixPolynomial) -> QDTableau:
     if l < 1:
         raise DimensionMismatch("Q.D. needs degree >= 1")
     try:
-        inv, _ = linalg.invert_blocks(p.coeffs[1:l])
+        inv = linalg.invert(p.coeffs[1:l])
     except SingularMatrix as exc:
         raise SingularCoefficient(exc.block + 1) from exc
     q_row = np.zeros((l, m, m))
@@ -151,20 +148,20 @@ def _sweeps(q, e, n):
         for new_q, new_e, inv in zip(qs, es, invs):
             np.add(q, e[1:], out=new_q)
             new_q -= e[:-1]
-            inv[...] = linalg.lapack_inverse(new_q[:-1])
+            inv[...] = linalg.lapack_inverses(new_q[:-1])
             np.matmul(new_q[1:] @ e[1:-1], inv, out=new_e[1:-1])
             q, e = new_q, new_e
         norms = linalg.frob_norms(buf.reshape(-1, m, m)).reshape(n, 3 * l)
     return qs, es, invs, (norms[:, :l - 1], norms[:, 2 * l + 1:], norms[:, l + 1:2 * l])
 
 
-def _gate(qs, invs, pivot_norms, inv_norms, done):
+def _gate(qs, invs, q_norms, inv_norms, done):
     """Gate the pivots of sweeps ``done + 1`` .. ``done + len(qs)`` in order.
 
     Raises ``SingularPivot`` for the first pivot the gate rejects.
     """
     try:
-        linalg.gate_inverses(qs[:, :-1], invs, pivot_norms, inv_norms)
+        linalg.gate_inverses(qs[:, :-1], invs, q_norms, inv_norms)
     except SingularMatrix as exc:
         sweep, exc.block = divmod(exc.block, qs.shape[1] - 1)
         raise SingularPivot(exc.block, done + sweep + 1) from exc
@@ -172,10 +169,9 @@ def _gate(qs, invs, pivot_norms, inv_norms, done):
 
 def qd_step(t: QDTableau) -> QDTableau:
     """One full row-generation sweep over the stacked blocks."""
-    qs, es, invs, (pivot_norms, inv_norms, _) = _sweeps(t.q_row, t.e_row, 1)
-    _gate(qs, invs, pivot_norms, inv_norms, t.iteration)
-    return QDTableau(q_row=qs[0], e_row=es[0], iteration=t.iteration + 1,
-                     pivot_norms=pivot_norms[0].tolist())
+    qs, es, invs, (q_norms, inv_norms, _) = _sweeps(t.q_row, t.e_row, 1)
+    _gate(qs, invs, q_norms, inv_norms, t.iteration)
+    return QDTableau(q_row=qs[0], e_row=es[0], iteration=t.iteration + 1)
 
 
 def _block_size(rels, e_tol):
@@ -218,11 +214,11 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
     size = _BLOCK
     stalled = False
     while True:
-        qs, es, invs, (pivot_norms, inv_norms, e_norms) = _sweeps(
+        qs, es, invs, (q_norms, inv_norms, e_norms) = _sweeps(
             q, e, min(size, cfg.max_iterations - done))
         # max over interior blocks of ||E_i||_F / max(1, ||Q_{i-1}||_F)
         with np.errstate(invalid="ignore"):
-            rels = np.fmax.reduce(e_norms / np.fmax(pivot_norms, 1.0),
+            rels = np.fmax.reduce(e_norms / np.fmax(q_norms, 1.0),
                                   axis=1, initial=0.0).tolist()
         # the stop and stall tests in sweep order find the last sweep used
         converged = False
@@ -239,7 +235,7 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
                     stalled = True
                     break
         used = last + 1
-        _gate(qs[:used], invs[:used], pivot_norms[:used], inv_norms[:used], done)
+        _gate(qs[:used], invs[:used], q_norms[:used], inv_norms[:used], done)
         trace.sweeps.extend(range(done + 1, done + used + 1))
         trace.e_block_norms.extend(e_norms[:used].tolist())
         trace.max_relative_e.extend(rels[:used])
@@ -257,6 +253,5 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
     else:
         msg = (f"Q.D. budget of {cfg.max_iterations} sweeps exhausted "
                f"(max relative E-norm {rels[last]:.3e})")
-    t = QDTableau(q_row=qs[last], e_row=es[last], iteration=done,
-                  pivot_norms=pivot_norms[last].tolist())
+    t = QDTableau(q_row=qs[last], e_row=es[last], iteration=done)
     raise NoConvergence(msg, trace=trace, tableau=t)

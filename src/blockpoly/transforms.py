@@ -41,6 +41,7 @@ from .polynomial import (
     SolventSet,
     SpectralFactorChain,
     _transpose,
+    check_chain,
     check_order,
     residual_left,
     residual_right,
@@ -114,10 +115,10 @@ def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
     solvent must be a right solvent of p to the gate, or the step fails.
     """
     p.require_monic()
+    check_chain(p, chain)
     _check_disjoint(chain)
     current = p
     solvents = []
-    tol = max(gate, 1e-6)
     scale = p.coefficient_scale()
     for step, q in enumerate(chain.factors[::-1]):
         d = current.l - 1
@@ -126,7 +127,7 @@ def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
         else:
             quotient, remainder = synthetic_div_left(current, q)
             rem = linalg.frob_norm(remainder) / scale
-            if rem > tol:
+            if rem > gate:
                 raise DeflationResidualLarge(step, rem)
             pmat = linalg.solve_sylvester(quotient.coeffs, q, np.eye(p.m))
             if not _rank_check(pmat):
@@ -134,7 +135,7 @@ def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
             solvent = pmat @ q @ linalg.invert(pmat)
             current = quotient
         res = residual_right(p, solvent)
-        if res > tol:
+        if res > gate:
             raise SolventResidualLarge(step, res)
         solvents.append(solvent)
         if d == 0:
@@ -151,6 +152,7 @@ def chain_to_left_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
     is the k-th factor from the right, the order in which this side
     divides them out.
     """
+    check_chain(p, chain)
     _check_disjoint(chain)
     dual = SpectralFactorChain(chain.factors[::-1].transpose(0, 2, 1))
     right = chain_to_right_solvents(_transpose(p), dual, gate)

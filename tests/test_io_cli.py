@@ -13,6 +13,7 @@ from blockpoly.polynomial import (
     SpectralFactorChain,
     reconstruct,
 )
+from blockpoly.transforms import SOLVENT_GATE
 
 from conftest import fixture_path, random_chain, scalar_polynomial
 
@@ -340,3 +341,70 @@ def test_cli_blocks_of_another_order_exit_1(runner, tmp_path, command, what):
     io.save_solvents(paths["s"], SolventSet("right", blocks))
     result = runner.invoke(main, [arg.format(**paths) for arg in command])
     _assert_exit_1(result, f"{what} have order 3, the polynomial has order 2")
+
+
+def _trace_stages(out):
+    with open(os.path.join(out, "trace.csv")) as fh:
+        return {line.split(",")[0] for line in fh.read().splitlines()[1:]}
+
+
+@pytest.mark.parametrize("method, stages", [
+    ("qd", {"qd"}),
+    ("newton-horner", {"extract[0]", "extract[1]"}),
+])
+def test_cli_factorize_other_methods(runner, tmp_path, method, stages):
+    out = str(tmp_path / "out")
+    result = runner.invoke(
+        main, ["factorize", fixture_path("example1.json"), f"--method={method}", f"--out={out}"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(_read(os.path.join(out, "report.json")))
+    assert report["reconstruction_error"] <= 1e-8
+    assert _trace_stages(out) == stages
+
+
+def test_cli_factorize_failed_local_method_saves_its_trace(runner, tmp_path):
+    out = str(tmp_path / "out")
+    result = runner.invoke(
+        main, ["factorize", fixture_path("example1.json"), "--method=horner", f"--out={out}"])
+    assert result.exit_code == 2
+    assert "numerical failure: no convergence" in result.output
+    assert _trace_stages(out) == {"failed"}
+
+
+@pytest.mark.parametrize("direction, source", [
+    ("chain-to-right", "--factors=factors.json"),
+    ("chain-to-left", "--factors=factors.json"),
+    ("right-to-left", "--solvents=solvents_right.json"),
+    ("right-to-chain", "--solvents=solvents_right.json"),
+    ("left-to-chain", "--solvents=solvents_left.json"),
+])
+def test_cli_convert_directions(runner, tmp_path, direction, source):
+    ppath = fixture_path("example1.json")
+    result = runner.invoke(main, ["factorize", ppath, "--solvents", f"--out={tmp_path}"])
+    assert result.exit_code == 0, result.output
+    flag, name = source.split("=")
+    out = str(tmp_path / "out")
+    result = runner.invoke(main, ["convert", ppath, f"--direction={direction}",
+                                  f"{flag}={tmp_path / name}", f"--out={out}"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(_read(os.path.join(out, "report.json")))
+    if direction.endswith("chain"):
+        assert report["reconstruction_error"] <= 1e-6
+    else:
+        assert len(report["per_solvent_residuals"]) == 3
+        assert max(report["per_solvent_residuals"]) <= SOLVENT_GATE
+
+
+@pytest.mark.parametrize("length", [2, 4])
+@pytest.mark.parametrize("command", [
+    ["verify", "{p}", "--against={f}"],
+    ["convert", "{p}", "--direction=chain-to-right", "--factors={f}", "--out={o}"],
+], ids=["verify", "convert"])
+def test_cli_chain_of_the_wrong_length_exit_1(runner, tmp_path, command, length):
+    paths = {k: str(tmp_path / name) for k, name in
+             (("p", "p.json"), ("f", "factors.json"), ("o", "out"))}
+    io.save_polynomial(paths["p"], MatrixPolynomial(
+        [np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.diag([1.0, 2.0])]))
+    io.save_factors(paths["f"], SpectralFactorChain(np.zeros((length, 2, 2))))
+    result = runner.invoke(main, [arg.format(**paths) for arg in command])
+    _assert_exit_1(result, f"the chain has {length} factors, the polynomial has degree 3")

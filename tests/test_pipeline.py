@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blockpoly import linalg
-from blockpoly.errors import DimensionMismatch
+from blockpoly.errors import DimensionMismatch, NoConvergence, PipelineStageError
 from blockpoly.pipeline import (
     PipelineConfig,
     factorize_nonmonic,
@@ -137,3 +137,34 @@ def test_factorize_nonmonic():
     union = np.concatenate([np.linalg.eigvals(q) for q in chain.factors])
     union_got = np.concatenate([np.linalg.eigvals(q) for q in got.factors])
     assert spectrum_pair_error(union, union_got) < 1e-6
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_verify_rejects_a_chain_of_the_wrong_length(length):
+    # λ³I + A_3: the chain [0, 0] multiplies back to λ²I, which matches the
+    # first three coefficients.
+    p = MatrixPolynomial([np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), np.diag([1.0, 2.0])])
+    with pytest.raises(DimensionMismatch,
+                       match=f"^the chain has {length} factors, the polynomial has degree 3$"):
+        verify(p, chain=SpectralFactorChain(np.zeros((length, 2, 2))))
+
+
+def _singular_a1():
+    """(λI - diag(-6, 1))(λI - diag(6, 7)), whose A_1 = diag(0, -8) stops Q.D."""
+    p = reconstruct(SpectralFactorChain([np.diag([6.0, 7.0]), np.diag([-6.0, 1.0])]))
+    assert np.array_equal(p.coeffs[1], np.diag([0.0, -8.0]))
+    return p
+
+
+def test_singular_a1_falls_back_to_default_guesses():
+    chain, report, _ = full_factorize(_singular_a1())
+    assert len(chain) == 2
+    assert report.reconstruction_error < 1e-14
+    assert any(w.startswith("Q.D. preconditions failed") for w in report.warnings)
+
+
+def test_refine_failure_names_the_stage_and_factor():
+    with pytest.raises(PipelineStageError) as exc:
+        full_factorize(_singular_a1(), PipelineConfig(refine_method="horner"))
+    assert (exc.value.stage, exc.value.factor_index) == ("refine", 0)
+    assert isinstance(exc.value.cause, NoConvergence)

@@ -3,6 +3,7 @@ import pytest
 
 from blockpoly import linalg, polynomial, transforms
 from blockpoly.errors import (
+    DeflationResidualLarge,
     DimensionMismatch,
     IncompleteSet,
     InputNotSolvent,
@@ -11,6 +12,7 @@ from blockpoly.errors import (
     SolventResidualLarge,
     SpectrumOverlap,
 )
+from blockpoly.pipeline import full_factorize
 from blockpoly.polynomial import (
     MatrixPolynomial,
     SolventSet,
@@ -268,3 +270,26 @@ def test_example1_printed_sets(example1):
         assert linalg.frob_norm(got - want) / linalg.frob_norm(want) < 2e-2
     for got, want in zip(left.solvents, l_printed):
         assert linalg.frob_norm(got - want) / linalg.frob_norm(want) < 2e-2
+
+
+@pytest.mark.parametrize("convert", [chain_to_right_solvents, chain_to_left_solvents])
+@pytest.mark.parametrize("length", [2, 4])
+def test_chain_to_solvents_rejects_a_chain_of_the_wrong_length(example1, convert, length):
+    chain, _, _ = full_factorize(example1)
+    bogus = np.full((1, 2, 2), 99.0)
+    factors = np.concatenate([bogus, chain.factors])[-length:]
+    with pytest.raises(DimensionMismatch,
+                       match=f"^the chain has {length} factors, the polynomial has degree 3$"):
+        convert(example1, SpectralFactorChain(factors))
+
+
+def test_chain_to_solvents_honour_a_gate_below_1e_6(example1):
+    # Every quantity below was accepted while the gate was floored at 1e-6.
+    chain, _, _ = full_factorize(example1)
+    with pytest.raises(SolventResidualLarge) as exc:
+        chain_to_right_solvents(example1, chain, gate=1e-10)
+    assert exc.value.index == 1
+    assert 1e-10 < exc.value.residual < 1e-9
+    for convert in (chain_to_right_solvents, chain_to_left_solvents):
+        with pytest.raises((DeflationResidualLarge, SolventResidualLarge)):
+            convert(example1, chain, gate=1e-14)
