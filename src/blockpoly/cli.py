@@ -13,10 +13,11 @@ import numpy as np
 
 from . import io, transforms
 from .decoupler import closed_loop_eval, design_decoupling
-from .errors import BlockPolyError, DimensionMismatch, NoConvergence
+from .errors import BlockPolyError, DimensionMismatch
 from .horner import IterConfig
-from .pipeline import PipelineConfig, full_factorize, refiner, verify
-from .polynomial import SolventSet, SpectralFactorChain, check_chain, check_order, is_complete_set
+from .pipeline import (REFINE_METHODS, PipelineConfig, full_factorize, refine_chain,
+                       solvent_sets, verify)
+from .polynomial import SolventSet, check_chain, check_order
 from .qd import QDConfig, qd_run
 
 EXIT_OK = 0
@@ -62,8 +63,7 @@ def main():
 @main.command()
 @click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", default="pipeline",
-              type=click.Choice(["qd", "horner", "newton-horner", "two-stage",
-                                 "pipeline"]))
+              type=click.Choice(["qd", *REFINE_METHODS, "pipeline"]))
 @click.option("--max-iter", default=None, type=int, help="Iteration/sweep budget.")
 @click.option("--tol", default=None, type=float,
               help="Stopping tolerance (Q.D. e_tol or Horner eta percent).")
@@ -92,49 +92,36 @@ def factorize(input_file, method, max_iter, tol, solvents, out):
                  "solvents": bool(solvents)}
     io.save_manifest(out, "factorize", input_file, overrides)
 
-    traces = []
+    traces, iter_traces = [], []
     try:
         if method == "qd":
             chain, qd_trace = qd_run(p, qd_cfg)
             traces.append(("qd", io.qd_trace_rows(qd_trace)))
+            report = verify(p, chain=chain)
         elif method == "pipeline":
-            cfg = PipelineConfig(qd=qd_cfg, iter=iter_cfg)
-            chain, report, iter_traces = full_factorize(p, cfg)
-            for i, t in enumerate(iter_traces):
-                traces.append((f"refine[{i}]", io.iter_trace_rows(t)))
+            chain, report, iter_traces = full_factorize(
+                p, PipelineConfig(qd=qd_cfg, iter=iter_cfg))
         else:
-            # repeated extraction + deflation with the chosen local method
-            solver = refiner(method)
-            current = p
-            factors = []
-            for i in range(p.l):
-                if current.l == 1:
-                    factors.append(-current.coeffs[1])
-                    break
-                x, t = solver(current, iter_cfg)
-                factors.append(x)
-                traces.append((f"extract[{i}]", io.iter_trace_rows(t)))
-                current = transforms.deflate_right(current, x)
-            chain = SpectralFactorChain(factors)
-        report = verify(p, chain=chain)
+            # no Q.D. step: jittered default guesses seed each factor
+            chain, report, iter_traces = refine_chain(
+                p, PipelineConfig(refine_method=method, iter=iter_cfg))
+        traces += [(f"refine[{i}]", io.iter_trace_rows(t))
+                   for i, t in enumerate(iter_traces)]
         io.save_factors(os.path.join(out, "factors.json"), chain)
         if solvents:
-            right = transforms.chain_to_right_solvents(p, chain)
-            left = transforms.chain_to_left_solvents(p, chain)
+            right, left = solvent_sets(p, chain, report)
             io.save_solvents(os.path.join(out, "solvents_right.json"), right)
             io.save_solvents(os.path.join(out, "solvents_left.json"), left)
-            report.completeness = is_complete_set(p, right)
         io.save_report(os.path.join(out, "report.json"), report)
         io.save_trace_csv(os.path.join(out, "trace.csv"), traces)
-    except NoConvergence as exc:
-        # partial outputs: the trace is still written for diagnosis
-        if exc.trace is not None and hasattr(exc.trace, "sweeps"):
-            traces.append(("qd", io.qd_trace_rows(exc.trace)))
-        elif exc.trace is not None:
-            traces.append(("failed", io.iter_trace_rows(exc.trace)))
-        io.save_trace_csv(os.path.join(out, "trace.csv"), traces)
-        _fail_numerical(str(exc))
     except BlockPolyError as exc:
+        # the trace of the failed run, or of the stage's cause, for diagnosis
+        trace = getattr(getattr(exc, "cause", exc), "trace", None)
+        if hasattr(trace, "sweeps"):
+            traces.append(("qd", io.qd_trace_rows(trace)))
+        elif trace is not None:
+            traces.append(("failed", io.iter_trace_rows(trace)))
+        io.save_trace_csv(os.path.join(out, "trace.csv"), traces)
         _fail_numerical(str(exc))
     sys.exit(EXIT_OK)
 

@@ -1,11 +1,14 @@
 """The combined strategy: global Q.D. start, local Horner-family refinement.
 
 ``full_factorize`` runs Q.D. for a global view (using the final Q-row even
-when the sweep budget ends first), then for k = 1..l refines the k-th Q.D.
-block on the CURRENT deflated polynomial, appends the refined factor to the
-chain, and deflates.  The rightmost factor of each stage is an exact right
-solvent of that stage, so the final chain reconstructs the input to solver
-precision even when Q.D. alone had only a few correct digits.
+when the sweep budget ends first), then ``refine_chain`` for k = 1..l refines
+the k-th Q.D. block on the CURRENT deflated polynomial, appends the refined
+factor to the chain, and deflates.  The rightmost factor of each stage is an
+exact right solvent of that stage, so the final chain reconstructs the input
+to solver precision even when Q.D. alone had only a few correct digits.
+Without Q.D. seeds (the CLI's local methods, or Q.D.'s preconditions fail)
+each factor starts from ``MULTI_START`` jittered default guesses in turn.
+``solvent_sets`` turns a chain into right and left solvent sets.
 """
 
 from __future__ import annotations
@@ -91,33 +94,22 @@ def refiner(method: str):
 
 def _qd_seeds(p: MatrixPolynomial, cfg: PipelineConfig):
     """Q.D. factor blocks to use as refinement seeds, plus any warnings."""
-    warnings = []
     try:
-        chain, trace = qd_run(p, cfg.qd)
-        return chain.factors, warnings
+        return qd_run(p, cfg.qd)[0].factors, []
     except NoConvergence as exc:
-        warnings.append(
-            f"Q.D. did not reach e_tol ({exc}); using the final Q-row as seeds"
-        )
-        return exc.tableau.q_row, warnings
+        return exc.tableau.q_row, [
+            f"Q.D. did not reach e_tol ({exc}); using the final Q-row as seeds"]
     except SingularCoefficient as exc:
-        warnings.append(
-            f"Q.D. preconditions failed ({exc}); falling back to default guesses"
-        )
-        return None, warnings
+        return None, [
+            f"Q.D. preconditions failed ({exc}); falling back to default guesses"]
 
 
-def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
-    """Factorize into a complete spectral factor chain.
-
-    Returns ``(chain, report, traces)`` with one refinement trace per factor.
-    """
-    cfg = cfg or PipelineConfig()
+def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
+    """Refine the k-th factor from ``seeds[k]`` (or the jittered default
+    guesses), deflate and verify; returns ``(chain, report, traces)``."""
     p.require_monic()
-    seeds, warnings = _qd_seeds(p, cfg)
     current = p
-    factors = []
-    traces = []
+    factors, traces = [], []
     for k in range(p.l):
         if current.l == 1:
             factors.append(-current.coeffs[1])
@@ -128,15 +120,13 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
         else:
             guesses = [default_guess(current, jitter_seed=s)
                        for s in range(MULTI_START)]
-        x = None
-        last_error = None
         for guess in guesses:
             try:
                 x, trace = refiner(cfg.refine_method)(current, replace(cfg.iter, x0=guess))
                 break
             except BlockPolyError as exc:
                 last_error = exc
-        if x is None:
+        else:
             raise PipelineStageError("refine", k, last_error)
         factors.append(x)
         traces.append(trace)
@@ -145,15 +135,26 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
         except BlockPolyError as exc:
             raise PipelineStageError("deflate", k, exc)
     chain = SpectralFactorChain(factors)
-    report = verify(p, chain=chain)
+    return chain, verify(p, chain=chain), traces
+
+
+def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
+    """Factorize into a complete spectral factor chain from Q.D. seeds.
+
+    Returns ``(chain, report, traces)`` with one refinement trace per factor.
+    """
+    cfg = cfg or PipelineConfig()
+    p.require_monic()
+    seeds, warnings = _qd_seeds(p, cfg)
+    chain, report, traces = refine_chain(p, cfg, seeds)
     report.warnings.extend(warnings)
     return chain, report, traces
 
 
-def full_solvent_sets(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
-    """Factorize, then convert the chain to right and left solvent sets."""
-    cfg = cfg or PipelineConfig()
-    chain, report, _ = full_factorize(p, cfg)
+def solvent_sets(p: MatrixPolynomial, chain: SpectralFactorChain,
+                 report: VerificationReport):
+    """Convert a chain to right and left solvent sets, recording their
+    residuals and completeness in ``report``."""
     try:
         right = transforms.chain_to_right_solvents(p, chain)
         left = transforms.chain_to_left_solvents(p, chain)
@@ -162,6 +163,13 @@ def full_solvent_sets(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
     report.per_solvent_residuals = [residual_right(p, r) for r in right.solvents]
     report.per_solvent_residuals += [residual_left(p, x) for x in left.solvents]
     report.completeness = is_complete_set(p, right)
+    return right, left
+
+
+def full_solvent_sets(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
+    """Factorize, then convert the chain to right and left solvent sets."""
+    chain, report, _ = full_factorize(p, cfg)
+    right, left = solvent_sets(p, chain, report)
     return right, left, report
 
 
@@ -175,7 +183,6 @@ def verify(p: MatrixPolynomial, chain: SpectralFactorChain | None = None,
         num = float(linalg.frob_norms(recon.coeffs - p.coeffs).max())
         scale = float(linalg.frob_norms(p.coeffs).max())
         report.reconstruction_error = num / max(scale, 1.0)
-        report.rightmost_residual = residual_right(p, chain.factors[0])
         report.leftmost_residual = residual_left(p, chain.factors[-1])
         # Each factor is a right solvent of the polynomial that remains after
         # dividing out the factors to its right, so measure it there.
@@ -187,6 +194,7 @@ def verify(p: MatrixPolynomial, chain: SpectralFactorChain | None = None,
             report.per_factor_residuals.append(linalg.frob_norm(remainder) / stage_scale)
             if deflated.l == 0:
                 break
+        report.rightmost_residual = report.per_factor_residuals[0]
     if solvents is not None:
         check_order(p, solvents.solvents, "solvents")
         res_fn = residual_right if solvents.side == "right" else residual_left
@@ -199,7 +207,7 @@ def factorize_nonmonic(n_poly: MatrixPolynomial, cfg: PipelineConfig | None = No
     """Factorize a possibly non-monic polynomial N(λ) = N_k Π (λI - Z_i).
 
     Normalizes by the leading coefficient (inv(N_k) N(λ)), factorizes the
-    monic part, and returns ``(leading, chain)``.
+    monic part, and returns ``(leading, chain, report, traces)``.
     """
     cfg = cfg or PipelineConfig()
     lead = n_poly.coeffs[0]

@@ -39,6 +39,9 @@ from .errors import DimensionMismatch, NotMonic
 
 MONIC_ATOL = 1e-12
 
+#: Eigenvalues this close, relative to max(1, the largest modulus), coincide.
+SPECTRUM_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class MatrixPolynomial:
@@ -258,7 +261,7 @@ def check_chain(p: MatrixPolynomial, chain: SpectralFactorChain) -> None:
             f"the chain has {len(chain)} factors, the polynomial has degree {p.l}")
 
 
-def is_complete_set(p: MatrixPolynomial, s: SolventSet, tol: float = 1e-6) -> CompletenessReport:
+def is_complete_set(p: MatrixPolynomial, s: SolventSet) -> CompletenessReport:
     """Check the complete-set conditions: spectrum union, disjointness, det V."""
     check_order(p, s.solvents, "solvents")
     report = CompletenessReport()
@@ -268,8 +271,8 @@ def is_complete_set(p: MatrixPolynomial, s: SolventSet, tol: float = 1e-6) -> Co
     solvent_eigs = np.linalg.eigvals(s.solvents)
     scale = max(1.0, float(np.max(np.abs(companion_eigs))))
     report.max_pairing_error = _pair_spectra(companion_eigs, solvent_eigs.ravel())
-    report.spectrum_union_matches = report.max_pairing_error <= tol * scale
-    report.pairwise_disjoint = spectral_overlap(solvent_eigs, tol * scale) is None
+    report.spectrum_union_matches = report.max_pairing_error <= SPECTRUM_TOL * scale
+    report.pairwise_disjoint = spectral_overlap(solvent_eigs, SPECTRUM_TOL * scale) is None
     v = block_vandermonde(s)
     report.vandermonde_det = linalg.det(v)
     sv = np.linalg.svd(v, compute_uv=False)

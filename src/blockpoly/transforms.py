@@ -37,6 +37,7 @@ from .errors import (
     SpectrumOverlap,
 )
 from .polynomial import (
+    SPECTRUM_TOL,
     MatrixPolynomial,
     SolventSet,
     SpectralFactorChain,
@@ -94,10 +95,10 @@ def right_to_left_solvent(p: MatrixPolynomial, r, gate: float = SOLVENT_GATE) ->
     )
 
 
-def _check_disjoint(chain: SpectralFactorChain, tol: float = 1e-6):
+def _check_disjoint(chain: SpectralFactorChain):
     spectra = np.linalg.eigvals(chain.factors)
     scale = max(1.0, float(np.max(np.abs(spectra))))
-    overlap = spectral_overlap(spectra, tol * scale)
+    overlap = spectral_overlap(spectra, SPECTRUM_TOL * scale)
     if overlap is not None:
         raise SpectrumOverlap(
             "factors {} and {} share spectrum (min gap {:.3e})".format(*overlap)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blockpoly.io import load_mfd, load_polynomial
-from blockpoly.polynomial import MatrixPolynomial, SpectralFactorChain
+from blockpoly.polynomial import MatrixPolynomial, SpectralFactorChain, reconstruct
 
 FIXTURES = os.path.join(
     os.path.dirname(__file__), "..", "src", "blockpoly", "fixtures"
@@ -45,6 +45,13 @@ def gas_turbine():
 def scalar_polynomial(coeffs) -> MatrixPolynomial:
     """An m=1 polynomial from scalar coefficients, leading one first."""
     return MatrixPolynomial([np.array([[float(c)]]) for c in coeffs])
+
+
+def singular_a1():
+    """(λI - diag(-6, 1))(λI - diag(6, 7)), whose A_1 = diag(0, -8) stops Q.D."""
+    p = reconstruct(SpectralFactorChain([np.diag([6.0, 7.0]), np.diag([-6.0, 1.0])]))
+    assert np.array_equal(p.coeffs[1], np.diag([0.0, -8.0]))
+    return p
 
 
 def random_chain(m: int, l: int, rng, gap: float = 2.0, top: float = 8.0):

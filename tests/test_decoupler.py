@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from blockpoly import linalg
+from blockpoly import decoupler, linalg
 from blockpoly.decoupler import (
     MFDSystem,
     closed_loop_eval,
     controller_form,
     design_decoupling,
+)
+from blockpoly.errors import (
+    NoConvergence,
+    NumeratorFactorizationFailed,
+    SingularAtLambda,
+    SingularLeadingCoefficient,
 )
 from blockpoly.polynomial import latent_roots
 
@@ -125,3 +131,27 @@ def test_strictly_proper_decay(gas_turbine):
     res = design_decoupling(gas_turbine, [np.diag([-1.0, -2.0])])
     h, _ = closed_loop_eval(gas_turbine, res, 1e6)
     assert np.max(np.abs(h)) < 1e-5
+
+
+def test_singular_leading_numerator_coefficient(gas_turbine):
+    numerator = np.array(gas_turbine.numerator)
+    numerator[-1] = np.diag([1.0, 0.0])
+    with pytest.raises(SingularLeadingCoefficient):
+        design_decoupling(MFDSystem(numerator, gas_turbine.denominator),
+                          [np.diag([-1.0, -2.0])])
+
+
+def test_numerator_factorization_failure_is_named(gas_turbine, monkeypatch):
+    def fail(*args):
+        raise NoConvergence("no convergence in 0 iterations")
+
+    monkeypatch.setattr(decoupler, "factorize_nonmonic", fail)
+    with pytest.raises(NumeratorFactorizationFailed, match="no convergence in 0"):
+        design_decoupling(gas_turbine, [np.diag([-1.0, -2.0])])
+
+
+@pytest.mark.parametrize("lam", [-1.0, -2.0])
+def test_closed_loop_at_a_closed_loop_pole(gas_turbine, lam):
+    res = design_decoupling(gas_turbine, [np.diag([-1.0, -2.0])])
+    with pytest.raises(SingularAtLambda):
+        closed_loop_eval(gas_turbine, res, lam)

@@ -6,6 +6,7 @@ from blockpoly.errors import (
     InsufficientTrace,
     NoConvergence,
     SingularALast,
+    SingularStep,
     SingularSylvester,
 )
 from blockpoly.horner import (
@@ -19,6 +20,7 @@ from blockpoly.horner import (
 )
 from blockpoly.polynomial import (
     MatrixPolynomial,
+    SpectralFactorChain,
     eval_right,
     reconstruct,
     residual_right,
@@ -152,6 +154,13 @@ def test_newton_horner_singular_derivative():
     p = scalar_polynomial([1.0, -2.0, -3.0])
     with pytest.raises(SingularSylvester, match=r"pivot 0 has magnitude 0\.000e\+00"):
         newton_horner(p, IterConfig(x0=[[1.0]]))
+
+
+def test_horner_singular_step():
+    # x0 = -A_1 makes the step matrix B_1 = A_1 + x0 exactly zero
+    p = reconstruct(SpectralFactorChain([np.diag([4.0, 5.0]), np.diag([1.0, 2.0])]))
+    with pytest.raises(SingularStep, match=r"pivot 0 has magnitude 0\.000e\+00"):
+        horner_iterate(p, IterConfig(x0=-p.coeffs[1]))
 
 
 def test_newton_horner_example4(example4):

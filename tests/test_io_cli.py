@@ -15,7 +15,7 @@ from blockpoly.polynomial import (
 )
 from blockpoly.transforms import SOLVENT_GATE
 
-from conftest import fixture_path, random_chain, scalar_polynomial
+from conftest import fixture_path, random_chain, scalar_polynomial, singular_a1
 
 
 @pytest.fixture
@@ -102,7 +102,9 @@ def test_cli_factorize_example1_with_solvents(runner, tmp_path):
     assert result.exit_code == 0, result.output
     report = json.loads(_read(os.path.join(out, "report.json")))
     assert report["reconstruction_error"] <= 1e-8
-    assert all(r <= 1e-6 for r in report["per_solvent_residuals"])
+    # three right and three left solvents, each a solvent to the gate
+    assert len(report["per_solvent_residuals"]) == 6
+    assert max(report["per_solvent_residuals"]) <= SOLVENT_GATE
     assert os.path.exists(os.path.join(out, "solvents_right.json"))
     assert os.path.exists(os.path.join(out, "solvents_left.json"))
 
@@ -350,7 +352,7 @@ def _trace_stages(out):
 
 @pytest.mark.parametrize("method, stages", [
     ("qd", {"qd"}),
-    ("newton-horner", {"extract[0]", "extract[1]"}),
+    ("newton-horner", {"refine[0]", "refine[1]"}),
 ])
 def test_cli_factorize_other_methods(runner, tmp_path, method, stages):
     out = str(tmp_path / "out")
@@ -367,8 +369,39 @@ def test_cli_factorize_failed_local_method_saves_its_trace(runner, tmp_path):
     result = runner.invoke(
         main, ["factorize", fixture_path("example1.json"), "--method=horner", f"--out={out}"])
     assert result.exit_code == 2
-    assert "numerical failure: no convergence" in result.output
+    assert ("numerical failure: pipeline failed in stage 'refine' at factor 0: "
+            "no convergence") in result.output
     assert _trace_stages(out) == {"failed"}
+
+
+def test_cli_factorize_failed_pipeline_saves_its_trace(runner, tmp_path):
+    out = str(tmp_path / "out")
+    result = runner.invoke(
+        main, ["factorize", fixture_path("example1.json"), "--method=pipeline",
+               "--max-iter=1", f"--out={out}"])
+    assert result.exit_code == 2
+    assert "numerical failure: pipeline failed in stage 'refine'" in result.output
+    assert _trace_stages(out) == {"failed"}
+
+
+def test_cli_factorize_horner_retries_jittered_guesses(runner, tmp_path):
+    # the first default guess fails on example 4; a jittered one converges
+    out = str(tmp_path / "out")
+    result = runner.invoke(
+        main, ["factorize", fixture_path("example4.json"), "--method=horner", f"--out={out}"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(_read(os.path.join(out, "report.json")))
+    assert report["reconstruction_error"] <= 1e-8
+
+
+def test_cli_factorize_report_keeps_pipeline_warnings(runner, tmp_path):
+    path = str(tmp_path / "p.json")
+    io.save_polynomial(path, singular_a1())
+    out = str(tmp_path / "out")
+    result = runner.invoke(main, ["factorize", path, f"--out={out}"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(_read(os.path.join(out, "report.json")))
+    assert any(w.startswith("Q.D. preconditions failed") for w in report["warnings"])
 
 
 @pytest.mark.parametrize("direction, source", [

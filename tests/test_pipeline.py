@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from blockpoly import linalg
-from blockpoly.errors import DimensionMismatch, NoConvergence, PipelineStageError
+from blockpoly.errors import (
+    DimensionMismatch,
+    NoConvergence,
+    PipelineStageError,
+    SpectrumOverlap,
+)
 from blockpoly.pipeline import (
     PipelineConfig,
     factorize_nonmonic,
@@ -18,7 +23,7 @@ from blockpoly.polynomial import (
 )
 from blockpoly.qd import QDConfig
 
-from conftest import random_chain, scalar_polynomial, spectrum_pair_error
+from conftest import random_chain, scalar_polynomial, singular_a1, spectrum_pair_error
 
 
 def test_scalar_cubic():
@@ -149,15 +154,8 @@ def test_verify_rejects_a_chain_of_the_wrong_length(length):
         verify(p, chain=SpectralFactorChain(np.zeros((length, 2, 2))))
 
 
-def _singular_a1():
-    """(λI - diag(-6, 1))(λI - diag(6, 7)), whose A_1 = diag(0, -8) stops Q.D."""
-    p = reconstruct(SpectralFactorChain([np.diag([6.0, 7.0]), np.diag([-6.0, 1.0])]))
-    assert np.array_equal(p.coeffs[1], np.diag([0.0, -8.0]))
-    return p
-
-
 def test_singular_a1_falls_back_to_default_guesses():
-    chain, report, _ = full_factorize(_singular_a1())
+    chain, report, _ = full_factorize(singular_a1())
     assert len(chain) == 2
     assert report.reconstruction_error < 1e-14
     assert any(w.startswith("Q.D. preconditions failed") for w in report.warnings)
@@ -165,6 +163,14 @@ def test_singular_a1_falls_back_to_default_guesses():
 
 def test_refine_failure_names_the_stage_and_factor():
     with pytest.raises(PipelineStageError) as exc:
-        full_factorize(_singular_a1(), PipelineConfig(refine_method="horner"))
+        full_factorize(singular_a1(), PipelineConfig(refine_method="horner"))
     assert (exc.value.stage, exc.value.factor_index) == ("refine", 0)
     assert isinstance(exc.value.cause, NoConvergence)
+
+
+def test_transform_failure_names_the_stage():
+    # the two factors share the eigenvalue 1, so no solvent set exists
+    p = reconstruct(SpectralFactorChain([np.diag([5.0, 1.0]), np.diag([-3.0, 1.0])]))
+    with pytest.raises(PipelineStageError, match="stage 'transform'") as exc:
+        full_solvent_sets(p)
+    assert isinstance(exc.value.cause, SpectrumOverlap)
