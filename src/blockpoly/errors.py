@@ -84,10 +84,6 @@ class SingularSylvester(BlockPolyError):
     """The system Σ_j C_j H X^{d-j} = R of a Newton step or a transform is singular."""
 
 
-class SingularALast(BlockPolyError):
-    """A_l is singular but the requested method needs its inverse."""
-
-
 class InputNotSolvent(BlockPolyError):
     """A transform received a matrix that fails the solvent residual gate."""
 

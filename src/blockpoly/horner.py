@@ -23,7 +23,8 @@ One driver divides each iterate once: the remainder's norm is the residual,
 and the quotient and remainder make the step.  It accepts an iterate once
 ‖A_R(X)‖_F / max(1, ‖A_l‖_F) <= ``RESIDUAL_GUARD`` AND the relative step δ in
 percent is <= η or stopped shrinking (δ_k >= δ_{k-1}, the rounding floor of an
-ill-conditioned step), and raises ``NoConvergence`` when the budget ends.  No
+ill-conditioned step).  It raises ``NoConvergence`` when the budget ends or at
+the first non-finite iterate, quotient or residual of a diverging run.  No
 test for false convergence is needed: X' = X forces B_l = A_R(X) = 0 in all
 three maps (B_{l-1} X + A_l = B_l for plain Horner), so every fixed point is a
 solvent, and a small step with a large residual is slow progress.
@@ -40,7 +41,6 @@ from .errors import (
     DimensionMismatch,
     InsufficientTrace,
     NoConvergence,
-    SingularALast,
     SingularMatrix,
     SingularStep,
 )
@@ -106,24 +106,32 @@ def _run_iteration(p, cfg, step):
         raise DimensionMismatch(f"x0 must be {p.m}x{p.m}")
     scale = p.coefficient_scale()
     trace = ConvergenceTrace()
-    quotient, remainder = synthetic_div_right(p, x)
-    trace.append(x, float("nan"), linalg.frob_norm(remainder))
-    if trace.residuals[-1] / scale <= RESIDUAL_GUARD:
-        return x, trace
-    for _ in range(cfg.max_iterations):
-        try:
-            x_new = step(x, quotient, remainder)
-        except SingularMatrix as exc:
-            raise SingularStep(str(exc)) from exc
-        delta = _delta_pct(x_new, x)
-        x = x_new
-        quotient, remainder = synthetic_div_right(p, x)
-        trace.append(x, delta, linalg.frob_norm(remainder))
-        # Under the guard, a step that no longer shrinks is at the rounding
-        # floor: further steps only repeat it.
-        if (trace.residuals[-1] / scale <= RESIDUAL_GUARD
-                and (delta <= cfg.eta or delta >= trace.deltas[-2])):
-            return x, trace
+    delta = float("nan")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.max_iterations + 1):
+            if k:
+                try:
+                    x_new = step(x, quotient, remainder)
+                except SingularMatrix as exc:
+                    raise SingularStep(str(exc)) from exc
+                delta = _delta_pct(x_new, x)
+                x = x_new
+            try:
+                quotient, remainder = synthetic_div_right(p, x)
+                residual = linalg.frob_norm(remainder)
+            except DimensionMismatch:
+                if not k:       # the start's own shape or p's degree
+                    raise
+                residual = float("inf")
+            if not np.isfinite(residual):
+                raise NoConvergence(f"diverged: iterate {k}, its quotient or its "
+                                    "residual is not finite", trace=trace)
+            trace.append(x, delta, residual)
+            # Under the guard, a step that no longer shrinks is at the rounding
+            # floor: further steps only repeat it.
+            if residual / scale <= RESIDUAL_GUARD and (
+                    not k or delta <= cfg.eta or delta >= trace.deltas[-2]):
+                return x, trace
     raise NoConvergence(
         f"no convergence in {cfg.max_iterations} iterations "
         f"(last δ={trace.deltas[-1]:.3e}%, relative residual "
@@ -160,11 +168,6 @@ def newton_horner(p: MatrixPolynomial, cfg: IterConfig | None = None):
     a solvent with nonsingular L; a singular L raises ``SingularSylvester``.
     """
     cfg = cfg or IterConfig()
-    p.require_monic()
-    try:
-        linalg.invert(p.coeffs[p.l])
-    except SingularMatrix as exc:
-        raise SingularALast(str(exc)) from exc
 
     def step(x, quotient, remainder):
         return x - linalg.solve_sylvester(quotient.coeffs, x, remainder)

@@ -6,8 +6,8 @@ the k-th Q.D. block on the CURRENT deflated polynomial, appends the refined
 factor to the chain, and deflates.  The rightmost factor of each stage is an
 exact right solvent of that stage, so the final chain reconstructs the input
 to solver precision even when Q.D. alone had only a few correct digits.
-Without Q.D. seeds (the CLI's local methods, or Q.D.'s preconditions fail)
-each factor starts from ``MULTI_START`` jittered default guesses in turn.
+Without Q.D. seeds (the CLI's local methods, or Q.D. breaks down) each
+factor starts from ``MULTI_START`` jittered default guesses in turn.
 ``solvent_sets`` turns a chain into right and left solvent sets.
 """
 
@@ -23,6 +23,7 @@ from .errors import (
     NoConvergence,
     PipelineStageError,
     SingularCoefficient,
+    SingularPivot,
 )
 from .horner import (
     ConvergenceTrace,
@@ -99,9 +100,8 @@ def _qd_seeds(p: MatrixPolynomial, cfg: PipelineConfig):
     except NoConvergence as exc:
         return exc.tableau.q_row, [
             f"Q.D. did not reach e_tol ({exc}); using the final Q-row as seeds"]
-    except SingularCoefficient as exc:
-        return None, [
-            f"Q.D. preconditions failed ({exc}); falling back to default guesses"]
+    except (SingularCoefficient, SingularPivot) as exc:
+        return None, [f"Q.D. failed ({exc}); falling back to default guesses"]
 
 
 def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):

@@ -67,9 +67,7 @@ class MatrixPolynomial:
     @cached_property
     def is_monic(self) -> bool:
         """A_0 = I to ``MONIC_ATOL``; computed once, the coefficients are frozen."""
-        return bool(
-            np.allclose(self.coeffs[0], np.eye(self.m), atol=MONIC_ATOL)
-        )
+        return bool(np.allclose(self.coeffs[0], np.eye(self.m), rtol=0, atol=MONIC_ATOL))
 
     def require_monic(self):
         if not self.is_monic:

@@ -9,6 +9,7 @@ from blockpoly.decoupler import (
     design_decoupling,
 )
 from blockpoly.errors import (
+    DimensionMismatch,
     NoConvergence,
     NumeratorFactorizationFailed,
     SingularAtLambda,
@@ -33,6 +34,12 @@ def test_mfd_dimensions(gas_turbine):
     assert gas_turbine.k == 2
     assert gas_turbine.l == 3
 
+
+
+def test_mfd_denominator_off_identity_is_rejected():
+    with pytest.raises(DimensionMismatch, match="denominator must be monic"):
+        MFDSystem(numerator=[np.eye(2)],
+                  denominator=[np.eye(2), np.eye(2), (1.0 + 5e-6) * np.eye(2)])
 
 def _transfer(a_c, b_c, c_c, lam):
     """C (λI - A)^{-1} B at a scalar λ."""

@@ -5,7 +5,6 @@ from blockpoly import horner, linalg
 from blockpoly.errors import (
     InsufficientTrace,
     NoConvergence,
-    SingularALast,
     SingularStep,
     SingularSylvester,
 )
@@ -136,16 +135,27 @@ def test_newton_horner_stops_at_rounding_floor():
     assert linalg.frob_norm(x - q) <= 1e-6
 
 
-@pytest.mark.parametrize("a_last", [
-    np.zeros((2, 2)),                            # LAPACK cannot invert it
-    np.outer([0.1, 0.3], [0.7, 0.2]),            # only elimination rejects it
+@pytest.mark.parametrize("a_last, steps", [
+    (np.zeros((2, 2)), 5),
+    (np.outer([0.1, 0.3], [0.7, 0.2]), 6),
 ], ids=["zero", "rank1"])
-def test_newton_horner_singular_a_last(a_last):
-    if a_last.any():
-        np.linalg.inv(a_last)                    # LAPACK inverts it: rounding hides the rank
+def test_newton_horner_singular_a_last(a_last, steps):
+    # The Newton system Σ_j B_j H X^{l-1-j} = A_R(X) never inverts A_l, so a
+    # singular A_l is no obstacle.
     p = MatrixPolynomial([np.eye(2), np.array([[1.0, 2.0], [0.0, 3.0]]), a_last])
-    with pytest.raises(SingularALast):
-        newton_horner(p, IterConfig(x0=np.eye(2)))
+    x, trace = newton_horner(p, IterConfig(x0=np.eye(2)))
+    assert len(trace.iterates) == steps + 1
+    assert residual_right(p, x) / p.coefficient_scale() <= horner.RESIDUAL_GUARD
+
+
+def test_diverging_iterate_ends_as_no_convergence():
+    # λ⁴ - λ³ + 3λ² + 3 has no real root: the scalar Horner iterates grow
+    # until iterate 11 overflows, with no NumPy warning on the way.
+    p = scalar_polynomial([1.0, -1.0, 3.0, 0.0, 3.0])
+    with pytest.raises(NoConvergence, match="^diverged: iterate 11,") as exc:
+        horner_iterate(p, IterConfig(x0=default_guess(p, 0)))
+    assert len(exc.value.trace.iterates) == 11
+    assert np.isfinite(exc.value.trace.residuals).all()
 
 
 def test_newton_horner_singular_derivative():

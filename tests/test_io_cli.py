@@ -384,6 +384,24 @@ def test_cli_factorize_failed_pipeline_saves_its_trace(runner, tmp_path):
     assert _trace_stages(out) == {"failed"}
 
 
+
+def test_cli_factorize_qd_breakdown_names_the_stage(runner, tmp_path):
+    # Q.D. breaks down on λ³ - 3λ² - 3λ - 3; the default guesses find its
+    # real root, and the deflated quadratic has none
+    path = str(tmp_path / "p.json")
+    io.save_polynomial(path, scalar_polynomial([1.0, -3.0, -3.0, -3.0]))
+    out = str(tmp_path / "out")
+    result = runner.invoke(main, ["factorize", path, f"--out={out}"])
+    assert result.exit_code == 2
+    assert "pipeline failed in stage 'refine' at factor 1" in result.output
+    assert _trace_stages(out) == {"failed"}
+
+
+def test_cli_factorize_leading_coefficient_off_identity_exit_1(runner, tmp_path):
+    path = str(tmp_path / "p.json")
+    io.save_polynomial(path, scalar_polynomial([1.0 + 5e-6, -3.0, 2.0]))
+    _assert_input_error(runner.invoke(main, ["factorize", path, f"--out={tmp_path / 'out'}"]))
+
 def test_cli_factorize_horner_retries_jittered_guesses(runner, tmp_path):
     # the first default guess fails on example 4; a jittered one converges
     out = str(tmp_path / "out")
@@ -401,7 +419,7 @@ def test_cli_factorize_report_keeps_pipeline_warnings(runner, tmp_path):
     result = runner.invoke(main, ["factorize", path, f"--out={out}"])
     assert result.exit_code == 0, result.output
     report = json.loads(_read(os.path.join(out, "report.json")))
-    assert any(w.startswith("Q.D. preconditions failed") for w in report["warnings"])
+    assert any(w.startswith("Q.D. failed (coefficient A_1 is singular)") for w in report["warnings"])
 
 
 @pytest.mark.parametrize("direction, source", [

@@ -5,10 +5,15 @@ from blockpoly import linalg
 from blockpoly.errors import (
     DimensionMismatch,
     NoConvergence,
+    NotMonic,
     PipelineStageError,
+    SingularStep,
+    SingularSylvester,
     SpectrumOverlap,
 )
 from blockpoly.pipeline import (
+    REFINE_METHODS,
+    VERIFY_TOL,
     PipelineConfig,
     factorize_nonmonic,
     full_factorize,
@@ -158,7 +163,7 @@ def test_singular_a1_falls_back_to_default_guesses():
     chain, report, _ = full_factorize(singular_a1())
     assert len(chain) == 2
     assert report.reconstruction_error < 1e-14
-    assert any(w.startswith("Q.D. preconditions failed") for w in report.warnings)
+    assert any(w.startswith("Q.D. failed (coefficient A_1 is singular)") for w in report.warnings)
 
 
 def test_refine_failure_names_the_stage_and_factor():
@@ -174,3 +179,80 @@ def test_transform_failure_names_the_stage():
     with pytest.raises(PipelineStageError, match="stage 'transform'") as exc:
         full_solvent_sets(p)
     assert isinstance(exc.value.cause, SpectrumOverlap)
+
+
+#: A singular A_l (three ways), a Q.D. breakdown at the first sweep, and a
+#: polynomial with no real root, whose plain Horner iterates overflow.
+HARD_CASES = {
+    "a_last_zero": MatrixPolynomial(
+        [np.eye(2), np.array([[1.0, 2.0], [0.0, 3.0]]), np.zeros((2, 2))]),
+    "a_last_rank1": MatrixPolynomial(
+        [np.eye(2), np.array([[1.0, 2.0], [0.0, 3.0]]), np.outer([0.1, 0.3], [0.7, 0.2])]),
+    # (λI - diag(0, 1))(λI - diag(2, 3)), whose A_2 = diag(0, 3)
+    "a_last_diag": reconstruct(SpectralFactorChain([np.diag([2.0, 3.0]), np.diag([0.0, 1.0])])),
+    "qd_pivot": scalar_polynomial([1.0, -3.0, -3.0, -3.0]),
+    "no_real_root": scalar_polynomial([1.0, -1.0, 3.0, 0.0, 3.0]),
+}
+
+
+def corpus(n):
+    """The first ``n`` seeded random monic polynomials, m in 1..3, l in 1..4:
+    integer, scaled Gaussian and product-of-real-factors coefficients in turn."""
+    rng = np.random.default_rng(12345)
+    draws = {}
+    for i in range(n):
+        m, l = rng.integers(1, 4), rng.integers(1, 5)
+        if i % 3 == 0:
+            draws[f"draw{i}"] = MatrixPolynomial([np.eye(m), *rng.integers(-5, 6, (l, m, m))])
+        elif i % 3 == 1:
+            coeffs = rng.standard_normal((l, m, m)) * 10 ** rng.uniform(-3, 3)
+            draws[f"draw{i}"] = MatrixPolynomial([np.eye(m), *coeffs])
+        else:
+            factors = [rng.standard_normal((m, m)) + rng.uniform(-3, 3) * np.eye(m)
+                       for _ in range(l)]
+            draws[f"draw{i}"] = reconstruct(SpectralFactorChain(factors))
+    return draws
+
+
+CONTRACT_INPUTS = corpus(60) | HARD_CASES
+
+
+@pytest.mark.parametrize("name, method", [
+    *((name, "newton-horner") for name in CONTRACT_INPUTS),
+    *((name, method) for name in HARD_CASES for method in REFINE_METHODS
+      if method != "newton-horner"),
+])
+def test_solvent_sets_contract(name, method):
+    """A chain whose every factor passes the gate, or a ``PipelineStageError``
+    that names the stage.  pytest turns warnings into errors, so no input
+    may warn either."""
+    try:
+        report = full_solvent_sets(CONTRACT_INPUTS[name], PipelineConfig(refine_method=method))[2]
+    except PipelineStageError as exc:
+        assert exc.stage in {"refine", "deflate", "transform"}
+        if exc.stage == "refine":     # the method failed; it refused nothing
+            assert isinstance(exc.cause, (NoConvergence, SingularStep, SingularSylvester))
+    else:
+        assert max(report.per_factor_residuals) <= VERIFY_TOL
+
+
+def test_newton_horner_factors_a_singular_a_last():
+    chain, report, _ = full_factorize(HARD_CASES["a_last_diag"])
+    assert report.reconstruction_error < 1e-10
+
+
+def test_qd_breakdown_falls_back_to_default_guesses():
+    # Q.D. stops at its first sweep; the default guesses find the real root,
+    # and the deflated quadratic has none.
+    with pytest.raises(PipelineStageError) as exc:
+        full_factorize(HARD_CASES["qd_pivot"])
+    assert (exc.value.stage, exc.value.factor_index) == ("refine", 1)
+    assert isinstance(exc.value.cause, NoConvergence)
+
+
+def test_leading_coefficient_off_identity_is_not_monic():
+    # within a relative 1e-5 of I, but not within MONIC_ATOL: the l = 1
+    # shortcut would take -A_1 as an exact factor
+    p = MatrixPolynomial([[[1.0 + 5e-6]], [[-3.0]], [[2.0]]])
+    with pytest.raises(NotMonic):
+        full_factorize(p)
