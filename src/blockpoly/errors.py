@@ -97,7 +97,7 @@ class RankDeficientTransformer(BlockPolyError):
 
 
 class DeflationResidualLarge(BlockPolyError):
-    """Synthetic division left a remainder above the deflation gate."""
+    """A chain→solvent step's left division left a remainder above the gate."""
 
     def __init__(self, index, residual, message=None):
         self.index = index
@@ -126,10 +126,6 @@ class SpectrumOverlap(BlockPolyError):
 
 class IncompleteSet(BlockPolyError):
     """A solvent set of the wrong cardinality was supplied."""
-
-
-class ResidualTooLarge(BlockPolyError):
-    """An input matrix failed a residual precondition."""
 
 
 class InsufficientTrace(BlockPolyError):

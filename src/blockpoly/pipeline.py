@@ -6,6 +6,10 @@ the k-th Q.D. block on the CURRENT deflated polynomial, appends the refined
 factor to the chain, and deflates.  The rightmost factor of each stage is an
 exact right solvent of that stage, so the final chain reconstructs the input
 to solver precision even when Q.D. alone had only a few correct digits.
+Each factor is divided out once, by ``transforms.deflate_right``: the
+quotient is the next stage, and the remainder is the factor's residual in
+the report.  The refiner accepted the factor on that same residual, under
+``horner.RESIDUAL_GUARD``, so deflation needs no gate of its own.
 Without Q.D. seeds (the CLI's local methods, or Q.D. breaks down) each
 factor starts from ``MULTI_START`` jittered default guesses in turn.
 ``solvent_sets`` turns a chain into right and left solvent sets.
@@ -44,7 +48,6 @@ from .polynomial import (
     reconstruct,
     residual_left,
     residual_right,
-    synthetic_div_right,
 )
 from .qd import QDConfig, qd_run
 
@@ -52,9 +55,6 @@ REFINE_METHODS = ("horner", "newton-horner", "two-stage")
 
 #: Jittered default guesses tried per factor when Q.D. preconditions fail.
 MULTI_START = 5
-
-#: Relative remainder gate on each deflation of a refined factor.
-VERIFY_TOL = 1e-8
 
 
 @dataclass
@@ -106,36 +106,34 @@ def _qd_seeds(p: MatrixPolynomial, cfg: PipelineConfig):
 
 def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
     """Refine the k-th factor from ``seeds[k]`` (or the jittered default
-    guesses), deflate and verify; returns ``(chain, report, traces)``."""
+    guesses) and divide it out; returns ``(chain, report, traces)``, with
+    each factor's residual taken from its one deflation."""
     p.require_monic()
     current = p
-    factors, traces = [], []
+    factors, traces, residuals = [], [], []
     for k in range(p.l):
         if current.l == 1:
-            factors.append(-current.coeffs[1])
-            traces.append(ConvergenceTrace())
-            break
-        if seeds is not None:
-            guesses = [seeds[k]]
+            x, trace = -current.coeffs[1], ConvergenceTrace()
         else:
-            guesses = [default_guess(current, jitter_seed=s)
-                       for s in range(MULTI_START)]
-        for guess in guesses:
-            try:
-                x, trace = refiner(cfg.refine_method)(current, replace(cfg.iter, x0=guess))
-                break
-            except BlockPolyError as exc:
-                last_error = exc
-        else:
-            raise PipelineStageError("refine", k, last_error)
+            if seeds is not None:
+                guesses = [seeds[k]]
+            else:
+                guesses = [default_guess(current, jitter_seed=s)
+                           for s in range(MULTI_START)]
+            for guess in guesses:
+                try:
+                    x, trace = refiner(cfg.refine_method)(current, replace(cfg.iter, x0=guess))
+                    break
+                except BlockPolyError as exc:
+                    last_error = exc
+            else:
+                raise PipelineStageError("refine", k, last_error)
+        current, residual = transforms.deflate_right(current, x)
         factors.append(x)
         traces.append(trace)
-        try:
-            current = transforms.deflate_right(current, x, gate_rtol=VERIFY_TOL)
-        except BlockPolyError as exc:
-            raise PipelineStageError("deflate", k, exc)
+        residuals.append(residual)
     chain = SpectralFactorChain(factors)
-    return chain, verify(p, chain=chain), traces
+    return chain, _chain_report(p, chain, residuals), traces
 
 
 def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
@@ -173,28 +171,32 @@ def full_solvent_sets(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
     return right, left, report
 
 
+def _chain_report(p: MatrixPolynomial, chain: SpectralFactorChain,
+                  residuals: list) -> VerificationReport:
+    """The chain's report, given each factor's residual on the polynomial
+    that remains after dividing out the factors to its right."""
+    recon = reconstruct(chain)
+    num = float(linalg.frob_norms(recon.coeffs - p.coeffs).max())
+    scale = float(linalg.frob_norms(p.coeffs).max())
+    return VerificationReport(
+        per_factor_residuals=residuals,
+        reconstruction_error=num / max(scale, 1.0),
+        rightmost_residual=residuals[0],
+        leftmost_residual=residual_left(p, chain.factors[-1]),
+    )
+
+
 def verify(p: MatrixPolynomial, chain: SpectralFactorChain | None = None,
            solvents: SolventSet | None = None) -> VerificationReport:
     """Report-only verification of a chain or solvent set against p."""
     report = VerificationReport()
     if chain is not None:
         check_chain(p, chain)
-        recon = reconstruct(chain)
-        num = float(linalg.frob_norms(recon.coeffs - p.coeffs).max())
-        scale = float(linalg.frob_norms(p.coeffs).max())
-        report.reconstruction_error = num / max(scale, 1.0)
-        report.leftmost_residual = residual_left(p, chain.factors[-1])
-        # Each factor is a right solvent of the polynomial that remains after
-        # dividing out the factors to its right, so measure it there.
-        report.per_factor_residuals = []
-        deflated = p
+        residuals, deflated = [], p
         for f in chain.factors:
-            stage_scale = deflated.coefficient_scale()
-            deflated, remainder = synthetic_div_right(deflated, f)
-            report.per_factor_residuals.append(linalg.frob_norm(remainder) / stage_scale)
-            if deflated.l == 0:
-                break
-        report.rightmost_residual = report.per_factor_residuals[0]
+            deflated, residual = transforms.deflate_right(deflated, f)
+            residuals.append(residual)
+        report = _chain_report(p, chain, residuals)
     if solvents is not None:
         check_order(p, solvents.solvents, "solvents")
         res_fn = residual_right if solvents.side == "right" else residual_left

@@ -32,7 +32,6 @@ from .errors import (
     IncompleteSet,
     InputNotSolvent,
     RankDeficientTransformer,
-    ResidualTooLarge,
     SolventResidualLarge,
     SpectrumOverlap,
 )
@@ -79,9 +78,8 @@ def right_to_left_solvent(p: MatrixPolynomial, r, gate: float = SOLVENT_GATE) ->
     A(λ) divided by (λI - R) on the right; transposed, that is the Sylvester
     equation Σ_i B_iᵀ Qᵀ (Rᵀ)^{l-1-i} = I.
     """
-    quotient, remainder = synthetic_div_right(p, r)
+    quotient, rel = deflate_right(p, r)
     r = linalg.as_matrix(r)
-    rel = linalg.frob_norm(remainder) / p.coefficient_scale()
     if rel > gate:
         raise InputNotSolvent(f"right-solvent residual {rel:.3e} exceeds gate {gate:.1e}")
     q = linalg.solve_sylvester(_transpose(quotient).coeffs, r.T, np.eye(p.m)).T
@@ -201,12 +199,8 @@ def left_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFactor
     return SpectralFactorChain(chain.factors[::-1].transpose(0, 2, 1))
 
 
-def deflate_right(p: MatrixPolynomial, q, gate_rtol: float = SOLVENT_GATE) -> MatrixPolynomial:
-    """Divide out a rightmost factor, gating on the discarded remainder."""
+def deflate_right(p: MatrixPolynomial, q):
+    """Divide out a rightmost factor (λI - Q): returns the quotient and the
+    discarded remainder's ‖·‖_F relative to ``p.coefficient_scale()``."""
     quotient, remainder = synthetic_div_right(p, q)
-    rel = linalg.frob_norm(remainder) / p.coefficient_scale()
-    if rel > gate_rtol:
-        raise ResidualTooLarge(
-            f"deflation gate: relative remainder {rel:.3e} exceeds {gate_rtol:.1e}"
-        )
-    return quotient
+    return quotient, linalg.frob_norm(remainder) / p.coefficient_scale()

@@ -63,7 +63,7 @@ def test_plain_horner_exact_solvent_immediate():
 def test_plain_horner_example3_repeated_factor(example3):
     cfg = IterConfig(x0=default_guess(example3), eta=1e-2)
     x, trace = horner_iterate(example3, cfg)
-    assert residual_right(example3, x) < 1e-6 * linalg.frob_norm(example3.coeffs[2])
+    assert residual_right(example3, x) <= horner.RESIDUAL_GUARD
 
 
 def test_fixed_point_identity():
@@ -145,7 +145,7 @@ def test_newton_horner_singular_a_last(a_last, steps):
     p = MatrixPolynomial([np.eye(2), np.array([[1.0, 2.0], [0.0, 3.0]]), a_last])
     x, trace = newton_horner(p, IterConfig(x0=np.eye(2)))
     assert len(trace.iterates) == steps + 1
-    assert residual_right(p, x) / p.coefficient_scale() <= horner.RESIDUAL_GUARD
+    assert residual_right(p, x) <= horner.RESIDUAL_GUARD
 
 
 def test_diverging_iterate_ends_as_no_convergence():
@@ -227,7 +227,7 @@ def test_two_stage_example4_runs_to_the_guard_with_eta_disabled(example4):
     # guard may end the run.
     x0 = np.array([[5.2114, 4.8890], [2.3159, 6.2406]])
     x, _ = two_stage(example4, IterConfig(x0=x0, eta=1e30, max_iterations=2000))
-    assert residual_right(example4, x) / example4.coefficient_scale() <= 1e-8
+    assert residual_right(example4, x) <= 1e-8
 
 
 def test_one_division_per_iterate(monkeypatch):
@@ -267,7 +267,7 @@ def test_converged_residual_contract():
         p = reconstruct(chain)
         x0 = chain.factors[0] + 1e-6 * rng.standard_normal((2, 2))
         x, _ = method(p, IterConfig(x0=x0, max_iterations=3000))
-        assert residual_right(p, x) <= 1e-8 * max(1.0, linalg.frob_norm(p.coeffs[-1]))
+        assert residual_right(p, x) <= horner.RESIDUAL_GUARD
 
 
 def test_bounds_check_sandwich():

@@ -1,7 +1,9 @@
-"""Every module-level import in ``src/blockpoly`` is referenced.
+"""Every module-level import in ``src/blockpoly`` is referenced, and every
+error class is raised.
 
 No linter runs on the package, so this keeps deleted code from leaving its
-imports behind.  ``__init__`` is skipped: its imports are the public API.
+imports or its error classes behind.  ``__init__`` is skipped: its imports
+are the public API.
 """
 
 import ast
@@ -28,3 +30,27 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+def _raised_calls():
+    """``(name, call)`` for every ``raise Name(...)`` outside ``errors.py``."""
+    for path in MODULES:
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)):
+                yield node.exc.func.id, node.exc
+
+
+def test_every_error_class_is_raised():
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)
+               and any(getattr(base, "id", None) == "BlockPolyError" for base in node.bases)}
+    assert sorted(classes - {name for name, _ in _raised_calls()}) == []
+
+
+def test_pipeline_stages_are_refine_and_transform():
+    stages = [call.args[0] for name, call in _raised_calls() if name == "PipelineStageError"]
+    assert stages and all(isinstance(s, ast.Constant) for s in stages)
+    assert {s.value for s in stages} <= {"refine", "transform"}

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from blockpoly import linalg
+from blockpoly import horner, linalg, pipeline, polynomial, transforms
 from blockpoly.errors import (
     DimensionMismatch,
     NoConvergence,
@@ -11,9 +13,9 @@ from blockpoly.errors import (
     SingularSylvester,
     SpectrumOverlap,
 )
+from blockpoly.horner import RESIDUAL_GUARD
 from blockpoly.pipeline import (
     REFINE_METHODS,
-    VERIFY_TOL,
     PipelineConfig,
     factorize_nonmonic,
     full_factorize,
@@ -52,8 +54,8 @@ def test_example1_chain(example1):
     s1 = np.array([[3.0, 2.0], [-90.0, -15.0]])
     assert linalg.frob_norm(chain.factors[0] - s1) / linalg.frob_norm(s1) < 1e-2
     assert report.reconstruction_error <= 1e-8
-    assert report.rightmost_residual / example1.coefficient_scale() <= 1e-8
-    assert report.leftmost_residual / example1.coefficient_scale() <= 1e-8
+    assert report.rightmost_residual <= 1e-8
+    assert report.leftmost_residual <= 1e-8
 
 
 def test_refine_methods_agree(example1):
@@ -82,8 +84,7 @@ def test_full_solvent_sets(example1):
     assert len(right) == len(left) == 3
     assert report.completeness is not None
     assert report.completeness.complete
-    scale = example1.coefficient_scale()
-    assert all(r / scale <= 1e-6 for r in report.per_solvent_residuals)
+    assert all(r <= 1e-6 for r in report.per_solvent_residuals)
 
 
 def test_verify_exact_chain():
@@ -92,8 +93,8 @@ def test_verify_exact_chain():
     p = reconstruct(chain)
     report = verify(p, chain=chain)
     assert report.reconstruction_error < 1e-12
-    assert report.rightmost_residual / p.coefficient_scale() < 1e-12
-    assert all(r / p.coefficient_scale() < 1e-12 for r in report.per_factor_residuals)
+    assert report.rightmost_residual < 1e-12
+    assert all(r < 1e-12 for r in report.per_factor_residuals)
 
 
 def test_verify_perturbed_chain_scaling():
@@ -229,11 +230,11 @@ def test_solvent_sets_contract(name, method):
     try:
         report = full_solvent_sets(CONTRACT_INPUTS[name], PipelineConfig(refine_method=method))[2]
     except PipelineStageError as exc:
-        assert exc.stage in {"refine", "deflate", "transform"}
+        assert exc.stage in {"refine", "transform"}
         if exc.stage == "refine":     # the method failed; it refused nothing
             assert isinstance(exc.cause, (NoConvergence, SingularStep, SingularSylvester))
     else:
-        assert max(report.per_factor_residuals) <= VERIFY_TOL
+        assert max(report.per_factor_residuals) <= RESIDUAL_GUARD
 
 
 def test_newton_horner_factors_a_singular_a_last():
@@ -256,3 +257,45 @@ def test_leading_coefficient_off_identity_is_not_monic():
     p = MatrixPolynomial([[[1.0 + 5e-6]], [[-3.0]], [[2.0]]])
     with pytest.raises(NotMonic):
         full_factorize(p)
+
+
+#: example3's Q.D. seeds do not refine under these two methods (its failed
+#: share in the benchmark); every other pair returns a chain.
+REPORT_CASES = [
+    *((name, method) for name in ("example1", "example2", "example3", "example4")
+      for method in REFINE_METHODS
+      if (name, method) not in {("example3", "horner"), ("example3", "newton-horner")}),
+    # the benchmark's generated chains m4/l4/s0 and m16/l4/s0
+    *((f"m{m}", method) for m in (4, 16) for method in REFINE_METHODS),
+]
+
+
+@pytest.mark.parametrize("name, method", REPORT_CASES)
+def test_pipeline_report_equals_verify(name, method, request):
+    """The pipeline measures each factor on its one deflation; ``verify``
+    divides the chain out again, and must report the same bits."""
+    if name.startswith("example"):
+        p = request.getfixturevalue(name)
+    else:
+        m = int(name[1:])
+        p = reconstruct(random_chain(m, 4, np.random.default_rng(1000 * m + 40)))
+    chain, report, _ = full_factorize(p, PipelineConfig(refine_method=method))
+    # the Q.D. warnings are the only field verify cannot know
+    assert replace(report, warnings=[]) == verify(p, chain=chain)
+
+
+def test_each_factor_divided_out_once(monkeypatch):
+    """With no Newton step, each of the l - 1 refined factors is divided by
+    its refiner's accepting iterate and by its deflation, and the last
+    factor by its deflation alone: 2l - 1 divisions."""
+    calls = []
+    divide = polynomial.synthetic_div_right
+    for module in (horner, pipeline, polynomial, transforms):
+        if hasattr(module, "synthetic_div_right"):
+            monkeypatch.setattr(module, "synthetic_div_right",
+                                lambda *args: calls.append(1) or divide(*args))
+    l = 4
+    p = reconstruct(random_chain(4, l, np.random.default_rng(1000 * 4 + 10 * l)))
+    _, _, traces = full_factorize(p)
+    assert [len(t.iterates) for t in traces] == [1] * (l - 1) + [0]
+    assert len(calls) == 2 * l - 1

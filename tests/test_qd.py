@@ -264,7 +264,7 @@ def test_qd_dominance_on_gapped_fixture():
     mins = [min(abs(np.linalg.eigvals(q))) for q in got.factors]
     for i in range(len(mods) - 1):
         assert mins[i] > mods[i + 1]
-    assert residual_right(p, got.factors[0]) / p.coefficient_scale() < 1e-8
+    assert residual_right(p, got.factors[0]) < 1e-8
 
 
 def test_qd_reconstruction_quality():
