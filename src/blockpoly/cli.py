@@ -156,6 +156,9 @@ def convert(input_file, direction, factors_file, solvents_file, out):
         _require(check_chain, p, chain)
     if solv is not None:
         _require(check_order, p, solv.solvents, "solvents")
+    side = direction.split("-")[0]    # the side of the solvents a conversion reads
+    if side != "chain" and solv.side != side:
+        _fail_input(f"--direction={direction} needs {side} solvents, got {solv.side} solvents")
     _ensure_out(out)
     io.save_manifest(out, "convert", input_file, {"direction": direction})
     try:

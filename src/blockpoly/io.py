@@ -244,7 +244,7 @@ def qd_trace_rows(trace):
     return rows
 
 
-def save_manifest(out_dir, command, input_path, overrides, seed=0):
+def save_manifest(out_dir, command, input_path, overrides):
     ts = os.environ.get("SOURCE_DATE_EPOCH")
     timestamp = (
         time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(int(ts)))
@@ -254,7 +254,7 @@ def save_manifest(out_dir, command, input_path, overrides, seed=0):
         "command": command,
         "input": str(input_path),
         "overrides": overrides,
-        "seed": seed,
+        "seed": 0,
         "tool_version": TOOL_VERSION,
         "timestamp": timestamp,
     })

@@ -8,9 +8,10 @@ coefficients A_{ji} give the polynomial Sylvester equation
 
     Σ_j A_{ji} P Q^{d-j} = I
 
-whose solution P is the similarity with R = P Q P^{-1}.  Both this system
-and the one of :func:`right_to_left_solvent` are solved by
+whose solution P is the similarity with R = P Q P^{-1}, solved by
 :func:`linalg.solve_sylvester`, which holds the vec/Kronecker convention.
+:func:`right_to_left_solvent` is this same step on the transposed data, and
+:func:`right_solvents_to_chain` shares its rank-checked conjugation.
 
 The left-side transforms are the right ones applied to the transposed data.
 Transposing A(λ) = (λI - Q_l) ... (λI - Q_1) gives
@@ -43,7 +44,6 @@ from .polynomial import (
     _transpose,
     check_chain,
     check_order,
-    residual_left,
     residual_right,
     spectral_overlap,
     synthetic_div_left,
@@ -59,11 +59,10 @@ RANK_TOL = 1e-10
 
 @dataclass
 class TransformResult:
-    """A transform output together with its similarity matrix and residual."""
+    """A transform output together with its similarity matrix."""
 
     output: object
     transformer: np.ndarray
-    residual: float
 
 
 def _rank_check(t: np.ndarray) -> bool:
@@ -71,26 +70,31 @@ def _rank_check(t: np.ndarray) -> bool:
     return bool(sv[-1] > RANK_TOL * sv[0])
 
 
+def _conjugate(t: np.ndarray, x: np.ndarray, index: int) -> np.ndarray:
+    """T X T⁻¹, once T passes the rank-m check as transformer ``index``."""
+    if not _rank_check(t):
+        raise RankDeficientTransformer(index)
+    return t @ x @ linalg.invert(t)
+
+
+def _similarity_step(quotient: MatrixPolynomial, q: np.ndarray, index: int):
+    """P solving Σ_j A_j P Q^{d-j} = I for the quotient's A_j, and P Q P⁻¹."""
+    pmat = linalg.solve_sylvester(quotient.coeffs, q, np.eye(len(q)))
+    return pmat, _conjugate(pmat, q, index)
+
+
 def right_to_left_solvent(p: MatrixPolynomial, r, gate: float = SOLVENT_GATE) -> TransformResult:
     """Convert a right solvent R into a left solvent L = Q^{-1} R Q.
 
-    Q solves Σ_i R^{l-1-i} Q B_i = I with B_i the quotient coefficients of
-    A(λ) divided by (λI - R) on the right; transposed, that is the Sylvester
-    equation Σ_i B_iᵀ Qᵀ (Rᵀ)^{l-1-i} = I.
+    With B(λ) the quotient of A(λ) divided by (λI - R) on the right, Rᵀ is
+    the leftmost factor of Aᵀ(λ) = Bᵀ(λ)(λI - Rᵀ), so Lᵀ is the similarity
+    step of :func:`chain_to_right_solvents` on (Bᵀ, Rᵀ) with P = Qᵀ.
     """
     quotient, rel = deflate_right(p, r)
-    r = linalg.as_matrix(r)
     if rel > gate:
         raise InputNotSolvent(f"right-solvent residual {rel:.3e} exceeds gate {gate:.1e}")
-    q = linalg.solve_sylvester(_transpose(quotient).coeffs, r.T, np.eye(p.m)).T
-    if not _rank_check(q):
-        raise RankDeficientTransformer(0, "similarity matrix Q is rank deficient")
-    left = linalg.solve(q, r @ q)
-    return TransformResult(
-        output=left,
-        transformer=q,
-        residual=residual_left(p, left),
-    )
+    pmat, left = _similarity_step(_transpose(quotient), linalg.as_matrix(r).T, 0)
+    return TransformResult(output=left.T, transformer=pmat.T)
 
 
 def _check_disjoint(chain: SpectralFactorChain):
@@ -101,6 +105,26 @@ def _check_disjoint(chain: SpectralFactorChain):
         raise SpectrumOverlap(
             "factors {} and {} share spectrum (min gap {:.3e})".format(*overlap)
         )
+
+
+def _chain_solvents(p: MatrixPolynomial, chain: SpectralFactorChain, gate: float) -> SolventSet:
+    """The right solvents of a checked chain, leftmost factor first."""
+    current = p
+    solvents = []
+    scale = p.coefficient_scale()
+    for step, q in enumerate(chain.factors[::-1]):
+        solvent = q
+        if current.l > 1:
+            current, remainder = synthetic_div_left(current, q)
+            rem = linalg.frob_norm(remainder) / scale
+            if rem > gate:
+                raise DeflationResidualLarge(step, rem)
+            solvent = _similarity_step(current, q, step)[1]
+        res = residual_right(p, solvent)
+        if res > gate:
+            raise SolventResidualLarge(step, res)
+        solvents.append(solvent)
+    return SolventSet("right", solvents)
 
 
 def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
@@ -116,30 +140,7 @@ def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
     p.require_monic()
     check_chain(p, chain)
     _check_disjoint(chain)
-    current = p
-    solvents = []
-    scale = p.coefficient_scale()
-    for step, q in enumerate(chain.factors[::-1]):
-        d = current.l - 1
-        if d == 0:
-            solvent = q
-        else:
-            quotient, remainder = synthetic_div_left(current, q)
-            rem = linalg.frob_norm(remainder) / scale
-            if rem > gate:
-                raise DeflationResidualLarge(step, rem)
-            pmat = linalg.solve_sylvester(quotient.coeffs, q, np.eye(p.m))
-            if not _rank_check(pmat):
-                raise RankDeficientTransformer(step)
-            solvent = pmat @ q @ linalg.invert(pmat)
-            current = quotient
-        res = residual_right(p, solvent)
-        if res > gate:
-            raise SolventResidualLarge(step, res)
-        solvents.append(solvent)
-        if d == 0:
-            break
-    return SolventSet("right", solvents)
+    return _chain_solvents(p, chain, gate)
 
 
 def chain_to_left_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
@@ -153,8 +154,9 @@ def chain_to_left_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
     """
     check_chain(p, chain)
     _check_disjoint(chain)
+    p.require_monic()
     dual = SpectralFactorChain(chain.factors[::-1].transpose(0, 2, 1))
-    right = chain_to_right_solvents(_transpose(p), dual, gate)
+    right = _chain_solvents(_transpose(p), dual, gate)
     return SolventSet("left", right.solvents[::-1].transpose(0, 2, 1))
 
 
@@ -176,10 +178,7 @@ def right_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFacto
     n_mats = np.tile(np.eye(p.m), (p.l, 1, 1))    # n_mats[j] = N_k(R_j)
     factors = np.empty(r.shape)
     for k in range(p.l):
-        nk = n_mats[k]
-        if not _rank_check(nk):
-            raise RankDeficientTransformer(k)
-        factors[k] = nk @ r[k] @ linalg.invert(nk)
+        factors[k] = _conjugate(n_mats[k], r[k], k)
         n_mats[k + 1:] = n_mats[k + 1:] @ r[k + 1:] - factors[k] @ n_mats[k + 1:]
     return SpectralFactorChain(factors)
 

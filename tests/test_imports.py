@@ -1,9 +1,10 @@
-"""Every module-level import in ``src/blockpoly`` is referenced, and every
-error class is raised.
+"""Every module-level import in ``src/blockpoly`` is referenced, every
+error class is raised, and every module-level private function is used by
+the package itself.
 
 No linter runs on the package, so this keeps deleted code from leaving its
-imports or its error classes behind.  ``__init__`` is skipped: its imports
-are the public API.
+imports, its error classes or its helpers behind (a helper that only tests
+call is dead code).  ``__init__`` is skipped: its imports are the public API.
 """
 
 import ast
@@ -54,3 +55,28 @@ def test_pipeline_stages_are_refine_and_transform():
     stages = [call.args[0] for name, call in _raised_calls() if name == "PipelineStageError"]
     assert stages and all(isinstance(s, ast.Constant) for s in stages)
     assert {s.value for s in stages} <= {"refine", "transform"}
+
+
+def _references():
+    """``(path, top-level name, name)`` for every name and attribute that a
+    top-level statement of ``src/blockpoly`` reads."""
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    yield path, owner, node.id
+                elif isinstance(node, ast.Attribute):
+                    yield path, owner, node.attr
+
+
+def test_every_private_function_is_used_in_the_package():
+    private = {(path, node.name) for path in MODULES
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.startswith("__")}
+    refs = set(_references())
+    unused = [f"{path.name}:{name}" for path, name in private
+              if not any(ref == name and (where, owner) != (path, name)
+                         for where, owner, ref in refs)]
+    assert sorted(unused) == []

@@ -446,6 +446,23 @@ def test_cli_convert_directions(runner, tmp_path, direction, source):
         assert max(report["per_solvent_residuals"]) <= SOLVENT_GATE
 
 
+@pytest.mark.parametrize("direction, name, side, other", [
+    ("right-to-left", "solvents_left.json", "right", "left"),
+    ("right-to-chain", "solvents_left.json", "right", "left"),
+    ("left-to-chain", "solvents_right.json", "left", "right"),
+])
+def test_cli_convert_solvents_of_the_other_side_exit_1(runner, tmp_path, direction, name,
+                                                        side, other):
+    ppath = fixture_path("example1.json")
+    result = runner.invoke(main, ["factorize", ppath, "--solvents", f"--out={tmp_path}"])
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["convert", ppath, f"--direction={direction}",
+                                  f"--solvents={tmp_path / name}", f"--out={out}"])
+    _assert_exit_1(result, f"--direction={direction} needs {side} solvents, got {other} solvents")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("length", [2, 4])
 @pytest.mark.parametrize("command", [
     ["verify", "{p}", "--against={f}"],

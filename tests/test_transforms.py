@@ -241,6 +241,27 @@ def test_deflate_right_divides_once(monkeypatch):
     assert calls == ["div"]
 
 
+def test_chain_to_left_solvents_checks_the_chain_once(monkeypatch):
+    calls = []
+    check = transforms._check_disjoint
+    monkeypatch.setattr(transforms, "_check_disjoint",
+                        lambda *args: calls.append("disjoint") or check(*args))
+    chain = random_chain(2, 3, np.random.default_rng(13))
+    chain_to_left_solvents(reconstruct(chain), chain)
+    assert calls == ["disjoint"]
+
+
+def test_right_to_left_evaluates_nothing(monkeypatch):
+    calls = []
+    for name in ("eval_left", "eval_right"):
+        evaluate = getattr(polynomial, name)
+        monkeypatch.setattr(polynomial, name, lambda *args, name=name, evaluate=evaluate:
+                            calls.append(name) or evaluate(*args))
+    chain = random_chain(2, 3, np.random.default_rng(14))
+    right_to_left_solvent(reconstruct(chain), chain.factors[0])
+    assert calls == []
+
+
 def test_example1_printed_sets(example1):
     s1 = np.array([[3.0, 2.0], [-90.0, -15.0]])
     s2 = np.array([[-8.2908, 0.7118], [-16.84, 8.1248]])

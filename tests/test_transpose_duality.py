@@ -24,7 +24,10 @@ from blockpoly.transforms import (
     SOLVENT_GATE,
     chain_to_left_solvents,
     left_solvents_to_chain,
+    right_to_left_solvent,
 )
+
+from conftest import random_chain
 
 EPS = np.finfo(float).eps
 
@@ -157,3 +160,17 @@ def test_left_block_vandermonde_layout(solvents):
             tol = RECURRENCE_TOL * np.sqrt(m) * linalg.frob_norm(x) ** i
             assert linalg.frob_norm(block - power) <= tol
             power = x @ power
+
+
+def test_right_to_left_is_the_left_chains_first_step():
+    # R = Q_1 is the rightmost factor, so its left twin is the step that
+    # divides Q_1ᵀ out of pᵀ first: the last left solvent, bit for bit.
+    unequal = []
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        chain = random_chain(1 + seed % 4, 2 + seed // 4 % 3, rng)
+        p = reconstruct(chain)
+        got = right_to_left_solvent(p, chain.factors[0]).output
+        if not np.array_equal(got, chain_to_left_solvents(p, chain).solvents[-1]):
+            unequal.append(seed)
+    assert unequal == []
