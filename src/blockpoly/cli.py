@@ -148,17 +148,21 @@ def convert(input_file, direction, factors_file, solvents_file, out):
     except io.FileFormatError as exc:
         _fail_input(str(exc))
     _require_monic(p)
-    if direction.startswith("chain") and chain is None:
+    from_chain = direction.startswith("chain")
+    if from_chain and chain is None:
         _fail_input("--factors is required for chain-to-* conversions")
-    if not direction.startswith("chain") and solv is None:
+    if not from_chain and solv is None:
         _fail_input("--solvents is required for this conversion")
-    if chain is not None:
+    if (solv if from_chain else chain) is not None:
+        unused = "--solvents" if from_chain else "--factors"
+        _fail_input(f"--direction={direction} does not read {unused}")
+    if from_chain:
         _require(check_chain, p, chain)
-    if solv is not None:
+    else:
         _require(check_order, p, solv.solvents, "solvents")
-    side = direction.split("-")[0]    # the side of the solvents a conversion reads
-    if side != "chain" and solv.side != side:
-        _fail_input(f"--direction={direction} needs {side} solvents, got {solv.side} solvents")
+        side = direction.split("-")[0]    # the side of the solvents a conversion reads
+        if solv.side != side:
+            _fail_input(f"--direction={direction} needs {side} solvents, got {solv.side} solvents")
     _ensure_out(out)
     io.save_manifest(out, "convert", input_file, {"direction": direction})
     try:

@@ -4,15 +4,18 @@
 list of m x m blocks in the package (coefficients, chains, solvent sets) is
 the read-only float (k, m, m) stack that :func:`as_blocks` returns.
 
-``solve``/``invert`` run on LAPACK through ``numpy.linalg``.  :func:`invert`
-takes one matrix or a (k, n, n) stack and inverts it with one call of
-``np.linalg.inv``; :func:`solve` multiplies the right-hand side by that
-inverse.  Every gated inverse goes through the same two helpers:
-:func:`lapack_inverses`, the LAPACK call with a NaN inverse for each matrix
-LAPACK fails, and :func:`gate_inverses`, the certificate and then the arbiter
-below, on norms computed beforehand.  No function returns the norms.  ``qd``
-calls the two helpers directly, so that it can take the norms of a whole block
-of sweeps at once.
+``solve``/``invert`` run on LAPACK.  :func:`invert` takes one matrix or a
+(k, n, n) stack and inverts it with one call of :data:`lapack_inv`, the LAPACK
+gufunc that ``np.linalg.inv`` wraps, called without the wrapper;
+:func:`solve` multiplies the right-hand side by that inverse.  Every gated
+inverse goes through the same two steps: the LAPACK call, which returns a NaN
+inverse for each matrix LAPACK fails and the others' inverses as they are,
+and :func:`gate_inverses`, the certificate and then the arbiter below, on
+norms computed beforehand.  No function returns the
+norms.  :func:`invert` makes the call through :func:`lapack_inverses`; ``qd``
+calls :data:`lapack_inv` and :func:`gate_inverses` directly, so that it can
+write each sweep's inverses in place and take the norms of a whole block of
+sweeps at once.
 
 LAPACK does not expose its pivots, so the singularity decision is made by a
 certificate on the inverse.  With PA = LU and partial pivoting every
@@ -39,7 +42,8 @@ which the Newton step, the Fréchet matrix and both similarity transforms
 reduce to.  It is the one place that fixes the vec/Kronecker convention:
 ``vec`` stacks columns, so ``vec(C H X^k) = kron((X^k).T, C) vec(H)``, and
 :func:`sylvester_matrix` assembles J = Σ_j kron((X^{d-j}).T, C_j), of order
-n = m k for m x m coefficients C_j and a k x k X.  There are two routes.
+n = m k for m x m coefficients C_j and a k x k X, one broadcast product per
+term and no ``np.kron``.  There are two routes.
 
 * The dense route solves J vec(H) = vec(R) with the gated :func:`solve`.  It
   is the arbiter: every ``SingularSylvester`` comes from it, with the message
@@ -74,8 +78,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, SingularMatrix, SingularSylvester
+
+#: The LAPACK gufunc that ``np.linalg.inv`` calls, bound once.  Called directly
+#: it returns the same bits without the wrapper's checks and conversions, and
+#: for each matrix whose LU factorization meets an exact zero pivot a NaN
+#: inverse, where the wrapper raises ``LinAlgError`` for the whole stack.  It
+#: raises the floating-point ``invalid`` flag for such a matrix, so callers run
+#: it under ``np.errstate(invalid="ignore")``; ``qd`` calls it with ``out=``.
+lapack_inv = _umath_linalg.inv
 
 #: Relative pivot threshold: a pivot below ``PIVOT_RTOL * ||a||_F`` is singular.
 PIVOT_RTOL = 1e-12
@@ -155,22 +168,13 @@ def _lu_factor(a: np.ndarray, pivot_rtol: float) -> None:
 
 
 def lapack_inverses(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.inv`` of a (..., n, n) stack, NaN where LAPACK fails a matrix.
+    """LAPACK inverses of a (..., n, n) float stack, NaN where LAPACK fails a matrix.
 
-    The inverses are not gated: :func:`gate_inverses` decides which of them stand.
+    One call of :data:`lapack_inv`.  The inverses are not gated:
+    :func:`gate_inverses` decides which of them stand.
     """
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        # Some matrix has an exact zero pivot.  Invert one at a time; where
-        # LAPACK fails the NaN inverse sends the matrix to the arbiter.
-        inv = np.full(a.shape, np.nan)
-        for i in np.ndindex(a.shape[:-2]):
-            try:
-                inv[i] = np.linalg.inv(a[i])
-            except np.linalg.LinAlgError:
-                pass
-        return inv
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        return lapack_inv(a)
 
 
 def gate_inverses(a, inv, norms, inv_norms) -> None:
@@ -292,15 +296,22 @@ def sylvester_matrix(coeffs, x) -> np.ndarray:
     """The matrix S with vec(Σ_j C_j H X^{d-j}) = S vec(H), d = len(coeffs) - 1.
 
     S = Σ_j kron((X^{d-j}).T, C_j): one Kronecker term per coefficient, with
-    the powers of X built by one product each.
+    the powers of X built by one product each.  S is built as a (k, m, k, m)
+    array, so each term is one broadcast product written into a buffer; the
+    terms are summed from j = d down, and S equals the ``np.kron`` sum bit for
+    bit.
     """
     mats, x = _sylvester_operands(coeffs, x)
     d = len(mats) - 1
     powers = _powers(x, d)
-    s = np.kron(powers[0], mats[-1])
+    k, m = x.shape[0], mats.shape[1]
+    s = np.empty((k, m, k, m))
+    term = np.empty_like(s)
+    np.multiply(powers[0][:, None, :, None], mats[-1][None, :, None, :], out=s)
     for j in range(d - 1, -1, -1):
-        s += np.kron(powers[d - j].T, mats[j])
-    return s
+        np.multiply(powers[d - j].T[:, None, :, None], mats[j][None, :, None, :], out=term)
+        s += term
+    return s.reshape(k * m, k * m)
 
 
 def _spectral_sylvester(mats, x, powers, rhs):

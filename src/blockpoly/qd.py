@@ -21,13 +21,17 @@ RIGHTMOST factor of the chain (validated by reconstruction: only the
 dominant-rightmost ordering multiplies back to the input coefficients).
 
 The tableau is stored as stacked arrays, so a sweep is a few batched NumPy
-operations on all blocks at once: the Q-row update is one expression, the
-pivot blocks Q_0' .. Q_{l-2}' are inverted together by one LAPACK call, and the
-interior E-row is two batched products.
+operations on all blocks at once: the Q-row update is one addition and one
+subtraction, the pivot blocks Q_0' .. Q_{l-2}' are inverted together by one
+call of the LAPACK gufunc :data:`linalg.lapack_inv` (the one ``np.linalg.inv``
+wraps, without the wrapper's Python cost), and the interior E-row is two
+batched products.  Each of them writes its result in place.
 
 :func:`qd_run` runs the sweeps in blocks of up to ``_BLOCK``.  Within a block a
-sweep does only that arithmetic, into one preallocated buffer, and the LAPACK
-inverses are not yet gated.  After the block, one batched call takes the norms
+sweep does only that arithmetic, into one preallocated buffer, under one
+``np.errstate`` for the whole block, and the LAPACK inverses are not yet gated:
+a pivot that LAPACK fails gets a NaN inverse, which the gate rejects.  After
+the block, one batched call takes the norms
 of every pivot, inverse and interior E block of the block, and the relative
 E-norms of all its sweeps are computed as one array.  The decisions are then
 replayed sweep by sweep, in the order of a one-sweep loop:
@@ -138,18 +142,22 @@ def _sweeps(q, e, n):
     inverses of the pivots Q_0 .. Q_{l-2} (n, l-1, m, m), and the Frobenius
     norms of the pivots, of those inverses and of the interior E blocks, each
     (n, l-1).  The three stacks share one buffer, so one batched call takes
-    every norm.  A sweep after a singular pivot may overflow, but no caller
+    every norm; every block of it but the fixed zero E_0 and E_l is written by
+    the sweeps.  A sweep after a singular pivot may overflow, but no caller
     uses it.
     """
     l, m = q.shape[:2]
-    buf = np.zeros((n, 3 * l, m, m))
+    buf = np.empty((n, 3 * l, m, m))
     qs, es, invs = buf[:, :l], buf[:, l:2 * l + 1], buf[:, 2 * l + 1:]
-    with np.errstate(over="ignore", invalid="ignore"):
+    es[:, 0] = es[:, l] = 0.0
+    prod = np.empty((l - 1, m, m))
+    with np.errstate(all="ignore"):
         for new_q, new_e, inv in zip(qs, es, invs):
             np.add(q, e[1:], out=new_q)
             new_q -= e[:-1]
-            inv[...] = linalg.lapack_inverses(new_q[:-1])
-            np.matmul(new_q[1:] @ e[1:-1], inv, out=new_e[1:-1])
+            linalg.lapack_inv(new_q[:-1], out=inv)
+            np.matmul(new_q[1:], e[1:-1], out=prod)
+            np.matmul(prod, inv, out=new_e[1:-1])
             q, e = new_q, new_e
         norms = linalg.frob_norms(buf.reshape(-1, m, m)).reshape(n, 3 * l)
     return qs, es, invs, (norms[:, :l - 1], norms[:, 2 * l + 1:], norms[:, l + 1:2 * l])

@@ -463,6 +463,25 @@ def test_cli_convert_solvents_of_the_other_side_exit_1(runner, tmp_path, directi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("direction, unused", [
+    ("chain-to-right", "--solvents"),
+    ("chain-to-left", "--solvents"),
+    ("right-to-left", "--factors"),
+    ("right-to-chain", "--factors"),
+])
+def test_cli_convert_unused_input_file_exit_1(runner, tmp_path, direction, unused):
+    ppath = fixture_path("example1.json")
+    result = runner.invoke(main, ["factorize", ppath, "--solvents", f"--out={tmp_path}"])
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["convert", ppath, f"--direction={direction}",
+                                  f"--factors={tmp_path / 'factors.json'}",
+                                  f"--solvents={tmp_path / 'solvents_right.json'}",
+                                  f"--out={out}"])
+    _assert_exit_1(result, f"--direction={direction} does not read {unused}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("length", [2, 4])
 @pytest.mark.parametrize("command", [
     ["verify", "{p}", "--against={f}"],

@@ -103,12 +103,55 @@ def test_lapack_failure_on_accepted_matrix_is_singular(monkeypatch):
     assert exc.value.pivot_index is None
 
     def refuse(a):
-        raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(a.shape, np.nan)
 
-    monkeypatch.setattr(linalg.np.linalg, "inv", refuse)
+    monkeypatch.setattr(linalg, "lapack_inv", refuse)
     with pytest.raises(SingularMatrix) as exc:
         linalg.solve(np.eye(3), np.ones(3))
     assert exc.value.pivot_index is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+def test_lapack_inv_equals_numpy_inv(n):
+    # The bound gufunc is what np.linalg.inv calls; a NumPy release that
+    # moves or changes it fails here.
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((5, n, n)) + n * np.eye(n)
+    assert np.array_equal(linalg.lapack_inv(a), np.linalg.inv(a))
+    out = np.empty_like(a)
+    assert linalg.lapack_inv(a, out=out) is out
+    assert np.array_equal(out, np.linalg.inv(a))
+
+
+def test_lapack_inverses_are_nan_exactly_where_lapack_fails():
+    rng = np.random.default_rng(4)
+    stack = np.array([rng.standard_normal((3, 3)), np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]),
+                      np.eye(3), np.zeros((3, 3)), np.diag([1.0, 0.0, 2.0]),
+                      rng.standard_normal((3, 3))])
+    inv = linalg.lapack_inverses(stack)
+    for a, got in zip(stack, inv):
+        try:
+            want = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            assert np.isnan(got).all()
+        else:
+            assert np.array_equal(got, want)
+    assert np.isnan(inv).all(axis=(1, 2)).tolist() == [False, True, False, True, True, False]
+
+
+@pytest.mark.parametrize("m, k, d", [(1, 1, 2), (2, 2, 3), (2, 3, 2), (3, 1, 1), (5, 2, 0),
+                                     (8, 8, 2), (16, 16, 3)])
+def test_sylvester_matrix_equals_the_kron_sum(m, k, d):
+    rng = np.random.default_rng(10 * m + k + d)
+    coeffs = rng.standard_normal((d + 1, m, m))
+    x = rng.standard_normal((k, k))
+    powers = [np.eye(k)]
+    for _ in range(d):
+        powers.append(powers[-1] @ x)
+    want = np.kron(powers[0], coeffs[-1])
+    for j in range(d - 1, -1, -1):
+        want += np.kron(powers[d - j].T, coeffs[j])
+    assert np.array_equal(linalg.sylvester_matrix(coeffs, x), want)
 
 
 def test_import_loads_no_scipy():
