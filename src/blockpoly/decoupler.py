@@ -36,7 +36,7 @@ from .errors import (
     SingularMatrix,
 )
 from .pipeline import PipelineConfig, factorize_nonmonic
-from .polynomial import (MONIC_ATOL, MatrixPolynomial, SpectralFactorChain, companion_right,
+from .polynomial import (MatrixPolynomial, SpectralFactorChain, companion_right,
                          reconstruct)
 
 
@@ -59,7 +59,7 @@ class MFDSystem:
             raise DimensionMismatch(f"all coefficients must be {m}x{m}")
         if len(num) >= len(den):
             raise DimensionMismatch("need deg N < deg D")
-        if not np.allclose(den[-1], np.eye(m), rtol=0, atol=MONIC_ATOL):
+        if not MatrixPolynomial(den[::-1]).is_monic:
             raise DimensionMismatch("denominator must be monic (D_l = I)")
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)

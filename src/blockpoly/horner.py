@@ -72,14 +72,9 @@ class ConvergenceTrace:
     iterates: list = field(default_factory=list)
     deltas: list = field(default_factory=list)       # δ_k in percent
     residuals: list = field(default_factory=list)    # ||A_R(X_k)||_F
-    ratios: list = field(default_factory=list)       # successive δ ratios
 
     def append(self, x, delta_pct, residual):
         self.iterates.append(np.array(x))
-        if self.deltas and self.deltas[-1] > 0:
-            self.ratios.append(delta_pct / self.deltas[-1])
-        else:
-            self.ratios.append(float("nan"))
         self.deltas.append(delta_pct)
         self.residuals.append(residual)
 
@@ -151,7 +146,7 @@ def horner_iterate(p: MatrixPolynomial, cfg: IterConfig | None = None):
 
 
 def frechet_matrix(p: MatrixPolynomial, x) -> np.ndarray:
-    """The m² x m² matrix J with vec(dA_R(X; H)) = J vec(H), for monic p.
+    """The m² x m² matrix J with vec(dA_R(X; H)) = J vec(H), for any A_0.
 
     The product rule on Σ A_i X^{l-i} gathers, in front of H X^{l-1-j}, the
     quotient coefficient B_j = Σ_{i<=j} A_i X^{j-i} of right division by

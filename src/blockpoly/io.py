@@ -226,11 +226,13 @@ def save_trace_csv(path, traces):
 
 
 def iter_trace_rows(trace):
-    """Rows for a ConvergenceTrace."""
-    rows = []
+    """Rows for a ConvergenceTrace: aux column carries δ_k / δ_{k-1}, NaN
+    unless δ_{k-1} > 0."""
+    rows, prev = [], float("nan")
     for i, (d, r) in enumerate(zip(trace.deltas, trace.residuals)):
-        aux = trace.ratios[i] if i < len(trace.ratios) else float("nan")
-        rows.append([i, float(d), float(r), float(aux)])
+        ratio = d / prev if prev > 0 else float("nan")
+        rows.append([i, float(d), float(r), float(ratio)])
+        prev = d
     return rows
 
 

@@ -12,10 +12,9 @@ inverse goes through the same two steps: the LAPACK call, which returns a NaN
 inverse for each matrix LAPACK fails and the others' inverses as they are,
 and :func:`gate_inverses`, the certificate and then the arbiter below, on
 norms computed beforehand.  No function returns the
-norms.  :func:`invert` makes the call through :func:`lapack_inverses`; ``qd``
-calls :data:`lapack_inv` and :func:`gate_inverses` directly, so that it can
-write each sweep's inverses in place and take the norms of a whole block of
-sweeps at once.
+norms.  :func:`invert` and ``qd`` both call :data:`lapack_inv` and
+:func:`gate_inverses` directly; ``qd`` writes each sweep's inverses in place
+and takes the norms of a whole block of sweeps at once.
 
 LAPACK does not expose its pivots, so the singularity decision is made by a
 certificate on the inverse.  With PA = LU and partial pivoting every
@@ -167,16 +166,6 @@ def _lu_factor(a: np.ndarray, pivot_rtol: float) -> None:
         lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
 
 
-def lapack_inverses(a: np.ndarray) -> np.ndarray:
-    """LAPACK inverses of a (..., n, n) float stack, NaN where LAPACK fails a matrix.
-
-    One call of :data:`lapack_inv`.  The inverses are not gated:
-    :func:`gate_inverses` decides which of them stand.
-    """
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
-        return lapack_inv(a)
-
-
 def gate_inverses(a, inv, norms, inv_norms) -> None:
     """The certificate, then the arbiter, on a stack and its LAPACK inverses.
 
@@ -242,8 +231,8 @@ def invert(a) -> np.ndarray:
         raise DimensionMismatch(
             f"invert needs a square matrix or a (k, n, n) stack, got {a.shape}")
     stack = a[None] if a.ndim == 2 else a
-    inv = lapack_inverses(stack)
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
+        inv = lapack_inv(stack)
         inv_norms = frob_norms(inv)
     gate_inverses(stack, inv, frob_norms(stack), inv_norms)
     return inv[0] if a.ndim == 2 else inv

@@ -4,8 +4,9 @@ A degree-``l`` order-``m`` matrix polynomial is
 
     A(λ) = A_0 λ^l + A_1 λ^{l-1} + ... + A_l,
 
-stored with ``A_0`` first.  All solver modules require monic input
-(``A_0 = I``).  Spectral factor chains
+stored with ``A_0`` first.  Evaluation, division, deflation and the Fréchet
+matrix take any A_0; an entry that builds a companion form, a Q.D. tableau
+or a factor chain needs ``A_0 = I`` and checks it once.  Spectral factor chains
 
     A(λ) = (λI - Q_l) ... (λI - Q_2)(λI - Q_1)
 
@@ -30,7 +31,6 @@ Aᵀ(λ) = Sᵀ(λ)(λI - Xᵀ) + Rᵀ, so only the right-side recurrences are c
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -64,10 +64,10 @@ class MatrixPolynomial:
         """Polynomial degree."""
         return len(self.coeffs) - 1
 
-    @cached_property
+    @property
     def is_monic(self) -> bool:
-        """A_0 = I to ``MONIC_ATOL``; computed once, the coefficients are frozen."""
-        return bool(np.allclose(self.coeffs[0], np.eye(self.m), rtol=0, atol=MONIC_ATOL))
+        """A_0 = I to ``MONIC_ATOL`` in every entry, with no relative tolerance."""
+        return bool((np.abs(self.coeffs[0] - np.eye(self.m)) <= MONIC_ATOL).all())
 
     def require_monic(self):
         if not self.is_monic:
@@ -142,11 +142,7 @@ class CompletenessReport:
 
 def _transpose(p: MatrixPolynomial) -> MatrixPolynomial:
     """pᵀ: the λ-matrix whose coefficients are the transposed A_i."""
-    t = MatrixPolynomial(p.coeffs.transpose(0, 2, 1))
-    if "is_monic" in vars(p):
-        # A_0ᵀ is as close to I as A_0, entry for entry.
-        vars(t)["is_monic"] = p.is_monic
-    return t
+    return MatrixPolynomial(p.coeffs.transpose(0, 2, 1))
 
 
 def _square(p: MatrixPolynomial, x) -> np.ndarray:
@@ -172,14 +168,14 @@ def eval_left(p: MatrixPolynomial, x) -> np.ndarray:
 
 
 def synthetic_div_right(p: MatrixPolynomial, x):
-    """Divide A(λ) = Q(λ)(λI - X) + R on the right.
+    """Divide A(λ) = Q(λ)(λI - X) + R on the right, for any A_0.
 
-    Returns ``(quotient, remainder)``.  The recurrence B_0 = I,
-    B_k = A_k + B_{k-1} X gives the quotient coefficients B_0..B_{l-1}, and
-    its last term B_l = A_R(X) is the remainder.  A non-finite quotient
+    Returns ``(quotient, remainder)``.  The recurrence B_0 = A_0,
+    B_k = A_k + B_{k-1} X gives the quotient coefficients B_0..B_{l-1}, so
+    the quotient leads with A_0, and its last term B_l = A_R(X) is the
+    remainder (the generalized Bézout theorem).  A non-finite quotient
     raises ``DimensionMismatch``.
     """
-    p.require_monic()
     x = _square(p, x)
     if p.l == 0:
         raise DimensionMismatch("cannot divide a degree-0 polynomial")
@@ -190,8 +186,8 @@ def synthetic_div_right(p: MatrixPolynomial, x):
 
 
 def synthetic_div_left(p: MatrixPolynomial, x):
-    """Divide A(λ) = (λI - X) S(λ) + R on the left, as the transpose of the
-    right division of pᵀ by (λI - Xᵀ)."""
+    """Divide A(λ) = (λI - X) S(λ) + A_L(X) on the left, for any A_0, as the
+    transpose of the right division of pᵀ by (λI - Xᵀ); S leads with A_0."""
     quotient, remainder = synthetic_div_right(_transpose(p), _square(p, x).T)
     return _transpose(quotient), remainder.T
 
@@ -291,7 +287,6 @@ def reconstruct(chain: SpectralFactorChain) -> MatrixPolynomial:
 
 def latent_roots(p: MatrixPolynomial) -> np.ndarray:
     """The ml latent roots: eigenvalues of the right block companion."""
-    p.require_monic()
     return linalg.eigvals(companion_right(p))
 
 

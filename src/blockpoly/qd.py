@@ -60,7 +60,6 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     NoConvergence,
-    NotMonic,
     SingularCoefficient,
     SingularMatrix,
     SingularPivot,
@@ -115,12 +114,11 @@ class QDTrace:
 def qd_init(p: MatrixPolynomial) -> QDTableau:
     """Build the initial tableau row from the polynomial coefficients.
 
-    Requires degree l >= 1 and A_1 ... A_{l-1} nonsingular (the LR derivation
-    forms the quotients A_{k+1} A_k^{-1}).  The interior E blocks carry the
-    positive sign fixed by the scalar-reduction oracle.
+    Requires a monic p of degree l >= 1 and A_1 ... A_{l-1} nonsingular (the
+    LR derivation forms the quotients A_{k+1} A_k^{-1}).  The interior E
+    blocks carry the positive sign fixed by the scalar-reduction oracle.
     """
-    if not p.is_monic:
-        raise NotMonic("Q.D. requires a monic polynomial")
+    p.require_monic()
     m, l = p.m, p.l
     if l < 1:
         raise DimensionMismatch("Q.D. needs degree >= 1")

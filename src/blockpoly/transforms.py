@@ -90,6 +90,7 @@ def right_to_left_solvent(p: MatrixPolynomial, r, gate: float = SOLVENT_GATE) ->
     the leftmost factor of Aᵀ(λ) = Bᵀ(λ)(λI - Rᵀ), so Lᵀ is the similarity
     step of :func:`chain_to_right_solvents` on (Bᵀ, Rᵀ) with P = Qᵀ.
     """
+    p.require_monic()
     quotient, rel = deflate_right(p, r)
     if rel > gate:
         raise InputNotSolvent(f"right-solvent residual {rel:.3e} exceeds gate {gate:.1e}")
@@ -199,7 +200,8 @@ def left_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFactor
 
 
 def deflate_right(p: MatrixPolynomial, q):
-    """Divide out a rightmost factor (λI - Q): returns the quotient and the
-    discarded remainder's ‖·‖_F relative to ``p.coefficient_scale()``."""
+    """Divide out a rightmost factor (λI - Q) of any λ-matrix: returns the
+    quotient, which leads with A_0, and the discarded remainder's ‖·‖_F
+    relative to ``p.coefficient_scale()``."""
     quotient, remainder = synthetic_div_right(p, q)
     return quotient, linalg.frob_norm(remainder) / p.coefficient_scale()

@@ -104,6 +104,27 @@ def test_frechet_finite_difference():
         assert err <= 1e-5 * max(1.0, np.linalg.norm(j @ linalg.vec(h)))
 
 
+def test_frechet_finite_difference_of_any_leading_coefficient():
+    # The product rule holds for every A_0, singular ones included.
+    rng = np.random.default_rng(8)
+    for case in range(20):
+        m = int(rng.integers(1, 4))
+        l = int(rng.integers(1, 4))
+        a0 = rng.standard_normal((m, m))
+        if case % 2:
+            a0[:, 0] = 0.0
+        p = MatrixPolynomial([a0] + [rng.standard_normal((m, m)) for _ in range(l)])
+        assert not p.is_monic
+        x = rng.standard_normal((m, m))
+        h = rng.standard_normal((m, m))
+        h /= linalg.frob_norm(h)
+        j = frechet_matrix(p, x)
+        step = 1e-5
+        fd = (eval_right(p, x + step * h) - eval_right(p, x - step * h)) / (2 * step)
+        err = np.linalg.norm(j @ linalg.vec(h) - linalg.vec(fd))
+        assert err <= 1e-5 * max(1.0, np.linalg.norm(j @ linalg.vec(h)))
+
+
 def test_newton_horner_scalar_quadratic_decay():
     p = scalar_polynomial([1.0, -3.0, 2.0])
     x, trace = newton_horner(p, IterConfig(x0=[[1.8]]))

@@ -1,6 +1,6 @@
 """Every module-level import in ``src/blockpoly`` is referenced, every
-error class is raised, and every module-level private function is used by
-the package itself.
+error class is raised, every module-level private function is used by the
+package itself, and every public one has a reader outside tests.
 
 No linter runs on the package, so this keeps deleted code from leaving its
 imports, its error classes or its helpers behind (a helper that only tests
@@ -12,8 +12,17 @@ import pathlib
 
 import pytest
 
+from test_bench_spans import _load_tracer
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "blockpoly"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+#: Public functions that nothing in the package, the API or the bench reads.
+KEPT_PUBLIC = {
+    ("horner", "convergence_bounds_check"): "the residual sandwich of acceptance criterion 8",
+    ("io", "save_polynomial"): "the writer of the file format that load_polynomial reads",
+    ("qd", "qd_step"): "the one-sweep form that tests drive on arbitrary tableaux",
+}
 
 
 def _unused_imports(path):
@@ -70,6 +79,11 @@ def _references():
                     yield path, owner, node.attr
 
 
+def _read_elsewhere(refs, path, name):
+    """Whether a top-level statement other than ``name``'s own def reads it."""
+    return any(ref == name and (where, owner) != (path, name) for where, owner, ref in refs)
+
+
 def test_every_private_function_is_used_in_the_package():
     private = {(path, node.name) for path in MODULES
                for node in ast.parse(path.read_text(encoding="utf-8")).body
@@ -77,6 +91,43 @@ def test_every_private_function_is_used_in_the_package():
                and not node.name.startswith("__")}
     refs = set(_references())
     unused = [f"{path.name}:{name}" for path, name in private
-              if not any(ref == name and (where, owner) != (path, name)
-                         for where, owner, ref in refs)]
+              if not _read_elsewhere(refs, path, name)]
     assert sorted(unused) == []
+
+
+def _top_functions(path):
+    return [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef)]
+
+
+def _is_click_command(node):
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def test_every_public_function_has_a_reader():
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {(node.module, a.name) for node in init.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    traced = {(home.rsplit(".", 1)[-1], name) for home, name in _load_tracer().SPANS}
+    refs = set(_references())
+    unread = []
+    for path in MODULES:
+        for node in _top_functions(path):
+            key = (path.stem, node.name)
+            if (node.name.startswith("_") or key in exported or key in traced
+                    or key in KEPT_PUBLIC or _is_click_command(node)):
+                continue
+            if not _read_elsewhere(refs, path, node.name):
+                unread.append(f"{path.name}:{node.name}")
+    assert sorted(unread) == []
+
+
+def test_kept_public_functions_exist_and_have_no_other_reader():
+    # An allowlist entry that a rename left behind, or that a new reader made
+    # unnecessary, is removed.
+    refs = set(_references())
+    for (module, name), reason in KEPT_PUBLIC.items():
+        path = SRC / f"{module}.py"
+        assert reason and name in {node.name for node in _top_functions(path)}
+        assert not _read_elsewhere(refs, path, name), f"{module}.{name} has a reader"

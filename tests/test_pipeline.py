@@ -28,7 +28,7 @@ from blockpoly.polynomial import (
     SpectralFactorChain,
     reconstruct,
 )
-from blockpoly.qd import QDConfig
+from blockpoly.qd import QDConfig, qd_run
 
 from conftest import random_chain, scalar_polynomial, singular_a1, spectrum_pair_error
 
@@ -257,6 +257,49 @@ def test_leading_coefficient_off_identity_is_not_monic():
     p = MatrixPolynomial([[[1.0 + 5e-6]], [[-3.0]], [[2.0]]])
     with pytest.raises(NotMonic):
         full_factorize(p)
+
+
+def _nearly_monic():
+    """A chain's product with A_0 = I + 2e-12 E, its chain and solvents."""
+    chain = SpectralFactorChain([np.diag([5.0, 6.0]), np.diag([1.0, 2.0])])
+    coeffs = np.array(reconstruct(chain).coeffs)
+    coeffs[0] += 2e-12 * np.ones((2, 2))
+    right = SolventSet("right", chain.factors[::-1])
+    return MatrixPolynomial(coeffs), chain, right, SolventSet("left", right.solvents)
+
+
+#: Every public entry that needs a monic polynomial, called so that the
+#: monic test is the first check that can fail.
+MONIC_ENTRIES = {
+    "companion_right": lambda p, chain, right, left: polynomial.companion_right(p),
+    "latent_roots": lambda p, chain, right, left: polynomial.latent_roots(p),
+    "qd_run": lambda p, chain, right, left: qd_run(p),
+    "horner_iterate": lambda p, chain, right, left: horner.horner_iterate(p),
+    "newton_horner": lambda p, chain, right, left: horner.newton_horner(p),
+    "two_stage": lambda p, chain, right, left: horner.two_stage(p),
+    "refine_chain": lambda p, chain, right, left: pipeline.refine_chain(p, PipelineConfig()),
+    "full_factorize": lambda p, chain, right, left: full_factorize(p),
+    "full_solvent_sets": lambda p, chain, right, left: full_solvent_sets(p),
+    "chain_to_right_solvents":
+        lambda p, chain, right, left: transforms.chain_to_right_solvents(p, chain),
+    "chain_to_left_solvents":
+        lambda p, chain, right, left: transforms.chain_to_left_solvents(p, chain),
+    "right_solvents_to_chain":
+        lambda p, chain, right, left: transforms.right_solvents_to_chain(p, right),
+    "left_solvents_to_chain":
+        lambda p, chain, right, left: transforms.left_solvents_to_chain(p, left),
+    "right_to_left_solvent":
+        lambda p, chain, right, left: transforms.right_to_left_solvent(p, chain.factors[0]),
+    "verify": lambda p, chain, right, left: verify(p, chain=chain),
+}
+
+
+@pytest.mark.parametrize("entry", list(MONIC_ENTRIES))
+def test_entries_that_need_monic_input_raise_not_monic(entry):
+    # Division, deflation and the Fréchet matrix take any A_0; these build a
+    # companion form, a Q.D. tableau or a factor chain, and check A_0 = I.
+    with pytest.raises(NotMonic):
+        MONIC_ENTRIES[entry](*_nearly_monic())
 
 
 #: example3's Q.D. seeds do not refine under these two methods (its failed

@@ -5,6 +5,7 @@ from blockpoly import linalg
 from blockpoly.decoupler import MFDSystem
 from blockpoly.errors import DimensionMismatch, NotMonic
 from blockpoly.polynomial import (
+    MONIC_ATOL,
     MatrixPolynomial,
     SolventSet,
     SpectralFactorChain,
@@ -98,6 +99,38 @@ def test_division_identity_at_scalars():
             )
 
 
+def _leading_coefficients(rng, m):
+    """Non-monic A_0: a general, a rank-1, a zero and a scaled identity."""
+    u, v = rng.standard_normal((2, m, 1))
+    return [rng.standard_normal((m, m)), u @ v.T, np.zeros((m, m)), 3.0 * np.eye(m)]
+
+
+@pytest.mark.parametrize("m, l", [(1, 1), (2, 1), (2, 3), (3, 2), (4, 4)])
+def test_division_of_any_leading_coefficient_reconstructs(m, l):
+    # A(λ) = Q(λ)(λI - X) + A_R(X) = (λI - X) S(λ) + A_L(X) for every A_0
+    # (the generalized Bézout theorem), with Q and S leading with A_0.
+    rng = np.random.default_rng(10 * m + l)
+    for a0 in _leading_coefficients(rng, m):
+        p = MatrixPolynomial([a0] + list(rng.standard_normal((l, m, m))))
+        x = rng.standard_normal((m, m))
+        q, rem_r = synthetic_div_right(p, x)
+        s, rem_l = synthetic_div_left(p, x)
+        assert np.array_equal(rem_r, eval_right(p, x))
+        assert np.array_equal(rem_l, eval_left(p, x))
+        assert np.array_equal(q.coeffs[0], a0) and np.array_equal(s.coeffs[0], a0)
+        right = np.zeros_like(p.coeffs)
+        right[:l] += q.coeffs
+        right[1:] -= q.coeffs @ x
+        right[l] += rem_r
+        left = np.zeros_like(p.coeffs)
+        left[:l] += s.coeffs
+        left[1:] -= x @ s.coeffs
+        left[l] += rem_l
+        scale = linalg.frob_norms(q.coeffs).max() * (1 + linalg.frob_norm(x))
+        for got in (right, left):
+            assert linalg.frob_norms(got - p.coeffs).max() <= 1e-14 * max(1.0, scale)
+
+
 def test_scalar_division_left_right_agree():
     p = scalar_polynomial([1.0, 2.0, -5.0, 1.0])
     x = [[0.7]]
@@ -119,6 +152,21 @@ def test_companion_requires_monic():
     p = MatrixPolynomial([2 * np.eye(2), np.eye(2)])
     with pytest.raises(NotMonic):
         companion_right(p)
+
+
+@pytest.mark.parametrize("pattern", ["ones", "corner", "diagonal", "signs"])
+def test_is_monic_is_the_absolute_entrywise_test(pattern):
+    # The same decision as np.allclose(A_0, I, rtol=0, atol=MONIC_ATOL) on
+    # either side of MONIC_ATOL, and at MONIC_ATOL itself.
+    e = {"ones": np.ones((3, 3)), "corner": np.eye(3, k=-2), "diagonal": np.eye(3),
+         "signs": np.random.default_rng(3).choice([-1.0, 1.0], (3, 3))}[pattern]
+    decisions = set()
+    for t in MONIC_ATOL * np.array([0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0]):
+        for a0 in (np.eye(3) + t * e, np.eye(3) - t * e):
+            want = bool(np.allclose(a0, np.eye(3), rtol=0, atol=MONIC_ATOL))
+            assert MatrixPolynomial([a0, np.zeros((3, 3))]).is_monic == want
+            decisions.add(want)
+    assert decisions == {True, False}
 
 
 def test_block_vandermonde_trivial():
