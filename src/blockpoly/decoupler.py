@@ -16,8 +16,7 @@ cancels the N_k factors bracketing the chain, a fact checked directly by the
 closed-loop identity test.
 
 Feedback gains are reported in block-controller coordinates,
-K_ci = D_di - D_i; an optional user-supplied basis transform T_c maps them to
-the original state basis.
+K_ci = D_di - D_i.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .errors import (
     SingularLeadingCoefficient,
     SingularMatrix,
 )
-from .pipeline import PipelineConfig, factorize_nonmonic
+from .pipeline import factorize_nonmonic
 from .polynomial import (MatrixPolynomial, SpectralFactorChain, companion_right,
                          reconstruct)
 
@@ -85,12 +84,6 @@ class MFDSystem:
     def denominator_polynomial(self) -> MatrixPolynomial:
         return MatrixPolynomial(self.denominator[::-1])
 
-    def eval_numerator(self, lam) -> np.ndarray:
-        return self.numerator_polynomial().eval_scalar(lam)
-
-    def eval_denominator(self, lam) -> np.ndarray:
-        return self.denominator_polynomial().eval_scalar(lam)
-
 
 @dataclass
 class DecouplingResult:
@@ -104,12 +97,9 @@ class DecouplingResult:
     zero_chain: SpectralFactorChain | None  # numerator block zeros, rightmost-first
     zero_residuals: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
-    K: np.ndarray | None = None           # only when T_c was supplied
 
 
-def design_decoupling(sys: MFDSystem, modes: list,
-                      cfg: PipelineConfig | None = None,
-                      t_c: np.ndarray | None = None) -> DecouplingResult:
+def design_decoupling(sys: MFDSystem, modes: list) -> DecouplingResult:
     """Design the decoupling feedback for ``sys`` with desired mode blocks.
 
     ``modes`` supplies the l - k diagonal blocks J_1..J_{l-k}.
@@ -133,9 +123,7 @@ def design_decoupling(sys: MFDSystem, modes: list,
 
     if k > 0:
         try:
-            _, zero_chain, zero_report, _ = factorize_nonmonic(
-                sys.numerator_polynomial(), cfg
-            )
+            _, zero_chain, zero_report, _ = factorize_nonmonic(sys.numerator_polynomial())
         except BlockPolyError as exc:
             raise NumeratorFactorizationFailed(str(exc)) from exc
         zero_residuals = list(zero_report.per_factor_residuals)
@@ -153,7 +141,7 @@ def design_decoupling(sys: MFDSystem, modes: list,
 
     # K_ci = D_di - D_i in ascending index i = 0..l-1 (dd.coeffs is descending).
     kc = dd.coeffs[:0:-1] - sys.denominator[:-1]
-    result = DecouplingResult(
+    return DecouplingResult(
         F=n_lead_inv,
         desired_chain=desired_chain,
         Dd=dd,
@@ -163,11 +151,6 @@ def design_decoupling(sys: MFDSystem, modes: list,
         zero_residuals=zero_residuals,
         warnings=warnings,
     )
-    if t_c is not None:
-        t_c = linalg.as_matrix(t_c)
-        kc_row = np.hstack(kc)
-        result.K = kc_row @ t_c
-    return result
 
 
 def closed_loop_eval(sys: MFDSystem, res: DecouplingResult, lam):
@@ -177,16 +160,12 @@ def closed_loop_eval(sys: MFDSystem, res: DecouplingResult, lam):
     h_closed = N(λ) D_d(λ)^{-1} F and target = Π (λI - J_i)^{-1}.
     """
     lam = complex(lam)
-    n_val = sys.eval_numerator(lam)
+    n_val = sys.numerator_polynomial().eval_scalar(lam)
     dd_val = res.Dd.eval_scalar(lam)
-    try:
-        dd_inv = np.linalg.inv(dd_val)
-    except np.linalg.LinAlgError as exc:
-        raise SingularAtLambda(f"D_d({lam}) is singular") from exc
     cond = np.linalg.cond(dd_val)
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularAtLambda(f"D_d({lam}) is numerically singular")
-    h_closed = n_val @ dd_inv @ res.F
+    h_closed = n_val @ np.linalg.inv(dd_val) @ res.F
     m = sys.m
     target = np.eye(m, dtype=complex)
     for j in res.J_blocks:

@@ -57,9 +57,9 @@ class NoConvergence(BlockPolyError):
 class SingularCoefficient(BlockPolyError):
     """A required interior coefficient A_k is singular (Q.D. initialization)."""
 
-    def __init__(self, k, message=None):
+    def __init__(self, k):
         self.k = k
-        super().__init__(message or f"coefficient A_{k} is singular")
+        super().__init__(f"coefficient A_{k} is singular")
 
 
 class SingularPivot(BlockPolyError):
@@ -68,12 +68,10 @@ class SingularPivot(BlockPolyError):
     Signals dominance-order breakdown or equal-modulus block eigenvalues.
     """
 
-    def __init__(self, block_index, sweep, message=None):
+    def __init__(self, block_index, sweep):
         self.block_index = block_index
         self.sweep = sweep
-        super().__init__(
-            message or f"Q-block {block_index} singular at sweep {sweep}"
-        )
+        super().__init__(f"Q-block {block_index} singular at sweep {sweep}")
 
 
 class SingularStep(BlockPolyError):
@@ -91,33 +89,27 @@ class InputNotSolvent(BlockPolyError):
 class RankDeficientTransformer(BlockPolyError):
     """A similarity transformer failed its rank-m check."""
 
-    def __init__(self, index, message=None):
+    def __init__(self, index):
         self.index = index
-        super().__init__(message or f"transformer {index} is rank deficient")
+        super().__init__(f"transformer {index} is rank deficient")
 
 
 class DeflationResidualLarge(BlockPolyError):
     """A chain→solvent step's left division left a remainder above the gate."""
 
-    def __init__(self, index, residual, message=None):
+    def __init__(self, index, residual):
         self.index = index
         self.residual = residual
-        super().__init__(
-            message
-            or f"deflation at factor {index} left residual {residual:.3e}"
-        )
+        super().__init__(f"deflation at factor {index} left residual {residual:.3e}")
 
 
 class SolventResidualLarge(BlockPolyError):
     """A chain→solvent step emitted a solvent above the residual gate."""
 
-    def __init__(self, index, residual, message=None):
+    def __init__(self, index, residual):
         self.index = index
         self.residual = residual
-        super().__init__(
-            message
-            or f"solvent from transform step {index} has residual {residual:.3e}"
-        )
+        super().__init__(f"solvent from transform step {index} has residual {residual:.3e}")
 
 
 class SpectrumOverlap(BlockPolyError):

@@ -199,9 +199,9 @@ class BoundsReport:
     ratio_trend: list = field(default_factory=list)
 
 
-def convergence_bounds_check(p: MatrixPolynomial, trace: ConvergenceTrace,
-                             tail: int = 5) -> BoundsReport:
-    """Verify the residual sandwich ξ_k/(γ M) style bounds on a trace tail.
+def convergence_bounds_check(p: MatrixPolynomial, trace: ConvergenceTrace) -> BoundsReport:
+    """Verify the residual sandwich ξ_k/(γ M) style bounds on the last five
+    steps of a trace of at least five iterates (four steps when it has five).
 
     The exact identity behind the bounds: for the plain Horner step,
     X_{k+1} - X_k = X_k inv(A_l - A_R(X_k)) A_R(X_k), hence with
@@ -213,10 +213,9 @@ def convergence_bounds_check(p: MatrixPolynomial, trace: ConvergenceTrace,
     Also reports the successive-error ratio trend (→ 1 for the linear plain
     scheme, well below 1 for Newton).
     """
-    if len(trace.iterates) < max(tail, 5):
-        raise InsufficientTrace(
-            f"need at least {max(tail, 5)} iterates, got {len(trace.iterates)}"
-        )
+    tail = 5
+    if len(trace.iterates) < tail:
+        raise InsufficientTrace(f"need at least {tail} iterates, got {len(trace.iterates)}")
     report = BoundsReport()
     report.delta_norm = linalg.frob_norm(p.coeffs[p.l])
     report.gamma = linalg.frob_norm(linalg.invert(p.coeffs[p.l]))

@@ -199,7 +199,6 @@ def report_to_dict(report) -> dict:
             "complete": c.complete,
             "spectrum_union_matches": c.spectrum_union_matches,
             "pairwise_disjoint": c.pairwise_disjoint,
-            "vandermonde_det": c.vandermonde_det,
             "vandermonde_cond": c.vandermonde_cond,
         }
     return d

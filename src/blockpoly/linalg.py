@@ -239,7 +239,10 @@ def invert(a) -> np.ndarray:
 
 
 def det(a) -> float:
-    """Determinant from LAPACK's LU factorization."""
+    """Determinant from LAPACK's LU factorization.
+
+    No package code calls it; it stays while ``bench/tracer.py`` names it.
+    """
     return float(np.linalg.det(as_matrix(a)))
 
 

@@ -163,9 +163,9 @@ def solvent_sets(p: MatrixPolynomial, chain: SpectralFactorChain,
     return right, left
 
 
-def full_solvent_sets(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
+def full_solvent_sets(p: MatrixPolynomial):
     """Factorize, then convert the chain to right and left solvent sets."""
-    chain, report, _ = full_factorize(p, cfg)
+    chain, report, _ = full_factorize(p)
     right, left = solvent_sets(p, chain, report)
     return right, left, report
 
@@ -205,15 +205,14 @@ def verify(p: MatrixPolynomial, chain: SpectralFactorChain | None = None,
     return report
 
 
-def factorize_nonmonic(n_poly: MatrixPolynomial, cfg: PipelineConfig | None = None):
+def factorize_nonmonic(n_poly: MatrixPolynomial):
     """Factorize a possibly non-monic polynomial N(λ) = N_k Π (λI - Z_i).
 
     Normalizes by the leading coefficient (inv(N_k) N(λ)), factorizes the
     monic part, and returns ``(leading, chain, report, traces)``.
     """
-    cfg = cfg or PipelineConfig()
     lead = n_poly.coeffs[0]
     monic = linalg.invert(lead) @ n_poly.coeffs
     monic[0] = np.eye(n_poly.m)
-    chain, report, traces = full_factorize(MatrixPolynomial(monic), cfg)
+    chain, report, traces = full_factorize(MatrixPolynomial(monic))
     return lead, chain, report, traces

@@ -50,7 +50,7 @@ from .polynomial import (
     synthetic_div_right,
 )
 
-#: Default relative-residual gate for matrices claimed to be solvents/factors.
+#: Relative-residual gate for matrices claimed to be solvents/factors.
 SOLVENT_GATE = 1e-6
 
 #: σ_min / σ_max at or below this fails the rank-m check.
@@ -83,7 +83,7 @@ def _similarity_step(quotient: MatrixPolynomial, q: np.ndarray, index: int):
     return pmat, _conjugate(pmat, q, index)
 
 
-def right_to_left_solvent(p: MatrixPolynomial, r, gate: float = SOLVENT_GATE) -> TransformResult:
+def right_to_left_solvent(p: MatrixPolynomial, r) -> TransformResult:
     """Convert a right solvent R into a left solvent L = Q^{-1} R Q.
 
     With B(λ) the quotient of A(λ) divided by (λI - R) on the right, Rᵀ is
@@ -92,8 +92,9 @@ def right_to_left_solvent(p: MatrixPolynomial, r, gate: float = SOLVENT_GATE) ->
     """
     p.require_monic()
     quotient, rel = deflate_right(p, r)
-    if rel > gate:
-        raise InputNotSolvent(f"right-solvent residual {rel:.3e} exceeds gate {gate:.1e}")
+    if rel > SOLVENT_GATE:
+        raise InputNotSolvent(
+            f"right-solvent residual {rel:.3e} exceeds gate {SOLVENT_GATE:.1e}")
     pmat, left = _similarity_step(_transpose(quotient), linalg.as_matrix(r).T, 0)
     return TransformResult(output=left.T, transformer=pmat.T)
 
@@ -108,7 +109,7 @@ def _check_disjoint(chain: SpectralFactorChain):
         )
 
 
-def _chain_solvents(p: MatrixPolynomial, chain: SpectralFactorChain, gate: float) -> SolventSet:
+def _chain_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> SolventSet:
     """The right solvents of a checked chain, leftmost factor first."""
     current = p
     solvents = []
@@ -118,18 +119,17 @@ def _chain_solvents(p: MatrixPolynomial, chain: SpectralFactorChain, gate: float
         if current.l > 1:
             current, remainder = synthetic_div_left(current, q)
             rem = linalg.frob_norm(remainder) / scale
-            if rem > gate:
+            if rem > SOLVENT_GATE:
                 raise DeflationResidualLarge(step, rem)
             solvent = _similarity_step(current, q, step)[1]
         res = residual_right(p, solvent)
-        if res > gate:
+        if res > SOLVENT_GATE:
             raise SolventResidualLarge(step, res)
         solvents.append(solvent)
     return SolventSet("right", solvents)
 
 
-def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
-                            gate: float = SOLVENT_GATE) -> SolventSet:
+def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> SolventSet:
     """Recover the complete right solvent set from a factor chain.
 
     Processes the chain leftmost-first; each step left-divides the current
@@ -141,11 +141,10 @@ def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
     p.require_monic()
     check_chain(p, chain)
     _check_disjoint(chain)
-    return _chain_solvents(p, chain, gate)
+    return _chain_solvents(p, chain)
 
 
-def chain_to_left_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
-                           gate: float = SOLVENT_GATE) -> SolventSet:
+def chain_to_left_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> SolventSet:
     """Recover the complete left solvent set from a factor chain.
 
     The right solvents of pᵀ from the transposed chain, transposed back and
@@ -153,12 +152,34 @@ def chain_to_left_solvents(p: MatrixPolynomial, chain: SpectralFactorChain,
     is the k-th factor from the right, the order in which this side
     divides them out.
     """
+    p.require_monic()
     check_chain(p, chain)
     _check_disjoint(chain)
-    p.require_monic()
     dual = SpectralFactorChain(chain.factors[::-1].transpose(0, 2, 1))
-    right = _chain_solvents(_transpose(p), dual, gate)
+    right = _chain_solvents(_transpose(p), dual)
     return SolventSet("left", right.solvents[::-1].transpose(0, 2, 1))
+
+
+def _check_set(p: MatrixPolynomial, s: SolventSet, side: str) -> None:
+    """Monic p, then a ``side`` set of p.l solvents, then p's order."""
+    p.require_monic()
+    if s.side != side or len(s) != p.l:
+        raise IncompleteSet(
+            f"need a complete {side} set of {p.l} solvents, got {len(s)} ({s.side})"
+        )
+    check_order(p, s.solvents, "solvents")
+
+
+def _solvents_to_factors(r: np.ndarray) -> np.ndarray:
+    """The factors, rightmost first, that the recursion builds from a stack
+    of right solvents."""
+    l, m = r.shape[:2]
+    n_mats = np.tile(np.eye(m), (l, 1, 1))    # n_mats[j] = N_k(R_j)
+    factors = np.empty(r.shape)
+    for k in range(l):
+        factors[k] = _conjugate(n_mats[k], r[k], k)
+        n_mats[k + 1:] = n_mats[k + 1:] @ r[k + 1:] - factors[k] @ n_mats[k + 1:]
+    return factors
 
 
 def right_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFactorChain:
@@ -169,19 +190,8 @@ def right_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFacto
     N_k(R_j) = N_{k-1}(R_j) R_j - Q_k N_{k-1}(R_j); Q_1 = R_1 becomes the
     rightmost factor, so the chain is emitted in recursion order.
     """
-    p.require_monic()
-    if s.side != "right" or len(s) != p.l:
-        raise IncompleteSet(
-            f"need a complete right set of {p.l} solvents, got {len(s)} ({s.side})"
-        )
-    check_order(p, s.solvents, "solvents")
-    r = s.solvents
-    n_mats = np.tile(np.eye(p.m), (p.l, 1, 1))    # n_mats[j] = N_k(R_j)
-    factors = np.empty(r.shape)
-    for k in range(p.l):
-        factors[k] = _conjugate(n_mats[k], r[k], k)
-        n_mats[k + 1:] = n_mats[k + 1:] @ r[k + 1:] - factors[k] @ n_mats[k + 1:]
-    return SpectralFactorChain(factors)
+    _check_set(p, s, "right")
+    return SpectralFactorChain(_solvents_to_factors(s.solvents))
 
 
 def left_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFactorChain:
@@ -190,13 +200,9 @@ def left_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFactor
     The chain of pᵀ built from the transposed solvents, with its factors
     transposed and reversed: Q from L_1 is the LEFTMOST factor of p.
     """
-    if s.side != "left" or len(s) != p.l:
-        raise IncompleteSet(
-            f"need a complete left set of {p.l} solvents, got {len(s)} ({s.side})"
-        )
-    dual = SolventSet("right", s.solvents.transpose(0, 2, 1))
-    chain = right_solvents_to_chain(_transpose(p), dual)
-    return SpectralFactorChain(chain.factors[::-1].transpose(0, 2, 1))
+    _check_set(p, s, "left")
+    factors = _solvents_to_factors(s.solvents.transpose(0, 2, 1))
+    return SpectralFactorChain(factors[::-1].transpose(0, 2, 1))
 
 
 def deflate_right(p: MatrixPolynomial, q):

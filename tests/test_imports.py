@@ -1,6 +1,7 @@
 """Every module-level import in ``src/blockpoly`` is referenced, every
 error class is raised, every module-level private function is used by the
-package itself, and every public one has a reader outside tests.
+package itself, every public one has a reader outside tests, and every
+defaulted parameter has a caller outside tests that sets it.
 
 No linter runs on the package, so this keeps deleted code from leaving its
 imports, its error classes or its helpers behind (a helper that only tests
@@ -131,3 +132,81 @@ def test_kept_public_functions_exist_and_have_no_other_reader():
         path = SRC / f"{module}.py"
         assert reason and name in {node.name for node in _top_functions(path)}
         assert not _read_elsewhere(refs, path, name), f"{module}.{name} has a reader"
+
+
+#: Defaulted parameters that no call the scan can see passes.
+KEPT_DEFAULTS = {
+    ("horner", "horner_iterate", "cfg"): "called through `pipeline.refiner`",
+    ("horner", "two_stage", "cfg"): "called through `pipeline.refiner`",
+}
+
+BENCH = SRC.parent.parent / "bench"
+
+
+def _defaulted_parameters():
+    """``(module, callable, parameter, position)`` for every parameter with a
+    default of a top-level function or an error class's ``__init__``;
+    ``position`` is None for a keyword-only one."""
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and path.name == "errors.py":
+                func = next((f for f in node.body if isinstance(f, ast.FunctionDef)
+                             and f.name == "__init__"), None)
+                skip = 1            # self
+            elif isinstance(node, ast.FunctionDef):
+                func, skip = node, 0
+            else:
+                continue
+            if func is None:
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                    len(positional) - len(args.defaults)):
+                yield path.stem, node.name, arg.arg, i - skip
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield path.stem, node.name, arg.arg, None
+
+
+def _calls():
+    """``(callee name, call)`` for every call of a plain or dotted name in
+    ``src/blockpoly`` and ``bench``."""
+    for path in [*SRC.glob("*.py"), *BENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name:
+                    yield name, node
+
+
+def _passes(call, param, position):
+    """Whether ``call`` passes ``param`` by name, by position or by unpacking."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # A default that every caller takes is a constant, not an option.
+    calls = list(_calls())
+    unset = [f"{module}.{name}({param})"
+             for module, name, param, position in _defaulted_parameters()
+             if (module, name, param) not in KEPT_DEFAULTS
+             and not any(callee == name and _passes(call, param, position)
+                         for callee, call in calls)]
+    assert sorted(unset) == []
+
+
+def test_kept_defaults_exist_and_have_no_setter():
+    defaulted = {(module, name, param): position
+                 for module, name, param, position in _defaulted_parameters()}
+    calls = list(_calls())
+    for (module, name, param), reason in KEPT_DEFAULTS.items():
+        assert reason and (module, name, param) in defaulted
+        position = defaulted[module, name, param]
+        assert not any(callee == name and _passes(call, param, position)
+                       for callee, call in calls), f"{module}.{name}({param}) has a setter"

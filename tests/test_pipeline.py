@@ -228,7 +228,9 @@ def test_solvent_sets_contract(name, method):
     that names the stage.  pytest turns warnings into errors, so no input
     may warn either."""
     try:
-        report = full_solvent_sets(CONTRACT_INPUTS[name], PipelineConfig(refine_method=method))[2]
+        p = CONTRACT_INPUTS[name]
+        chain, report, _ = full_factorize(p, PipelineConfig(refine_method=method))
+        pipeline.solvent_sets(p, chain, report)
     except PipelineStageError as exc:
         assert exc.stage in {"refine", "transform"}
         if exc.stage == "refine":     # the method failed; it refused nothing

@@ -185,7 +185,7 @@ def test_is_complete_set_scalar():
     assert good.complete
     bad = is_complete_set(p, SolventSet("right", [[[1.0]], [[1.0]]]))
     assert not bad.pairwise_disjoint
-    assert abs(bad.vandermonde_det) < 1e-12
+    assert bad.vandermonde_cond > 1e12
     assert not bad.complete
 
 

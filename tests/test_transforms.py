@@ -7,6 +7,7 @@ from blockpoly.errors import (
     DimensionMismatch,
     IncompleteSet,
     InputNotSolvent,
+    NotMonic,
     SingularSylvester,
     SolventResidualLarge,
     SpectrumOverlap,
@@ -262,13 +263,14 @@ def test_right_to_left_evaluates_nothing(monkeypatch):
     assert calls == []
 
 
-def test_example1_printed_sets(example1):
+def test_example1_printed_sets(example1, monkeypatch):
     s1 = np.array([[3.0, 2.0], [-90.0, -15.0]])
     s2 = np.array([[-8.2908, 0.7118], [-16.84, 8.1248]])
     s3 = np.array([[32.4434, -3.5284], [286.6226, -31.2773]])
     chain = SpectralFactorChain([s1, s2, s3])
-    right = chain_to_right_solvents(example1, chain, gate=1e-2)
-    left = chain_to_left_solvents(example1, chain, gate=1e-2)
+    monkeypatch.setattr(transforms, "SOLVENT_GATE", 1e-2)
+    right = chain_to_right_solvents(example1, chain)
+    left = chain_to_left_solvents(example1, chain)
     r_printed = [
         np.array([[0.3637, -4.5495], [-0.8183, 0.8024]]),
         np.array([[7.2354, 1.4024], [1.2995, -7.4015]]),
@@ -296,13 +298,41 @@ def test_chain_to_solvents_rejects_a_chain_of_the_wrong_length(example1, convert
         convert(example1, SpectralFactorChain(factors))
 
 
-def test_chain_to_solvents_honour_a_gate_below_1e_6(example1):
+def test_chain_to_solvents_honour_a_gate_below_1e_6(example1, monkeypatch):
     # Every quantity below was accepted while the gate was floored at 1e-6.
     chain, _, _ = full_factorize(example1)
+    monkeypatch.setattr(transforms, "SOLVENT_GATE", 1e-10)
     with pytest.raises(SolventResidualLarge) as exc:
-        chain_to_right_solvents(example1, chain, gate=1e-10)
+        chain_to_right_solvents(example1, chain)
     assert exc.value.index == 1
     assert 1e-10 < exc.value.residual < 1e-9
+    monkeypatch.setattr(transforms, "SOLVENT_GATE", 1e-14)
     for convert in (chain_to_right_solvents, chain_to_left_solvents):
         with pytest.raises((DeflationResidualLarge, SolventResidualLarge)):
-            convert(example1, chain, gate=1e-14)
+            convert(example1, chain)
+
+
+def _twin_inputs(case):
+    """A polynomial with A_0 = I + 2e-12 E_01, and each side of one
+    conversion with its input."""
+    chain = SpectralFactorChain([np.diag([1.0, 2.0]), np.diag([1.0, 2.0])])
+    coeffs = np.array(reconstruct(chain).coeffs)
+    coeffs[0, 0, 1] += 2e-12
+    p = MatrixPolynomial(coeffs)
+    if case == "overlapping chain":
+        return p, [(chain_to_right_solvents, chain), (chain_to_left_solvents, chain)]
+    solvents = chain.factors[::-1] if case == "wrong side" else chain.factors[:1]
+    right, left = SolventSet("right", solvents), SolventSet("left", solvents)
+    if case == "wrong side":
+        right, left = left, right
+    return p, [(right_solvents_to_chain, right), (left_solvents_to_chain, left)]
+
+
+@pytest.mark.parametrize("case", ["overlapping chain", "short set", "wrong side"])
+def test_left_conversions_fail_like_their_right_twins(case):
+    # Monic-ness is checked first on both sides, before the chain's spectra
+    # or the set's side and count.
+    p, sides = _twin_inputs(case)
+    for convert, given in sides:
+        with pytest.raises(NotMonic):
+            convert(p, given)
