@@ -20,7 +20,10 @@ B_l = A_R(X):
   convergence is linear.
 
 One driver divides each iterate once: the remainder's norm is the residual,
-and the quotient and remainder make the step.  It accepts an iterate once
+and the quotient and remainder make the step.  The division of the accepted
+iterate is also its deflation: the trace keeps that quotient, which the
+pipeline takes as its next stage, so a chain with no Newton step takes l
+divisions, not 2l - 1.  It accepts an iterate once
 ‖A_R(X)‖_F / max(1, ‖A_l‖_F) <= ``RESIDUAL_GUARD`` AND the relative step δ in
 percent is <= η or stopped shrinking (δ_k >= δ_{k-1}, the rounding floor of an
 ill-conditioned step).  It raises ``NoConvergence`` when the budget ends or at
@@ -67,11 +70,17 @@ class IterConfig:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-iteration record shared by the Horner-family solvers."""
+    """Per-iteration record shared by the Horner-family solvers.
+
+    ``quotient`` is Q(λ) of A(λ) = Q(λ)(λI - X) + A_R(X) at the accepted
+    iterate X, the deflated polynomial; it stays ``None`` on a trace that
+    ended without one.
+    """
 
     iterates: list = field(default_factory=list)
     deltas: list = field(default_factory=list)       # δ_k in percent
     residuals: list = field(default_factory=list)    # ||A_R(X_k)||_F
+    quotient: MatrixPolynomial | None = None
 
     def append(self, x, delta_pct, residual):
         self.iterates.append(np.array(x))
@@ -94,7 +103,8 @@ def _delta_pct(x_new, x_old) -> float:
 
 def _run_iteration(p, cfg, step):
     """Shared driver: divide each iterate once, then stop or take
-    ``step(x, quotient, remainder)``."""
+    ``step(x, quotient, remainder)``; the accepted iterate's quotient goes on
+    the trace."""
     p.require_monic()
     x = linalg.as_matrix(cfg.x0) if cfg.x0 is not None else default_guess(p)
     if x.shape != (p.m, p.m):
@@ -126,6 +136,7 @@ def _run_iteration(p, cfg, step):
             # floor: further steps only repeat it.
             if residual / scale <= RESIDUAL_GUARD and (
                     not k or delta <= cfg.eta or delta >= trace.deltas[-2]):
+                trace.quotient = quotient
                 return x, trace
     raise NoConvergence(
         f"no convergence in {cfg.max_iterations} iterations "
@@ -201,7 +212,7 @@ class BoundsReport:
 
 def convergence_bounds_check(p: MatrixPolynomial, trace: ConvergenceTrace) -> BoundsReport:
     """Verify the residual sandwich ξ_k/(γ M) style bounds on the last five
-    steps of a trace of at least five iterates (four steps when it has five).
+    steps of a trace, which needs at least six iterates.
 
     The exact identity behind the bounds: for the plain Horner step,
     X_{k+1} - X_k = X_k inv(A_l - A_R(X_k)) A_R(X_k), hence with
@@ -214,8 +225,8 @@ def convergence_bounds_check(p: MatrixPolynomial, trace: ConvergenceTrace) -> Bo
     scheme, well below 1 for Newton).
     """
     tail = 5
-    if len(trace.iterates) < tail:
-        raise InsufficientTrace(f"need at least {tail} iterates, got {len(trace.iterates)}")
+    if len(trace.iterates) <= tail:
+        raise InsufficientTrace(f"need at least {tail + 1} iterates, got {len(trace.iterates)}")
     report = BoundsReport()
     report.delta_norm = linalg.frob_norm(p.coeffs[p.l])
     report.gamma = linalg.frob_norm(linalg.invert(p.coeffs[p.l]))

@@ -6,10 +6,14 @@ the k-th Q.D. block on the CURRENT deflated polynomial, appends the refined
 factor to the chain, and deflates.  The rightmost factor of each stage is an
 exact right solvent of that stage, so the final chain reconstructs the input
 to solver precision even when Q.D. alone had only a few correct digits.
-Each factor is divided out once, by ``transforms.deflate_right``: the
-quotient is the next stage, and the remainder is the factor's residual in
-the report.  The refiner accepted the factor on that same residual, under
-``horner.RESIDUAL_GUARD``, so deflation needs no gate of its own.
+Each factor is divided out once: the refiner's division of the iterate it
+accepts is the deflation.  Its quotient, kept on the refiner's trace, is the
+next stage, and its remainder is the factor's residual in the report (the
+last degree-1 stage is divided by ``transforms.deflate_right``).  A chain
+with no Newton step thus takes l divisions, not the 2l - 1 of dividing each
+refined factor again.  The refiner accepted the factor on that same
+residual, under ``horner.RESIDUAL_GUARD``, so deflation needs no gate of its
+own.
 Without Q.D. seeds (the CLI's local methods, or Q.D. breaks down) each
 factor starts from ``MULTI_START`` jittered default guesses in turn.
 ``solvent_sets`` turns a chain into right and left solvent sets.
@@ -107,13 +111,14 @@ def _qd_seeds(p: MatrixPolynomial, cfg: PipelineConfig):
 def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
     """Refine the k-th factor from ``seeds[k]`` (or the jittered default
     guesses) and divide it out; returns ``(chain, report, traces)``, with
-    each factor's residual taken from its one deflation."""
+    each factor's residual taken from its one division."""
     p.require_monic()
     current = p
     factors, traces, residuals = [], [], []
     for k in range(p.l):
         if current.l == 1:
             x, trace = -current.coeffs[1], ConvergenceTrace()
+            current, residual = transforms.deflate_right(current, x)
         else:
             if seeds is not None:
                 guesses = [seeds[k]]
@@ -128,7 +133,8 @@ def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
                     last_error = exc
             else:
                 raise PipelineStageError("refine", k, last_error)
-        current, residual = transforms.deflate_right(current, x)
+            residual = trace.residuals[-1] / current.coefficient_scale()
+            current = trace.quotient
         factors.append(x)
         traces.append(trace)
         residuals.append(residual)

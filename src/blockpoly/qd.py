@@ -47,6 +47,12 @@ that of gating and testing each sweep as it is made.  The tableau is not
 jittered and retried.  Each block after the first is sized from the geometric
 decay of the last block's relative E-norms, so that few sweeps are dropped;
 the size decides no outcome.
+
+A block holds up to 32 sweeps.  Its fixed cost (the norms, the replayed stop
+and stall tests, the gate and the trace) is then paid once per 32 sweeps at
+most, where the paper's fixtures run 54 to 200.  A run whose E-norms halve
+each sweep needs some 33 sweeps to reach the default ``e_tol`` of 1e-10, so a
+first block of 32 computes no sweep that such a run then drops.
 """
 
 from __future__ import annotations
@@ -71,8 +77,10 @@ from .polynomial import MatrixPolynomial, SpectralFactorChain
 #: block moduli plus complex pairs; the window must outlast them.
 STALL_WINDOW = 60
 
-#: Most sweeps in one block of :func:`qd_run`.
-_BLOCK = 8
+#: Most sweeps in one block of :func:`qd_run`, the first block included.  A
+#: first block of 8 with later blocks of up to 32 was slower on the paper's
+#: fixtures and on generated chains than 32 throughout.
+_BLOCK = 32
 
 
 @dataclass

@@ -309,6 +309,23 @@ def test_bounds_check_insufficient_trace():
         convergence_bounds_check(p, trace)
 
 
+def test_bounds_check_needs_six_iterates_and_checks_five_steps():
+    rng = np.random.default_rng(9)
+    chain = random_chain(2, 2, rng)
+    p = reconstruct(chain)
+    x0 = chain.factors[0] + 1e-2 * rng.standard_normal((2, 2))
+    _, trace = horner_iterate(p, IterConfig(x0=x0, max_iterations=3000))
+    assert len(trace.iterates) > 6
+
+    def first(n):
+        return horner.ConvergenceTrace(trace.iterates[:n], trace.deltas[:n], trace.residuals[:n])
+
+    with pytest.raises(InsufficientTrace, match="need at least 6 iterates, got 5"):
+        convergence_bounds_check(p, first(5))
+    report = convergence_bounds_check(p, first(6))
+    assert len(report.lower_margins) == len(report.upper_margins) == 5
+
+
 def test_newton_ratio_trend_below_plain():
     rng = np.random.default_rng(11)
     chain = random_chain(2, 2, rng)

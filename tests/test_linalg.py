@@ -3,9 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import blockpoly
 from blockpoly import linalg
@@ -109,6 +113,50 @@ def test_lapack_failure_on_accepted_matrix_is_singular(monkeypatch):
     with pytest.raises(SingularMatrix) as exc:
         linalg.solve(np.eye(3), np.ones(3))
     assert exc.value.pivot_index is None
+
+
+#: Norms of any size, with 0, inf, NaN and pairs whose product overflows.
+_NORMS = st.one_of(
+    st.sampled_from([0.0, math.inf, math.nan, 1e-300, 1.0, 5e11, 1e154, 1e160, 1e300]),
+    st.floats(min_value=0.0, max_value=1e308),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_gate_arbitrates_exactly_what_the_float_certificate_fails(data, n):
+    # The certificate on arrays sends to the arbiter, in C order, exactly the
+    # pairs the Python-float test ||A|| ||A^-1|| sqrt(n(n+1)/2) PIVOT_RTOL < 1/2
+    # fails, warns about no overflow or NaN, and raises at the first rejection.
+    shape = data.draw(st.sampled_from([(1,), (1, 1)])
+                      | hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
+    norms = data.draw(hnp.arrays(float, shape, elements=_NORMS))
+    inv_norms = data.draw(hnp.arrays(float, shape, elements=_NORMS))
+    scale = math.sqrt(n * (n + 1) / 2)
+    want = [i for i, (x, y) in enumerate(zip(norms.ravel().tolist(), inv_norms.ravel().tolist()))
+            if not x * y * scale * linalg.PIVOT_RTOL < 0.5]
+    # each matrix holds its own flat index, so the arbiter can tell them apart
+    a = np.broadcast_to(np.arange(norms.size, dtype=float).reshape(shape + (1, 1)),
+                        shape + (n, n))
+    reject = data.draw(st.sampled_from([None, *want]))
+    seen = []
+
+    def arbiter(m, rtol):
+        seen.append(int(m[0, 0]))
+        if seen[-1] == reject:
+            raise SingularMatrix(0, 0.0)
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(linalg, "_lu_factor", arbiter)
+        warnings.simplefilter("error")
+        if reject is None:
+            linalg.gate_inverses(a, np.ones_like(a), norms, inv_norms)
+        else:
+            with pytest.raises(SingularMatrix) as exc:
+                linalg.gate_inverses(a, np.ones_like(a), norms, inv_norms)
+            assert exc.value.block == reject and type(exc.value.block) is int
+            want = want[:want.index(reject) + 1]
+    assert seen == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])

@@ -330,9 +330,9 @@ def test_pipeline_report_equals_verify(name, method, request):
 
 
 def test_each_factor_divided_out_once(monkeypatch):
-    """With no Newton step, each of the l - 1 refined factors is divided by
-    its refiner's accepting iterate and by its deflation, and the last
-    factor by its deflation alone: 2l - 1 divisions."""
+    """With no Newton step, each of the l - 1 refined factors is divided once,
+    by its refiner's accepting iterate, whose quotient is the next stage, and
+    the last factor by its deflation alone: l divisions."""
     calls = []
     divide = polynomial.synthetic_div_right
     for module in (horner, pipeline, polynomial, transforms):
@@ -343,4 +343,4 @@ def test_each_factor_divided_out_once(monkeypatch):
     p = reconstruct(random_chain(4, l, np.random.default_rng(1000 * 4 + 10 * l)))
     _, _, traces = full_factorize(p)
     assert [len(t.iterates) for t in traces] == [1] * (l - 1) + [0]
-    assert len(calls) == 2 * l - 1
+    assert len(calls) == l

@@ -419,7 +419,8 @@ def test_qd_run_stall_matches_one_sweep_loop():
 
 
 #: (A_1 .. A_l, the sweep of the first singular pivot, whether LAPACK fails
-#: the pivot stack of that sweep); found by a search over entries in -3..3.
+#: the pivot stack of that sweep); found by a search over entries in -3..3
+#: (m = 2, l = 2, except sweep 32, found only at l = 3).
 SINGULAR_PIVOTS = [
     ([[[-1, 1], [-3, 2]], [[-2, 2], [-3, -3]]], 1, False),
     ([[[3, 1], [-2, -1]], [[-1, -1], [-3, 0]]], 2, False),
@@ -435,6 +436,29 @@ SINGULAR_PIVOTS = [
     ([[[-2]], [[2]], [[-1]]], 3, True),
     ([[[-1]], [[2]], [[-1]]], 5, True),
     ([[[1]], [[-2]], [[-3]]], 6, True),
+    ([[[-1, -1], [0, 3]], [[2, -2], [-1, -3]]], 10, False),
+    ([[[2, 1], [0, -2]], [[2, 1], [-1, 1]]], 11, False),
+    ([[[-3, -3], [1, 2]], [[2, -3], [-1, 2]]], 12, False),
+    ([[[1, 0], [2, -1]], [[0, -1], [3, -2]]], 13, False),
+    ([[[1, 1], [2, -1]], [[1, 0], [1, 0]]], 14, False),
+    ([[[0, 2], [-1, 3]], [[2, 3], [2, 3]]], 15, False),
+    ([[[2, -2], [-1, 3]], [[3, -2], [-3, 2]]], 17, False),
+    ([[[1, -2], [2, -3]], [[3, 1], [3, 1]]], 18, False),
+    ([[[1, 0], [2, -1]], [[-3, -3], [-3, -3]]], 19, False),
+    ([[[0, 1], [-1, 2]], [[1, 3], [1, 3]]], 20, False),
+    ([[[-2, 0], [2, -1]], [[1, -1], [-2, 2]]], 21, False),
+    ([[[3, -2], [2, -1]], [[-3, -2], [-3, -2]]], 22, False),
+    ([[[1, 0], [3, 1]], [[0, 0], [1, 3]]], 23, False),
+    ([[[0, 1], [-1, -2]], [[-3, 2], [3, -2]]], 24, False),
+    ([[[0, 1], [-1, -2]], [[0, -3], [0, 3]]], 25, False),
+    ([[[0, 1], [1, 0]], [[2, -1], [-2, 1]]], 26, False),
+    ([[[1, 0], [0, 2]], [[0, 0], [-1, 3]]], 27, False),
+    ([[[2, -3], [1, -2]], [[-2, -2], [-2, -2]]], 28, False),
+    ([[[2, -2], [0, -2]], [[0, 3], [-1, 1]]], 29, False),
+    ([[[-2, 0], [2, -1]], [[1, 0], [1, 3]]], 30, False),
+    ([[[-2, 0], [2, 1]], [[1, 0], [3, 3]]], 31, False),
+    ([[[3, 1], [0, 2]], [[3, 2], [0, -1]], [[2, 0], [0, 0]]], 32, False),
+    ([[[-1, -3], [-3, -1]], [[3, 1], [2, 2]]], 33, False),
 ]
 
 
