@@ -21,9 +21,10 @@ B_l = A_R(X):
 
 One driver divides each iterate once: the remainder's norm is the residual,
 and the quotient and remainder make the step.  The division of the accepted
-iterate is also its deflation: the trace keeps that quotient, which the
-pipeline takes as its next stage, so a chain with no Newton step takes l
-divisions, not 2l - 1.  It accepts an iterate once
+iterate is also its deflation: the trace keeps that quotient and the
+relative residual, which the pipeline takes as its next stage and the
+factor's residual, so a chain with no Newton step takes l divisions, not
+2l - 1.  It accepts an iterate once
 ‖A_R(X)‖_F / max(1, ‖A_l‖_F) <= ``RESIDUAL_GUARD`` AND the relative step δ in
 percent is <= η or stopped shrinking (δ_k >= δ_{k-1}, the rounding floor of an
 ill-conditioned step).  It raises ``NoConvergence`` when the budget ends or at
@@ -72,15 +73,16 @@ class IterConfig:
 class ConvergenceTrace:
     """Per-iteration record shared by the Horner-family solvers.
 
-    ``quotient`` is Q(λ) of A(λ) = Q(λ)(λI - X) + A_R(X) at the accepted
-    iterate X, the deflated polynomial; it stays ``None`` on a trace that
-    ended without one.
+    ``deflation`` is the pair ``transforms.deflate_right`` returns for the
+    accepted iterate X: the quotient Q(λ) of A(λ) = Q(λ)(λI - X) + A_R(X),
+    the deflated polynomial, and the relative residual ‖A_R(X)‖_F /
+    max(1, ‖A_l‖_F).  It stays ``None`` on a trace that ended without one.
     """
 
     iterates: list = field(default_factory=list)
     deltas: list = field(default_factory=list)       # δ_k in percent
     residuals: list = field(default_factory=list)    # ||A_R(X_k)||_F
-    quotient: MatrixPolynomial | None = None
+    deflation: tuple[MatrixPolynomial, float] | None = None
 
     def append(self, x, delta_pct, residual):
         self.iterates.append(np.array(x))
@@ -103,8 +105,8 @@ def _delta_pct(x_new, x_old) -> float:
 
 def _run_iteration(p, cfg, step):
     """Shared driver: divide each iterate once, then stop or take
-    ``step(x, quotient, remainder)``; the accepted iterate's quotient goes on
-    the trace."""
+    ``step(x, quotient, remainder)``; the accepted iterate's quotient and
+    relative residual go on the trace."""
     p.require_monic()
     x = linalg.as_matrix(cfg.x0) if cfg.x0 is not None else default_guess(p)
     if x.shape != (p.m, p.m):
@@ -134,9 +136,10 @@ def _run_iteration(p, cfg, step):
             trace.append(x, delta, residual)
             # Under the guard, a step that no longer shrinks is at the rounding
             # floor: further steps only repeat it.
-            if residual / scale <= RESIDUAL_GUARD and (
+            relative = residual / scale
+            if relative <= RESIDUAL_GUARD and (
                     not k or delta <= cfg.eta or delta >= trace.deltas[-2]):
-                trace.quotient = quotient
+                trace.deflation = quotient, relative
                 return x, trace
     raise NoConvergence(
         f"no convergence in {cfg.max_iterations} iterations "

@@ -170,22 +170,17 @@ def gate_inverses(a, inv, norms, inv_norms) -> None:
     """The certificate, then the arbiter, on a stack and its LAPACK inverses.
 
     ``a`` and ``inv`` are (..., n, n) stacks, and ``norms`` and ``inv_norms``
-    arrays of their Frobenius norms, of the leading shape.  The certificate is
-    one array test on the whole stack, or a test on Python floats for a single
-    matrix, where that is cheaper; the products are the same, and one that
-    overflows to inf, or a NaN norm, fails it without a warning.  Only the
-    matrices it cannot clear go to :func:`_lu_factor`, in C order, and the
-    first one rejected raises, with the error's ``block`` its flat index.
+    arrays of their Frobenius norms, of the leading shape.  Only the matrices
+    the certificate cannot clear go to :func:`_lu_factor`, in C order, and the
+    first one rejected raises, with the error's ``block`` its flat index.  The
+    certificate takes Python floats, whose products overflow to inf quietly.
     """
     n = a.shape[-1]
     scale = math.sqrt(n * (n + 1) / 2)
-    if norms.size == 1:
-        uncleared = [] if norms.item() * inv_norms.item() * scale * PIVOT_RTOL < 0.5 else [0]
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            cleared = norms * inv_norms * scale * PIVOT_RTOL < 0.5
-        uncleared = np.flatnonzero(~cleared).tolist()
-    for i in uncleared:
+    pairs = zip(norms.ravel().tolist(), inv_norms.ravel().tolist())
+    for i, (norm, inv_norm) in enumerate(pairs):
+        if norm * inv_norm * scale * PIVOT_RTOL < 0.5:
+            continue
         at = np.unravel_index(i, norms.shape)
         try:
             # as_matrix rejects a non-finite matrix

@@ -7,9 +7,10 @@ factor to the chain, and deflates.  The rightmost factor of each stage is an
 exact right solvent of that stage, so the final chain reconstructs the input
 to solver precision even when Q.D. alone had only a few correct digits.
 Each factor is divided out once: the refiner's division of the iterate it
-accepts is the deflation.  Its quotient, kept on the refiner's trace, is the
-next stage, and its remainder is the factor's residual in the report (the
-last degree-1 stage is divided by ``transforms.deflate_right``).  A chain
+accepts is the deflation.  The refiner's trace keeps it as the pair
+``transforms.deflate_right`` returns, which the last, degree-1 stage gets
+from that function: the quotient is the next stage, and the remainder's
+relative norm is the factor's residual in the report.  A chain
 with no Newton step thus takes l divisions, not the 2l - 1 of dividing each
 refined factor again.  The refiner accepted the factor on that same
 residual, under ``horner.RESIDUAL_GUARD``, so deflation needs no gate of its
@@ -117,8 +118,8 @@ def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
     factors, traces, residuals = [], [], []
     for k in range(p.l):
         if current.l == 1:
-            x, trace = -current.coeffs[1], ConvergenceTrace()
-            current, residual = transforms.deflate_right(current, x)
+            x = -current.coeffs[1]
+            trace = ConvergenceTrace(deflation=transforms.deflate_right(current, x))
         else:
             if seeds is not None:
                 guesses = [seeds[k]]
@@ -133,8 +134,7 @@ def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
                     last_error = exc
             else:
                 raise PipelineStageError("refine", k, last_error)
-            residual = trace.residuals[-1] / current.coefficient_scale()
-            current = trace.quotient
+        current, residual = trace.deflation
         factors.append(x)
         traces.append(trace)
         residuals.append(residual)

@@ -52,7 +52,11 @@ A block holds up to 32 sweeps.  Its fixed cost (the norms, the replayed stop
 and stall tests, the gate and the trace) is then paid once per 32 sweeps at
 most, where the paper's fixtures run 54 to 200.  A run whose E-norms halve
 each sweep needs some 33 sweeps to reach the default ``e_tol`` of 1e-10, so a
-first block of 32 computes no sweep that such a run then drops.
+first block of 32 computes no sweep that such a run then drops.  The price
+grows with 32·l·m²: the first block's buffer holds 32·3l·m² floats (0.8 MB at
+m = 16, l = 4, some 200 MB at m = 256, l = 4), and a run that stops after
+k < 32 sweeps computes 32 - k sweeps of l - 1 inverses and 2(l - 1) products
+of m×m blocks that it drops.
 """
 
 from __future__ import annotations

@@ -125,9 +125,9 @@ _NORMS = st.one_of(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data(), n=st.integers(1, 4))
 def test_gate_arbitrates_exactly_what_the_float_certificate_fails(data, n):
-    # The certificate on arrays sends to the arbiter, in C order, exactly the
-    # pairs the Python-float test ||A|| ||A^-1|| sqrt(n(n+1)/2) PIVOT_RTOL < 1/2
-    # fails, warns about no overflow or NaN, and raises at the first rejection.
+    # The gate sends to the arbiter, in C order, exactly the pairs that fail the
+    # certificate ||A|| ||A^-1|| sqrt(n(n+1)/2) PIVOT_RTOL < 1/2 on Python
+    # floats, warns about no overflow or NaN, and raises at the first rejection.
     shape = data.draw(st.sampled_from([(1,), (1, 1)])
                       | hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
     norms = data.draw(hnp.arrays(float, shape, elements=_NORMS))
