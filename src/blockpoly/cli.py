@@ -55,6 +55,31 @@ def _ensure_out(out):
     return out
 
 
+def _finite_numbers(option, text, parse, tokens):
+    """``parse`` of each of the ``tokens`` of an option's ``text``; exits as
+    an input error unless every one is a finite number."""
+    try:
+        values = [parse(tok) for tok in tokens]
+        if np.all(np.isfinite(values)):
+            return values
+    except ValueError:
+        pass
+    _fail_input(f"cannot parse {option} '{text}': entries must be finite numbers")
+
+
+#: The conversion each ``--direction`` names.  The ``transforms`` names are
+#: looked up at call time, so a wrapper installed on them at run time is the
+#: one called.
+CONVERSIONS = {
+    "chain-to-right": lambda p, chain: transforms.chain_to_right_solvents(p, chain),
+    "chain-to-left": lambda p, chain: transforms.chain_to_left_solvents(p, chain),
+    "right-to-left": lambda p, solv: SolventSet(
+        "left", [transforms.right_to_left_solvent(p, r).output for r in solv.solvents]),
+    "right-to-chain": lambda p, solv: transforms.right_solvents_to_chain(p, solv),
+    "left-to-chain": lambda p, solv: transforms.left_solvents_to_chain(p, solv),
+}
+
+
 @click.group()
 def main():
     """Factorize monic matrix polynomials and design block-decoupling gains."""
@@ -128,10 +153,7 @@ def factorize(input_file, method, max_iter, tol, solvents, out):
 
 @main.command()
 @click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--direction", required=True,
-              type=click.Choice(["chain-to-right", "chain-to-left",
-                                 "right-to-left", "right-to-chain",
-                                 "left-to-chain"]))
+@click.option("--direction", required=True, type=click.Choice(list(CONVERSIONS)))
 @click.option("--factors", "factors_file", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="factors.json for chain-to-* directions.")
@@ -166,26 +188,11 @@ def convert(input_file, direction, factors_file, solvents_file, out):
     _ensure_out(out)
     io.save_manifest(out, "convert", input_file, {"direction": direction})
     try:
-        if direction == "chain-to-right":
-            result = transforms.chain_to_right_solvents(p, chain)
-            io.save_solvents(os.path.join(out, "solvents_right.json"), result)
+        result = CONVERSIONS[direction](p, chain if from_chain else solv)
+        if isinstance(result, SolventSet):
+            io.save_solvents(os.path.join(out, f"solvents_{result.side}.json"), result)
             report = verify(p, solvents=result)
-        elif direction == "chain-to-left":
-            result = transforms.chain_to_left_solvents(p, chain)
-            io.save_solvents(os.path.join(out, "solvents_left.json"), result)
-            report = verify(p, solvents=result)
-        elif direction == "right-to-left":
-            outs = [transforms.right_to_left_solvent(p, r).output
-                    for r in solv.solvents]
-            result = SolventSet("left", outs)
-            io.save_solvents(os.path.join(out, "solvents_left.json"), result)
-            report = verify(p, solvents=result)
-        elif direction == "right-to-chain":
-            result = transforms.right_solvents_to_chain(p, solv)
-            io.save_factors(os.path.join(out, "factors.json"), result)
-            report = verify(p, chain=result)
         else:
-            result = transforms.left_solvents_to_chain(p, solv)
             io.save_factors(os.path.join(out, "factors.json"), result)
             report = verify(p, chain=result)
         io.save_report(os.path.join(out, "report.json"), report)
@@ -208,10 +215,8 @@ def decouple(input_file, modes, eval_points, out):
         sys_mfd = io.load_mfd(input_file)
     except io.FileFormatError as exc:
         _fail_input(str(exc))
-    try:
-        entries = [float(v) for v in modes.split(",") if v.strip() != ""]
-    except ValueError:
-        _fail_input(f"cannot parse --modes '{modes}'")
+    entries = _finite_numbers("--modes", modes, float,
+                              [v for v in modes.split(",") if v.strip() != ""])
     m = sys_mfd.m
     needed = (sys_mfd.l - sys_mfd.k) * m
     if len(entries) != needed:
@@ -221,6 +226,8 @@ def decouple(input_file, modes, eval_points, out):
         )
     mode_blocks = [np.diag(entries[i * m:(i + 1) * m])
                    for i in range(sys_mfd.l - sys_mfd.k)]
+    tokens = eval_points.split(",") if eval_points else []
+    points = zip(tokens, _finite_numbers("--eval", eval_points, complex, tokens))
     _ensure_out(out)
     io.save_manifest(out, "decouple", input_file,
                      {"modes": modes, "eval": eval_points})
@@ -234,10 +241,9 @@ def decouple(input_file, modes, eval_points, out):
             "zero_residuals": result.zero_residuals,
             "warnings": result.warnings,
         }
-        if eval_points:
+        if tokens:
             table = []
-            for tok in eval_points.split(","):
-                lam = complex(tok)
+            for tok, lam in points:
                 h, target = closed_loop_eval(sys_mfd, result, lam)
                 table.append({
                     "lambda": tok,

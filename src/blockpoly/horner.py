@@ -203,14 +203,9 @@ def two_stage(p: MatrixPolynomial, cfg: IterConfig | None = None):
 class BoundsReport:
     """Residual sandwich check on the tail of a plain-Horner trace."""
 
-    gamma: float = 0.0           # ||A_l^{-1}||
-    delta_norm: float = 0.0      # ||A_l||
-    m_sup: float = 0.0           # sup ||X_k|| over the tail
-    n_sup: float = 0.0           # sup ||X_k^{-1}|| over the tail
     sandwich_holds: bool = False
     lower_margins: list = field(default_factory=list)
     upper_margins: list = field(default_factory=list)
-    ratio_trend: list = field(default_factory=list)
 
 
 def convergence_bounds_check(p: MatrixPolynomial, trace: ConvergenceTrace) -> BoundsReport:
@@ -224,18 +219,14 @@ def convergence_bounds_check(p: MatrixPolynomial, trace: ConvergenceTrace) -> Bo
         ξ_k / (||X_k|| ||inv(A_l - A_R)||)  <=  ||A_R(X_k)||
                                             <=  ||A_l - A_R|| ||X_k^{-1}|| ξ_k.
 
-    Also reports the successive-error ratio trend (→ 1 for the linear plain
-    scheme, well below 1 for Newton).
+    The report holds each step's margin to the lower and the upper bound,
+    and ``sandwich_holds``, whether every step lies between them.
     """
     tail = 5
     if len(trace.iterates) <= tail:
         raise InsufficientTrace(f"need at least {tail + 1} iterates, got {len(trace.iterates)}")
     report = BoundsReport()
-    report.delta_norm = linalg.frob_norm(p.coeffs[p.l])
-    report.gamma = linalg.frob_norm(linalg.invert(p.coeffs[p.l]))
     xs = trace.iterates[-tail - 1:]
-    report.m_sup = max(linalg.frob_norm(x) for x in xs)
-    report.n_sup = max(linalg.frob_norm(linalg.invert(x)) for x in xs)
     ok = True
     for k in range(len(xs) - 1):
         xk, xk1 = xs[k], xs[k + 1]
@@ -251,8 +242,4 @@ def convergence_bounds_check(p: MatrixPolynomial, trace: ConvergenceTrace) -> Bo
         if residual + slack < lower or residual > upper + slack:
             ok = False
     report.sandwich_holds = ok
-    tail_deltas = [d for d in trace.deltas[-tail:] if np.isfinite(d) and d > 0]
-    report.ratio_trend = [
-        tail_deltas[i + 1] / tail_deltas[i] for i in range(len(tail_deltas) - 1)
-    ]
     return report

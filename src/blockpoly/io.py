@@ -7,17 +7,18 @@ formatter so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import time
 
 import numpy as np
 
+from . import __version__
 from .decoupler import MFDSystem
 from .polynomial import MatrixPolynomial, SolventSet, SpectralFactorChain
 
 FORMAT_VERSION = "1"
-TOOL_VERSION = "0.1.0"
 
 
 class FileFormatError(ValueError):
@@ -25,16 +26,12 @@ class FileFormatError(ValueError):
 
 
 def _fmt_number(x) -> str:
-    if isinstance(x, bool):
-        raise TypeError("bool is not a number here")
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     x = float(x)
     if x != x or x in (float("inf"), float("-inf")):
         return json.dumps(str(x))
-    s = format(x, ".17g")
-    # keep valid JSON: ensure a decimal form, not "nan"/"inf"
-    return s
+    return format(x, ".17g")
 
 
 def dumps_canonical(obj, indent=0) -> str:
@@ -185,22 +182,13 @@ def save_solvents(path, s: SolventSet):
 
 
 def report_to_dict(report) -> dict:
-    d = {
-        "per_factor_residuals": list(report.per_factor_residuals),
-        "per_solvent_residuals": list(report.per_solvent_residuals),
-        "reconstruction_error": report.reconstruction_error,
-        "rightmost_residual": report.rightmost_residual,
-        "leftmost_residual": report.leftmost_residual,
-        "warnings": list(report.warnings),
-    }
-    if report.completeness is not None:
-        c = report.completeness
-        d["completeness"] = {
-            "complete": c.complete,
-            "spectrum_union_matches": c.spectrum_union_matches,
-            "pairwise_disjoint": c.pairwise_disjoint,
-            "vandermonde_cond": c.vandermonde_cond,
-        }
+    """Every field of a ``VerificationReport``; ``completeness`` is left out
+    when it is None and otherwise also holds its ``complete`` property."""
+    d = dataclasses.asdict(report)
+    if report.completeness is None:
+        del d["completeness"]
+    else:
+        d["completeness"]["complete"] = report.completeness.complete
     return d
 
 
@@ -256,6 +244,6 @@ def save_manifest(out_dir, command, input_path, overrides):
         "input": str(input_path),
         "overrides": overrides,
         "seed": 0,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "timestamp": timestamp,
     })

@@ -128,7 +128,6 @@ class CompletenessReport:
     spectrum_union_matches: bool = False
     pairwise_disjoint: bool = False
     vandermonde_cond: float = float("inf")
-    max_pairing_error: float = float("inf")
 
     @property
     def complete(self) -> bool:
@@ -263,11 +262,11 @@ def is_complete_set(p: MatrixPolynomial, s: SolventSet) -> CompletenessReport:
     report = CompletenessReport()
     if len(s) != p.l:
         return report
-    companion_eigs = linalg.eigvals(companion_right(p))
+    roots = latent_roots(p)
     solvent_eigs = np.linalg.eigvals(s.solvents)
-    scale = max(1.0, float(np.max(np.abs(companion_eigs))))
-    report.max_pairing_error = _pair_spectra(companion_eigs, solvent_eigs.ravel())
-    report.spectrum_union_matches = report.max_pairing_error <= SPECTRUM_TOL * scale
+    scale = max(1.0, float(np.max(np.abs(roots))))
+    pairing_error = _pair_spectra(roots, solvent_eigs.ravel())
+    report.spectrum_union_matches = pairing_error <= SPECTRUM_TOL * scale
     report.pairwise_disjoint = spectral_overlap(solvent_eigs, SPECTRUM_TOL * scale) is None
     sv = np.linalg.svd(block_vandermonde(s), compute_uv=False)
     report.vandermonde_cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")

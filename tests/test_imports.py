@@ -1,11 +1,13 @@
 """Every module-level import in ``src/blockpoly`` is referenced, every
 error class is raised, every module-level private function is used by the
-package itself, every public one has a reader outside tests, and every
-defaulted parameter has a caller outside tests that sets it.
+package itself, every public one has a reader outside tests, every
+defaulted parameter has a caller outside tests that sets it, and every
+stored field (a dataclass field or a ``self.<name> =``) has a reader.
 
 No linter runs on the package, so this keeps deleted code from leaving its
 imports, its error classes or its helpers behind (a helper that only tests
-call is dead code).  ``__init__`` is skipped: its imports are the public API.
+call is dead code), and computed results from going unread.  ``__init__`` is
+skipped by the import scan: its imports are the public API.
 """
 
 import ast
@@ -210,3 +212,52 @@ def test_kept_defaults_exist_and_have_no_setter():
         position = defaulted[module, name, param]
         assert not any(callee == name and _passes(call, param, position)
                        for callee, call in calls), f"{module}.{name}({param}) has a setter"
+
+
+TESTS = SRC.parent.parent / "tests"
+
+
+def _is_dataclass(node):
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _stored_fields():
+    """``(module, class, name)`` for every dataclass field and every
+    ``self.<name> =`` of a class in ``src/blockpoly``."""
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if _is_dataclass(node):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield path.stem, node.name, stmt.target.id
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and getattr(sub.value, "id", None) == "self"):
+                    yield path.stem, node.name, sub.attr
+
+
+def _attribute_reads(node, stored=frozenset()):
+    """Every attribute name that ``node`` loads, except a load inside a
+    function that also stores that name: a field filled and read in one
+    function is a local, not a result."""
+    if isinstance(node, ast.FunctionDef):
+        stored = {sub.attr for sub in ast.walk(node)
+                  if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)}
+    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr not in stored):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_reads(child, stored)
+
+
+def test_every_stored_field_has_a_reader():
+    # A field that nothing reads is work with no result.
+    read = {name for path in [*SRC.glob("*.py"), *BENCH.glob("*.py"), *TESTS.glob("*.py")]
+            for name in _attribute_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    unread = [f"{module}.{cls}.{name}" for module, cls, name in set(_stored_fields())
+              if name not in read]
+    assert sorted(unread) == []

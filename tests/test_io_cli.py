@@ -109,6 +109,26 @@ def test_cli_factorize_example1_with_solvents(runner, tmp_path):
     assert os.path.exists(os.path.join(out, "solvents_left.json"))
 
 
+def test_cli_report_json_keys(runner, tmp_path):
+    # report.json holds every VerificationReport field; completeness only
+    # where solvents were checked, with its ``complete`` property.
+    ppath = fixture_path("example1.json")
+    result = runner.invoke(main, ["factorize", ppath, "--solvents", f"--out={tmp_path}"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(_read(os.path.join(tmp_path, "report.json")))
+    assert sorted(report) == [
+        "completeness", "leftmost_residual", "per_factor_residuals",
+        "per_solvent_residuals", "reconstruction_error", "rightmost_residual", "warnings"]
+    assert sorted(report["completeness"]) == [
+        "complete", "pairwise_disjoint", "spectrum_union_matches", "vandermonde_cond"]
+    out = tmp_path / "verify"
+    result = runner.invoke(main, ["verify", ppath, f"--against={tmp_path / 'factors.json'}",
+                                  f"--out={out}"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(_read(os.path.join(out, "report.json")))
+    assert "completeness" not in report and len(report) == 6
+
+
 def test_cli_factorize_deterministic(runner, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -228,6 +248,18 @@ def test_cli_decouple_wrong_mode_count_exit_1(runner, tmp_path):
          f"--out={tmp_path / 'o'}"],
     )
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--eval", "1,abc"), ("--eval", "nan"), ("--modes", "-1,inf")])
+def test_cli_decouple_option_that_is_not_a_finite_number_exit_1(runner, tmp_path, option,
+                                                                 value):
+    args = {"--modes": "-1,-2", option: value}
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["decouple", fixture_path("gas_turbine.json"),
+                                  *(f"{k}={v}" for k, v in args.items()), f"--out={out}"])
+    _assert_exit_1(result, f"cannot parse {option} '{value}': entries must be finite numbers")
+    assert not out.exists()
 
 
 def _non_monic_files(tmp_path):
