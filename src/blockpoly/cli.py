@@ -270,6 +270,8 @@ def decouple(input_file, modes, eval_points, out):
 @click.option("--out", default=None, type=click.Path(file_okay=False))
 def verify_cmd(input_file, against, tol, out):
     """Verify a factor chain against a polynomial file."""
+    if not 0 < tol < np.inf:
+        _fail_input(f"--tol must be a finite number > 0, got {tol}")
     try:
         p = io.load_polynomial(input_file)
         chain = io.load_factors(against)

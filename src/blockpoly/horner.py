@@ -36,6 +36,7 @@ solvent, and a small step with a large residual is slow progress.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +64,8 @@ class IterConfig:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be a finite positive number")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

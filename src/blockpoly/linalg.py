@@ -49,26 +49,60 @@ term and no ``np.kron``.  There are two routes.
   of the ``SingularMatrix`` that its gate raised.
 * The spectral route is Bartels–Stewart (CACM 15(9), 1972) in the
   eigenvector basis, since NumPy has no Schur form.  With X = V Λ V^{-1}
-  from ``np.linalg.eig``, K = H V has columns k_c with M_c k_c = (R V)_c,
-  where M_c = Σ_j C_j λ_c^{d-j}.  One batched ``np.linalg.inv`` inverts the
-  k column operators, H = Re(K V^{-1}), and one step of iterative refinement
-  with the same factors follows.  The result is returned only when two
+  from the LAPACK eig gufunc, K = H V has columns k_c with
+  M_c k_c = (R V)_c, where M_c = Σ_j C_j λ_c^{d-j}.  :data:`lapack_inv`
+  inverts V and the k column operators, H = Re(K V^{-1}), and one step of
+  iterative refinement with the same factors follows when the first H's
+  backward error is not at the rounding level.  H is returned only when two
   tests pass; otherwise the dense route runs as if this one had not:
 
-  - a certificate that the dense gate accepts J.  ||J||_F comes from the
-    Gram identity ||J||_F² = Σ_{i,j} <X^{d-i}, X^{d-j}>_F <C_i, C_j>_F, and
-    ||J^{-1}||_F <= ||V^{-1}||_2 (Σ_c ||v_c||² ||M_c^{-1}||_F²)^{1/2} holds
-    for the system of V Λ V^{-1}.  The residual ||X V - V Λ||_F bounds how
-    far J lies from that system, by θ relative to the bound, which is then
-    divided by 1 - θ (θ < 1 is required).  The gate's own certificate
-    ||J||_F bound sqrt(n(n+1)/2) ``PIVOT_RTOL`` < 1/2 must then hold;
+  - a proof that the dense gate's certificate holds for J.  J is the sum
+    the dense route assembles, Σ_j kron(P_{d-j}^T, C_j) with the computed
+    powers P_i of X.  Let W and N_c be the computed inverses of V and M_c.
+    The chain of bounds is:
+
+    1. ||J||_F from the Gram identity ||J||_F² = Σ_{i,j} <P_i, P_j>_F
+       <C_i, C_j>_F, plus (m² + k²)(d + 1) eps times its trace for the
+       rounding of the inner products.
+    2. X~ = V Λ V^{-1}, with the exact V^{-1}, has the system
+       J~ = (V^{-T} ⊗ I) blockdiag(M_c) (V^T ⊗ I).  So J~^{-1} has block
+       (a, b) = Σ_c (V^{-1})_{ca} V_{bc} M_c^{-1}.  Put W and N_c in place of
+       V^{-1} and M_c^{-1} and call the result P.  Then ||P||_F² is
+       Σ_{c,c'} (W̄ W^T)_{cc'} (V^H V)_{cc'} <N_c, N_c'>_F, an entrywise
+       product of three k x k Gram matrices, and its computed value is
+       within (m² + k² + 2k + 8) eps ||W||_F² ||V||_F² ||N||_F² of the exact
+       one.
+    3. The computed inverses are not exact.  Write V W = I + F and
+       M_c N_c = I + F_c, with ||F||_2 <= σ and ||F_c||_2 <= ρ.  Both bounds
+       come from the computed residuals plus their rounding, and ρ includes
+       the rounding of the Horner sum that formed each M_c.  With σ, ρ < 1,
+       V^{-1} = W (I + F)^{-1} and M_c^{-1} - N_c = -N_c F_c (I + F_c)^{-1}
+       (Neumann).  Hence ||J~^{-1}||_F <= β, where
+       β = (||P||_F + ||W||_F ||V||_F ||N||_F ρ / (1 - ρ)) / (1 - σ), and
+       ||V^{-1}||_2 <= ||W||_F / (1 - σ).
+    4. X - X~ = (X V - V Λ) V^{-1}, so ||X - X~||_F <= δ: the computed
+       residual plus its rounding, times that bound on ||V^{-1}||_2.  Then
+       ||X^i - X~^i||_F <= i δ (||X||_F + δ)^{i-1}, and ||P_i - X^i||_F <=
+       (i - 1) k eps ||X||_F^i.  Summed with the weights ||C_j||_F, these
+       bound ||J - J~||_F by ε_J.
+    5. If θ = β ε_J < 1, J = J~ (I + J~^{-1}(J - J~)) is nonsingular and
+       ||J^{-1}||_F <= β / (1 - θ) (Neumann).
+    6. ||J||_F β / (1 - θ) sqrt(n(n+1)/2) ``PIVOT_RTOL`` < 1/2 is then the
+       dense gate's own certificate, with upper bounds in place of both
+       norms.  So it holds for J: no pivot of partial-pivoted elimination of
+       J falls below ``PIVOT_RTOL`` ||J||_F, and :func:`_lu_factor` accepts J.
+
+    eps = 2u, so every rounding term keeps a factor 2 to spare, which
+    covers the rounding of the norms that scale it.  Every test is written
+    as ``x < bound``, so a NaN, from an eig that does not converge or a
+    failed inverse, fails it; so do an overflow and σ or ρ >= 1.
   - a backward error ||Σ_j C_j H X^{d-j} - R||_F <= 64 n eps
     (||J||_F ||H||_F + ||R||_F).
 
   It costs O(k m³ + k³) time and O(k m²) memory, against O(m³ k³) time and
   O(d m² k²) memory for the dense route.  It runs only when m and k are both
   at least ``SPECTRAL_MIN_ORDER``, the measured crossover below which the
-  dense route is as fast; there the results are the dense route's, bit for
+  dense route is faster; there the results are the dense route's, bit for
   bit.
 """
 
@@ -89,15 +123,18 @@ from .errors import DimensionMismatch, SingularMatrix, SingularSylvester
 #: it under ``np.errstate(invalid="ignore")``; ``qd`` calls it with ``out=``.
 lapack_inv = _umath_linalg.inv
 
+#: Unit roundoff times 2, the spacing of doubles at 1.
+EPS = float(np.finfo(float).eps)
+
 #: Relative pivot threshold: a pivot below ``PIVOT_RTOL * ||a||_F`` is singular.
 PIVOT_RTOL = 1e-12
 
 #: :func:`solve_sylvester` tries the spectral route first when both orders of
-#: H are at least this.  On Newton systems of generated chains (l = 2, 3; one
-#: BLAS thread, 2-core x86-64) it took a median 0.8, 0.6, 0.5 and 0.1 of the
-#: dense time at m = 8, 9, 10 and 16, but up to 1.5x at m = 8 and 1.0x at
-#: m = 9; from m = 10 on it was faster on every system measured.
-SPECTRAL_MIN_ORDER = 10
+#: H are at least this.  On Newton systems of generated chains (l = 2, 3;
+#: s = 0..3; one BLAS thread, 2-core x86-64) it took a median 0.67, 0.47, 0.36
+#: and 0.08 of the dense time at m = 8, 9, 10 and 16, and at most 0.89 at
+#: m = 8 in two runs; at m = 7 it took a median 0.9 but up to 1.16x.
+SPECTRAL_MIN_ORDER = 8
 
 
 def as_matrix(a) -> np.ndarray:
@@ -306,6 +343,62 @@ def sylvester_matrix(coeffs, x) -> np.ndarray:
     return s.reshape(k * m, k * m)
 
 
+def _sq(a) -> float:
+    """||a||_F², by one BLAS dot over the whole array."""
+    return float(np.vdot(a, a).real)
+
+
+def _spectral_factors(mats, x, x_norm, c_norms):
+    """X's eigendecomposition, the inverses of V and of the M_c, and bounds.
+
+    Returns λ, V, V^{-1} and the M_c^{-1} as LAPACK computed them, then
+    bounds on ||J~^{-1}||_F and on ||X - X~||_F for the exact V^{-1} and
+    M_c^{-1} (see the module docstring).  ``x_norm`` is ||X||_F and
+    ``c_norms`` are the coefficients' Frobenius norms.  The bounds are inf
+    where a residual is not below 1, and NaN or inf where eig or an inverse
+    fails or a norm overflows.  Call it under ``np.errstate(all="ignore")``.
+    """
+    k, m = x.shape[0], mats.shape[1]
+    # the gufunc behind np.linalg.eig: NaN where it does not converge
+    lam, v = _umath_linalg.eig(x)
+    if not lam.imag.any():
+        lam, v = lam.real, v.real
+    ops = mats[:1].repeat(k, 0)
+    for c in mats[1:]:
+        ops = ops * lam[:, None, None] + c
+    v_inv = lapack_inv(v)
+    ops_inv = lapack_inv(ops)
+
+    # ||P||_F for P = (W^T (x) I) blockdiag(N_c) (V^T (x) I), W and N_c the
+    # computed inverses, by three Gram matrices, plus their rounding.
+    flat = ops_inv.reshape(k, -1)
+    g_w = v_inv.conj() @ v_inv.T
+    g_v = v.conj().T @ v
+    g_n = flat.conj() @ flat.T
+    w_sq, v_sq, n_sq = _sq(v_inv), _sq(v), _sq(ops_inv)
+    p_sq = (float((g_w * g_v * g_n).sum().real)
+            + (m * m + k * k + 2 * k + 8) * EPS * (w_sq * v_sq * n_sq))
+    # V W = I + F and M_c N_c = I + F_c, each residual with its rounding, and
+    # every F_c with that of the Horner sums that computed the M_c.
+    size = float(abs(lam).max())
+    horner = 0.0
+    for c_norm in c_norms:
+        horner = horner * size + c_norm
+    sigma = (math.sqrt(_sq(v @ v_inv - np.eye(k)))
+             + (k + 2) * EPS * math.sqrt(v_sq * w_sq))
+    rho = (math.sqrt(_sq(ops @ ops_inv - np.eye(m)))
+           + (m + 2 * len(mats) + 2) * EPS * math.sqrt(n_sq) * horner)
+    if not (sigma < 1.0 and rho < 1.0):
+        return lam, v, v_inv, ops_inv, math.inf, math.inf
+    w_norm = math.sqrt(w_sq) / (1.0 - sigma)
+    bound = (math.sqrt(max(p_sq, 0.0)) / (1.0 - sigma)
+             + w_norm * rho / (1.0 - rho) * math.sqrt(v_sq * n_sq))
+    # X - X~ = E V^{-1} with E = X V - V Λ, counted with its own rounding.
+    eig_err = (math.sqrt(_sq(x @ v - v * lam))
+               + (k + 2) * EPS * (x_norm + size) * math.sqrt(v_sq))
+    return lam, v, v_inv, ops_inv, bound, eig_err * w_norm
+
+
 def _spectral_sylvester(mats, x, powers, rhs):
     """H from the eigenvector basis of X, or None where it is not certified.
 
@@ -317,42 +410,25 @@ def _spectral_sylvester(mats, x, powers, rhs):
     m, k = rhs.shape
     n = m * k
     d = len(mats) - 1
-    eps = np.finfo(float).eps
-    try:
-        lam, v = np.linalg.eig(x)
-        v_inv = np.linalg.inv(v)
-        ops = mats[0][None]
-        for c in mats[1:]:
-            ops = ops * lam[:, None, None] + c
-        ops_inv = np.linalg.inv(ops)
-    except np.linalg.LinAlgError:
-        return None
+    mats = np.asarray(mats)
+    with np.errstate(all="ignore"):
+        # ||J||_F by the Gram identity, plus the rounding of its inner products.
+        terms = np.array(powers[::-1]).reshape(d + 1, -1)
+        flat = mats.reshape(d + 1, -1)
+        gram_c = flat @ flat.T
+        gram = (terms @ terms.T) * gram_c
+        norm_j = math.sqrt(max(float(gram.sum()), 0.0)
+                           + (m * m + k * k) * (d + 1) * EPS * float(gram.trace()))
+        c_norms = np.sqrt(gram_c.diagonal()).tolist()
+        x_norm = math.sqrt(_sq(x))
+        lam, v, v_inv, ops_inv, bound, delta = _spectral_factors(mats, x, x_norm, c_norms)
 
-    # ||J||_F by the Gram identity, plus the rounding of its inner products.
-    terms = np.array(powers[::-1]).reshape(d + 1, -1)
-    coef = np.asarray(mats).reshape(d + 1, -1)
-    gram_c = coef @ coef.T
-    gram = (terms @ terms.T) * gram_c
-    sizes = np.sqrt(np.diag(gram))
-    norm_j = math.sqrt(max(float(gram.sum()), 0.0)
-                       + (m * m + k * k) * eps * float(sizes.sum()) ** 2)
-
-    # ||J~^{-1}||_F for the system of X~ = V Λ V^{-1}.  X - X~ = E V^{-1} with
-    # E = X V - V Λ, counted with its own rounding, so ||X - X~||_F <= δ and
-    # ||X^i - X~^i||_F <= i δ (||X||_F + δ)^{i-1}, which bounds ||J - J~||_F
-    # by ``drift``.  Since ||J||_F ||M_c^{-1}||_F >= 1, the certificate can only
-    # pass when κ_2(V) < 0.71e12 / (m sqrt(k)): the computed V^{-1} is then
-    # exact to far less than the factor 2 the certificate spares.
-    v_inv_2 = float(np.linalg.svd(v_inv, compute_uv=False)[0])
-    bound = v_inv_2 * float(np.linalg.norm(
-        np.linalg.norm(v, axis=0) * np.linalg.norm(ops_inv, axis=(1, 2))))
-    x_norm = frob_norm(x)
-    lam_max = float(np.max(np.abs(lam)))
-    eig_err = (frob_norm(x @ v - v * lam)
-               + (k + 2) * eps * (x_norm + lam_max) * frob_norm(v))
-    delta = eig_err * v_inv_2
-    drift = sum(math.sqrt(gram_c[j, j]) * (d - j) * delta * (x_norm + delta) ** (d - j - 1)
-                for j in range(d))
+    # ||X - X~||_F <= δ gives ||X^i - X~^i||_F <= i δ (||X||_F + δ)^{i-1}, and
+    # the computed powers add (i - 1) k eps ||X||_F^i: ||J - J~||_F <= drift.
+    drift, near, far = 0.0, x_norm, 1.0
+    for i, c_norm in enumerate(c_norms[d - 1::-1], 1):
+        drift += c_norm * (i * delta * far + (i - 1) * k * EPS * near)
+        near, far = near * x_norm, far * (x_norm + delta)
     theta = bound * drift
     if not theta < 1.0:
         return None
@@ -365,11 +441,13 @@ def _spectral_sylvester(mats, x, powers, rhs):
         return (kc.T @ v_inv).real
 
     h = columns(rhs)
-    h = h + columns(rhs - _sylvester_apply(mats, powers, h))
-    backward = frob_norm(_sylvester_apply(mats, powers, h) - rhs)
-    if not backward <= 64 * n * eps * (norm_j * frob_norm(h) + frob_norm(rhs)):
-        return None
-    return h
+    rhs_norm = math.sqrt(_sq(rhs))
+    for _ in range(2):
+        res = rhs - _sylvester_apply(mats, powers, h)
+        if math.sqrt(_sq(res)) <= 64 * n * EPS * (norm_j * math.sqrt(_sq(h)) + rhs_norm):
+            return h
+        h = h + columns(res)
+    return None
 
 
 def solve_sylvester(coeffs, x, rhs) -> np.ndarray:

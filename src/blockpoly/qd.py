@@ -97,8 +97,8 @@ class QDConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.e_tol <= 0:
-            raise ValueError("e_tol must be positive")
+        if not 0 < self.e_tol < math.inf:
+            raise ValueError("e_tol must be a finite positive number")
 
 
 @dataclass

@@ -176,7 +176,12 @@ def test_cli_factorize_no_convergence_exit_2(runner, tmp_path):
     ["--method=qd", "--max-iter=0"],
     ["--method=pipeline", "--max-iter=0"],
     ["--method=newton-horner", "--tol=-1"],
-], ids=["qd-budget", "pipeline-budget", "newton-tol"])
+    ["--method=pipeline", "--tol=nan"],
+    ["--method=pipeline", "--tol=inf"],
+    ["--method=qd", "--tol=nan"],
+    ["--method=newton-horner", "--tol=inf"],
+], ids=["qd-budget", "pipeline-budget", "newton-tol", "pipeline-tol-nan", "pipeline-tol-inf",
+        "qd-tol-nan", "newton-tol-inf"])
 def test_cli_factorize_invalid_option_exit_1(runner, tmp_path, args):
     out = tmp_path / "out"
     result = runner.invoke(
@@ -314,6 +319,18 @@ def test_cli_verify(runner, tmp_path):
          f"--against={os.path.join(out, 'factors.json')}"],
     )
     assert r2.exit_code == 0, r2.output
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+def test_cli_verify_tol_must_be_finite_positive(runner, tmp_path, tol):
+    # A NaN tolerance would pass any chain, since no error compares above it.
+    fpath = str(tmp_path / "factors.json")
+    io.save_factors(fpath, SpectralFactorChain([np.eye(2), np.eye(2)]))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["verify", fixture_path("example1.json"),
+                                  f"--against={fpath}", f"--tol={tol}", f"--out={out}"])
+    _assert_exit_1(result, "--tol must be a finite number > 0")
+    assert not out.exists()
 
 
 def _write_json(path, data):

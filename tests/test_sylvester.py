@@ -8,6 +8,8 @@ They run below ``linalg.SPECTRAL_MIN_ORDER``; the tests at the end check the
 spectral route above it against the dense route and its elimination arbiter.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,17 +156,21 @@ def _spectral_case(rng):
     """(coeffs, X, rhs, kind) at an order where the spectral route runs.
 
     C_0 = I and C_1..C_d are Gaussian, d in 1..3.  X is V T V^{-1} with
-    V = randn + 2I and T of one of four kinds: a Gaussian matrix (complex
+    V = randn + 2I and T of one of five kinds: a Gaussian matrix (complex
     spectrum), a Jordan block of size 2 or 3 on a diagonal, the same block
-    with ε in its corner (eigenvalues ε^{1/size} apart), or a diagonal T with
-    C_d moved so that M(λ_0) = Σ_j C_j λ_0^{d-j} has σ_min ≈ τ ||M(λ_0)||.
-    The near-singular kind takes an orthogonal V: there the eigenvector
-    basis is exact to rounding, so only the certificate can tell a system
-    the dense gate rejects from one it accepts.
+    with ε in its corner (eigenvalues ε^{1/size} apart), a diagonal T with
+    C_d moved so that M(λ_0) = Σ_j C_j λ_0^{d-j} has σ_min ≈ τ ||M(λ_0)||,
+    or a diagonal T in an ill-conditioned basis V = Q_1 diag(s) Q_2 with
+    κ(V) in [1e2, 1e12].  The near-singular kind takes an orthogonal V:
+    there the eigenvector basis is exact to rounding, so only the
+    certificate can tell a system the dense gate rejects from one it
+    accepts.  The ill-conditioned kind is where the computed V^{-1} is
+    furthest from the exact one.
     """
     m = int(rng.integers(linalg.SPECTRAL_MIN_ORDER, linalg.SPECTRAL_MIN_ORDER + 3))
     d = int(rng.integers(1, 4))
-    kind = str(rng.choice(["gaussian", "jordan", "near-defective", "near-singular"]))
+    kind = str(rng.choice(["gaussian", "jordan", "near-defective", "near-singular",
+                           "ill-conditioned"]))
     coeffs = [np.eye(m)] + [rng.standard_normal((m, m)) for _ in range(d)]
     lam = rng.uniform(-4, 4, m)
     t = rng.standard_normal((m, m)) if kind == "gaussian" else np.diag(lam)
@@ -181,6 +187,9 @@ def _spectral_case(rng):
         u = rng.standard_normal(m)
         u /= np.linalg.norm(u)
         coeffs[-1] = coeffs[-1] - (1 - tau) * np.outer(m0 @ u, u)
+    if kind == "ill-conditioned":
+        q1, q2 = (np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in range(2))
+        v = q1 @ np.diag(np.logspace(0, rng.uniform(2, 12), m)) @ q2
     x = v @ t @ np.linalg.inv(v)
     return coeffs, x, rng.standard_normal((m, m)), kind
 
@@ -221,8 +230,38 @@ def test_spectral_route_never_accepts_what_elimination_rejects():
         outcomes.add(("accepted" if h is not None else "fallback", kind))
     accepted = {k for route, k in outcomes if route == "accepted"}
     fallback = {k for route, k in outcomes if route == "fallback"}
-    assert {"gaussian", "near-defective", "near-singular"} <= accepted
-    assert {"jordan", "near-defective", "near-singular"} <= fallback
+    assert {"gaussian", "near-defective", "near-singular", "ill-conditioned"} <= accepted
+    assert {"jordan", "near-defective", "near-singular", "ill-conditioned"} <= fallback
+
+
+def test_spectral_bound_brackets_the_inverse_norm():
+    # _spectral_factors bounds ||J~^{-1}||_F, J~ = Σ_j kron((X~^{d-j})ᵀ, C_j)
+    # for X~ = V Λ V^{-1} with the computed (λ, V), by three k x k Gram
+    # matrices and the residuals of the computed inverses.  The bound must lie
+    # above the norm of the inverse of the assembled J~, up to that inverse's
+    # rounding, and below the product bound ||V^{-1}||_2 (Σ_c ||v_c||²
+    # ||M_c^{-1}||_F²)^{1/2} that it replaced, up to its own rounding terms.
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        m, k, d = (int(rng.integers(lo, hi)) for lo, hi in ((2, 6), (2, 6), (1, 4)))
+        mats = np.array([np.eye(m)] + [rng.standard_normal((m, m)) for _ in range(d)])
+        if rng.uniform() < 0.5:
+            x = rng.standard_normal((k, k))
+        else:
+            q1, q2 = (np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(2))
+            v = q1 @ np.diag(np.logspace(0, rng.uniform(0, 3), k)) @ q2
+            x = v @ np.diag(rng.uniform(-3, 3, k)) @ np.linalg.inv(v)
+        with np.errstate(all="ignore"):
+            lam, v, v_inv, ops_inv, bound, _ = linalg._spectral_factors(
+                mats, x, linalg.frob_norm(x), np.linalg.norm(mats, axis=(1, 2)).tolist())
+        x_t = v @ np.diag(lam) @ np.linalg.inv(v)
+        j_t = sum(np.kron(np.linalg.matrix_power(x_t, d - j).T, c) for j, c in enumerate(mats))
+        exact = linalg.frob_norm(np.linalg.inv(j_t))
+        old = np.linalg.norm(v_inv, 2) * math.sqrt(np.sum(
+            np.linalg.norm(v, axis=0) ** 2 * np.linalg.norm(ops_inv, axis=(1, 2)) ** 2))
+        reference = SOLVE_TOL * (m * k) ** 2 * np.linalg.cond(j_t) * np.linalg.cond(v)
+        assert bound >= exact * (1 - reference)
+        assert bound <= old * (1 + 1e-10)
 
 
 @pytest.mark.parametrize("l", [2, 3])
@@ -248,6 +287,41 @@ def test_spectral_route_taken_at_order_16(monkeypatch, l):
     x0 = x + 1e-4 * linalg.frob_norm(x) / linalg.frob_norm(d) * d
     got, _ = newton_horner(p, IterConfig(x0=x0))
     assert linalg.frob_norm(got - x) <= 1e-10 * linalg.frob_norm(x)
+
+
+@pytest.mark.parametrize("m, l, seed", [(16, 2, 16020), (8, 2, 8021)])
+def test_newton_polish_takes_no_dense_solve(monkeypatch, m, l, seed):
+    # The bench's polish chains (the band generator seeded 1000 m + 10 l + s),
+    # Newton from 20 starts 1e-4 from the dominant factor: no system whose
+    # Kronecker matrix clears the dense gate's certificate may be assembled.
+    # On m16/l2/s0 the product bound ||V^{-1}||_2 (Σ_c ||v_c||² ||M_c^{-1}||_F²)^{1/2}
+    # declined about half of these runs; below order 10 the spectral route did
+    # not run.  m8/l2/s1 has a near-double eigenvalue, which the starts split
+    # into a complex pair.  One m = 16 start meets a system with
+    # σ_min(M_c) = 6.7e-5 that the dense certificate itself fails (1.6 against
+    # 1/2); only such systems may still be assembled.
+    chain = random_chain(m, l, np.random.default_rng(seed))
+    p, x = reconstruct(chain), chain.factors[0]
+    assemble = linalg.sylvester_matrix
+    uncertified = []
+
+    def certified_refused(coeffs, x):
+        s = assemble(coeffs, x)
+        n = len(s)
+        gate = (linalg.frob_norm(s) * linalg.frob_norm(np.linalg.inv(s))
+                * math.sqrt(n * (n + 1) / 2) * linalg.PIVOT_RTOL)
+        assert gate >= 0.5, f"dense route taken on a system its gate certifies ({gate:.3g})"
+        uncertified.append(gate)
+        return s
+
+    monkeypatch.setattr(linalg, "sylvester_matrix", certified_refused)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        d = rng.standard_normal((m, m))
+        x0 = x + 1e-4 * linalg.frob_norm(x) / linalg.frob_norm(d) * d
+        got, _ = newton_horner(p, IterConfig(x0=x0))
+        assert linalg.frob_norm(got - x) <= 1e-10 * linalg.frob_norm(x)
+    assert len(uncertified) <= 1
 
 
 def test_exact_singular_order_16_falls_back():

@@ -164,9 +164,9 @@ def test_chain_to_solvents_order_8_degree_3():
 
 
 def test_chain_to_right_solvents_gates_each_solvent():
-    # Step 0's P has condition number 2.8e6 here and its solvent comes back
-    # with residual 2.3e-6: the step must fail rather than return it.
-    chain = random_chain(8, 3, np.random.default_rng(831))
+    # Step 0's P has condition number 2.0e6 here and its solvent comes back
+    # with residual 2.7e-3: the step must fail rather than return it.
+    chain = random_chain(8, 3, np.random.default_rng(1317))
     p = reconstruct(chain)
     with pytest.raises(SolventResidualLarge) as exc:
         chain_to_right_solvents(p, chain)
