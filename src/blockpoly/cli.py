@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage/input errors, 2 numerical failures.
+Each command loads its files, checks them, creates ``--out`` with its
+manifest, then runs.  Exit codes: 0 success, 1 usage/input errors, 2
+numerical failures; the group maps a usage error or a ``BlockPolyError``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 
@@ -13,14 +16,13 @@ import numpy as np
 
 from . import io, transforms
 from .decoupler import closed_loop_eval, design_decoupling
-from .errors import BlockPolyError, DimensionMismatch
+from .errors import BlockPolyError, DimensionMismatch, IncompleteSet, NotMonic
 from .horner import IterConfig
 from .pipeline import (REFINE_METHODS, PipelineConfig, full_factorize, refine_chain,
                        solvent_sets, verify)
 from .polynomial import SolventSet, check_chain, check_order
 from .qd import QDConfig, qd_run
 
-EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 
@@ -30,29 +32,32 @@ def _fail_input(msg):
     sys.exit(EXIT_INPUT)
 
 
-def _require_monic(p):
-    """Exit as an input error unless the loaded polynomial has A_0 = I."""
-    if not p.is_monic:
-        _fail_input("the polynomial is not monic: its leading coefficient A_0 must be I")
-
-
-def _require(check, *args):
-    """Exit as an input error where a check of loaded blocks against the
-    polynomial raises ``DimensionMismatch``."""
-    try:
-        check(*args)
-    except DimensionMismatch as exc:
-        _fail_input(str(exc))
-
-
 def _fail_numerical(msg):
     click.echo(f"numerical failure: {msg}", err=True)
     sys.exit(EXIT_NUMERICAL)
 
 
-def _ensure_out(out):
+def _load(loader, path):
+    """``loader(path)``; exits as an input error on a malformed file."""
+    try:
+        return loader(path)
+    except io.FileFormatError as exc:
+        _fail_input(str(exc))
+
+
+def _require(check, *args):
+    """``check(*args)``; exits as an input error where the loaded inputs do
+    not fit each other."""
+    try:
+        check(*args)
+    except (DimensionMismatch, NotMonic, IncompleteSet) as exc:
+        _fail_input(str(exc))
+
+
+def _start(out, command, input_file, overrides):
+    """Create ``out`` and write its manifest, once every input is checked."""
     os.makedirs(out, exist_ok=True)
-    return out
+    io.save_manifest(out, command, input_file, overrides)
 
 
 def _finite_numbers(option, text, parse, tokens):
@@ -80,7 +85,28 @@ CONVERSIONS = {
 }
 
 
-@click.group()
+@contextlib.contextmanager
+def _exit_codes():
+    """Exit 1 on a usage error of click's, keeping its message, and 2 on a
+    ``BlockPolyError``."""
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_INPUT
+        raise
+    except BlockPolyError as exc:
+        _fail_numerical(str(exc))
+
+
+class _Commands(click.Group):
+    """Parses the group's own arguments, and runs every command, under
+    :func:`_exit_codes`."""
+
+    parse_args = _exit_codes()(click.Group.parse_args)
+    invoke = _exit_codes()(click.Group.invoke)
+
+
+@click.group(cls=_Commands)
 def main():
     """Factorize monic matrix polynomials and design block-decoupling gains."""
 
@@ -97,11 +123,8 @@ def main():
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 def factorize(input_file, method, max_iter, tol, solvents, out):
     """Factorize a monic matrix polynomial into spectral factors."""
-    try:
-        p = io.load_polynomial(input_file)
-    except io.FileFormatError as exc:
-        _fail_input(str(exc))
-    _require_monic(p)
+    p = _load(io.load_polynomial, input_file)
+    _require(p.require_monic)
     qd_args, iter_args = {}, {}
     if max_iter is not None:
         qd_args["max_iterations"] = iter_args["max_iterations"] = max_iter
@@ -112,10 +135,8 @@ def factorize(input_file, method, max_iter, tol, solvents, out):
         iter_cfg = IterConfig(**iter_args)
     except ValueError as exc:
         _fail_input(str(exc))
-    _ensure_out(out)
-    overrides = {"method": method, "max_iter": max_iter, "tol": tol,
-                 "solvents": bool(solvents)}
-    io.save_manifest(out, "factorize", input_file, overrides)
+    _start(out, "factorize", input_file,
+           {"method": method, "max_iter": max_iter, "tol": tol, "solvents": bool(solvents)})
 
     traces, iter_traces = [], []
     try:
@@ -147,8 +168,7 @@ def factorize(input_file, method, max_iter, tol, solvents, out):
         elif trace is not None:
             traces.append(("failed", io.iter_trace_rows(trace)))
         io.save_trace_csv(os.path.join(out, "trace.csv"), traces)
-        _fail_numerical(str(exc))
-    sys.exit(EXIT_OK)
+        raise
 
 
 @main.command()
@@ -163,13 +183,10 @@ def factorize(input_file, method, max_iter, tol, solvents, out):
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 def convert(input_file, direction, factors_file, solvents_file, out):
     """Convert between factor chains and solvent sets of a polynomial."""
-    try:
-        p = io.load_polynomial(input_file)
-        chain = io.load_factors(factors_file) if factors_file else None
-        solv = io.load_solvents(solvents_file) if solvents_file else None
-    except io.FileFormatError as exc:
-        _fail_input(str(exc))
-    _require_monic(p)
+    p = _load(io.load_polynomial, input_file)
+    chain = _load(io.load_factors, factors_file) if factors_file else None
+    solv = _load(io.load_solvents, solvents_file) if solvents_file else None
+    _require(p.require_monic)
     from_chain = direction.startswith("chain")
     if from_chain and chain is None:
         _fail_input("--factors is required for chain-to-* conversions")
@@ -185,20 +202,17 @@ def convert(input_file, direction, factors_file, solvents_file, out):
         side = direction.split("-")[0]    # the side of the solvents a conversion reads
         if solv.side != side:
             _fail_input(f"--direction={direction} needs {side} solvents, got {solv.side} solvents")
-    _ensure_out(out)
-    io.save_manifest(out, "convert", input_file, {"direction": direction})
-    try:
-        result = CONVERSIONS[direction](p, chain if from_chain else solv)
-        if isinstance(result, SolventSet):
-            io.save_solvents(os.path.join(out, f"solvents_{result.side}.json"), result)
-            report = verify(p, solvents=result)
-        else:
-            io.save_factors(os.path.join(out, "factors.json"), result)
-            report = verify(p, chain=result)
-        io.save_report(os.path.join(out, "report.json"), report)
-    except BlockPolyError as exc:
-        _fail_numerical(str(exc))
-    sys.exit(EXIT_OK)
+        if direction.endswith("chain"):
+            _require(transforms.check_set, p, solv, side)
+    _start(out, "convert", input_file, {"direction": direction})
+    result = CONVERSIONS[direction](p, chain if from_chain else solv)
+    if isinstance(result, SolventSet):
+        io.save_solvents(os.path.join(out, f"solvents_{result.side}.json"), result)
+        report = verify(p, solvents=result)
+    else:
+        io.save_factors(os.path.join(out, "factors.json"), result)
+        report = verify(p, chain=result)
+    io.save_report(os.path.join(out, "report.json"), report)
 
 
 @main.command()
@@ -211,10 +225,7 @@ def convert(input_file, direction, factors_file, solvents_file, out):
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 def decouple(input_file, modes, eval_points, out):
     """Design block-decoupling state feedback for an MFD system."""
-    try:
-        sys_mfd = io.load_mfd(input_file)
-    except io.FileFormatError as exc:
-        _fail_input(str(exc))
+    sys_mfd = _load(io.load_mfd, input_file)
     entries = _finite_numbers("--modes", modes, float,
                               [v for v in modes.split(",") if v.strip() != ""])
     m = sys_mfd.m
@@ -228,36 +239,30 @@ def decouple(input_file, modes, eval_points, out):
                    for i in range(sys_mfd.l - sys_mfd.k)]
     tokens = eval_points.split(",") if eval_points else []
     points = zip(tokens, _finite_numbers("--eval", eval_points, complex, tokens))
-    _ensure_out(out)
-    io.save_manifest(out, "decouple", input_file,
-                     {"modes": modes, "eval": eval_points})
-    try:
-        result = design_decoupling(sys_mfd, mode_blocks)
-        payload = {
-            "F": result.F.tolist(),
-            "desired_chain": result.desired_chain.factors.tolist(),
-            "Dd_coefficients_descending": result.Dd.coeffs.tolist(),
-            "Kc_blocks_ascending": result.Kc_blocks.tolist(),
-            "zero_residuals": result.zero_residuals,
-            "warnings": result.warnings,
-        }
-        if tokens:
-            table = []
-            for tok, lam in points:
-                h, target = closed_loop_eval(sys_mfd, result, lam)
-                table.append({
-                    "lambda": tok,
-                    "closed_loop_real": np.real(h).tolist(),
-                    "closed_loop_imag": np.imag(h).tolist(),
-                    "target_real": np.real(target).tolist(),
-                    "target_imag": np.imag(target).tolist(),
-                    "max_error": float(np.max(np.abs(h - target))),
-                })
-            payload["closed_loop_table"] = table
-        io.write_json(os.path.join(out, "decoupling.json"), payload)
-    except BlockPolyError as exc:
-        _fail_numerical(str(exc))
-    sys.exit(EXIT_OK)
+    _start(out, "decouple", input_file, {"modes": modes, "eval": eval_points})
+    result = design_decoupling(sys_mfd, mode_blocks)
+    payload = {
+        "F": result.F.tolist(),
+        "desired_chain": result.desired_chain.factors.tolist(),
+        "Dd_coefficients_descending": result.Dd.coeffs.tolist(),
+        "Kc_blocks_ascending": result.Kc_blocks.tolist(),
+        "zero_residuals": result.zero_residuals,
+        "warnings": result.warnings,
+    }
+    if tokens:
+        table = []
+        for tok, lam in points:
+            h, target = closed_loop_eval(sys_mfd, result, lam)
+            table.append({
+                "lambda": tok,
+                "closed_loop_real": np.real(h).tolist(),
+                "closed_loop_imag": np.imag(h).tolist(),
+                "target_real": np.real(target).tolist(),
+                "target_imag": np.imag(target).tolist(),
+                "max_error": float(np.max(np.abs(h - target))),
+            })
+        payload["closed_loop_table"] = table
+    io.write_json(os.path.join(out, "decoupling.json"), payload)
 
 
 @main.command("verify")
@@ -272,28 +277,20 @@ def verify_cmd(input_file, against, tol, out):
     """Verify a factor chain against a polynomial file."""
     if not 0 < tol < np.inf:
         _fail_input(f"--tol must be a finite number > 0, got {tol}")
-    try:
-        p = io.load_polynomial(input_file)
-        chain = io.load_factors(against)
-    except io.FileFormatError as exc:
-        _fail_input(str(exc))
-    _require_monic(p)
+    p = _load(io.load_polynomial, input_file)
+    chain = _load(io.load_factors, against)
+    _require(p.require_monic)
     _require(check_chain, p, chain)
-    try:
-        report = verify(p, chain=chain)
-    except BlockPolyError as exc:
-        _fail_numerical(str(exc))
+    report = verify(p, chain=chain)
     text = io.dumps_canonical(io.report_to_dict(report))
     if out:
-        _ensure_out(out)
-        io.save_manifest(out, "verify", input_file, {"against": against, "tol": tol})
+        _start(out, "verify", input_file, {"against": against, "tol": tol})
         io.save_report(os.path.join(out, "report.json"), report)
     click.echo(text)
     if report.reconstruction_error > tol:
         _fail_numerical(
             f"reconstruction error {report.reconstruction_error:.3e} exceeds {tol:.1e}"
         )
-    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -109,7 +109,9 @@ def design_decoupling(sys: MFDSystem, modes: list) -> DecouplingResult:
     if len(j_blocks) != l - k:
         raise DimensionMismatch(f"need {l - k} mode blocks, got {len(j_blocks)}")
     warnings = []
-    for j in j_blocks:
+    for i, j in enumerate(j_blocks):
+        if j.shape != (sys.m, sys.m):
+            raise DimensionMismatch(f"mode block {i} has shape {j.shape}, need {sys.m}x{sys.m}")
         if np.any(np.real(linalg.eigvals(j)) >= 0):
             warnings.append(
                 "a desired mode block has eigenvalues with non-negative real "
@@ -160,6 +162,8 @@ def closed_loop_eval(sys: MFDSystem, res: DecouplingResult, lam):
     h_closed = N(λ) D_d(λ)^{-1} F and target = Π (λI - J_i)^{-1}.
     """
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise DimensionMismatch(f"λ must be finite, got {lam}")
     n_val = sys.numerator_polynomial().eval_scalar(lam)
     dd_val = res.Dd.eval_scalar(lam)
     cond = np.linalg.cond(dd_val)

@@ -109,6 +109,8 @@ def _run_iteration(p, cfg, step):
     ``step(x, quotient, remainder)``; the accepted iterate's quotient and
     relative residual go on the trace."""
     p.require_monic()
+    if p.l < 1:
+        raise DimensionMismatch("refinement needs degree >= 1")
     x = linalg.as_matrix(cfg.x0) if cfg.x0 is not None else default_guess(p)
     if x.shape != (p.m, p.m):
         raise DimensionMismatch(f"x0 must be {p.m}x{p.m}")
@@ -128,7 +130,7 @@ def _run_iteration(p, cfg, step):
                 quotient, remainder = synthetic_div_right(p, x)
                 residual = linalg.frob_norm(remainder)
             except DimensionMismatch:
-                if not k:       # the start's own shape or p's degree
+                if not k:       # the start's own quotient overflows
                     raise
                 residual = float("inf")
             if not np.isfinite(residual):

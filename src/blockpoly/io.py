@@ -101,20 +101,22 @@ def _blocks_from_json(data, key, what, path):
     return [_matrix_from_json(x, m, f"{path}: {what} {i}") for i, x in enumerate(items)]
 
 
-def _load_json(path):
+def _load_json(path, keys):
+    """The JSON document at ``path``, which must hold each of ``keys``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    for key in keys:
+        if key not in data:
+            raise FileFormatError(f"{path}: missing key '{key}'")
+    return data
 
 
 def load_polynomial(path) -> MatrixPolynomial:
     """Read a PolynomialFile: order, degree, coefficients A_0 first."""
-    data = _load_json(path)
-    for key in ("order", "degree", "coefficients"):
-        if key not in data:
-            raise FileFormatError(f"{path}: missing key '{key}'")
+    data = _load_json(path, ("order", "degree", "coefficients"))
     l = _count(data, "degree", path)
     mats = _blocks_from_json(data, "coefficients", "coefficient", path)
     if len(mats) != l + 1:
@@ -124,21 +126,20 @@ def load_polynomial(path) -> MatrixPolynomial:
     return MatrixPolynomial(mats)
 
 
+def _save_blocks(path, key, blocks, **fields):
+    """Write a (k, m, m) stack as ``key``, with its order, the format
+    version and ``fields``."""
+    write_json(path, {"format_version": FORMAT_VERSION, "order": blocks.shape[1],
+                      key: blocks, **fields})
+
+
 def save_polynomial(path, p: MatrixPolynomial):
-    write_json(path, {
-        "format_version": FORMAT_VERSION,
-        "order": p.m,
-        "degree": p.l,
-        "coefficients": p.coeffs.tolist(),
-    })
+    _save_blocks(path, "coefficients", p.coeffs, degree=p.l)
 
 
 def load_mfd(path) -> MFDSystem:
     """Read an MFD file: ascending numerator/denominator coefficient lists."""
-    data = _load_json(path)
-    for key in ("order", "numerator", "denominator"):
-        if key not in data:
-            raise FileFormatError(f"{path}: missing key '{key}'")
+    data = _load_json(path, ("order", "numerator", "denominator"))
     num = _blocks_from_json(data, "numerator", "numerator", path)
     den = _blocks_from_json(data, "denominator", "denominator", path)
     try:
@@ -148,12 +149,12 @@ def load_mfd(path) -> MFDSystem:
 
 
 def load_factors(path) -> SpectralFactorChain:
-    data = _load_json(path)
+    data = _load_json(path, ())
     return SpectralFactorChain(_blocks_from_json(data, "factors", "factor", path))
 
 
 def load_solvents(path) -> SolventSet:
-    data = _load_json(path)
+    data = _load_json(path, ())
     if "solvents" not in data or "side" not in data:
         raise FileFormatError(f"{path}: missing 'solvents' or 'side'")
     mats = _blocks_from_json(data, "solvents", "solvent", path)
@@ -164,21 +165,11 @@ def load_solvents(path) -> SolventSet:
 
 
 def save_factors(path, chain: SpectralFactorChain):
-    write_json(path, {
-        "format_version": FORMAT_VERSION,
-        "order": chain.m,
-        "convention": "rightmost-first",
-        "factors": chain.factors.tolist(),
-    })
+    _save_blocks(path, "factors", chain.factors, convention="rightmost-first")
 
 
 def save_solvents(path, s: SolventSet):
-    write_json(path, {
-        "format_version": FORMAT_VERSION,
-        "order": s.solvents.shape[1],
-        "side": s.side,
-        "solvents": s.solvents.tolist(),
-    })
+    _save_blocks(path, "solvents", s.solvents, side=s.side)
 
 
 def report_to_dict(report) -> dict:

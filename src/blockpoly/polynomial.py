@@ -71,7 +71,7 @@ class MatrixPolynomial:
 
     def require_monic(self):
         if not self.is_monic:
-            raise NotMonic("operation requires a monic matrix polynomial")
+            raise NotMonic("the polynomial is not monic: its leading coefficient A_0 must be I")
 
     def coefficient_scale(self) -> float:
         """max(1, ||A_l||_F): the normalization used for relative residuals."""
@@ -214,8 +214,6 @@ def _pair_spectra(target, candidate):
     remaining = list(candidate)
     worst = 0.0
     for t in target:
-        if not remaining:
-            return float("inf")
         dists = [abs(t - c) for c in remaining]
         k = int(np.argmin(dists))
         worst = max(worst, dists[k])

@@ -160,7 +160,7 @@ def chain_to_left_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> S
     return SolventSet("left", right.solvents[::-1].transpose(0, 2, 1))
 
 
-def _check_set(p: MatrixPolynomial, s: SolventSet, side: str) -> None:
+def check_set(p: MatrixPolynomial, s: SolventSet, side: str) -> None:
     """Monic p, then a ``side`` set of p.l solvents, then p's order."""
     p.require_monic()
     if s.side != side or len(s) != p.l:
@@ -190,7 +190,7 @@ def right_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFacto
     N_k(R_j) = N_{k-1}(R_j) R_j - Q_k N_{k-1}(R_j); Q_1 = R_1 becomes the
     rightmost factor, so the chain is emitted in recursion order.
     """
-    _check_set(p, s, "right")
+    check_set(p, s, "right")
     return SpectralFactorChain(_solvents_to_factors(s.solvents))
 
 
@@ -200,7 +200,7 @@ def left_solvents_to_chain(p: MatrixPolynomial, s: SolventSet) -> SpectralFactor
     The chain of pᵀ built from the transposed solvents, with its factors
     transposed and reversed: Q from L_1 is the LEFTMOST factor of p.
     """
-    _check_set(p, s, "left")
+    check_set(p, s, "left")
     factors = _solvents_to_factors(s.solvents.transpose(0, 2, 1))
     return SpectralFactorChain(factors[::-1].transpose(0, 2, 1))
 

@@ -155,3 +155,17 @@ def test_closed_loop_at_a_closed_loop_pole(gas_turbine, lam):
     res = design_decoupling(gas_turbine, [np.diag([-1.0, -2.0])])
     with pytest.raises(SingularAtLambda):
         closed_loop_eval(gas_turbine, res, lam)
+
+
+@pytest.mark.parametrize("block", [np.diag([-1.0, -2.0, -3.0]), np.array([[-1.0]]),
+                                   np.ones((2, 3))], ids=["3x3", "1x1", "2x3"])
+def test_mode_block_of_another_shape_is_named(gas_turbine, block):
+    with pytest.raises(DimensionMismatch, match=r"^mode block 0 has shape \(\d, \d\), need 2x2$"):
+        design_decoupling(gas_turbine, [block])
+
+
+@pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
+def test_closed_loop_at_a_non_finite_lambda(gas_turbine, lam):
+    res = design_decoupling(gas_turbine, [np.diag([-1.0, -2.0])])
+    with pytest.raises(DimensionMismatch, match="^λ must be finite"):
+        closed_loop_eval(gas_turbine, res, lam)

@@ -261,3 +261,14 @@ def test_every_stored_field_has_a_reader():
     unread = [f"{module}.{cls}.{name}" for module, cls, name in set(_stored_fields())
               if name not in read]
     assert sorted(unread) == []
+
+
+def test_only_the_failure_helpers_call_sys_exit():
+    # A command that returns exits 0, and the group maps what escapes a
+    # command to its code, so no other function decides one.
+    callers = {f"{path.name}:{getattr(top, 'name', '<module>')}" for path in SRC.glob("*.py")
+               for top in ast.parse(path.read_text(encoding="utf-8")).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "exit" and getattr(node.func.value, "id", None) == "sys"}
+    assert callers == {"cli.py:_fail_input", "cli.py:_fail_numerical"}

@@ -173,6 +173,20 @@ def test_cli_factorize_no_convergence_exit_2(runner, tmp_path):
 
 
 @pytest.mark.parametrize("args", [
+    ["factorize", fixture_path("example1.json"), "--method=bogus"],
+    ["factorize", "no-such-file.json"],
+    ["decouple", fixture_path("gas_turbine.json")],
+], ids=["bad-choice", "missing-input-file", "missing-required-option"])
+def test_cli_usage_error_exit_1(runner, tmp_path, args):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*args, f"--out={out}"])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert "Usage: " in result.output and "Error: " in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
     ["--method=qd", "--max-iter=0"],
     ["--method=pipeline", "--max-iter=0"],
     ["--method=newton-horner", "--tol=-1"],
@@ -237,13 +251,6 @@ def test_cli_decouple_gas_turbine(runner, tmp_path):
     assert result.exit_code == 0, result.output
     data = json.loads(_read(os.path.join(out, "decoupling.json")))
     assert max(row["max_error"] for row in data["closed_loop_table"]) < 1e-6
-
-
-def test_cli_decouple_missing_modes_exit(runner, tmp_path):
-    result = runner.invoke(
-        main, ["decouple", fixture_path("gas_turbine.json"), f"--out={tmp_path / 'o'}"]
-    )
-    assert result.exit_code != 0
 
 
 def test_cli_decouple_wrong_mode_count_exit_1(runner, tmp_path):
@@ -544,3 +551,19 @@ def test_cli_chain_of_the_wrong_length_exit_1(runner, tmp_path, command, length)
     io.save_factors(paths["f"], SpectralFactorChain(np.zeros((length, 2, 2))))
     result = runner.invoke(main, [arg.format(**paths) for arg in command])
     _assert_exit_1(result, f"the chain has {length} factors, the polynomial has degree 3")
+
+
+@pytest.mark.parametrize("direction, side", [("right-to-chain", "right"),
+                                             ("left-to-chain", "left")])
+def test_cli_solvents_of_the_wrong_count_exit_1(runner, tmp_path, direction, side):
+    ppath = fixture_path("example1.json")
+    result = runner.invoke(main, ["factorize", ppath, "--solvents", f"--out={tmp_path}"])
+    assert result.exit_code == 0, result.output
+    spath = str(tmp_path / "two.json")
+    solvents = io.load_solvents(str(tmp_path / f"solvents_{side}.json"))
+    io.save_solvents(spath, SolventSet(side, solvents.solvents[:2]))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["convert", ppath, f"--direction={direction}",
+                                  f"--solvents={spath}", f"--out={out}"])
+    _assert_exit_1(result, f"need a complete {side} set of 3 solvents, got 2 ({side})")
+    assert not out.exists()

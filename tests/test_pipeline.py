@@ -120,8 +120,14 @@ def test_verify_rejects_blocks_of_another_order(kwargs, what):
 
 
 def test_full_factorize_degree_zero_raises_dimension_mismatch():
+    p = MatrixPolynomial([np.eye(2)])
     with pytest.raises(DimensionMismatch, match=r"^Q.D. needs degree >= 1$"):
-        full_factorize(MatrixPolynomial([np.eye(2)]))
+        full_factorize(p)
+    # a refiner decides the degree before it guesses or divides
+    for refine in (horner.newton_horner, horner.horner_iterate, horner.two_stage):
+        for cfg in (None, horner.IterConfig(x0=np.eye(2))):
+            with pytest.raises(DimensionMismatch, match=r"^refinement needs degree >= 1$"):
+                refine(p, cfg)
 
 
 def test_qd_budget_exhaustion_still_refines():
