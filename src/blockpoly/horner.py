@@ -28,10 +28,11 @@ factor's residual, so a chain with no Newton step takes l divisions, not
 ‖A_R(X)‖_F / max(1, ‖A_l‖_F) <= ``RESIDUAL_GUARD`` AND the relative step δ in
 percent is <= η or stopped shrinking (δ_k >= δ_{k-1}, the rounding floor of an
 ill-conditioned step).  It raises ``NoConvergence`` when the budget ends or at
-the first non-finite iterate, quotient or residual of a diverging run.  No
-test for false convergence is needed: X' = X forces B_l = A_R(X) = 0 in all
-three maps (B_{l-1} X + A_l = B_l for plain Horner), so every fixed point is a
-solvent, and a small step with a large residual is slow progress.
+the first non-finite iterate, quotient or residual of a diverging run, the
+start included.  No test for false convergence is needed: X' = X forces
+B_l = A_R(X) = 0 in all three maps (B_{l-1} X + A_l = B_l for plain Horner),
+so every fixed point is a solvent, and a small step with a large residual is
+slow progress.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
     SingularMatrix,
     SingularStep,
 )
-from .polynomial import MatrixPolynomial, eval_right, synthetic_div_right
+from .polynomial import MatrixPolynomial, _square, eval_right, synthetic_div_right
 
 #: Relative residual guard: an iterate only counts as converged below this.
 RESIDUAL_GUARD = 1e-8
@@ -92,11 +93,16 @@ class ConvergenceTrace:
 
 
 def default_guess(p: MatrixPolynomial, jitter_seed: int = 0) -> np.ndarray:
-    """ε-perturbed scaled identity: (-trace(A_1)/(l·m)) I plus 1e-3 jitter."""
-    scale = -float(np.trace(p.coeffs[1])) / (p.l * p.m)
+    """ε-perturbed scaled identity: (-trace(A_1)/(l·m)) I plus 1e-3 jitter;
+    ``NoConvergence`` where it overflows, as that start diverges at once."""
     rng = np.random.default_rng(jitter_seed)
-    jitter = 1e-3 * max(1.0, abs(scale)) * rng.standard_normal((p.m, p.m))
-    return scale * np.eye(p.m) + jitter
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = -float(np.trace(p.coeffs[1])) / (p.l * p.m)
+        jitter = 1e-3 * max(1.0, abs(scale)) * rng.standard_normal((p.m, p.m))
+        guess = scale * np.eye(p.m) + jitter
+    if not np.isfinite(guess).all():
+        raise NoConvergence("diverged: the default guess is not finite")
+    return guess
 
 
 def _delta_pct(x_new, x_old) -> float:
@@ -111,9 +117,7 @@ def _run_iteration(p, cfg, step):
     p.require_monic()
     if p.l < 1:
         raise DimensionMismatch("refinement needs degree >= 1")
-    x = linalg.as_matrix(cfg.x0) if cfg.x0 is not None else default_guess(p)
-    if x.shape != (p.m, p.m):
-        raise DimensionMismatch(f"x0 must be {p.m}x{p.m}")
+    x = _square(p, cfg.x0) if cfg.x0 is not None else default_guess(p)
     scale = p.coefficient_scale()
     trace = ConvergenceTrace()
     delta = float("nan")
@@ -130,8 +134,6 @@ def _run_iteration(p, cfg, step):
                 quotient, remainder = synthetic_div_right(p, x)
                 residual = linalg.frob_norm(remainder)
             except DimensionMismatch:
-                if not k:       # the start's own quotient overflows
-                    raise
                 residual = float("inf")
             if not np.isfinite(residual):
                 raise NoConvergence(f"diverged: iterate {k}, its quotient or its "

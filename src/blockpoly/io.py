@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .decoupler import MFDSystem
+from .errors import DimensionMismatch
 from .polynomial import MatrixPolynomial, SolventSet, SpectralFactorChain
 
 FORMAT_VERSION = "1"
@@ -144,7 +145,7 @@ def load_mfd(path) -> MFDSystem:
     den = _blocks_from_json(data, "denominator", "denominator", path)
     try:
         return MFDSystem(num, den)
-    except Exception as exc:
+    except DimensionMismatch as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 

@@ -1,8 +1,11 @@
 """Dense linear-algebra kernel used by every other module.
 
-:func:`as_matrix` and :func:`as_blocks` are the two input validators: every
-list of m x m blocks in the package (coefficients, chains, solvent sets) is
-the read-only float (k, m, m) stack that :func:`as_blocks` returns.
+:func:`as_matrix` and :func:`as_blocks` are the two input validators, and
+they take only real, finite entries: every list of m x m blocks in the
+package (coefficients, chains, solvent sets) is the read-only float (k, m, m)
+stack that :func:`as_blocks` returns.  :func:`solve`, :func:`invert`,
+:func:`unvec` and :func:`eigvals` check no shape: only arrays the package
+built reach them.
 
 ``solve``/``invert`` run on LAPACK.  :func:`invert` takes one matrix or a
 (k, n, n) stack and inverts it with one call of :data:`lapack_inv`, the LAPACK
@@ -137,9 +140,16 @@ PIVOT_RTOL = 1e-12
 SPECTRAL_MIN_ORDER = 8
 
 
+def _real(a: np.ndarray) -> np.ndarray:
+    """``a`` as floats; complex or non-numeric entries raise ``DimensionMismatch``."""
+    if a.dtype.kind not in "biuf":
+        raise DimensionMismatch(f"entries must be real numbers, got {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D float ndarray and validate finiteness."""
-    m = np.asarray(a, dtype=float)
+    """Coerce to a 2-D float ndarray of real, finite entries."""
+    m = _real(np.asarray(a))
     if m.ndim != 2:
         raise DimensionMismatch(f"expected 2-D matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
@@ -154,7 +164,7 @@ def as_blocks(mats) -> np.ndarray:
     view, so the caller's own array stays writable.
     """
     try:
-        a = np.asarray(mats, dtype=float)
+        a = _real(np.asarray(mats))
     except ValueError as exc:
         # NumPy's error for blocks of different shapes
         raise DimensionMismatch("blocks must all have one shape") from exc
@@ -191,7 +201,9 @@ def _lu_factor(a: np.ndarray, pivot_rtol: float) -> None:
     """
     n = a.shape[0]
     lu = a.astype(float).copy()
-    threshold = pivot_rtol * max(frob_norm(a), 1e-300)
+    with np.errstate(over="ignore"):
+        # a norm that overflows makes the threshold inf: no pivot clears it
+        threshold = pivot_rtol * max(frob_norm(a), 1e-300)
     for k in range(n):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
         pivot = abs(lu[p, k])
@@ -244,12 +256,6 @@ def solve(a, b) -> np.ndarray:
         If a pivot magnitude of partial-pivoted elimination falls below
         ``PIVOT_RTOL * ||a||_F``; the error carries the pivot index.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"solve needs a square matrix, got {a.shape}")
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"rhs rows {b.shape[0]} != matrix rows {a.shape[0]}")
     return invert(a) @ b
 
 
@@ -264,14 +270,11 @@ def invert(a) -> np.ndarray:
     that too fails the certificate and leaves the decision to the arbiter.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(
-            f"invert needs a square matrix or a (k, n, n) stack, got {a.shape}")
     stack = a[None] if a.ndim == 2 else a
     with np.errstate(all="ignore"):
         inv = lapack_inv(stack)
-        inv_norms = frob_norms(inv)
-    gate_inverses(stack, inv, frob_norms(stack), inv_norms)
+        norms, inv_norms = frob_norms(stack), frob_norms(inv)
+    gate_inverses(stack, inv, norms, inv_norms)
     return inv[0] if a.ndim == 2 else inv
 
 
@@ -290,10 +293,7 @@ def vec(a) -> np.ndarray:
 
 def unvec(v, rows: int, cols: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size != rows * cols:
-        raise DimensionMismatch(f"cannot reshape length {v.size} to {rows}x{cols}")
-    return v.reshape(rows, cols, order="F")
+    return np.reshape(v, (rows, cols), order="F")
 
 
 def _sylvester_operands(coeffs, x):
@@ -481,7 +481,4 @@ def eigvals(a) -> np.ndarray:
     spectral route of :func:`solve_sylvester` takes eigenvalues and
     eigenvectors from ``np.linalg.eig`` itself.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"eigvals needs a square matrix, got {a.shape}")
     return np.linalg.eigvals(a)

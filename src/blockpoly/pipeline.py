@@ -121,13 +121,9 @@ def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
             x = -current.coeffs[1]
             trace = ConvergenceTrace(deflation=transforms.deflate_right(current, x))
         else:
-            if seeds is not None:
-                guesses = [seeds[k]]
-            else:
-                guesses = [default_guess(current, jitter_seed=s)
-                           for s in range(MULTI_START)]
-            for guess in guesses:
+            for s in range(MULTI_START if seeds is None else 1):
                 try:
+                    guess = default_guess(current, s) if seeds is None else seeds[k]
                     x, trace = refiner(cfg.refine_method)(current, replace(cfg.iter, x0=guess))
                     break
                 except BlockPolyError as exc:

@@ -164,6 +164,12 @@ def test_mode_block_of_another_shape_is_named(gas_turbine, block):
         design_decoupling(gas_turbine, [block])
 
 
+def test_mode_block_count_is_named(gas_turbine):
+    modes = [np.diag([-1.0, -2.0]), np.diag([-3.0, -4.0])]
+    with pytest.raises(DimensionMismatch, match="^need 1 mode blocks, got 2$"):
+        design_decoupling(gas_turbine, modes)
+
+
 @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
 def test_closed_loop_at_a_non_finite_lambda(gas_turbine, lam):
     res = design_decoupling(gas_turbine, [np.diag([-1.0, -2.0])])

@@ -3,6 +3,7 @@ import pytest
 
 from blockpoly import horner, linalg
 from blockpoly.errors import (
+    DimensionMismatch,
     InsufficientTrace,
     NoConvergence,
     SingularStep,
@@ -324,6 +325,45 @@ def test_bounds_check_needs_six_iterates_and_checks_five_steps():
         convergence_bounds_check(p, first(5))
     report = convergence_bounds_check(p, first(6))
     assert len(report.lower_margins) == len(report.upper_margins) == 5
+
+
+def test_bounds_check_fails_a_trace_that_stands_still_off_a_solvent():
+    # ξ_k = 0 puts the upper bound at 0, under a nonzero residual
+    chain = random_chain(2, 2, np.random.default_rng(9))
+    p = reconstruct(chain)
+    x = chain.factors[0] + 0.1 * np.eye(2)
+    still = horner.ConvergenceTrace([x] * 6, [0.0] * 6, [1.0] * 6)
+    report = convergence_bounds_check(p, still)
+    assert not report.sandwich_holds
+    assert min(report.upper_margins) < 0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"eta": 0.0}, "eta must be a finite positive number"),
+    ({"eta": float("nan")}, "eta must be a finite positive number"),
+    ({"max_iterations": 0}, "max_iterations must be >= 1"),
+])
+def test_iter_config_rejects(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        IterConfig(**kwargs)
+
+
+def test_x0_of_the_wrong_shape_raises():
+    p = reconstruct(random_chain(2, 2, np.random.default_rng(9)))
+    with pytest.raises(DimensionMismatch, match=r"^x must be 2x2, got \(3, 3\)$"):
+        newton_horner(p, IterConfig(x0=np.eye(3)))
+
+
+def test_overflow_at_the_start_is_no_convergence():
+    # A_1 = 1.7e308 I: the default guess's trace overflows, and from
+    # x0 = 1.7e308 I the first quotient does; neither may warn
+    eye = np.eye(2)
+    p = MatrixPolynomial([eye, 1.7e308 * eye, np.ones((2, 2))])
+    with pytest.raises(NoConvergence, match="^diverged: the default guess is not finite$"):
+        newton_horner(p)
+    with pytest.raises(NoConvergence, match="^diverged: iterate 0, its quotient") as exc:
+        newton_horner(p, IterConfig(x0=1.7e308 * eye))
+    assert exc.value.trace.iterates == []
 
 
 def test_newton_ratio_trend_below_plain():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -567,3 +568,92 @@ def test_cli_solvents_of_the_wrong_count_exit_1(runner, tmp_path, direction, sid
                                   f"--solvents={spath}", f"--out={out}"])
     _assert_exit_1(result, f"need a complete {side} set of 3 solvents, got 2 ({side})")
     assert not out.exists()
+
+
+def test_canonical_json_empty_dict_and_unknown_type():
+    assert io.dumps_canonical({"a": {}}) == '{\n  "a": {}\n}'
+    with pytest.raises(TypeError, match="^cannot serialize <class 'object'>$"):
+        io.dumps_canonical(object())
+
+
+def _solvents_file(tmp_path, **changes):
+    data = {"order": 2, "side": "right", "solvents": [np.eye(2).tolist()]}
+    return _write_json(tmp_path / "s.json", {**data, **changes})
+
+
+@pytest.mark.parametrize("write, loader, message", [
+    (lambda t: _polynomial_file(t, coefficients=[np.eye(2).tolist(), np.eye(3).tolist()]),
+     io.load_polynomial, r"coefficient 1: expected a 2x2 array, got shape \(3, 3\)$"),
+    (lambda t: _polynomial_file(t, coefficients=[np.eye(2).tolist(), [[1.0, float("nan")],
+                                                                     [0.0, 1.0]]]),
+     io.load_polynomial, "coefficient 1: non-finite entries$"),
+    (lambda t: _polynomial_file(t, degree=2), io.load_polynomial,
+     "degree 2 needs 3 coefficients, got 2$"),
+    (lambda t: _write_json(t / "p.json", {"order": 2, "coefficients": [np.eye(2).tolist()]}),
+     io.load_polynomial, "missing key 'degree'$"),
+    (lambda t: _write_json(t / "s.json", {"order": 2, "solvents": [np.eye(2).tolist()]}),
+     io.load_solvents, "missing 'solvents' or 'side'$"),
+    (lambda t: _solvents_file(t, side="up"), io.load_solvents,
+     "side must be 'right' or 'left'$"),
+], ids=["wrong-size-block", "nan-literal", "degree-count", "missing-key", "missing-side",
+        "bad-side"])
+def test_malformed_file_messages(tmp_path, write, loader, message):
+    path = write(tmp_path)
+    with pytest.raises(io.FileFormatError, match=f"^{re.escape(path)}: {message}"):
+        loader(path)
+
+
+def test_unreadable_json_is_a_file_format_error(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text("{")
+    with pytest.raises(io.FileFormatError, match=f"^cannot read {re.escape(str(path))}: Expecting"):
+        io.load_polynomial(str(path))
+
+
+def test_cli_decouple_numerator_degree_not_below_denominator_exit_1(runner, tmp_path):
+    eye = np.eye(2).tolist()
+    path = _write_json(tmp_path / "mfd.json",
+                       {"order": 2, "numerator": [eye, eye], "denominator": [eye, eye]})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["decouple", path, "--modes=-1,-2", f"--out={out}"])
+    _assert_exit_1(result, f"{path}: need deg N < deg D")
+    assert not out.exists()
+
+
+def test_cli_convert_without_solvents_exit_1(runner, tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["convert", fixture_path("example1.json"),
+                                  "--direction=right-to-chain", f"--out={out}"])
+    _assert_exit_1(result, "--solvents is required for this conversion")
+    assert not out.exists()
+
+
+def test_cli_verify_chain_that_does_not_reconstruct_exit_2(runner, tmp_path):
+    fpath = str(tmp_path / "factors.json")
+    io.save_factors(fpath, SpectralFactorChain([np.eye(2)] * 3))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["verify", fixture_path("example1.json"),
+                                  f"--against={fpath}", f"--out={out}"])
+    assert result.exit_code == 2
+    assert "numerical failure: reconstruction error " in result.output
+    assert "exceeds 1.0e-06" in result.output
+    report = json.loads(_read(os.path.join(out, "report.json")))
+    assert report["reconstruction_error"] > 1e-6
+
+
+def test_cli_convert_right_to_left_of_a_partial_set(runner, tmp_path):
+    # two of example 1's three right solvents convert one by one, and the
+    # report calls the left pair incomplete
+    ppath = fixture_path("example1.json")
+    result = runner.invoke(main, ["factorize", ppath, "--solvents", f"--out={tmp_path}"])
+    assert result.exit_code == 0, result.output
+    spath = str(tmp_path / "two.json")
+    right = io.load_solvents(str(tmp_path / "solvents_right.json"))
+    io.save_solvents(spath, SolventSet("right", right.solvents[:2]))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["convert", ppath, "--direction=right-to-left",
+                                  f"--solvents={spath}", f"--out={out}"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(_read(os.path.join(out, "report.json")))
+    assert len(report["per_solvent_residuals"]) == 2
+    assert report["completeness"]["complete"] is False

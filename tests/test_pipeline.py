@@ -180,6 +180,31 @@ def test_refine_failure_names_the_stage_and_factor():
     assert isinstance(exc.value.cause, NoConvergence)
 
 
+def test_overflow_at_the_start_fails_the_refine_stage():
+    # A_1 = 1.7e308 I: Q.D. cannot invert A_1 to a certified inverse, and
+    # every default guess overflows
+    eye = np.eye(2)
+    p = MatrixPolynomial([eye, 1.7e308 * eye, np.ones((2, 2))])
+    with pytest.raises(PipelineStageError) as exc:
+        full_factorize(p)
+    assert (exc.value.stage, exc.value.factor_index) == ("refine", 0)
+    assert isinstance(exc.value.cause, NoConvergence)
+
+
+def test_refine_method_must_be_known():
+    with pytest.raises(ValueError, match=r"^refine_method must be one of \('horner', "):
+        PipelineConfig(refine_method="qd")
+
+
+def test_verify_reports_a_set_of_the_wrong_count_incomplete(example1):
+    right, _, _ = full_solvent_sets(example1)
+    report = verify(example1, solvents=SolventSet("right", right.solvents[:2]))
+    assert len(report.per_solvent_residuals) == 2
+    assert max(report.per_solvent_residuals) <= transforms.SOLVENT_GATE
+    assert not report.completeness.complete
+    assert report.completeness.vandermonde_cond == float("inf")
+
+
 def test_transform_failure_names_the_stage():
     # the two factors share the eigenvalue 1, so no solvent set exists
     p = reconstruct(SpectralFactorChain([np.diag([5.0, 1.0]), np.diag([-3.0, 1.0])]))

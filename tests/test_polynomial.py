@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from blockpoly import linalg
-from blockpoly.decoupler import MFDSystem
+from blockpoly.decoupler import MFDSystem, design_decoupling
 from blockpoly.errors import DimensionMismatch, NotMonic
+from blockpoly.horner import IterConfig, newton_horner
 from blockpoly.polynomial import (
     MONIC_ATOL,
     MatrixPolynomial,
@@ -19,6 +20,7 @@ from blockpoly.polynomial import (
     synthetic_div_left,
     synthetic_div_right,
 )
+from blockpoly.transforms import right_to_left_solvent
 
 from conftest import scalar_polynomial
 
@@ -304,3 +306,44 @@ def test_as_blocks_stacks_a_list_of_blocks():
     assert got.dtype == np.float64 and got.shape == (2, 2, 2)
     assert not got.flags.writeable
     assert np.array_equal(got[0], [[1.0, 2.0], [3.0, 4.0]])
+
+
+def _small_mfd():
+    """An MFD of order 2 with numerator degree 0 and denominator degree 2."""
+    return MFDSystem([np.eye(2)], [2 * np.eye(2), 3 * np.eye(2), np.eye(2)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: MatrixPolynomial([E2, c, E2]),
+    lambda c: SpectralFactorChain([c, E2]),
+    lambda c: SolventSet("right", [E2, c]),
+    lambda c: MFDSystem([c], [E2, E2, E2]),
+    lambda c: MFDSystem([E2], [E2, c, E2]),
+    lambda c: eval_right(MatrixPolynomial([E2, E2]), c),
+    lambda c: eval_left(MatrixPolynomial([E2, E2]), c),
+    lambda c: newton_horner(MatrixPolynomial([E2, E2, E2]), IterConfig(x0=c)),
+    lambda c: design_decoupling(_small_mfd(), [c, c]),
+], ids=["polynomial", "chain", "solvents", "mfd-numerator", "mfd-denominator",
+        "eval-right", "eval-left", "newton-x0", "decoupling-modes"])
+def test_complex_input_raises_dimension_mismatch(call):
+    # a float cast would keep only the real part: A_1 = 0 here
+    with pytest.raises(DimensionMismatch, match="^entries must be real numbers, got complex128$"):
+        call(1j * E2)
+
+
+def test_x_of_the_wrong_shape_raises():
+    p = MatrixPolynomial([E2, E2])
+    with pytest.raises(DimensionMismatch, match=r"^x must be 2x2, got \(3, 3\)$"):
+        eval_right(p, np.eye(3))
+    with pytest.raises(DimensionMismatch, match="^expected 2-D matrix, got ndim=1$"):
+        eval_right(p, np.ones(2))
+
+
+def test_solvent_set_side_is_right_or_left():
+    with pytest.raises(ValueError, match="^side must be 'right' or 'left'$"):
+        SolventSet("up", [E2])
+
+
+def test_degree_0_polynomial_has_no_right_solvent_to_convert():
+    with pytest.raises(DimensionMismatch, match="^cannot divide a degree-0 polynomial$"):
+        right_to_left_solvent(MatrixPolynomial([E2]), E2)

@@ -410,6 +410,14 @@ def test_qd_run_stops_at_each_position_of_a_block(block_sizes):
     assert positions == {"first", "middle", "last"}
 
 
+def test_block_size_when_the_decay_rate_rounds_to_one():
+    # last < first, yet (last / first)^(1/31) rounds to 1.0: no decay to
+    # extrapolate, so the next block is a full one
+    rels = [1.0] * 31 + [1 - 2 ** -52]
+    assert (rels[-1] / rels[0]) ** (1 / 31) == 1.0
+    assert qd._block_size(rels, 1e-10) == _BLOCK
+
+
 def test_qd_run_stall_matches_one_sweep_loop():
     p = scalar_polynomial([1.0, -3.0, -3.0, -1.0])
     cfg = QDConfig(max_iterations=100)

@@ -289,6 +289,34 @@ def test_spectral_route_taken_at_order_16(monkeypatch, l):
     assert linalg.frob_norm(got - x) <= 1e-10 * linalg.frob_norm(x)
 
 
+def test_spectral_route_declines_after_two_backward_error_misses(monkeypatch):
+    # The certificate holds here, so only the backward-error test can send
+    # the solve to the dense route.  No generated system was found whose
+    # refined answer misses that test (near-defective and ill-conditioned
+    # bases clear it after the one refinement step), so the residual that
+    # the route measures is made to miss by 1e-6 relative, with the sign
+    # flipped on the second call so that the refinement cannot absorb it.
+    rng = np.random.default_rng(81)
+    chain = random_chain(8, 2, rng)
+    p, x = reconstruct(chain), chain.factors[0]
+    coeffs = synthetic_div_right(p, x)[0].coeffs
+    rhs = rng.standard_normal((8, 8))
+    assert linalg._spectral_sylvester(coeffs, x, linalg._powers(x, 1), rhs) is not None
+    apply = linalg._sylvester_apply
+    misses = []
+
+    def off(mats, powers, h):
+        misses.append(h)
+        out = apply(mats, powers, h)
+        return out + (-1) ** len(misses) * 1e-6 * linalg.frob_norm(out) * np.ones_like(out)
+
+    monkeypatch.setattr(linalg, "_sylvester_apply", off)
+    got = linalg.solve_sylvester(coeffs, x, rhs)
+    assert len(misses) == 2
+    dense = linalg.unvec(linalg.solve(linalg.sylvester_matrix(coeffs, x), linalg.vec(rhs)), 8, 8)
+    assert np.array_equal(got, dense)
+
+
 @pytest.mark.parametrize("m, l, seed", [(16, 2, 16020), (8, 2, 8021)])
 def test_newton_polish_takes_no_dense_solve(monkeypatch, m, l, seed):
     # The bench's polish chains (the band generator seeded 1000 m + 10 l + s),
