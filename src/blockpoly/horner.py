@@ -171,6 +171,7 @@ def frechet_matrix(p: MatrixPolynomial, x) -> np.ndarray:
     quotient coefficient B_j = Σ_{i<=j} A_i X^{j-i} of right division by
     (λI - X), so J is the Sylvester matrix of B_0..B_{l-1}.
     """
+    x = _square(p, x)
     return linalg.sylvester_matrix(synthetic_div_right(p, x)[0].coeffs, x)
 
 

@@ -98,6 +98,8 @@ def _blocks_from_json(data, key, what, path):
     items = data.get(key)
     if not isinstance(items, list) or not items:
         raise FileFormatError(f"{path}: '{key}' must be a nonempty list")
+    if "order" not in data and not isinstance(items[0], list):
+        raise FileFormatError(f"{path}: {what} 0: expected a list of rows, got {items[0]!r}")
     m = _count(data, "order", path) if "order" in data else len(items[0])
     return [_matrix_from_json(x, m, f"{path}: {what} {i}") for i, x in enumerate(items)]
 
@@ -109,6 +111,8 @@ def _load_json(path, keys):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
     for key in keys:
         if key not in data:
             raise FileFormatError(f"{path}: missing key '{key}'")
@@ -150,14 +154,12 @@ def load_mfd(path) -> MFDSystem:
 
 
 def load_factors(path) -> SpectralFactorChain:
-    data = _load_json(path, ())
+    data = _load_json(path, ("factors",))
     return SpectralFactorChain(_blocks_from_json(data, "factors", "factor", path))
 
 
 def load_solvents(path) -> SolventSet:
-    data = _load_json(path, ())
-    if "solvents" not in data or "side" not in data:
-        raise FileFormatError(f"{path}: missing 'solvents' or 'side'")
+    data = _load_json(path, ("solvents", "side"))
     mats = _blocks_from_json(data, "solvents", "solvent", path)
     try:
         return SolventSet(data["side"], mats)

@@ -3,9 +3,11 @@
 :func:`as_matrix` and :func:`as_blocks` are the two input validators, and
 they take only real, finite entries: every list of m x m blocks in the
 package (coefficients, chains, solvent sets) is the read-only float (k, m, m)
-stack that :func:`as_blocks` returns.  :func:`solve`, :func:`invert`,
-:func:`unvec` and :func:`eigvals` check no shape: only arrays the package
-built reach them.
+stack that :func:`as_blocks` returns.  The kernels :func:`solve`,
+:func:`invert`, :func:`unvec`, :func:`eigvals`, :func:`sylvester_matrix`,
+:func:`solve_sylvester`, :func:`_spectral_sylvester` and
+:func:`_spectral_factors` call neither validator and check no shape: only
+arrays the package built reach them.
 
 ``solve``/``invert`` run on LAPACK.  :func:`invert` takes one matrix or a
 (k, n, n) stack and inverts it with one call of :data:`lapack_inv`, the LAPACK
@@ -193,18 +195,17 @@ def frob_norms(a) -> np.ndarray:
     return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]).ravel())
 
 
-def _lu_factor(a: np.ndarray, pivot_rtol: float) -> None:
+def _lu_factor(a: np.ndarray) -> None:
     """Partial-pivoted elimination that raises SingularMatrix on a small pivot.
 
     The arbiter for matrices the inverse's certificate cannot clear; its
     factors are not kept.
     """
-    n = a.shape[0]
-    lu = a.astype(float).copy()
+    lu = a.astype(float)
     with np.errstate(over="ignore"):
         # a norm that overflows makes the threshold inf: no pivot clears it
-        threshold = pivot_rtol * max(frob_norm(a), 1e-300)
-    for k in range(n):
+        threshold = PIVOT_RTOL * max(frob_norm(a), 1e-300)
+    for k in range(len(lu)):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
         pivot = abs(lu[p, k])
         if pivot <= threshold:
@@ -233,7 +234,7 @@ def gate_inverses(a, inv, norms, inv_norms) -> None:
         at = np.unravel_index(i, norms.shape)
         try:
             # as_matrix rejects a non-finite matrix
-            _lu_factor(as_matrix(a[at]), PIVOT_RTOL)
+            _lu_factor(as_matrix(a[at]))
             if not np.all(np.isfinite(inv[at])):
                 # Elimination kept every pivot above the threshold, yet LAPACK
                 # met an exact zero pivot or overflowed: there is no inverse.
@@ -296,14 +297,6 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
     return np.reshape(v, (rows, cols), order="F")
 
 
-def _sylvester_operands(coeffs, x):
-    """The coefficients as a checked stack and X as a checked square matrix."""
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise DimensionMismatch("need square coefficients of one order and a square X")
-    return as_blocks(coeffs), x
-
-
 def _powers(x, d):
     """[I, X, ..., X^d], one product each."""
     powers = [np.eye(x.shape[0])]
@@ -330,15 +323,14 @@ def sylvester_matrix(coeffs, x) -> np.ndarray:
     terms are summed from j = d down, and S equals the ``np.kron`` sum bit for
     bit.
     """
-    mats, x = _sylvester_operands(coeffs, x)
-    d = len(mats) - 1
+    d = len(coeffs) - 1
     powers = _powers(x, d)
-    k, m = x.shape[0], mats.shape[1]
+    k, m = x.shape[0], coeffs.shape[1]
     s = np.empty((k, m, k, m))
     term = np.empty_like(s)
-    np.multiply(powers[0][:, None, :, None], mats[-1][None, :, None, :], out=s)
+    np.multiply(powers[0][:, None, :, None], coeffs[-1][None, :, None, :], out=s)
     for j in range(d - 1, -1, -1):
-        np.multiply(powers[d - j].T[:, None, :, None], mats[j][None, :, None, :], out=term)
+        np.multiply(powers[d - j].T[:, None, :, None], coeffs[j][None, :, None, :], out=term)
         s += term
     return s.reshape(k * m, k * m)
 
@@ -410,7 +402,6 @@ def _spectral_sylvester(mats, x, powers, rhs):
     m, k = rhs.shape
     n = m * k
     d = len(mats) - 1
-    mats = np.asarray(mats)
     with np.errstate(all="ignore"):
         # ||J||_F by the Gram identity, plus the rounding of its inner products.
         terms = np.array(powers[::-1]).reshape(d + 1, -1)
@@ -458,17 +449,12 @@ def solve_sylvester(coeffs, x, rhs) -> np.ndarray:
     singular system raises ``SingularSylvester`` with the message of the
     ``SingularMatrix`` that :func:`solve` raised on the Kronecker matrix.
     """
-    mats, x = _sylvester_operands(coeffs, x)
-    rhs = as_matrix(rhs)
-    if rhs.shape != (mats[0].shape[0], x.shape[0]):
-        raise DimensionMismatch(
-            f"rhs is {rhs.shape}, H must be {mats[0].shape[0]}x{x.shape[0]}")
     if min(rhs.shape) >= SPECTRAL_MIN_ORDER:
-        h = _spectral_sylvester(mats, x, _powers(x, len(mats) - 1), rhs)
+        h = _spectral_sylvester(coeffs, x, _powers(x, len(coeffs) - 1), rhs)
         if h is not None:
             return h
     try:
-        h = solve(sylvester_matrix(mats, x), vec(rhs))
+        h = solve(sylvester_matrix(coeffs, x), vec(rhs))
     except SingularMatrix as exc:
         raise SingularSylvester(str(exc)) from exc
     return unvec(h, *rhs.shape)

@@ -50,8 +50,6 @@ class MatrixPolynomial:
     coeffs: np.ndarray
 
     def __init__(self, coeffs):
-        if not len(coeffs):
-            raise DimensionMismatch("need at least one coefficient")
         object.__setattr__(self, "coeffs", linalg.as_blocks(coeffs))
 
     @property
@@ -92,8 +90,6 @@ class SpectralFactorChain:
     factors: np.ndarray
 
     def __init__(self, factors):
-        if not len(factors):
-            raise DimensionMismatch("chain needs at least one factor")
         object.__setattr__(self, "factors", linalg.as_blocks(factors))
 
     @property

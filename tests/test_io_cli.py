@@ -592,15 +592,50 @@ def _solvents_file(tmp_path, **changes):
     (lambda t: _write_json(t / "p.json", {"order": 2, "coefficients": [np.eye(2).tolist()]}),
      io.load_polynomial, "missing key 'degree'$"),
     (lambda t: _write_json(t / "s.json", {"order": 2, "solvents": [np.eye(2).tolist()]}),
-     io.load_solvents, "missing 'solvents' or 'side'$"),
+     io.load_solvents, "missing key 'side'$"),
     (lambda t: _solvents_file(t, side="up"), io.load_solvents,
      "side must be 'right' or 'left'$"),
+    (lambda t: _write_json(t / "p.json", [1, 2]), io.load_polynomial,
+     "expected a JSON object, got list$"),
+    (lambda t: _write_json(t / "mfd.json", 5), io.load_mfd, "expected a JSON object, got int$"),
+    (lambda t: _write_json(t / "f.json", "factors"), io.load_factors,
+     "expected a JSON object, got str$"),
+    (lambda t: _write_json(t / "s.json", None), io.load_solvents,
+     "expected a JSON object, got NoneType$"),
+    (lambda t: _write_json(t / "f.json", {"order": 2}), io.load_factors,
+     "missing key 'factors'$"),
+    (lambda t: _write_json(t / "f.json", {"factors": [5]}), io.load_factors,
+     "factor 0: expected a list of rows, got 5$"),
+    (lambda t: _write_json(t / "s.json", {"side": "right", "solvents": [None, [[1.0]]]}),
+     io.load_solvents, "solvent 0: expected a list of rows, got None$"),
+    (lambda t: _polynomial_file(t, coefficients=[5, np.eye(2).tolist()]), io.load_polynomial,
+     r"coefficient 0: expected a 2x2 array, got shape \(\)$"),
+    (lambda t: _write_json(t / "mfd.json", {"order": 2, "numerator": [True],
+                                            "denominator": [np.eye(2).tolist()] * 2}),
+     io.load_mfd, r"numerator 0: expected a 2x2 array, got shape \(\)$"),
 ], ids=["wrong-size-block", "nan-literal", "degree-count", "missing-key", "missing-side",
-        "bad-side"])
+        "bad-side", "polynomial-not-object", "mfd-not-object", "factors-not-object",
+        "solvents-not-object", "missing-factors", "factors-entry-not-list",
+        "solvents-entry-not-list", "coefficient-not-list", "numerator-not-list"])
 def test_malformed_file_messages(tmp_path, write, loader, message):
     path = write(tmp_path)
     with pytest.raises(io.FileFormatError, match=f"^{re.escape(path)}: {message}"):
         loader(path)
+
+
+@pytest.mark.parametrize("document, command", [
+    ([1, 2], ["verify", fixture_path("example1.json"), "--against={path}", "--out={out}"]),
+    (5, ["factorize", "{path}", "--out={out}"]),
+    ({"factors": [5]}, ["convert", fixture_path("example1.json"),
+                        "--direction=chain-to-right", "--factors={path}", "--out={out}"]),
+], ids=["verify-list", "factorize-int", "convert-entry-not-list"])
+def test_cli_malformed_document_exit_1(runner, tmp_path, document, command):
+    path = _write_json(tmp_path / "in.json", document)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [arg.format(path=path, out=out) for arg in command])
+    _assert_exit_1(result, f"{path}: ")
+    assert "Traceback" not in result.output
+    assert not out.exists()
 
 
 def test_unreadable_json_is_a_file_format_error(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from blockpoly import linalg
 from blockpoly.decoupler import MFDSystem, design_decoupling
 from blockpoly.errors import DimensionMismatch, NotMonic
-from blockpoly.horner import IterConfig, newton_horner
+from blockpoly.horner import IterConfig, frechet_matrix, newton_horner
 from blockpoly.polynomial import (
     MONIC_ATOL,
     MatrixPolynomial,
@@ -278,10 +278,12 @@ def test_block_constructors_raise_dimension_mismatch(build):
 
 
 def test_empty_messages_are_kept():
-    with pytest.raises(DimensionMismatch, match="need at least one coefficient"):
-        MatrixPolynomial([])
-    with pytest.raises(DimensionMismatch, match="chain needs at least one factor"):
-        SpectralFactorChain([])
+    # as_blocks decides emptiness for every stack class, with one message
+    message = r"^expected a nonempty \(k, m, m\) stack, got shape \(0,\)$"
+    for build in (MatrixPolynomial, SpectralFactorChain, lambda a: SolventSet("right", a),
+                  lambda a: MFDSystem(a, [E2, E2])):
+        with pytest.raises(DimensionMismatch, match=message):
+            build([])
 
 
 @pytest.mark.parametrize("build, field", [
@@ -322,9 +324,10 @@ def _small_mfd():
     lambda c: eval_right(MatrixPolynomial([E2, E2]), c),
     lambda c: eval_left(MatrixPolynomial([E2, E2]), c),
     lambda c: newton_horner(MatrixPolynomial([E2, E2, E2]), IterConfig(x0=c)),
+    lambda c: frechet_matrix(MatrixPolynomial([E2, E2, E2]), c),
     lambda c: design_decoupling(_small_mfd(), [c, c]),
 ], ids=["polynomial", "chain", "solvents", "mfd-numerator", "mfd-denominator",
-        "eval-right", "eval-left", "newton-x0", "decoupling-modes"])
+        "eval-right", "eval-left", "newton-x0", "frechet-x", "decoupling-modes"])
 def test_complex_input_raises_dimension_mismatch(call):
     # a float cast would keep only the real part: A_1 = 0 here
     with pytest.raises(DimensionMismatch, match="^entries must be real numbers, got complex128$"):
@@ -333,10 +336,13 @@ def test_complex_input_raises_dimension_mismatch(call):
 
 def test_x_of_the_wrong_shape_raises():
     p = MatrixPolynomial([E2, E2])
-    with pytest.raises(DimensionMismatch, match=r"^x must be 2x2, got \(3, 3\)$"):
-        eval_right(p, np.eye(3))
-    with pytest.raises(DimensionMismatch, match="^expected 2-D matrix, got ndim=1$"):
-        eval_right(p, np.ones(2))
+    for call in (eval_right, frechet_matrix):
+        with pytest.raises(DimensionMismatch, match=r"^x must be 2x2, got \(3, 3\)$"):
+            call(p, np.eye(3))
+        with pytest.raises(DimensionMismatch, match=r"^x must be 2x2, got \(2, 3\)$"):
+            call(p, np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch, match="^expected 2-D matrix, got ndim=1$"):
+            call(p, np.ones(2))
 
 
 def test_solvent_set_side_is_right_or_left():

@@ -344,7 +344,7 @@ def test_arbitrated_pivot_gets_the_per_matrix_inverse():
     bound = (linalg.frob_norm(pivot) * linalg.frob_norm(np.linalg.inv(pivot))
              * math.sqrt(3) * linalg.PIVOT_RTOL)
     assert bound >= 0.5
-    linalg._lu_factor(pivot, linalg.PIVOT_RTOL)
+    linalg._lu_factor(pivot)
     got = qd_step(t)
     want_q, want_e = ref_qd_step(list(t.q_row), list(t.e_row), 1)
     assert np.array_equal(got.q_row, np.array(want_q))
