@@ -72,16 +72,14 @@ def _finite_numbers(option, text, parse, tokens):
     _fail_input(f"cannot parse {option} '{text}': entries must be finite numbers")
 
 
-#: The conversion each ``--direction`` names.  The ``transforms`` names are
-#: looked up at call time, so a wrapper installed on them at run time is the
-#: one called.
+#: The conversion each ``--direction`` names.
 CONVERSIONS = {
-    "chain-to-right": lambda p, chain: transforms.chain_to_right_solvents(p, chain),
-    "chain-to-left": lambda p, chain: transforms.chain_to_left_solvents(p, chain),
+    "chain-to-right": transforms.chain_to_right_solvents,
+    "chain-to-left": transforms.chain_to_left_solvents,
     "right-to-left": lambda p, solv: SolventSet(
-        "left", [transforms.right_to_left_solvent(p, r).output for r in solv.solvents]),
-    "right-to-chain": lambda p, solv: transforms.right_solvents_to_chain(p, solv),
-    "left-to-chain": lambda p, solv: transforms.left_solvents_to_chain(p, solv),
+        "left", [transforms.right_to_left_solvent(p, r)[0] for r in solv.solvents]),
+    "right-to-chain": transforms.right_solvents_to_chain,
+    "left-to-chain": transforms.left_solvents_to_chain,
 }
 
 

@@ -112,7 +112,7 @@ def design_decoupling(sys: MFDSystem, modes: list) -> DecouplingResult:
     for i, j in enumerate(j_blocks):
         if j.shape != (sys.m, sys.m):
             raise DimensionMismatch(f"mode block {i} has shape {j.shape}, need {sys.m}x{sys.m}")
-        if np.any(np.real(linalg.eigvals(j)) >= 0):
+        if np.any(np.real(np.linalg.eigvals(j)) >= 0):
             warnings.append(
                 "a desired mode block has eigenvalues with non-negative real "
                 "part; the closed loop will not be asymptotically stable"
@@ -123,15 +123,13 @@ def design_decoupling(sys: MFDSystem, modes: list) -> DecouplingResult:
     except SingularMatrix as exc:
         raise SingularLeadingCoefficient(str(exc)) from exc
 
+    zero_chain, zero_residuals = None, []
     if k > 0:
         try:
             _, zero_chain, zero_report, _ = factorize_nonmonic(sys.numerator_polynomial())
         except BlockPolyError as exc:
             raise NumeratorFactorizationFailed(str(exc)) from exc
         zero_residuals = list(zero_report.per_factor_residuals)
-    else:
-        zero_chain = None
-        zero_residuals = []
 
     # Desired chain, rightmost-first: the numerator zeros keep their positions
     # (so they cancel), the conjugated mode blocks fill the leftmost slots.
@@ -161,7 +159,10 @@ def closed_loop_eval(sys: MFDSystem, res: DecouplingResult, lam):
     Returns ``(h_closed, target)`` with
     h_closed = N(λ) D_d(λ)^{-1} F and target = Π (λI - J_i)^{-1}.
     """
-    lam = complex(lam)
+    try:
+        lam = complex(lam)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"λ must be a number, got {lam!r}") from exc
     if not np.isfinite(lam):
         raise DimensionMismatch(f"λ must be finite, got {lam}")
     n_val = sys.numerator_polynomial().eval_scalar(lam)

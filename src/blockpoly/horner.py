@@ -67,7 +67,10 @@ class IterConfig:
     def __post_init__(self):
         if not 0 < self.eta < math.inf:
             raise ValueError("eta must be a finite positive number")
-        if self.max_iterations < 1:
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {n!r}")
+        if n < 1:
             raise ValueError("max_iterations must be >= 1")
 
 

@@ -57,13 +57,9 @@ def dumps_canonical(obj, indent=0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = []
-        for key in sorted(obj):
-            items.append(
-                pad2 + json.dumps(str(key)) + ": "
-                + dumps_canonical(obj[key], indent + 1)
-            )
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        inner = ",\n".join(pad2 + json.dumps(str(key)) + ": "
+                            + dumps_canonical(obj[key], indent + 1) for key in sorted(obj))
+        return "{\n" + inner + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -98,8 +94,9 @@ def _blocks_from_json(data, key, what, path):
     items = data.get(key)
     if not isinstance(items, list) or not items:
         raise FileFormatError(f"{path}: '{key}' must be a nonempty list")
-    if "order" not in data and not isinstance(items[0], list):
-        raise FileFormatError(f"{path}: {what} 0: expected a list of rows, got {items[0]!r}")
+    if "order" not in data and not (isinstance(items[0], list) and items[0]):
+        raise FileFormatError(
+            f"{path}: {what} 0: expected a nonempty list of rows, got {items[0]!r}")
     m = _count(data, "order", path) if "order" in data else len(items[0])
     return [_matrix_from_json(x, m, f"{path}: {what} {i}") for i, x in enumerate(items)]
 
@@ -229,10 +226,7 @@ def qd_trace_rows(trace):
 
 def save_manifest(out_dir, command, input_path, overrides):
     ts = os.environ.get("SOURCE_DATE_EPOCH")
-    timestamp = (
-        time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(int(ts)))
-        if ts else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    )
+    timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(int(ts) if ts else None))
     write_json(os.path.join(out_dir, "manifest.json"), {
         "command": command,
         "input": str(input_path),

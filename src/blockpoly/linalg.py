@@ -4,7 +4,7 @@
 they take only real, finite entries: every list of m x m blocks in the
 package (coefficients, chains, solvent sets) is the read-only float (k, m, m)
 stack that :func:`as_blocks` returns.  The kernels :func:`solve`,
-:func:`invert`, :func:`unvec`, :func:`eigvals`, :func:`sylvester_matrix`,
+:func:`invert`, :func:`unvec`, :func:`sylvester_matrix`,
 :func:`solve_sylvester`, :func:`_spectral_sylvester` and
 :func:`_spectral_factors` call neither validator and check no shape: only
 arrays the package built reach them.
@@ -458,13 +458,3 @@ def solve_sylvester(coeffs, x, rhs) -> np.ndarray:
     except SingularMatrix as exc:
         raise SingularSylvester(str(exc)) from exc
     return unvec(h, *rhs.shape)
-
-
-def eigvals(a) -> np.ndarray:
-    """Eigenvalues of a square matrix as a complex array, from LAPACK.
-
-    Spectra diagnostics such as the completeness checks use them; the
-    spectral route of :func:`solve_sylvester` takes eigenvalues and
-    eigenvectors from ``np.linalg.eig`` itself.
-    """
-    return np.linalg.eigvals(a)

@@ -280,7 +280,7 @@ def reconstruct(chain: SpectralFactorChain) -> MatrixPolynomial:
 
 def latent_roots(p: MatrixPolynomial) -> np.ndarray:
     """The ml latent roots: eigenvalues of the right block companion."""
-    return linalg.eigvals(companion_right(p))
+    return np.linalg.eigvals(companion_right(p))
 
 
 def residual_right(p: MatrixPolynomial, x) -> float:

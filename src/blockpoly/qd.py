@@ -95,7 +95,10 @@ class QDConfig:
     e_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {n!r}")
+        if n < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0 < self.e_tol < math.inf:
             raise ValueError("e_tol must be a finite positive number")

@@ -23,8 +23,6 @@ worked-example ordering R_l = rightmost factor = right solvent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -57,14 +55,6 @@ SOLVENT_GATE = 1e-6
 RANK_TOL = 1e-10
 
 
-@dataclass
-class TransformResult:
-    """A transform output together with its similarity matrix."""
-
-    output: object
-    transformer: np.ndarray
-
-
 def _rank_check(t: np.ndarray) -> bool:
     sv = np.linalg.svd(t, compute_uv=False)
     return bool(sv[-1] > RANK_TOL * sv[0])
@@ -77,14 +67,14 @@ def _conjugate(t: np.ndarray, x: np.ndarray, index: int) -> np.ndarray:
     return t @ x @ linalg.invert(t)
 
 
-def _similarity_step(quotient: MatrixPolynomial, q: np.ndarray, index: int):
-    """P solving Σ_j A_j P Q^{d-j} = I for the quotient's A_j, and P Q P⁻¹."""
-    pmat = linalg.solve_sylvester(quotient.coeffs, q, np.eye(len(q)))
+def _similarity_step(coeffs: np.ndarray, q: np.ndarray, index: int):
+    """P solving Σ_j A_j P Q^{d-j} = I for the quotient coefficients A_j, and P Q P⁻¹."""
+    pmat = linalg.solve_sylvester(coeffs, q, np.eye(len(q)))
     return pmat, _conjugate(pmat, q, index)
 
 
-def right_to_left_solvent(p: MatrixPolynomial, r) -> TransformResult:
-    """Convert a right solvent R into a left solvent L = Q^{-1} R Q.
+def right_to_left_solvent(p: MatrixPolynomial, r):
+    """Convert a right solvent R into a left solvent L = Q^{-1} R Q; returns (L, Q).
 
     With B(λ) the quotient of A(λ) divided by (λI - R) on the right, Rᵀ is
     the leftmost factor of Aᵀ(λ) = Bᵀ(λ)(λI - Rᵀ), so Lᵀ is the similarity
@@ -95,8 +85,8 @@ def right_to_left_solvent(p: MatrixPolynomial, r) -> TransformResult:
     if rel > SOLVENT_GATE:
         raise InputNotSolvent(
             f"right-solvent residual {rel:.3e} exceeds gate {SOLVENT_GATE:.1e}")
-    pmat, left = _similarity_step(_transpose(quotient), linalg.as_matrix(r).T, 0)
-    return TransformResult(output=left.T, transformer=pmat.T)
+    pmat, left = _similarity_step(quotient.coeffs.transpose(0, 2, 1), linalg.as_matrix(r).T, 0)
+    return left.T, pmat.T
 
 
 def _check_disjoint(chain: SpectralFactorChain):
@@ -121,7 +111,7 @@ def _chain_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> SolventS
             rem = linalg.frob_norm(remainder) / scale
             if rem > SOLVENT_GATE:
                 raise DeflationResidualLarge(step, rem)
-            solvent = _similarity_step(current, q, step)[1]
+            solvent = _similarity_step(current.coeffs, q, step)[1]
         res = residual_right(p, solvent)
         if res > SOLVENT_GATE:
             raise SolventResidualLarge(step, res)

@@ -281,7 +281,7 @@ def test_criterion_7_roundtrip_suite():
         # the right roundtrip returns the same polynomial with the factor
         # order reversed, so spectra pair up against the reversed chain
         for f, g in zip(got_chain.factors, reversed(chain_r.factors)):
-            err = spectrum_pair_error(linalg.eigvals(f), linalg.eigvals(g))
+            err = spectrum_pair_error(np.linalg.eigvals(f), np.linalg.eigvals(g))
             if err > 1e-6:
                 failures.append(f"case {case}: right roundtrip spectrum {err:.2e}")
                 break
@@ -289,7 +289,7 @@ def test_criterion_7_roundtrip_suite():
         left = transforms.chain_to_left_solvents(p, got_chain)
         chain_l = transforms.left_solvents_to_chain(p, left)
         for f, g in zip(got_chain.factors, chain_l.factors):
-            err = spectrum_pair_error(linalg.eigvals(f), linalg.eigvals(g))
+            err = spectrum_pair_error(np.linalg.eigvals(f), np.linalg.eigvals(g))
             if err > 1e-6:
                 failures.append(f"case {case}: left roundtrip spectrum {err:.2e}")
                 break

@@ -99,7 +99,7 @@ def ref_pairwise_gaps(spectra, bound):
 
 
 def ref_check_disjoint(factors, tol=1e-6):
-    spectra = [linalg.eigvals(f) for f in factors]
+    spectra = [np.linalg.eigvals(f) for f in factors]
     scale = max(1.0, max(float(np.max(np.abs(s))) for s in spectra))
     overlap = ref_pairwise_gaps(spectra, tol * scale)
     if overlap is not None:
@@ -168,9 +168,9 @@ def test_check_disjoint_matches_reference(factors):
 def test_complete_set_disjointness_matches_reference(solvents):
     m, l = solvents[0].shape[0], len(solvents)
     p = reconstruct(SpectralFactorChain([3.0 * (j + 1) * np.eye(m) for j in range(l)]))
-    companion_eigs = linalg.eigvals(companion_right(p))
+    companion_eigs = np.linalg.eigvals(companion_right(p))
     bound = 1e-6 * max(1.0, float(np.max(np.abs(companion_eigs))))
-    spectra = [linalg.eigvals(x) for x in solvents]
+    spectra = [np.linalg.eigvals(x) for x in solvents]
     report = is_complete_set(p, SolventSet("right", solvents))
     assert report.pairwise_disjoint == (ref_pairwise_gaps(spectra, bound) is None)
 

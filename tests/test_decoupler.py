@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -174,4 +176,12 @@ def test_mode_block_count_is_named(gas_turbine):
 def test_closed_loop_at_a_non_finite_lambda(gas_turbine, lam):
     res = design_decoupling(gas_turbine, [np.diag([-1.0, -2.0])])
     with pytest.raises(DimensionMismatch, match="^λ must be finite"):
+        closed_loop_eval(gas_turbine, res, lam)
+
+
+@pytest.mark.parametrize("lam", ["abc", None, [1, 2]])
+def test_closed_loop_at_a_lambda_that_is_not_a_number(gas_turbine, lam):
+    res = design_decoupling(gas_turbine, [np.diag([-1.0, -2.0])])
+    message = f"λ must be a number, got {lam!r}"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         closed_loop_eval(gas_turbine, res, lam)

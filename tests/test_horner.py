@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -342,10 +344,19 @@ def test_bounds_check_fails_a_trace_that_stands_still_off_a_solvent():
     ({"eta": 0.0}, "eta must be a finite positive number"),
     ({"eta": float("nan")}, "eta must be a finite positive number"),
     ({"max_iterations": 0}, "max_iterations must be >= 1"),
+    ({"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
+    ({"max_iterations": True}, "max_iterations must be an integer, got True"),
+    ({"max_iterations": "5"}, "max_iterations must be an integer, got '5'"),
 ])
 def test_iter_config_rejects(kwargs, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         IterConfig(**kwargs)
+
+
+def test_iter_config_takes_a_numpy_integer_budget():
+    p = scalar_polynomial([1.0, -3.0, 2.0])
+    x, _ = newton_horner(p, IterConfig(x0=[[1.8]], max_iterations=np.int64(20)))
+    assert x[0, 0] == pytest.approx(2.0)
 
 
 def test_x0_of_the_wrong_shape_raises():

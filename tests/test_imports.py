@@ -272,3 +272,28 @@ def test_only_the_failure_helpers_call_sys_exit():
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                and node.func.attr == "exit" and getattr(node.func.value, "id", None) == "sys"}
     assert callers == {"cli.py:_fail_input", "cli.py:_fail_numerical"}
+
+
+def _np_rooted(func):
+    while isinstance(func, ast.Attribute):
+        func = func.value
+    return isinstance(func, ast.Name) and func.id == "np"
+
+
+def _forwards_to_numpy(node):
+    """Whether ``node``'s body, after its docstring, is one ``return`` of a
+    NumPy call passed exactly ``node``'s own parameters, in order."""
+    body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    params = [a.arg for a in node.args.posonlyargs + node.args.args]
+    return (isinstance(call, ast.Call) and _np_rooted(call.func) and not call.keywords
+            and [getattr(a, "id", None) for a in call.args] == params)
+
+
+def test_no_function_only_forwards_to_numpy():
+    # Call NumPy where it is needed instead of renaming one of its routines.
+    wrappers = [f"{path.name}:{node.name}" for path in SRC.glob("*.py")
+                for node in _top_functions(path) if _forwards_to_numpy(node)]
+    assert wrappers == []

@@ -605,9 +605,13 @@ def _solvents_file(tmp_path, **changes):
     (lambda t: _write_json(t / "f.json", {"order": 2}), io.load_factors,
      "missing key 'factors'$"),
     (lambda t: _write_json(t / "f.json", {"factors": [5]}), io.load_factors,
-     "factor 0: expected a list of rows, got 5$"),
+     "factor 0: expected a nonempty list of rows, got 5$"),
     (lambda t: _write_json(t / "s.json", {"side": "right", "solvents": [None, [[1.0]]]}),
-     io.load_solvents, "solvent 0: expected a list of rows, got None$"),
+     io.load_solvents, "solvent 0: expected a nonempty list of rows, got None$"),
+    (lambda t: _write_json(t / "f.json", {"factors": [[]]}), io.load_factors,
+     r"factor 0: expected a nonempty list of rows, got \[\]$"),
+    (lambda t: _write_json(t / "s.json", {"side": "left", "solvents": [[], [[1.0]]]}),
+     io.load_solvents, r"solvent 0: expected a nonempty list of rows, got \[\]$"),
     (lambda t: _polynomial_file(t, coefficients=[5, np.eye(2).tolist()]), io.load_polynomial,
      r"coefficient 0: expected a 2x2 array, got shape \(\)$"),
     (lambda t: _write_json(t / "mfd.json", {"order": 2, "numerator": [True],
@@ -616,7 +620,8 @@ def _solvents_file(tmp_path, **changes):
 ], ids=["wrong-size-block", "nan-literal", "degree-count", "missing-key", "missing-side",
         "bad-side", "polynomial-not-object", "mfd-not-object", "factors-not-object",
         "solvents-not-object", "missing-factors", "factors-entry-not-list",
-        "solvents-entry-not-list", "coefficient-not-list", "numerator-not-list"])
+        "solvents-entry-not-list", "factors-entry-empty", "solvents-entry-empty",
+        "coefficient-not-list", "numerator-not-list"])
 def test_malformed_file_messages(tmp_path, write, loader, message):
     path = write(tmp_path)
     with pytest.raises(io.FileFormatError, match=f"^{re.escape(path)}: {message}"):

@@ -234,8 +234,8 @@ def test_only_linalg_assembles_kronecker_systems():
     assert not offenders, "Kronecker/vec use outside linalg.py: " + ", ".join(offenders)
 
 
-UNCHECKED_KERNELS = {"solve", "invert", "unvec", "eigvals", "sylvester_matrix",
-                     "solve_sylvester", "_spectral_sylvester", "_spectral_factors"}
+UNCHECKED_KERNELS = {"solve", "invert", "unvec", "sylvester_matrix", "solve_sylvester",
+                     "_spectral_sylvester", "_spectral_factors"}
 
 
 def test_unchecked_kernels_call_no_validator():
@@ -308,28 +308,3 @@ def test_vec_kron_identity():
         lhs = linalg.vec(a @ x @ b)
         rhs = linalg.sylvester_matrix(np.array([a, np.zeros((3, 3))]), b) @ linalg.vec(x)
         assert np.linalg.norm(lhs - rhs) < 1e-10
-
-
-def test_eigvals_diagonal():
-    got = np.sort_complex(linalg.eigvals(np.diag([3.0, -5.0])))
-    assert np.allclose(got, [-5.0, 3.0])
-
-
-def test_eigvals_rotation():
-    got = np.sort_complex(linalg.eigvals(np.array([[0.0, 1.0], [-1.0, 0.0]])))
-    assert np.allclose(got, [-1j, 1j])
-
-
-def test_eigvals_companion():
-    c = np.array([[0.0, 1.0], [-2.0, 3.0]])
-    got = np.sort_complex(linalg.eigvals(c))
-    assert np.allclose(got, [1.0, 2.0])
-
-
-def test_eigvals_conjugate_closed_and_trace():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        a = rng.standard_normal((5, 5))
-        ev = linalg.eigvals(a)
-        assert np.allclose(np.sort_complex(ev), np.sort_complex(np.conj(ev)))
-        assert sum(ev).real == pytest.approx(np.trace(a), rel=1e-8, abs=1e-8)

@@ -146,7 +146,7 @@ def test_scalar_division_left_right_agree():
 def test_companion_scalar():
     p = scalar_polynomial([1.0, -3.0, 2.0])
     assert np.allclose(companion_right(p), [[0.0, 1.0], [-2.0, 3.0]])
-    got = np.sort_complex(linalg.eigvals(companion_right(p)))
+    got = np.sort_complex(np.linalg.eigvals(companion_right(p)))
     assert np.allclose(got, [1.0, 2.0])
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,25 @@ def test_qd_scalar_dominance_order():
     roots = [f[0, 0] for f in chain.factors]
     assert roots[0] == pytest.approx(2.0, abs=1e-9)
     assert roots[1] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"max_iterations": 0}, "max_iterations must be >= 1"),
+    ({"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
+    ({"max_iterations": True}, "max_iterations must be an integer, got True"),
+    ({"max_iterations": "5"}, "max_iterations must be an integer, got '5'"),
+    ({"e_tol": 0.0}, "e_tol must be a finite positive number"),
+    ({"e_tol": float("inf")}, "e_tol must be a finite positive number"),
+])
+def test_qd_config_rejects(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        QDConfig(**kwargs)
+
+
+def test_qd_config_takes_a_numpy_integer_budget():
+    chain, _ = qd_run(scalar_polynomial([1.0, -3.0, 2.0]),
+                      QDConfig(max_iterations=np.int64(200), e_tol=1e-13))
+    assert chain.factors[0][0, 0] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_qd_example1_within_35_sweeps(example1):

@@ -134,7 +134,7 @@ def test_right_to_left_q_matches_kronecker_solve(chain):
     p = reconstruct(chain)
     r = chain.factors[0]
     want, kappa = ref_right_to_left_q(p, r)
-    got = right_to_left_solvent(p, r).transformer
+    got = right_to_left_solvent(p, r)[1]
     tol = SOLVE_TOL * p.m ** 2 * kappa * linalg.frob_norm(want)
     assert linalg.frob_norm(got - want) <= tol
 

@@ -38,25 +38,25 @@ from conftest import random_chain, scalar_polynomial, spectrum_pair_error
 def test_right_to_left_linear():
     c = np.random.default_rng(0).standard_normal((2, 2))
     p = MatrixPolynomial([np.eye(2), -c])
-    res = right_to_left_solvent(p, c)
-    assert np.allclose(res.output, c)
+    left = right_to_left_solvent(p, c)[0]
+    assert np.allclose(left, c)
 
 
 def test_right_to_left_scalar_identity():
     p = scalar_polynomial([1.0, -3.0, 2.0])
-    res = right_to_left_solvent(p, [[2.0]])
-    assert res.output[0, 0] == pytest.approx(2.0)
+    left = right_to_left_solvent(p, [[2.0]])[0]
+    assert left[0, 0] == pytest.approx(2.0)
 
 
 def test_right_to_left_postcondition():
     rng = np.random.default_rng(1)
     chain = random_chain(2, 3, rng)
     p = reconstruct(chain)
-    res = right_to_left_solvent(p, chain.factors[0])
-    assert residual_left(p, res.output) <= 1e-6
+    left = right_to_left_solvent(p, chain.factors[0])[0]
+    assert residual_left(p, left) <= 1e-6
     assert (
         spectrum_pair_error(
-            np.linalg.eigvals(res.output), np.linalg.eigvals(chain.factors[0])
+            np.linalg.eigvals(left), np.linalg.eigvals(chain.factors[0])
         )
         < 1e-8
     )

@@ -170,7 +170,7 @@ def test_right_to_left_is_the_left_chains_first_step():
         rng = np.random.default_rng(seed)
         chain = random_chain(1 + seed % 4, 2 + seed // 4 % 3, rng)
         p = reconstruct(chain)
-        got = right_to_left_solvent(p, chain.factors[0]).output
+        got = right_to_left_solvent(p, chain.factors[0])[0]
         if not np.array_equal(got, chain_to_left_solvents(p, chain).solvents[-1]):
             unequal.append(seed)
     assert unequal == []
