@@ -38,6 +38,7 @@ slow progress.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,9 @@ class IterConfig:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if not 0 < self.eta < math.inf:
+        tol = self.eta
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not 0 < tol < math.inf):
             raise ValueError("eta must be a finite positive number")
         n = self.max_iterations
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):

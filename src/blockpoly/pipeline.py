@@ -15,6 +15,19 @@ with no Newton step thus takes l divisions, not the 2l - 1 of dividing each
 refined factor again.  The refiner accepted the factor on that same
 residual, under ``horner.RESIDUAL_GUARD``, so deflation needs no gate of its
 own.
+
+With ``newton-horner``, the default, Q.D. may hand its Q-row over early
+(``qd_run(..., hand_off=True)``): at a block end where the run is still
+descending and ``e_tol`` is a block or more away.  Newton then finishes the
+factors in a few quadratic steps, where Q.D.'s linear tail takes a hundred
+sweeps or more.  The refined chain is kept only when refinement succeeds and
+its factors are in dominance order, each factor's eigenvalue moduli at least
+those of the next to ``SPECTRUM_TOL``, the grouping a converged Q.D. run
+gives.  Otherwise Q.D. runs again to its usual end, and the chain is refined
+from that Q-row exactly as with no hand-off; the report's first warning
+names the rejected hand-off.  ``horner`` and ``two-stage`` converge
+linearly, so from an early Q-row they may not converge at all; they never
+ask for a hand-off.
 Without Q.D. seeds (the CLI's local methods, or Q.D. breaks down) each
 factor starts from ``MULTI_START`` jittered default guesses in turn.
 ``solvent_sets`` turns a chain into right and left solvent sets.
@@ -29,6 +42,7 @@ import numpy as np
 from . import linalg, transforms
 from .errors import (
     BlockPolyError,
+    HandOff,
     NoConvergence,
     PipelineStageError,
     SingularCoefficient,
@@ -43,6 +57,7 @@ from .horner import (
     two_stage,
 )
 from .polynomial import (
+    SPECTRUM_TOL,
     CompletenessReport,
     MatrixPolynomial,
     SolventSet,
@@ -98,10 +113,13 @@ def refiner(method: str):
             "two-stage": two_stage}[method]
 
 
-def _qd_seeds(p: MatrixPolynomial, cfg: PipelineConfig):
-    """Q.D. factor blocks to use as refinement seeds, plus any warnings."""
+def _qd_seeds(p: MatrixPolynomial, cfg: PipelineConfig, hand_off: bool):
+    """Q.D. factor blocks to use as refinement seeds, plus any warnings; a
+    ``HandOff`` propagates."""
     try:
-        return qd_run(p, cfg.qd)[0].factors, []
+        return qd_run(p, cfg.qd, hand_off=hand_off)[0].factors, []
+    except HandOff:
+        raise
     except NoConvergence as exc:
         return exc.tableau.q_row, [
             f"Q.D. did not reach e_tol ({exc}); using the final Q-row as seeds"]
@@ -144,10 +162,31 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
     Returns ``(chain, report, traces)`` with one refinement trace per factor.
     """
     cfg = cfg or PipelineConfig()
-    seeds, warnings = _qd_seeds(p, cfg)
+    try:
+        seeds, warnings = _qd_seeds(p, cfg, cfg.refine_method == "newton-horner")
+    except HandOff as exc:
+        try:
+            chain, report, traces = refine_chain(p, cfg, exc.tableau.q_row)
+        except PipelineStageError as err:
+            reason = str(err)
+        else:
+            if _in_dominance_order(chain):
+                return chain, report, traces
+            reason = "the refined factors are not in dominance order"
+        seeds, warnings = _qd_seeds(p, cfg, False)
+        warnings.insert(0, f"{exc}, rejected: {reason}; Q.D. ran again to its end")
     chain, report, traces = refine_chain(p, cfg, seeds)
     report.warnings.extend(warnings)
     return chain, report, traces
+
+
+def _in_dominance_order(chain: SpectralFactorChain) -> bool:
+    """Whether every eigenvalue modulus of each factor is at least every
+    modulus of the next, to ``SPECTRUM_TOL`` times max(1, max |λ|): the
+    grouping of a converged Q.D. run."""
+    moduli = np.abs(np.linalg.eigvals(chain.factors))
+    tol = SPECTRUM_TOL * max(1.0, float(moduli.max()))
+    return bool((moduli[:-1].min(axis=1) >= moduli[1:].max(axis=1) - tol).all())
 
 
 def solvent_sets(p: MatrixPolynomial, chain: SpectralFactorChain,

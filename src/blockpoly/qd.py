@@ -45,8 +45,22 @@ replayed sweep by sweep, in the order of a one-sweep loop:
 The sweeps computed after it are dropped, so every result, error and trace is
 that of gating and testing each sweep as it is made.  The tableau is not
 jittered and retried.  Each block after the first is sized from the geometric
-decay of the last block's relative E-norms, so that few sweeps are dropped;
-the size decides no outcome.
+decay of the run's last ``_BLOCK`` relative E-norms, so that few sweeps are
+dropped; the size decides no outcome.  The window spans block ends: after a
+one-sweep block the last block alone has no rate, and example 1 computed 84
+sweeps for the 54 it used when each block was sized from the last alone.
+
+A block end is also where the pipeline may hand the Q-row to Newton.  With
+``hand_off``, :func:`qd_run` raises ``HandOff`` at the end of a block when the
+block's last sweep set a new best max relative E-norm (the stall counter
+reads 0) and the next block, sized from the same window, is a full one: at
+the observed rate ``e_tol`` is a block or more away.  Q.D. converges at the
+rate |λ_{km+1}/λ_{km}| of its group boundaries, 0.857 on examples 2 and 4,
+so its tail is slow; once the groups have settled, Newton on A_R(X) = 0
+converges quadratically near a simple solvent (Dennis, Traub & Weber, SIAM J.
+Numer. Anal. 15(3), 1978).  The new-best test keeps a hand-off out of an
+E-norm hump: examples 2 and 4 are in one at sweep 32, and Newton from that
+Q-row finds factors out of dominance order, which the pipeline rejects.
 
 A block holds up to 32 sweeps.  Its fixed cost (the norms, the replayed stop
 and stall tests, the gate and the trace) is then paid once per 32 sweeps at
@@ -62,6 +76,7 @@ of m×m blocks that it drops.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +84,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatch,
+    HandOff,
     NoConvergence,
     SingularCoefficient,
     SingularMatrix,
@@ -100,7 +116,9 @@ class QDConfig:
             raise ValueError(f"max_iterations must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0 < self.e_tol < math.inf:
+        tol = self.e_tol
+        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                or not 0 < tol < math.inf):
             raise ValueError("e_tol must be a finite positive number")
 
 
@@ -197,8 +215,7 @@ def qd_step(t: QDTableau) -> QDTableau:
 
 def _block_size(rels, e_tol):
     """Sweeps for the next block: ``_BLOCK``, or fewer when the geometric
-    decay of the last block's relative E-norms ``rels`` reaches ``e_tol``
-    sooner."""
+    decay of the relative E-norms ``rels`` reaches ``e_tol`` sooner."""
     first, last = rels[0], rels[-1]
     if not 0.0 < last < first < math.inf:
         return _BLOCK
@@ -208,7 +225,7 @@ def _block_size(rels, e_tol):
     return max(1, min(_BLOCK, math.ceil(math.log(e_tol / last) / math.log(rate))))
 
 
-def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
+def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None, *, hand_off: bool = False):
     """Iterate sweeps until the interior E blocks vanish.
 
     Returns ``(chain, trace)``; the chain stores the Q-row blocks
@@ -216,6 +233,12 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
 
     Raises
     ------
+    HandOff
+        Only with ``hand_off``: at a block end, the last sweep set a new best
+        max relative E-norm, and at the decay rate of the last ``_BLOCK``
+        sweeps ``e_tol`` is a full block or more away.  It carries the trace
+        and the tableau, which are those of a run with a budget of that many
+        sweeps.
     NoConvergence
         Budget exhausted or stalled; the error carries the trace and the last
         tableau so callers (the pipeline) can still use the Q-row as seeds.
@@ -266,7 +289,11 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
         if stalled or done == cfg.max_iterations:
             break
         q, e = qs[-1], es[-1]
-        size = _block_size(rels, cfg.e_tol)
+        size = _block_size(trace.max_relative_e[-_BLOCK:], cfg.e_tol)
+        if hand_off and since_best == 0 and size == _BLOCK:
+            raise HandOff(f"Q.D. handed off at sweep {done} (max relative E-norm "
+                          f"{rels[last]:.3e})", trace=trace,
+                          tableau=QDTableau(q_row=q, e_row=e, iteration=done))
 
     if stalled:
         msg = (f"Q.D. stalled: max relative E-norm {rels[last]:.3e} did not "

@@ -347,10 +347,17 @@ def test_bounds_check_fails_a_trace_that_stands_still_off_a_solvent():
     ({"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
     ({"max_iterations": True}, "max_iterations must be an integer, got True"),
     ({"max_iterations": "5"}, "max_iterations must be an integer, got '5'"),
+    ({"eta": True}, "eta must be a finite positive number"),
+    ({"eta": "a"}, "eta must be a finite positive number"),
+    ({"eta": None}, "eta must be a finite positive number"),
 ])
 def test_iter_config_rejects(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         IterConfig(**kwargs)
+
+
+def test_iter_config_takes_a_numpy_float_tolerance():
+    assert IterConfig(eta=np.float32(1e-3)).eta == np.float32(1e-3)
 
 
 def test_iter_config_takes_a_numpy_integer_budget():

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blockpoly import horner, linalg, pipeline, polynomial, transforms
+from blockpoly import horner, linalg, pipeline, polynomial, qd, transforms
 from blockpoly.errors import (
     DimensionMismatch,
+    HandOff,
     NoConvergence,
     NotMonic,
     PipelineStageError,
@@ -375,3 +376,106 @@ def test_each_factor_divided_out_once(monkeypatch):
     _, _, traces = full_factorize(p)
     assert [len(t.iterates) for t in traces] == [1] * (l - 1) + [0]
     assert len(calls) == l
+
+
+@pytest.fixture
+def qd_runs(monkeypatch):
+    """``(outcome, sweeps)`` of each Q.D. run that the pipeline starts, and
+    the sweeps that Q.D. computes in all, dropped ones included, as the last
+    entry of ``computed``."""
+    runs, computed = [], [0]
+    run, sweeps = pipeline.qd_run, qd._sweeps
+
+    def spy_run(*args, **kwargs):
+        try:
+            chain, trace = run(*args, **kwargs)
+        except NoConvergence as exc:
+            runs.append((type(exc).__name__, len(exc.trace.sweeps)))
+            raise
+        runs.append(("converged", len(trace.sweeps)))
+        return chain, trace
+
+    def spy_sweeps(q, e, n):
+        computed[0] += n
+        return sweeps(q, e, n)
+
+    monkeypatch.setattr(pipeline, "qd_run", spy_run)
+    monkeypatch.setattr(qd, "_sweeps", spy_sweeps)
+    return runs, computed
+
+
+def _plain_qd_chain(p, method="newton-horner"):
+    """The chain that ``refine_chain`` gives from the seeds of a Q.D. run
+    with no hand-off, as the pipeline took them before the hand-off."""
+    try:
+        seeds = qd_run(p)[0].factors
+    except NoConvergence as exc:
+        seeds = exc.tableau.q_row
+    return pipeline.refine_chain(p, PipelineConfig(refine_method=method), seeds)[0]
+
+
+@pytest.mark.parametrize("name", ["example2", "example4"])
+def test_hand_off_finishes_the_paper_fixtures_by_newton(name, request, qd_runs):
+    p = request.getfixturevalue(name)
+    chain, report, traces = full_factorize(p)
+    runs, computed = qd_runs
+    assert runs == [("HandOff", 64)] and computed == [64]
+    assert report.warnings == []
+    assert all(len(t.iterates) >= 2 for t in traces[:-1])     # >= 1 Newton step each
+    assert report.reconstruction_error <= 1e-14
+    plain = _plain_qd_chain(p)
+    assert all(linalg.frob_norm(a - b) / linalg.frob_norm(b) <= 1e-8
+               for a, b in zip(chain.factors, plain.factors))
+
+
+#: Corpus draws whose handed-off Q-row does not give a kept chain: on draw
+#: 178 newton-horner fails at factor 1, on draw 2816 it returns factors out
+#: of dominance order.
+REJECTED_HAND_OFFS = {
+    "draw178": "rejected: pipeline failed in stage 'refine' at factor 1: singular matrix",
+    "draw2816": "rejected: the refined factors are not in dominance order",
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTED_HAND_OFFS))
+def test_rejected_hand_off_falls_back_to_the_full_qd_run(name, qd_runs):
+    p = corpus(2817)[name]
+    chain, report, _ = full_factorize(p)
+    runs, _ = qd_runs
+    assert runs[0] == ("HandOff", 32) and len(runs) == 2
+    assert np.array_equal(chain.factors, _plain_qd_chain(p).factors)
+    assert report.warnings[0].startswith("Q.D. handed off at sweep 32 (max relative E-norm ")
+    assert REJECTED_HAND_OFFS[name] in report.warnings[0]
+    assert report.warnings[0].endswith("; Q.D. ran again to its end")
+
+
+#: Inputs on which no hand-off happens: the linearly convergent methods never
+#: ask for one, and the benchmark's m = 4 and 8 chains converge within a
+#: block of where Q.D. predicts.
+NO_HAND_OFF = [
+    *(("example4", method) for method in ("horner", "two-stage")),
+    *((f"m{m}/l{l}/s{s}", "newton-horner")
+      for m in (4, 8) for l in (2, 3, 4) for s in range(4)),
+]
+
+
+@pytest.mark.parametrize("name, method", NO_HAND_OFF)
+def test_no_hand_off_keeps_the_plain_qd_chain(name, method, request, qd_runs):
+    if name.startswith("example"):
+        p = request.getfixturevalue(name)
+    else:
+        m, l, s = (int(part[1:]) for part in name.split("/"))
+        p = reconstruct(random_chain(m, l, np.random.default_rng(1000 * m + 10 * l + s)))
+    chain, _, _ = full_factorize(p, PipelineConfig(refine_method=method))
+    runs, _ = qd_runs
+    assert len(runs) == 1 and runs[0][0] != "HandOff"
+    assert np.array_equal(chain.factors, _plain_qd_chain(p, method).factors)
+
+
+def test_example3_hand_off_fails_then_the_full_run_fails_as_before(example3, qd_runs):
+    with pytest.raises(PipelineStageError) as exc:
+        full_factorize(example3)
+    assert str(exc.value) == ("pipeline failed in stage 'refine' at factor 0: "
+                              "singular matrix: pivot 3 has magnitude 1.828e-15")
+    runs, computed = qd_runs
+    assert runs == [("HandOff", 32), ("NoConvergence", 200)] and computed == [232]

@@ -11,6 +11,7 @@ from blockpoly import linalg
 from blockpoly import qd
 from blockpoly.errors import (
     DimensionMismatch,
+    HandOff,
     NoConvergence,
     SingularCoefficient,
     SingularMatrix,
@@ -233,10 +234,17 @@ def test_qd_scalar_dominance_order():
     ({"max_iterations": "5"}, "max_iterations must be an integer, got '5'"),
     ({"e_tol": 0.0}, "e_tol must be a finite positive number"),
     ({"e_tol": float("inf")}, "e_tol must be a finite positive number"),
+    ({"e_tol": True}, "e_tol must be a finite positive number"),
+    ({"e_tol": "a"}, "e_tol must be a finite positive number"),
+    ({"e_tol": None}, "e_tol must be a finite positive number"),
 ])
 def test_qd_config_rejects(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         QDConfig(**kwargs)
+
+
+def test_qd_config_takes_a_numpy_float_tolerance():
+    assert QDConfig(e_tol=np.float32(1e-3)).e_tol == np.float32(1e-3)
 
 
 def test_qd_config_takes_a_numpy_integer_budget():
@@ -428,6 +436,36 @@ def test_qd_run_stops_at_each_position_of_a_block(block_sizes):
         assert got[1].sweeps[-1] == stop
         positions.add(_block_of(stop, block_sizes))
     assert positions == {"first", "middle", "last"}
+
+
+def test_example1_computes_only_the_sweeps_it_uses(example1, block_sizes):
+    # each block is sized from the last _BLOCK relative E-norms of the run,
+    # so a one-sweep block does not leave the next one without a rate
+    _, trace = qd_run(example1)
+    assert trace.sweeps[-1] == sum(block_sizes) == 54
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_integer_runs())
+def test_hand_off_ends_a_descending_run_at_a_block_end(run):
+    """With ``hand_off``, a run returns or raises what it does without it,
+    or raises ``HandOff`` with the trace and tableau of the same run given a
+    budget of that many sweeps, at a new best E-norm that the full run goes
+    past."""
+    p, cfg = run
+    plain = _run_outcome(qd_run, p, cfg)
+    got = _run_outcome(lambda p, cfg: qd_run(p, cfg, hand_off=True), p, cfg)
+    if not isinstance(got[0], HandOff):
+        _assert_same_run(got, plain)
+        return
+    _, trace, tableau = got
+    n = trace.sweeps[-1]
+    assert str(got[0]).startswith(f"Q.D. handed off at sweep {n} ")
+    budget = _run_outcome(qd_run, p, QDConfig(max_iterations=n, e_tol=cfg.e_tol))
+    assert str(budget[0]).startswith(f"Q.D. budget of {n} sweeps exhausted")
+    _assert_same_run((budget[0], trace, tableau), budget)
+    rels = plain[1].max_relative_e
+    assert len(rels) > n and rels[n - 1] < min(rels[:n - 1])
 
 
 def test_block_size_when_the_decay_rate_rounds_to_one():
