@@ -28,6 +28,7 @@ from that Q-row exactly as with no hand-off; the report's first warning
 names the rejected hand-off.  ``horner`` and ``two-stage`` converge
 linearly, so from an early Q-row they may not converge at all; they never
 ask for a hand-off.
+
 Without Q.D. seeds (the CLI's local methods, or Q.D. breaks down) each
 factor starts from ``MULTI_START`` jittered default guesses in turn.
 ``solvent_sets`` turns a chain into right and left solvent sets.
@@ -160,6 +161,8 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
     """Factorize into a complete spectral factor chain from Q.D. seeds.
 
     Returns ``(chain, report, traces)`` with one refinement trace per factor.
+    With ``newton-horner`` the seeds may be a handed-off Q-row, kept as the
+    module docstring says.
     """
     cfg = cfg or PipelineConfig()
     try:

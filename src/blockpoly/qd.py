@@ -46,9 +46,10 @@ The sweeps computed after it are dropped, so every result, error and trace is
 that of gating and testing each sweep as it is made.  The tableau is not
 jittered and retried.  Each block after the first is sized from the geometric
 decay of the run's last ``_BLOCK`` relative E-norms, so that few sweeps are
-dropped; the size decides no outcome.  The window spans block ends: after a
-one-sweep block the last block alone has no rate, and example 1 computed 84
-sweeps for the 54 it used when each block was sized from the last alone.
+dropped; the size decides no outcome.  The window spans block ends, so a
+one-sweep block, which alone has no rate, does not make the next block a full
+one: example 1 computes 32 + 19 + 1 + 1 + 1 = 54 sweeps, where sizing from
+the last block alone computes 84.
 
 A block end is also where the pipeline may hand the Q-row to Newton.  With
 ``hand_off``, :func:`qd_run` raises ``HandOff`` at the end of a block when the
