@@ -59,7 +59,9 @@ class HandOff(NoConvergence):
 
     Raised only when the caller asks for it: the run was still descending,
     and at its observed rate ``e_tol`` was a full block or more away.  Like
-    its base it carries the trace and the tableau of the last sweep.
+    its base it carries the trace and the tableau of the last sweep, which
+    are the whole state of the run: ``qd_run(..., resume=handoff)`` goes on
+    from them to the end of the run without a hand-off.
     """
 
 

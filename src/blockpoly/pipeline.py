@@ -23,11 +23,14 @@ factors in a few quadratic steps, where Q.D.'s linear tail takes a hundred
 sweeps or more.  The refined chain is kept only when refinement succeeds and
 its factors are in dominance order, each factor's eigenvalue moduli at least
 those of the next to ``SPECTRUM_TOL``, the grouping a converged Q.D. run
-gives.  Otherwise Q.D. runs again to its usual end, and the chain is refined
-from that Q-row exactly as with no hand-off; the report's first warning
-names the rejected hand-off.  ``horner`` and ``two-stage`` converge
-linearly, so from an early Q-row they may not converge at all; they never
-ask for a hand-off.
+gives.  Newton from a handed-off Q-row has ``HAND_OFF_ITERATIONS`` steps per
+factor at most, one Q.D. block: near a simple solvent it converges
+quadratically, so a try that has not converged by then is given up.
+Otherwise Q.D. goes on from the hand-off to its usual end
+(``qd_run(..., resume=handoff)``), and the chain is refined from that Q-row
+exactly as with no hand-off; the report's first warning names the rejected
+hand-off.  ``horner`` and ``two-stage`` converge linearly, so from an early
+Q-row they may not converge at all; they never ask for a hand-off.
 
 Without Q.D. seeds (the CLI's local methods, or Q.D. breaks down) each
 factor starts from ``MULTI_START`` jittered default guesses in turn.
@@ -77,6 +80,10 @@ REFINE_METHODS = ("horner", "newton-horner", "two-stage")
 #: Jittered default guesses tried per factor when Q.D. preconditions fail.
 MULTI_START = 5
 
+#: Most Newton iterations per factor from a handed-off Q-row, one Q.D. block.
+#: Kept hand-offs on the seeded test corpus take at most 24.
+HAND_OFF_ITERATIONS = 32
+
 
 @dataclass
 class PipelineConfig:
@@ -114,11 +121,12 @@ def refiner(method: str):
             "two-stage": two_stage}[method]
 
 
-def _qd_seeds(p: MatrixPolynomial, cfg: PipelineConfig, hand_off: bool):
+def _qd_seeds(p: MatrixPolynomial, cfg: PipelineConfig, *, hand_off: bool = False,
+              resume: HandOff | None = None):
     """Q.D. factor blocks to use as refinement seeds, plus any warnings; a
     ``HandOff`` propagates."""
     try:
-        return qd_run(p, cfg.qd, hand_off=hand_off)[0].factors, []
+        return qd_run(p, cfg.qd, hand_off=hand_off, resume=resume)[0].factors, []
     except HandOff:
         raise
     except NoConvergence as exc:
@@ -166,18 +174,21 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
     """
     cfg = cfg or PipelineConfig()
     try:
-        seeds, warnings = _qd_seeds(p, cfg, cfg.refine_method == "newton-horner")
+        seeds, warnings = _qd_seeds(p, cfg, hand_off=cfg.refine_method == "newton-horner")
     except HandOff as exc:
+        budget = min(cfg.iter.max_iterations, HAND_OFF_ITERATIONS)
         try:
-            chain, report, traces = refine_chain(p, cfg, exc.tableau.q_row)
+            chain, report, traces = refine_chain(
+                p, replace(cfg, iter=replace(cfg.iter, max_iterations=budget)),
+                exc.tableau.q_row)
         except PipelineStageError as err:
             reason = str(err)
         else:
             if _in_dominance_order(chain):
                 return chain, report, traces
             reason = "the refined factors are not in dominance order"
-        seeds, warnings = _qd_seeds(p, cfg, False)
-        warnings.insert(0, f"{exc}, rejected: {reason}; Q.D. ran again to its end")
+        seeds, warnings = _qd_seeds(p, cfg, resume=exc)
+        warnings.insert(0, f"{exc}, rejected: {reason}; Q.D. ran on to its end")
     chain, report, traces = refine_chain(p, cfg, seeds)
     report.warnings.extend(warnings)
     return chain, report, traces

@@ -5,6 +5,7 @@ import pytest
 
 from blockpoly import horner, linalg, pipeline, polynomial, qd, transforms
 from blockpoly.errors import (
+    BlockPolyError,
     DimensionMismatch,
     HandOff,
     NoConvergence,
@@ -430,10 +431,13 @@ def test_hand_off_finishes_the_paper_fixtures_by_newton(name, request, qd_runs):
 
 #: Corpus draws whose handed-off Q-row does not give a kept chain: on draw
 #: 178 newton-horner fails at factor 1, on draw 2816 it returns factors out
-#: of dominance order.
+#: of dominance order, and on draw 135 it does not converge within the
+#: hand-off's budget of one Q.D. block.
 REJECTED_HAND_OFFS = {
     "draw178": "rejected: pipeline failed in stage 'refine' at factor 1: singular matrix",
     "draw2816": "rejected: the refined factors are not in dominance order",
+    "draw135": ("rejected: pipeline failed in stage 'refine' at factor 0: "
+                f"no convergence in {pipeline.HAND_OFF_ITERATIONS} iterations ("),
 }
 
 
@@ -441,12 +445,39 @@ REJECTED_HAND_OFFS = {
 def test_rejected_hand_off_falls_back_to_the_full_qd_run(name, qd_runs):
     p = corpus(2817)[name]
     chain, report, _ = full_factorize(p)
-    runs, _ = qd_runs
+    runs, computed = qd_runs
     assert runs[0] == ("HandOff", 32) and len(runs) == 2
+    used, computed[0] = computed[0], 0
     assert np.array_equal(chain.factors, _plain_qd_chain(p).factors)
+    assert computed == [used]       # Q.D. went on from the hand-off
     assert report.warnings[0].startswith("Q.D. handed off at sweep 32 (max relative E-norm ")
     assert REJECTED_HAND_OFFS[name] in report.warnings[0]
-    assert report.warnings[0].endswith("; Q.D. ran again to its end")
+    assert report.warnings[0].endswith("; Q.D. ran on to its end")
+
+
+def test_the_slowest_kept_hand_off_stays_within_its_budget(qd_runs):
+    # the corpus draw whose kept hand-off takes the most Newton iterates
+    p = corpus(718)["draw717"]
+    chain, report, traces = full_factorize(p)
+    runs, _ = qd_runs
+    assert len(runs) == 1 and runs[0][0] == "HandOff" and report.warnings == []
+    assert max(len(t.iterates) for t in traces) == 25 <= pipeline.HAND_OFF_ITERATIONS
+
+
+@pytest.mark.parametrize("name", list(CONTRACT_INPUTS))
+def test_pipeline_computes_no_more_qd_sweeps_than_a_plain_run(name, qd_runs):
+    p = CONTRACT_INPUTS[name]
+    try:
+        full_factorize(p)
+    except PipelineStageError:
+        pass
+    _, computed = qd_runs
+    used, computed[0] = computed[0], 0
+    try:
+        qd_run(p)
+    except BlockPolyError:
+        pass
+    assert used <= computed[0]
 
 
 #: Inputs on which no hand-off happens: the linearly convergent methods never
@@ -478,4 +509,4 @@ def test_example3_hand_off_fails_then_the_full_run_fails_as_before(example3, qd_
     assert str(exc.value) == ("pipeline failed in stage 'refine' at factor 0: "
                               "singular matrix: pivot 3 has magnitude 1.828e-15")
     runs, computed = qd_runs
-    assert runs == [("HandOff", 32), ("NoConvergence", 200)] and computed == [232]
+    assert runs == [("HandOff", 32), ("NoConvergence", 200)] and computed == [200]

@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 
@@ -19,6 +20,7 @@ from blockpoly.errors import (
 )
 from blockpoly.polynomial import (
     MatrixPolynomial,
+    SpectralFactorChain,
     reconstruct,
     residual_right,
 )
@@ -411,6 +413,23 @@ def small_integer_runs(draw):
     return MatrixPolynomial(np.concatenate([np.eye(m)[None], coeffs])), cfg
 
 
+@st.composite
+def slow_runs(draw):
+    """Products of factors c_k I + N_k, c_k falling by ratios near 1 and N_k
+    small, so that Q.D. converges slowly, and budgets of 33 to 200 sweeps.
+
+    About half of these runs hand off; resumed, they converge, exhaust the
+    budget or, now and then, stall."""
+    m, l = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+    ratios = draw(hnp.arrays(np.float64, l - 1, elements=st.floats(0.8, 0.97)))
+    noise = draw(hnp.arrays(np.float64, (l, m, m), elements=st.integers(-3, 3).map(float)))
+    scales = np.cumprod(np.concatenate([[draw(st.floats(1.0, 4.0))], ratios]))
+    factors = scales[:, None, None] * np.eye(m) + noise / 10
+    cfg = QDConfig(max_iterations=draw(st.integers(_BLOCK + 1, 200)),
+                   e_tol=draw(st.sampled_from([1e-6, 1e-10])))
+    return reconstruct(SpectralFactorChain(factors)), cfg
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(small_integer_runs())
 def test_qd_run_matches_one_sweep_loop(run):
@@ -446,7 +465,7 @@ def test_example1_computes_only_the_sweeps_it_uses(example1, block_sizes):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(small_integer_runs())
+@given(st.one_of(small_integer_runs(), slow_runs()))
 def test_hand_off_ends_a_descending_run_at_a_block_end(run):
     """With ``hand_off``, a run returns or raises what it does without it,
     or raises ``HandOff`` with the trace and tableau of the same run given a
@@ -466,6 +485,36 @@ def test_hand_off_ends_a_descending_run_at_a_block_end(run):
     _assert_same_run((budget[0], trace, tableau), budget)
     rels = plain[1].max_relative_e
     assert len(rels) > n and rels[n - 1] < min(rels[:n - 1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(slow_runs())
+def test_resuming_a_hand_off_gives_the_plain_run(run):
+    """Resumed from its ``HandOff``, a run returns or raises what it does
+    without ``hand_off``, with the whole run's trace, and the ``HandOff``
+    keeps its trace and tableau."""
+    p, cfg = run
+    handed = _run_outcome(lambda p, cfg: qd_run(p, cfg, hand_off=True), p, cfg)
+    if not isinstance(handed[0], HandOff):
+        return
+    exc, trace, tableau = handed
+    kept = (exc, copy.deepcopy(trace), copy.deepcopy(tableau))
+    resumed = _run_outcome(lambda p, cfg: qd_run(p, cfg, resume=exc), p, cfg)
+    _assert_same_run(resumed, _run_outcome(qd_run, p, cfg))
+    _assert_same_run((exc, exc.trace, exc.tableau), kept)
+
+
+def test_a_resumed_run_stalls_where_the_plain_run_does():
+    # The run hands off at sweep 64, its best, then climbs and stalls 60
+    # sweeps later; a resume that forgot that best would stall at sweep 129.
+    p = MatrixPolynomial([np.eye(2), [[0.63, 0.37], [-0.33, 1.81]],
+                          [[0.81, -0.2], [-1.58, 0.37]]])
+    with pytest.raises(HandOff) as handed:
+        qd_run(p, hand_off=True)
+    assert handed.value.trace.sweeps[-1] == 64
+    resumed = _run_outcome(lambda p, cfg: qd_run(p, cfg, resume=handed.value), p, QDConfig())
+    _assert_same_run(resumed, _run_outcome(qd_run, p, QDConfig()))
+    assert str(resumed[0]).startswith("Q.D. stalled") and resumed[1].sweeps[-1] == 124
 
 
 def test_block_size_when_the_decay_rate_rounds_to_one():
