@@ -34,6 +34,18 @@ Q-row they may not converge at all; they never ask for a hand-off.
 
 Without Q.D. seeds (the CLI's local methods, or Q.D. breaks down) each
 factor starts from ``MULTI_START`` jittered default guesses in turn.
+
+The rungs of ``full_factorize``, each tried only when the one before fails:
+
+1. Newton from a handed-off Q-row (``newton-horner`` only);
+2. the refiner from the Q-row of Q.D. run to its end, or from the jittered
+   default guesses when Q.D. breaks down;
+3. the grouping search (``_group_search``): right solvents U Λ U⁻¹ from the
+   block companion's eigenvectors, over conjugation-closed groups of the
+   latent roots, polished by the refiner, with backtracking across stages.
+   Its chain's report ends with a warning that names the refinement error
+   it replaced; when it finds none, that error is raised.
+
 ``solvent_sets`` turns a chain into right and left solvent sets.
 """
 
@@ -68,6 +80,7 @@ from .polynomial import (
     SpectralFactorChain,
     check_chain,
     check_order,
+    companion_right,
     is_complete_set,
     reconstruct,
     residual_left,
@@ -83,6 +96,13 @@ MULTI_START = 5
 #: Most Newton iterations per factor from a handed-off Q-row, one Q.D. block.
 #: Kept hand-offs on the seeded test corpus take at most 24.
 HAND_OFF_ITERATIONS = 32
+
+#: Groups of latent roots the grouping search tries, over all its stages.
+GROUP_BUDGET = 200
+
+#: The grouping search skips a group whose eigenvector block U has a larger
+#: condition number.
+GROUP_COND_MAX = 1e12
 
 
 @dataclass
@@ -165,6 +185,81 @@ def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
     return chain, _chain_report(p, chain, residuals), traces
 
 
+def _root_groups(roots: np.ndarray, m: int):
+    """Yield index lists of m latent roots, closed under conjugation, the
+    dominant first: include-first recursion over the conjugate pairs and real
+    singletons in descending modulus.  A branch that cannot be completed is
+    cut at once, so no group is stored and each costs O(len(roots))."""
+    units = sorted(([i] if z.imag == 0 else [i, i + 1]
+                    for i, z in enumerate(roots) if z.imag >= 0),
+                   key=lambda unit: -abs(roots[unit[0]]))
+    room = np.cumsum([len(u) for u in units][::-1])[::-1]
+    single = np.cumsum([len(u) == 1 for u in units][::-1])[::-1]
+
+    def extend(i, group, need):
+        if not need:
+            yield group
+        elif i < len(units) and need <= room[i] and (need % 2 == 0 or single[i]):
+            if len(units[i]) <= need:
+                yield from extend(i + 1, group + units[i], need - len(units[i]))
+            yield from extend(i + 1, group, need)
+
+    return extend(0, [], m)
+
+
+def _group_search(p: MatrixPolynomial, cfg: PipelineConfig):
+    """A chain from the companion's eigenvectors, or None.
+
+    For any m latent roots Λ whose eigenvector block U (the top m rows) is
+    nonsingular, X = U Λ U⁻¹ is a right solvent, real when the group is
+    closed under conjugation (Dennis, Traub & Weber, SIAM J. Numer. Anal.
+    13(6), 1976).  Each stage takes the groups of ``_root_groups`` in turn,
+    skips those with cond(U) > ``GROUP_COND_MAX`` or a complex X, polishes X
+    with the configured refiner, divides it out and goes on to the next
+    stage; a stage with no group left backtracks.  It gives up after
+    ``GROUP_BUDGET`` groups.  Returns ``(chain, report, traces)``.
+    """
+    budget = GROUP_BUDGET
+    iter_cfg = replace(cfg.iter, max_iterations=min(cfg.iter.max_iterations,
+                                                    HAND_OFF_ITERATIONS))
+
+    def search(current):
+        """(factor, trace) pairs of a chain of ``current``, or None."""
+        nonlocal budget
+        if current.l == 1:
+            x = -current.coeffs[1]
+            return [(x, ConvergenceTrace(deflation=transforms.deflate_right(current, x)))]
+        roots, vectors = np.linalg.eig(companion_right(current))
+        for group in _root_groups(roots, current.m):
+            if not budget:
+                return None
+            budget -= 1
+            u = vectors[:current.m, group]
+            sv = np.linalg.svd(u, compute_uv=False)
+            if sv[0] > GROUP_COND_MAX * sv[-1]:
+                continue
+            x = np.linalg.solve(u.T, (u * roots[group]).T).T
+            if linalg.frob_norm(x.imag) > SPECTRUM_TOL * max(1.0, linalg.frob_norm(x)):
+                continue
+            try:
+                x, trace = refiner(cfg.refine_method)(current, replace(iter_cfg, x0=x.real))
+            except BlockPolyError:
+                continue
+            rest = search(trace.deflation[0])
+            if rest is not None:
+                return [(x, trace), *rest]
+        return None
+
+    # near-overflowing coefficients overflow X; the refiner then rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        found = search(p)
+    if found is None:
+        return None
+    chain = SpectralFactorChain([x for x, _ in found])
+    traces = [trace for _, trace in found]
+    return chain, _chain_report(p, chain, [t.deflation[1] for t in traces]), traces
+
+
 def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
     """Factorize into a complete spectral factor chain from Q.D. seeds.
 
@@ -189,7 +284,15 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
             reason = "the refined factors are not in dominance order"
         seeds, warnings = _qd_seeds(p, cfg, resume=exc)
         warnings.insert(0, f"{exc}, rejected: {reason}; Q.D. ran on to its end")
-    chain, report, traces = refine_chain(p, cfg, seeds)
+    try:
+        chain, report, traces = refine_chain(p, cfg, seeds)
+    except PipelineStageError as err:
+        found = _group_search(p, cfg)
+        if found is None:
+            raise
+        chain, report, traces = found
+        warnings.append(f"{err}; the grouping search over the latent roots "
+                        "factorized it instead")
     report.warnings.extend(warnings)
     return chain, report, traces
 
@@ -212,8 +315,7 @@ def solvent_sets(p: MatrixPolynomial, chain: SpectralFactorChain,
         left = transforms.chain_to_left_solvents(p, chain)
     except BlockPolyError as exc:
         raise PipelineStageError("transform", -1, exc)
-    report.per_solvent_residuals = [residual_right(p, r) for r in right.solvents]
-    report.per_solvent_residuals += [residual_left(p, x) for x in left.solvents]
+    report.per_solvent_residuals = [*right.residuals, *left.residuals]
     report.completeness = is_complete_set(p, right)
     return right, left
 

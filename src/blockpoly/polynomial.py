@@ -102,16 +102,23 @@ class SpectralFactorChain:
 
 @dataclass(frozen=True)
 class SolventSet:
-    """Right or left solvents as a (k, m, m) stack; ``side`` is 'right' or 'left'."""
+    """Right or left solvents as a (k, m, m) stack; ``side`` is 'right' or 'left'.
+
+    ``residuals`` holds each solvent's relative residual on the polynomial
+    when the set comes from a chain's transform, which gates them; it is
+    None for a set built from given solvents.
+    """
 
     side: str
     solvents: np.ndarray
+    residuals: tuple | None = None
 
-    def __init__(self, side, solvents):
+    def __init__(self, side, solvents, residuals=None):
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "solvents", linalg.as_blocks(solvents))
+        object.__setattr__(self, "residuals", residuals)
 
     def __len__(self) -> int:
         return len(self.solvents)

@@ -100,9 +100,10 @@ def _check_disjoint(chain: SpectralFactorChain):
 
 
 def _chain_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> SolventSet:
-    """The right solvents of a checked chain, leftmost factor first."""
+    """The right solvents of a checked chain, leftmost factor first, with
+    the residuals that gated them."""
     current = p
-    solvents = []
+    solvents, residuals = [], []
     scale = p.coefficient_scale()
     for step, q in enumerate(chain.factors[::-1]):
         solvent = q
@@ -116,7 +117,8 @@ def _chain_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> SolventS
         if res > SOLVENT_GATE:
             raise SolventResidualLarge(step, res)
         solvents.append(solvent)
-    return SolventSet("right", solvents)
+        residuals.append(res)
+    return SolventSet("right", solvents, tuple(residuals))
 
 
 def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> SolventSet:
@@ -147,7 +149,7 @@ def chain_to_left_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> S
     _check_disjoint(chain)
     dual = SpectralFactorChain(chain.factors[::-1].transpose(0, 2, 1))
     right = _chain_solvents(_transpose(p), dual)
-    return SolventSet("left", right.solvents[::-1].transpose(0, 2, 1))
+    return SolventSet("left", right.solvents[::-1].transpose(0, 2, 1), right.residuals[::-1])
 
 
 def check_set(p: MatrixPolynomial, s: SolventSet, side: str) -> None:

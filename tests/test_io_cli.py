@@ -432,13 +432,29 @@ def test_cli_factorize_failed_local_method_saves_its_trace(runner, tmp_path):
 
 
 def test_cli_factorize_failed_pipeline_saves_its_trace(runner, tmp_path):
+    # x⁴ - x³ + 3x² + 3 has no real root, so it has no real chain
+    path = str(tmp_path / "p.json")
+    io.save_polynomial(path, scalar_polynomial([1.0, -1.0, 3.0, 0.0, 3.0]))
+    out = str(tmp_path / "out")
+    result = runner.invoke(main, ["factorize", path, "--method=pipeline", f"--out={out}"])
+    assert result.exit_code == 2
+    assert "numerical failure: pipeline failed in stage 'refine'" in result.output
+    assert _trace_stages(out) == {"failed"}
+
+
+def test_cli_factorize_starved_pipeline_is_finished_by_the_grouping_search(runner, tmp_path):
+    # one Newton step per factor does not refine example1's Q.D. seeds
     out = str(tmp_path / "out")
     result = runner.invoke(
         main, ["factorize", fixture_path("example1.json"), "--method=pipeline",
                "--max-iter=1", f"--out={out}"])
-    assert result.exit_code == 2
-    assert "numerical failure: pipeline failed in stage 'refine'" in result.output
-    assert _trace_stages(out) == {"failed"}
+    assert result.exit_code == 0, result.output
+    report = json.loads(_read(os.path.join(out, "report.json")))
+    assert report["warnings"][-1].startswith("pipeline failed in stage 'refine' at factor ")
+    assert report["warnings"][-1].endswith(
+        "; the grouping search over the latent roots factorized it instead")
+    assert report["reconstruction_error"] <= 1e-8
+    assert _trace_stages(out) == {"refine[0]", "refine[1]"}
 
 
 

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -89,6 +90,18 @@ def test_full_solvent_sets(example1):
     assert all(r <= 1e-6 for r in report.per_solvent_residuals)
 
 
+@pytest.mark.parametrize("name", ["example1", "example4"])
+def test_solvent_sets_report_the_residuals_the_transforms_gated(name, request):
+    # right first, then left, each in its set's order, and the same bits as
+    # evaluating every solvent again
+    p = request.getfixturevalue(name)
+    right, left, report = full_solvent_sets(p)
+    assert report.per_solvent_residuals == (
+        [polynomial.residual_right(p, r) for r in right.solvents]
+        + [polynomial.residual_left(p, x) for x in left.solvents])
+    assert SolventSet("right", right.solvents).residuals is None
+
+
 def test_verify_exact_chain():
     rng = np.random.default_rng(2)
     chain = random_chain(2, 3, rng)
@@ -176,10 +189,23 @@ def test_singular_a1_falls_back_to_default_guesses():
 
 
 def test_refine_failure_names_the_stage_and_factor():
+    # no real root, so neither a start nor a grouping of the roots refines
     with pytest.raises(PipelineStageError) as exc:
-        full_factorize(singular_a1(), PipelineConfig(refine_method="horner"))
+        full_factorize(HARD_CASES["no_real_root"], PipelineConfig(refine_method="horner"))
     assert (exc.value.stage, exc.value.factor_index) == ("refine", 0)
     assert isinstance(exc.value.cause, NoConvergence)
+
+
+def test_singular_a1_under_horner_is_finished_by_the_grouping_search():
+    # every jittered default guess fails under plain Horner
+    cfg = PipelineConfig(refine_method="horner")
+    with pytest.raises(PipelineStageError) as exc:
+        pipeline.refine_chain(singular_a1(), cfg)
+    chain, report, _ = full_factorize(singular_a1(), cfg)
+    assert report.reconstruction_error <= 1e-14
+    assert report.warnings == [
+        "Q.D. failed (coefficient A_1 is singular); falling back to default guesses",
+        f"{exc.value}; {SEARCH_WARNING}"]
 
 
 def test_overflow_at_the_start_fails_the_refine_stage():
@@ -213,6 +239,11 @@ def test_transform_failure_names_the_stage():
     with pytest.raises(PipelineStageError, match="stage 'transform'") as exc:
         full_solvent_sets(p)
     assert isinstance(exc.value.cause, SpectrumOverlap)
+
+
+#: How a report's last warning ends when the grouping search replaced a
+#: failed refinement.
+SEARCH_WARNING = "the grouping search over the latent roots factorized it instead"
 
 
 #: A singular A_l (three ways), a Q.D. breakdown at the first sweep, and a
@@ -337,12 +368,12 @@ def test_entries_that_need_monic_input_raise_not_monic(entry):
         MONIC_ENTRIES[entry](*_nearly_monic())
 
 
-#: example3's Q.D. seeds do not refine under these two methods (its failed
-#: share in the benchmark); every other pair returns a chain.
+#: Every paper fixture under every method; example3's Q.D. seeds do not
+#: refine under horner and newton-horner, so those two chains come from the
+#: grouping search.
 REPORT_CASES = [
     *((name, method) for name in ("example1", "example2", "example3", "example4")
-      for method in REFINE_METHODS
-      if (name, method) not in {("example3", "horner"), ("example3", "newton-horner")}),
+      for method in REFINE_METHODS),
     # the benchmark's generated chains m4/l4/s0 and m16/l4/s0
     *((f"m{m}", method) for m in (4, 16) for method in REFINE_METHODS),
 ]
@@ -504,9 +535,153 @@ def test_no_hand_off_keeps_the_plain_qd_chain(name, method, request, qd_runs):
 
 
 def test_example3_hand_off_fails_then_the_full_run_fails_as_before(example3, qd_runs):
-    with pytest.raises(PipelineStageError) as exc:
-        full_factorize(example3)
-    assert str(exc.value) == ("pipeline failed in stage 'refine' at factor 0: "
-                              "singular matrix: pivot 3 has magnitude 1.828e-15")
+    # the full run's Q-row fails to refine as it did before the grouping
+    # search, and the search then finishes the chain
+    _, report, _ = full_factorize(example3)
+    assert report.warnings[-1] == ("pipeline failed in stage 'refine' at factor 0: "
+                                   "singular matrix: pivot 3 has magnitude 1.828e-15; "
+                                   + SEARCH_WARNING)
     runs, computed = qd_runs
     assert runs == [("HandOff", 32), ("NoConvergence", 200)] and computed == [200]
+
+
+def test_a_failed_search_raises_the_refine_error_itself(qd_runs, monkeypatch):
+    # draw 1 is a scalar cubic with one real root, so it has no real chain:
+    # its hand-off and its full run fail to refine, and the search finds none
+    raised = []
+    refine = pipeline.refine_chain
+
+    def spy(*args):
+        try:
+            return refine(*args)
+        except PipelineStageError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(pipeline, "refine_chain", spy)
+    with pytest.raises(PipelineStageError) as exc:
+        full_factorize(corpus(2)["draw1"])
+    assert exc.value is raised[-1] and len(raised) == 2
+    assert str(exc.value) == ("pipeline failed in stage 'refine' at factor 1: no convergence "
+                              "in 500 iterations (last δ=9.715e+01%, relative residual 1.651e-01)")
+    runs, computed = qd_runs
+    assert runs == [("HandOff", 32), ("NoConvergence", 155)] and computed == [160]
+
+
+def test_example3_is_factorized_to_working_precision(example3):
+    chain, report, traces = full_factorize(example3)
+    assert max(report.per_factor_residuals) <= RESIDUAL_GUARD
+    assert report.reconstruction_error <= 1e-13
+    assert len(traces) == len(chain) == 2
+
+
+def _roots(p):
+    return np.linalg.eig(polynomial.companion_right(p))[0]
+
+
+def test_root_groups_are_every_conjugation_closed_group_dominant_first():
+    # m = 2, l = 3: the 6 latent roots hold 2 conjugate pairs and 2 real roots
+    p = reconstruct(SpectralFactorChain([[[0.0, -4.0], [1.0, 0.0]], [[3.0, 0.0], [0.0, -0.5]],
+                                         [[1.0, -1.0], [1.0, 1.0]]]))
+    roots = _roots(p)
+    groups = list(pipeline._root_groups(roots, 2))
+    closed = [list(g) for g in itertools.combinations(range(6), 2)
+              if np.allclose(np.sort_complex(roots[list(g)].conj()), np.sort_complex(roots[list(g)]))]
+    assert sorted(map(sorted, groups)) == sorted(closed) and len(groups) == 3
+    # moduli 3, 2 (±2i), √2 (1 ± i) and 0.5: the group with 3 comes first
+    assert [set(np.round(roots[g], 12).tolist()) for g in groups] == [
+        {3, -0.5}, {2j, -2j}, {1 + 1j, 1 - 1j}]
+
+
+def test_root_groups_are_drawn_lazily():
+    # C(64, 16) groups at m = 16, l = 4, all of real roots: the first, the
+    # dominant factor's spectrum, comes without the others
+    chain = random_chain(16, 4, np.random.default_rng(16040))
+    roots = _roots(reconstruct(chain))
+    first = next(pipeline._root_groups(roots, 16))
+    assert spectrum_pair_error(roots[first], np.linalg.eigvals(chain.factors[0])) <= 1e-6
+    # 32 conjugate pairs hold no group of 15, and the search for one stops at once
+    z = np.exp(np.linspace(0.1, 1.5, 32) * 1j) * np.arange(1, 33)
+    assert list(pipeline._root_groups(np.ravel(np.column_stack([z, z.conj()])), 15)) == []
+
+
+@pytest.fixture
+def search_starts(monkeypatch):
+    """The starts the grouping search hands to the refiner, in order."""
+    starts = []
+    refiner = pipeline.refiner
+
+    def spy(method):
+        def refine(p, cfg):
+            starts.append(cfg.x0)
+            return refiner(method)(p, cfg)
+        return refine
+
+    monkeypatch.setattr(pipeline, "refiner", spy)
+    return starts
+
+
+def test_a_group_with_a_singular_eigenvector_block_is_skipped(search_starts, monkeypatch):
+    # diag((λ - 1)(λ - 2), (λ - 3)(λ - 4)): the eigenvectors of the dominant
+    # roots 4 and 3 are both e₂, so the first group, {4, 3}, has U singular
+    p = MatrixPolynomial([np.eye(2), np.diag([-3.0, -7.0]), np.diag([2.0, 12.0])])
+    chain, report, _ = pipeline._group_search(p, PipelineConfig())
+    assert np.allclose(search_starts[0], np.diag([2.0, 4.0]))
+    assert report.reconstruction_error <= 1e-15
+    # the skipped group counts against the budget
+    monkeypatch.setattr(pipeline, "GROUP_BUDGET", 1)
+    assert pipeline._group_search(p, PipelineConfig()) is None
+
+
+def _nearly_defective():
+    """m = 3, l = 2: each factor's first two eigenvectors are 1e-9 apart."""
+    rng = np.random.default_rng(76)
+    factors = []
+    for _ in range(2):
+        v = rng.standard_normal((3, 3))
+        v[:, 1] = v[:, 0] + 1e-9 * rng.standard_normal(3)
+        factors.append(v @ rng.standard_normal((3, 3)) @ np.linalg.inv(v))
+    return reconstruct(SpectralFactorChain(factors))
+
+
+def test_a_group_whose_solvent_comes_out_complex_is_skipped(search_starts, monkeypatch):
+    def fail(*args):
+        raise NoConvergence("every start fails")
+
+    # so the search tries every group of the first stage
+    monkeypatch.setattr(pipeline, "newton_horner", fail)
+    p = _nearly_defective()
+    assert pipeline._group_search(p, PipelineConfig()) is None
+    roots, vectors = np.linalg.eig(polynomial.companion_right(p))
+    complex_starts, real_starts = [], []
+    for group in pipeline._root_groups(roots, 3):
+        u = vectors[:3, group]
+        x = np.linalg.solve(u.T, (u * roots[group]).T).T
+        if linalg.frob_norm(x.imag) > polynomial.SPECTRUM_TOL * max(1.0, linalg.frob_norm(x)):
+            complex_starts.append(x.real)
+        else:
+            real_starts.append(x.real)
+    assert complex_starts and len(search_starts) == len(real_starts)
+    assert all(np.array_equal(a, b) for a, b in zip(search_starts, real_starts))
+
+
+def test_draw_2652_is_left_to_qd():
+    # (λ + 1)³: the search takes the one computed real root, and the
+    # quadratic left has a conjugate pair of computed roots, so it finds no
+    # chain; the Q.D. seeds refine as they did before the search
+    p = corpus(2653)["draw2652"]
+    assert pipeline._group_search(p, PipelineConfig()) is None
+    chain, report, _ = full_factorize(p)
+    assert report.reconstruction_error <= 1e-10 and report.warnings == []
+
+
+@pytest.mark.parametrize("name", ["draw8", "draw166", "draw904"])
+def test_corpus_failures_that_the_search_factorizes(name):
+    # draw 8 is a product of real factors, draws 166 and 904 are Gaussian
+    # draws whose latent-root moduli span 10³
+    p = corpus(905)[name]
+    chain, report, _ = full_factorize(p)
+    assert report.warnings[-1].startswith("pipeline failed in stage 'refine' at factor ")
+    assert report.warnings[-1].endswith(SEARCH_WARNING)
+    assert max(report.per_factor_residuals) <= RESIDUAL_GUARD
+    assert report.reconstruction_error <= 1e-8
