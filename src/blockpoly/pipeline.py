@@ -26,11 +26,13 @@ those of the next to ``SPECTRUM_TOL``, the grouping a converged Q.D. run
 gives.  Newton from a handed-off Q-row has ``HAND_OFF_ITERATIONS`` steps per
 factor at most, one Q.D. block: near a simple solvent it converges
 quadratically, so a try that has not converged by then is given up.
-Otherwise Q.D. goes on from the hand-off to its usual end
-(``qd_run(..., resume=handoff)``), and the chain is refined from that Q-row
-exactly as with no hand-off; the report's first warning names the rejected
-hand-off.  ``horner`` and ``two-stage`` converge linearly, so from an early
-Q-row they may not converge at all; they never ask for a hand-off.
+When the try fails, the grouping search below is tried next, and its chain
+is kept on the same dominance-order test.  Otherwise Q.D. goes on from the
+hand-off to its usual end (``qd_run(..., resume=handoff)``), and the chain
+is refined from that Q-row exactly as with no hand-off; the report's first
+warning names the rejected hand-off.  ``horner`` and ``two-stage`` converge
+linearly, so from an early Q-row they may not converge at all; they never
+ask for a hand-off.
 
 Without Q.D. seeds (the CLI's local methods, or Q.D. breaks down) each
 factor starts from ``MULTI_START`` jittered default guesses in turn.
@@ -38,13 +40,18 @@ factor starts from ``MULTI_START`` jittered default guesses in turn.
 The rungs of ``full_factorize``, each tried only when the one before fails:
 
 1. Newton from a handed-off Q-row (``newton-horner`` only);
-2. the refiner from the Q-row of Q.D. run to its end, or from the jittered
-   default guesses when Q.D. breaks down;
-3. the grouping search (``_group_search``): right solvents U Λ U⁻¹ from the
+2. when that Newton try fails (not when its factors are out of order), the
+   grouping search (``_group_search``): right solvents U Λ U⁻¹ from the
    block companion's eigenvectors, over conjugation-closed groups of the
    latent roots, polished by the refiner, with backtracking across stages.
-   Its chain's report ends with a warning that names the refinement error
-   it replaced; when it finds none, that error is raised.
+   Its chain is kept when it is in dominance order, and its one warning
+   names the rejected hand-off;
+3. the refiner from the Q-row of Q.D. run to its end, or from the jittered
+   default guesses when Q.D. breaks down;
+4. the grouping search's chain in any order: rung 2's result when rung 2
+   ran, so the search runs once per call at most.  Its chain's report ends
+   with a warning that names the refinement error it replaced; when it
+   finds none, that error is raised.
 
 ``solvent_sets`` turns a chain into right and left solvent sets.
 """
@@ -268,6 +275,7 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
     module docstring says.
     """
     cfg = cfg or PipelineConfig()
+    found = unsearched = object()       # the search runs once at most
     try:
         seeds, warnings = _qd_seeds(p, cfg, hand_off=cfg.refine_method == "newton-horner")
     except HandOff as exc:
@@ -277,6 +285,12 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
                 p, replace(cfg, iter=replace(cfg.iter, max_iterations=budget)),
                 exc.tableau.q_row)
         except PipelineStageError as err:
+            found = _group_search(p, cfg)
+            if found is not None and _in_dominance_order(found[0]):
+                chain, report, traces = found
+                report.warnings.append(f"{exc}, rejected: {err}; the grouping search "
+                                       "over the latent roots factorized it instead")
+                return chain, report, traces
             reason = str(err)
         else:
             if _in_dominance_order(chain):
@@ -287,7 +301,8 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
     try:
         chain, report, traces = refine_chain(p, cfg, seeds)
     except PipelineStageError as err:
-        found = _group_search(p, cfg)
+        if found is unsearched:
+            found = _group_search(p, cfg)
         if found is None:
             raise
         chain, report, traces = found

@@ -69,8 +69,8 @@ hand-off, ``qd_run(..., resume=handoff)`` goes on from that tableau: the
 stall counter reads 0 at a hand-off, the best E-norm is the trace's last,
 and the next block is a full one.  So the resumed run computes the blocks of
 the run without ``hand_off`` and ends with its Q-row, trace and error.
-Example 3 computes 200 sweeps in all, not the 232 of a second run from
-sweep 1.
+Draw 178 of the test corpus computes 160 sweeps in all, not the 192 of a
+second run from sweep 1.
 
 A block holds up to 32 sweeps.  Its fixed cost (the norms, the replayed stop
 and stall tests, the gate and the trace) is then paid once per 32 sweeps at

@@ -534,15 +534,18 @@ def test_no_hand_off_keeps_the_plain_qd_chain(name, method, request, qd_runs):
     assert np.array_equal(chain.factors, _plain_qd_chain(p, method).factors)
 
 
-def test_example3_hand_off_fails_then_the_full_run_fails_as_before(example3, qd_runs):
-    # the full run's Q-row fails to refine as it did before the grouping
-    # search, and the search then finishes the chain
-    _, report, _ = full_factorize(example3)
-    assert report.warnings[-1] == ("pipeline failed in stage 'refine' at factor 0: "
-                                   "singular matrix: pivot 3 has magnitude 1.828e-15; "
-                                   + SEARCH_WARNING)
+def test_example3_hand_off_fails_then_the_grouping_search_factorizes_it(example3, qd_runs):
+    # Newton from the handed-off Q-row hits a singular step, and the search's
+    # chain is in dominance order, so Q.D. does not run on to its end
+    chain, report, _ = full_factorize(example3)
+    assert report.warnings == [
+        "Q.D. handed off at sweep 32 (max relative E-norm 9.131e-04), rejected: pipeline "
+        "failed in stage 'refine' at factor 0: singular matrix: pivot 3 has magnitude "
+        "1.183e-12; " + SEARCH_WARNING]
     runs, computed = qd_runs
-    assert runs == [("HandOff", 32), ("NoConvergence", 200)] and computed == [200]
+    assert runs == [("HandOff", 32)] and computed == [32]
+    searched, _, _ = pipeline._group_search(example3, PipelineConfig())
+    assert np.array_equal(chain.factors, searched.factors)
 
 
 def test_a_failed_search_raises_the_refine_error_itself(qd_runs, monkeypatch):
@@ -566,6 +569,61 @@ def test_a_failed_search_raises_the_refine_error_itself(qd_runs, monkeypatch):
                               "in 500 iterations (last δ=9.715e+01%, relative residual 1.651e-01)")
     runs, computed = qd_runs
     assert runs == [("HandOff", 32), ("NoConvergence", 155)] and computed == [160]
+
+
+@pytest.fixture
+def group_searches(monkeypatch):
+    """One entry per call of the grouping search."""
+    calls = []
+    search = pipeline._group_search
+
+    def spy(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(pipeline, "_group_search", spy)
+    return calls
+
+
+def test_the_grouping_search_runs_once_per_call_at_most(group_searches):
+    # draw 1's search finds nothing after its failed hand-off, and the final
+    # refinement's failure reuses that; draws 135 and 178 search in vain and
+    # then refine the full run's Q-row
+    inputs = CONTRACT_INPUTS | {name: corpus(2817)[name] for name in REJECTED_HAND_OFFS}
+    counts = {}
+    for name, p in inputs.items():
+        try:
+            full_factorize(p)
+        except PipelineStageError:
+            pass
+        counts[name] = len(group_searches)
+        group_searches.clear()
+    assert max(counts.values()) == 1
+    assert counts["draw1"] == counts["draw135"] == counts["draw178"] == 1
+
+
+@pytest.mark.parametrize("name", ["draw143", "draw734"])
+def test_a_failed_hand_off_takes_the_search_chain_in_dominance_order(name):
+    # Q.D. runs on to a stall here, and its Q-row refines to factors out of
+    # dominance order; the search's chain, tried first, is in that order
+    p = corpus(735)[name]
+    chain, report, _ = full_factorize(p)
+    assert pipeline._in_dominance_order(chain)
+    assert not pipeline._in_dominance_order(_plain_qd_chain(p))
+    [warning] = report.warnings
+    assert warning.startswith("Q.D. handed off at sweep ") and warning.endswith(SEARCH_WARNING)
+
+
+@pytest.mark.parametrize("name", ["draw667", "draw1410", "draw2804"])
+def test_a_failed_hand_off_searches_for_the_full_run_factorization(name):
+    # the search finds the factors that Q.D. run on to its end refines to;
+    # on draw 2804 those reconstruct to only 6.1e-10 and are 5.4e-8 off
+    p = corpus(2805)[name]
+    chain, report, _ = full_factorize(p)
+    assert report.warnings[-1].endswith(SEARCH_WARNING)
+    assert all(linalg.frob_norm(a - b) / linalg.frob_norm(b) <= 1e-7
+               for a, b in zip(chain.factors, _plain_qd_chain(p).factors))
+    assert report.reconstruction_error <= 1e-13
 
 
 def test_example3_is_factorized_to_working_precision(example3):
