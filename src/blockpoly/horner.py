@@ -51,7 +51,7 @@ from .errors import (
     SingularMatrix,
     SingularStep,
 )
-from .polynomial import MatrixPolynomial, _square, eval_right, synthetic_div_right
+from .polynomial import MatrixPolynomial, _horner, _square, eval_right, synthetic_div_right
 
 #: Relative residual guard: an iterate only counts as converged below this.
 RESIDUAL_GUARD = 1e-8
@@ -59,7 +59,7 @@ RESIDUAL_GUARD = 1e-8
 
 @dataclass
 class IterConfig:
-    """Initial guess and stopping thresholds for the iterative solvers."""
+    """Initial guess (checked here, its order by the solver) and stopping thresholds."""
 
     x0: np.ndarray | None = None
     eta: float = 1e-8          # percent threshold on δ
@@ -75,6 +75,8 @@ class IterConfig:
             raise ValueError(f"max_iterations must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.x0 is not None:
+            self.x0 = linalg.as_matrix(self.x0)
 
 
 @dataclass
@@ -99,8 +101,10 @@ class ConvergenceTrace:
 
 
 def default_guess(p: MatrixPolynomial, jitter_seed: int = 0) -> np.ndarray:
-    """ε-perturbed scaled identity: (-trace(A_1)/(l·m)) I plus 1e-3 jitter;
-    ``NoConvergence`` where it overflows, as that start diverges at once."""
+    """ε-perturbed scaled identity: (-trace(A_1)/(l·m)) I, the mean latent root
+    of a monic p, plus 1e-3 jitter; ``NoConvergence`` where it overflows, as
+    that start diverges at once."""
+    p.require_monic()
     rng = np.random.default_rng(jitter_seed)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = -float(np.trace(p.coeffs[1])) / (p.l * p.m)
@@ -120,10 +124,11 @@ def _run_iteration(p, cfg, step):
     """Shared driver: divide each iterate once, then stop or take
     ``step(x, quotient, remainder)``; the accepted iterate's quotient and
     relative residual go on the trace."""
-    p.require_monic()
     if p.l < 1:
         raise DimensionMismatch("refinement needs degree >= 1")
-    x = _square(p, cfg.x0) if cfg.x0 is not None else default_guess(p)
+    x = default_guess(p) if cfg.x0 is None else cfg.x0
+    if x.shape != (p.m, p.m):
+        raise DimensionMismatch(f"x must be {p.m}x{p.m}, got {x.shape}")
     scale = p.coefficient_scale()
     trace = ConvergenceTrace()
     delta = float("nan")
@@ -206,7 +211,7 @@ def two_stage(p: MatrixPolynomial, cfg: IterConfig | None = None):
     cfg = cfg or IterConfig()
 
     def step(x, quotient, remainder):
-        return x - remainder @ linalg.invert(eval_right(quotient, x))
+        return x - remainder @ linalg.invert(_horner(quotient.coeffs, x)[-1])
 
     return _run_iteration(p, cfg, step)
 

@@ -154,7 +154,7 @@ def as_matrix(a) -> np.ndarray:
     m = _real(np.asarray(a))
     if m.ndim != 2:
         raise DimensionMismatch(f"expected 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DimensionMismatch("matrix contains non-finite entries")
     return m
 
@@ -180,8 +180,12 @@ def as_blocks(mats) -> np.ndarray:
 
 
 def frob_norm(a) -> float:
-    """Frobenius norm: sqrt of the sum of squared magnitudes (complex too)."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm: ``np.linalg.norm``'s BLAS dot without its wrapper, bit
+    for bit (a complex array takes ``np.linalg.norm`` itself)."""
+    if a.dtype.kind == "c":
+        return float(np.linalg.norm(a))
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def frob_norms(a) -> np.ndarray:
@@ -235,7 +239,7 @@ def gate_inverses(a, inv, norms, inv_norms) -> None:
         try:
             # as_matrix rejects a non-finite matrix
             _lu_factor(as_matrix(a[at]))
-            if not np.all(np.isfinite(inv[at])):
+            if not np.isfinite(inv[at]).all():
                 # Elimination kept every pivot above the threshold, yet LAPACK
                 # met an exact zero pivot or overflowed: there is no inverse.
                 raise SingularMatrix(
@@ -271,12 +275,12 @@ def invert(a) -> np.ndarray:
     that too fails the certificate and leaves the decision to the arbiter.
     """
     a = np.asarray(a, dtype=float)
-    stack = a[None] if a.ndim == 2 else a
+    norm = frob_norm if a.ndim == 2 else frob_norms
     with np.errstate(all="ignore"):
-        inv = lapack_inv(stack)
-        norms, inv_norms = frob_norms(stack), frob_norms(inv)
-    gate_inverses(stack, inv, norms, inv_norms)
-    return inv[0] if a.ndim == 2 else inv
+        inv = lapack_inv(a)
+        norms, inv_norms = np.asarray(norm(a)), np.asarray(norm(inv))
+    gate_inverses(a, inv, norms, inv_norms)
+    return inv
 
 
 def det(a) -> float:

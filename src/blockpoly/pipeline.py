@@ -85,6 +85,7 @@ from .polynomial import (
     MatrixPolynomial,
     SolventSet,
     SpectralFactorChain,
+    _horner,
     check_chain,
     check_order,
     companion_right,
@@ -166,10 +167,13 @@ def _qd_seeds(p: MatrixPolynomial, cfg: PipelineConfig, *, hand_off: bool = Fals
 def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
     """Refine the k-th factor from ``seeds[k]`` (or the jittered default
     guesses) and divide it out; returns ``(chain, report, traces)``, with
-    each factor's residual taken from its one division."""
-    p.require_monic()
+    each factor's residual taken from its one division.  The default guesses
+    need a monic p; Q.D. seeds come from ``qd_run``, which checked it."""
+    if seeds is None:
+        p.require_monic()
     current = p
     factors, traces, residuals = [], [], []
+    start = replace(cfg.iter)       # x0 below is a start the package built
     for k in range(p.l):
         if current.l == 1:
             x = -current.coeffs[1]
@@ -177,8 +181,8 @@ def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
         else:
             for s in range(MULTI_START if seeds is None else 1):
                 try:
-                    guess = default_guess(current, s) if seeds is None else seeds[k]
-                    x, trace = refiner(cfg.refine_method)(current, replace(cfg.iter, x0=guess))
+                    start.x0 = default_guess(current, s) if seeds is None else seeds[k]
+                    x, trace = refiner(cfg.refine_method)(current, start)
                     break
                 except BlockPolyError as exc:
                     last_error = exc
@@ -248,8 +252,9 @@ def _group_search(p: MatrixPolynomial, cfg: PipelineConfig):
             x = np.linalg.solve(u.T, (u * roots[group]).T).T
             if linalg.frob_norm(x.imag) > SPECTRUM_TOL * max(1.0, linalg.frob_norm(x)):
                 continue
+            iter_cfg.x0 = x.real
             try:
-                x, trace = refiner(cfg.refine_method)(current, replace(iter_cfg, x0=x.real))
+                x, trace = refiner(cfg.refine_method)(current, iter_cfg)
             except BlockPolyError:
                 continue
             rest = search(trace.deflation[0])
@@ -323,11 +328,13 @@ def _in_dominance_order(chain: SpectralFactorChain) -> bool:
 
 def solvent_sets(p: MatrixPolynomial, chain: SpectralFactorChain,
                  report: VerificationReport):
-    """Convert a chain to right and left solvent sets, recording their
-    residuals and completeness in ``report``."""
+    """Convert a chain to right and left solvent sets, with one check of the
+    chain for both, recording their residuals and completeness in ``report``."""
     try:
-        right = transforms.chain_to_right_solvents(p, chain)
-        left = transforms.chain_to_left_solvents(p, chain)
+        check_chain(p, chain)
+        transforms._check_disjoint(chain)
+        right = transforms._chain_solvents(p, chain.factors)
+        left = transforms._chain_solvents(p, chain.factors, "left")
     except BlockPolyError as exc:
         raise PipelineStageError("transform", -1, exc)
     report.per_solvent_residuals = [*right.residuals, *left.residuals]
@@ -349,11 +356,12 @@ def _chain_report(p: MatrixPolynomial, chain: SpectralFactorChain,
     recon = reconstruct(chain)
     num = float(linalg.frob_norms(recon.coeffs - p.coeffs).max())
     scale = float(linalg.frob_norms(p.coeffs).max())
+    left = _horner(p.coeffs.transpose(0, 2, 1), chain.factors[-1].T)[-1]    # A_L(Q_l)ᵀ
     return VerificationReport(
         per_factor_residuals=residuals,
         reconstruction_error=num / max(scale, 1.0),
         rightmost_residual=residuals[0],
-        leftmost_residual=residual_left(p, chain.factors[-1]),
+        leftmost_residual=linalg.frob_norm(left) / p.coefficient_scale(),
     )
 
 

@@ -15,9 +15,14 @@ therefore a right solvent; ``factors[-1] = Q_l`` is the leftmost factor and a
 left solvent.
 
 Coefficients, chains and solvent sets are each stored as one read-only float
-(k, m, m) array built by :func:`linalg.as_blocks`: ``coeffs[i]`` is A_i,
-``factors[i]`` is Q_{i+1}, and whole-list operations (transposition,
-reversal, batched products) act on the stack at once.
+(k, m, m) array: ``coeffs[i]`` is A_i, ``factors[i]`` is Q_{i+1}, and
+whole-list operations (transposition, reversal, batched products) act on the
+stack at once.  The constructors check a caller's blocks with
+:func:`linalg.as_blocks`, and ``_square`` a caller's X.  The unchecked
+functions ``_horner`` (the one right-side Horner kernel),
+``synthetic_div_right``, ``synthetic_div_left``, ``_transpose`` and
+``reconstruct`` see only blocks the package built or checked, and wrap the
+stacks they build with ``_built``.
 
 Every left-side operation is its right twin applied to the transposed data.
 With pᵀ the polynomial whose coefficients are the transposed A_i,
@@ -30,7 +35,7 @@ Aᵀ(λ) = Sᵀ(λ)(λI - Xᵀ) + Rᵀ, so only the right-side recurrences are c
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -137,9 +142,17 @@ class CompletenessReport:
         return bool(self.spectrum_union_matches and self.pairwise_disjoint)
 
 
+def _built(cls, blocks: np.ndarray):
+    """A ``cls`` over a float stack the package built: read-only, unchecked."""
+    obj, view = object.__new__(cls), blocks.view()
+    view.flags.writeable = False
+    object.__setattr__(obj, fields(cls)[0].name, view)
+    return obj
+
+
 def _transpose(p: MatrixPolynomial) -> MatrixPolynomial:
     """pᵀ: the λ-matrix whose coefficients are the transposed A_i."""
-    return MatrixPolynomial(p.coeffs.transpose(0, 2, 1))
+    return _built(MatrixPolynomial, p.coeffs.transpose(0, 2, 1))
 
 
 def _square(p: MatrixPolynomial, x) -> np.ndarray:
@@ -150,18 +163,22 @@ def _square(p: MatrixPolynomial, x) -> np.ndarray:
     return x
 
 
+def _horner(coeffs: np.ndarray, x) -> np.ndarray:
+    """B_0 = A_0, B_k = A_k + B_{k-1} X: the right quotient B_0..B_{l-1}, then A_R(X)."""
+    b = coeffs.copy()
+    for k in range(1, len(b)):
+        b[k] += b[k - 1] @ x
+    return b
+
+
 def eval_right(p: MatrixPolynomial, x) -> np.ndarray:
     """A_R(X) = Σ A_i X^{l-i}, computed by the nested block recursion."""
-    x = _square(p, x)
-    b = p.coeffs[0].copy()
-    for k in range(1, p.l + 1):
-        b = b @ x + p.coeffs[k]
-    return b
+    return _horner(p.coeffs, _square(p, x))[-1]
 
 
 def eval_left(p: MatrixPolynomial, x) -> np.ndarray:
     """A_L(X) = Σ X^{l-i} A_i, evaluated as A_Rᵀ(Xᵀ)ᵀ."""
-    return eval_right(_transpose(p), _square(p, x).T).T
+    return _horner(p.coeffs.transpose(0, 2, 1), _square(p, x).T)[-1].T
 
 
 def synthetic_div_right(p: MatrixPolynomial, x):
@@ -173,19 +190,18 @@ def synthetic_div_right(p: MatrixPolynomial, x):
     remainder (the generalized Bézout theorem).  A non-finite quotient
     raises ``DimensionMismatch``.
     """
-    x = _square(p, x)
     if p.l == 0:
         raise DimensionMismatch("cannot divide a degree-0 polynomial")
-    b = p.coeffs.copy()
-    for k in range(1, p.l + 1):
-        b[k] = p.coeffs[k] + b[k - 1] @ x
-    return MatrixPolynomial(b[:-1]), b[-1]
+    b = _horner(p.coeffs, x)
+    if not np.isfinite(b[:-1]).all():
+        raise DimensionMismatch("matrix contains non-finite entries")
+    return _built(MatrixPolynomial, b[:-1]), b[-1]
 
 
 def synthetic_div_left(p: MatrixPolynomial, x):
     """Divide A(λ) = (λI - X) S(λ) + A_L(X) on the left, for any A_0, as the
     transpose of the right division of pᵀ by (λI - Xᵀ); S leads with A_0."""
-    quotient, remainder = synthetic_div_right(_transpose(p), _square(p, x).T)
+    quotient, remainder = synthetic_div_right(_transpose(p), np.transpose(x))
     return _transpose(quotient), remainder.T
 
 
@@ -282,7 +298,7 @@ def reconstruct(chain: SpectralFactorChain) -> MatrixPolynomial:
     for k in range(1, len(f) + 1):
         # left-multiply the accumulated degree-(k-1) polynomial by (λI - Q_k)
         coeffs[1:k + 1] -= f[k - 1] @ coeffs[:k]
-    return MatrixPolynomial(coeffs)
+    return _built(MatrixPolynomial, coeffs)
 
 
 def latent_roots(p: MatrixPolynomial) -> np.ndarray:

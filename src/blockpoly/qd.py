@@ -100,7 +100,7 @@ from .errors import (
     SingularMatrix,
     SingularPivot,
 )
-from .polynomial import MatrixPolynomial, SpectralFactorChain
+from .polynomial import MatrixPolynomial, SpectralFactorChain, _built
 
 #: Sweeps without a new best max relative E-norm before Q.D. reports a stall.
 #: Transient E-norm humps spanning ~45 sweeps occur on spectra with close
@@ -265,7 +265,7 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None, *, hand_off: bool =
         t = qd_init(p)
         trace = QDTrace()
         if p.l == 1:
-            return SpectralFactorChain(t.q_row), trace
+            return _built(SpectralFactorChain, t.q_row), trace
         best = float("inf")
     else:
         # a hand-off follows a new best and asks for a full next block
@@ -306,7 +306,7 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None, *, hand_off: bool =
         trace.max_relative_e.extend(rels[:used])
         done += used
         if converged:
-            return SpectralFactorChain(qs[last]), trace
+            return _built(SpectralFactorChain, qs[last]), trace
         if stalled or done == cfg.max_iterations:
             break
         q, e = qs[-1], es[-1]

@@ -39,10 +39,11 @@ from .polynomial import (
     MatrixPolynomial,
     SolventSet,
     SpectralFactorChain,
+    _horner,
+    _square,
     _transpose,
     check_chain,
     check_order,
-    residual_right,
     spectral_overlap,
     synthetic_div_left,
     synthetic_div_right,
@@ -81,11 +82,12 @@ def right_to_left_solvent(p: MatrixPolynomial, r):
     step of :func:`chain_to_right_solvents` on (Bᵀ, Rᵀ) with P = Qᵀ.
     """
     p.require_monic()
+    r = _square(p, r)
     quotient, rel = deflate_right(p, r)
     if rel > SOLVENT_GATE:
         raise InputNotSolvent(
             f"right-solvent residual {rel:.3e} exceeds gate {SOLVENT_GATE:.1e}")
-    pmat, left = _similarity_step(quotient.coeffs.transpose(0, 2, 1), linalg.as_matrix(r).T, 0)
+    pmat, left = _similarity_step(quotient.coeffs.transpose(0, 2, 1), r.T, 0)
     return left.T, pmat.T
 
 
@@ -99,13 +101,17 @@ def _check_disjoint(chain: SpectralFactorChain):
         )
 
 
-def _chain_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> SolventSet:
-    """The right solvents of a checked chain, leftmost factor first, with
-    the residuals that gated them."""
+def _chain_solvents(p: MatrixPolynomial, factors, side: str = "right") -> SolventSet:
+    """The ``side`` solvents of a checked chain's factors, with the residuals
+    that gated them.  The right ones come leftmost factor first; the left
+    ones are the right solvents of pᵀ from the transposed chain, transposed
+    back and reversed so that L_i pairs in spectrum with R_i."""
+    if side == "left":
+        p, factors = _transpose(p), factors[::-1].transpose(0, 2, 1)
     current = p
     solvents, residuals = [], []
     scale = p.coefficient_scale()
-    for step, q in enumerate(chain.factors[::-1]):
+    for step, q in enumerate(factors[::-1]):
         solvent = q
         if current.l > 1:
             current, remainder = synthetic_div_left(current, q)
@@ -113,12 +119,14 @@ def _chain_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> SolventS
             if rem > SOLVENT_GATE:
                 raise DeflationResidualLarge(step, rem)
             solvent = _similarity_step(current.coeffs, q, step)[1]
-        res = residual_right(p, solvent)
+        res = linalg.frob_norm(_horner(p.coeffs, solvent)[-1]) / scale
         if res > SOLVENT_GATE:
             raise SolventResidualLarge(step, res)
         solvents.append(solvent)
         residuals.append(res)
-    return SolventSet("right", solvents, tuple(residuals))
+    if side == "left":
+        solvents, residuals = np.array(solvents)[::-1].transpose(0, 2, 1), residuals[::-1]
+    return SolventSet(side, solvents, tuple(residuals))
 
 
 def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> SolventSet:
@@ -133,23 +141,17 @@ def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> 
     p.require_monic()
     check_chain(p, chain)
     _check_disjoint(chain)
-    return _chain_solvents(p, chain)
+    return _chain_solvents(p, chain.factors)
 
 
 def chain_to_left_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> SolventSet:
-    """Recover the complete left solvent set from a factor chain.
-
-    The right solvents of pᵀ from the transposed chain, transposed back and
-    reversed so that L_i pairs in spectrum with R_i.  Step k of the errors
-    is the k-th factor from the right, the order in which this side
-    divides them out.
-    """
+    """Recover the complete left solvent set from a factor chain; step k of
+    the errors is the k-th factor from the right, which this side divides
+    out k-th."""
     p.require_monic()
     check_chain(p, chain)
     _check_disjoint(chain)
-    dual = SpectralFactorChain(chain.factors[::-1].transpose(0, 2, 1))
-    right = _chain_solvents(_transpose(p), dual)
-    return SolventSet("left", right.solvents[::-1].transpose(0, 2, 1), right.residuals[::-1])
+    return _chain_solvents(p, chain.factors, "left")
 
 
 def check_set(p: MatrixPolynomial, s: SolventSet, side: str) -> None:

@@ -743,3 +743,32 @@ def test_corpus_failures_that_the_search_factorizes(name):
     assert report.warnings[-1].endswith(SEARCH_WARNING)
     assert max(report.per_factor_residuals) <= RESIDUAL_GUARD
     assert report.reconstruction_error <= 1e-8
+
+
+def test_factorization_checks_each_input_once(monkeypatch, example2, example4):
+    """The package's own quotients, transposes, iterates and factors are not
+    checked again: ``as_blocks`` builds only the stacks a call returns (the
+    chain, and the two solvent sets), ``as_matrix`` does not run, and p is
+    tested monic once per public call that needs it (Q.D.'s, and the
+    completeness check's latent roots)."""
+    grid = reconstruct(random_chain(8, 3, np.random.default_rng(8030)))
+    calls = []
+    for name in ("as_blocks", "as_matrix"):
+        check = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, name=name, check=check:
+                            calls.append(name) or check(*args))
+    is_monic = MatrixPolynomial.is_monic
+    monkeypatch.setattr(MatrixPolynomial, "is_monic",
+                        property(lambda p: calls.append("is_monic") or is_monic.fget(p)))
+    disjoint = transforms._check_disjoint
+    monkeypatch.setattr(transforms, "_check_disjoint",
+                        lambda *args: calls.append("disjoint") or disjoint(*args))
+    for run, want in [
+        (lambda: full_factorize(example2), ["is_monic", "as_blocks"]),
+        (lambda: full_factorize(grid), ["is_monic", "as_blocks"]),
+        (lambda: full_solvent_sets(example4),
+         ["is_monic", "as_blocks", "disjoint", "as_blocks", "as_blocks", "is_monic"]),
+    ]:
+        calls.clear()
+        run()
+        assert calls == want

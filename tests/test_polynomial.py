@@ -1,7 +1,10 @@
+import ast
+import re
+
 import numpy as np
 import pytest
 
-from blockpoly import linalg
+from blockpoly import linalg, polynomial
 from blockpoly.decoupler import MFDSystem, design_decoupling
 from blockpoly.errors import DimensionMismatch, NotMonic
 from blockpoly.horner import IterConfig, frechet_matrix, newton_horner
@@ -17,6 +20,8 @@ from blockpoly.polynomial import (
     is_complete_set,
     latent_roots,
     reconstruct,
+    residual_left,
+    residual_right,
     synthetic_div_left,
     synthetic_div_right,
 )
@@ -353,3 +358,63 @@ def test_solvent_set_side_is_right_or_left():
 def test_degree_0_polynomial_has_no_right_solvent_to_convert():
     with pytest.raises(DimensionMismatch, match="^cannot divide a degree-0 polynomial$"):
         right_to_left_solvent(MatrixPolynomial([E2]), E2)
+
+
+#: Each input is checked where it enters, and these see only blocks the
+#: package built or checked (the module docstring names them).
+UNCHECKED_FUNCTIONS = {"_horner", "synthetic_div_right", "synthetic_div_left", "_transpose",
+                       "reconstruct"}
+
+#: Calls that check a caller's blocks or X again.
+CHECKS = {"as_matrix", "as_blocks", "_square", "MatrixPolynomial", "SpectralFactorChain",
+          "SolventSet"}
+
+
+def test_unchecked_functions_check_nothing_again():
+    listed = re.search(r"The unchecked\s+functions (.*?) see only", polynomial.__doc__, re.S)
+    assert set(re.findall(r"``(\w+)``", listed.group(1))) == UNCHECKED_FUNCTIONS
+    with open(polynomial.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    offenders = []
+    for name in sorted(UNCHECKED_FUNCTIONS):
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Call):
+                func = node.func
+                ident = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if ident in CHECKS:
+                    offenders.append(f"{name}:{node.lineno} {ident}")
+    assert not offenders, "check called in an unchecked function: " + ", ".join(offenders)
+
+
+def test_built_stacks_are_read_only_and_not_checked_again():
+    p = reconstruct(SpectralFactorChain([E2, 2 * E2]))
+    quotient, _ = synthetic_div_right(p, E2)
+    for stack in (p.coeffs, quotient.coeffs, synthetic_div_left(p, E2)[0].coeffs):
+        assert stack.dtype == np.float64 and not stack.flags.writeable
+
+
+@pytest.mark.parametrize("call", [
+    eval_right, eval_left, residual_right, residual_left, right_to_left_solvent,
+    lambda p, x: newton_horner(p, IterConfig(x0=x)),
+], ids=["eval-right", "eval-left", "residual-right", "residual-left", "right-to-left",
+        "newton-x0"])
+def test_entries_that_take_a_callers_x_check_it_first(call):
+    # the divisions trust their X, so each entry checks it before dividing,
+    # with the messages the divisions gave when they checked it
+    p = MatrixPolynomial([E2, -3 * E2, 2 * E2])
+    with pytest.raises(DimensionMismatch, match=r"^x must be 2x2, got \(3, 3\)$"):
+        call(p, np.eye(3))
+    with pytest.raises(DimensionMismatch, match="^entries must be real numbers, got complex128$"):
+        call(p, 1j * E2)
+    with pytest.raises(DimensionMismatch, match="^matrix contains non-finite entries$"):
+        call(p, np.full((2, 2), np.nan))
+    with pytest.raises(DimensionMismatch, match="^expected 2-D matrix, got ndim=1$"):
+        call(p, np.ones(2))
+
+
+def test_iter_config_checks_its_start_once():
+    with pytest.raises(DimensionMismatch, match="^matrix contains non-finite entries$"):
+        IterConfig(x0=[[np.inf]])
+    cfg = IterConfig(x0=[[1, 2], [3, 4]])
+    assert cfg.x0.dtype == np.float64 and np.array_equal(cfg.x0, [[1.0, 2.0], [3.0, 4.0]])
