@@ -101,9 +101,8 @@ class ConvergenceTrace:
 
 
 def default_guess(p: MatrixPolynomial, jitter_seed: int = 0) -> np.ndarray:
-    """ε-perturbed scaled identity: (-trace(A_1)/(l·m)) I, the mean latent root
-    of a monic p, plus 1e-3 jitter; ``NoConvergence`` where it overflows, as
-    that start diverges at once."""
+    """A monic p's mean latent root -trace(A_1)/(l·m) times I plus 1e-3 jitter;
+    ``NoConvergence`` where it overflows, as that start diverges at once."""
     p.require_monic()
     rng = np.random.default_rng(jitter_seed)
     with np.errstate(over="ignore", invalid="ignore"):

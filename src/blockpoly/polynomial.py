@@ -21,8 +21,8 @@ stack at once.  The constructors check a caller's blocks with
 :func:`linalg.as_blocks`, and ``_square`` a caller's X.  The unchecked
 functions ``_horner`` (the one right-side Horner kernel),
 ``synthetic_div_right``, ``synthetic_div_left``, ``_transpose`` and
-``reconstruct`` see only blocks the package built or checked, and wrap the
-stacks they build with ``_built``.
+``reconstruct`` see only blocks the package built or checked; ``_built``
+wraps the stacks they build.
 
 Every left-side operation is its right twin applied to the transposed data.
 With pᵀ the polynomial whose coefficients are the transposed A_i,
@@ -35,7 +35,7 @@ Aᵀ(λ) = Sᵀ(λ)(λI - Xᵀ) + Rᵀ, so only the right-side recurrences are c
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,7 +146,7 @@ def _built(cls, blocks: np.ndarray):
     """A ``cls`` over a float stack the package built: read-only, unchecked."""
     obj, view = object.__new__(cls), blocks.view()
     view.flags.writeable = False
-    object.__setattr__(obj, fields(cls)[0].name, view)
+    object.__setattr__(obj, next(iter(cls.__dataclass_fields__)), view)
     return obj
 
 
@@ -182,14 +182,10 @@ def eval_left(p: MatrixPolynomial, x) -> np.ndarray:
 
 
 def synthetic_div_right(p: MatrixPolynomial, x):
-    """Divide A(λ) = Q(λ)(λI - X) + R on the right, for any A_0.
-
-    Returns ``(quotient, remainder)``.  The recurrence B_0 = A_0,
-    B_k = A_k + B_{k-1} X gives the quotient coefficients B_0..B_{l-1}, so
-    the quotient leads with A_0, and its last term B_l = A_R(X) is the
-    remainder (the generalized Bézout theorem).  A non-finite quotient
-    raises ``DimensionMismatch``.
-    """
+    """Divide A(λ) = Q(λ)(λI - X) + R on the right, for any A_0: returns
+    ``(quotient, remainder)``, ``_horner``'s B_0..B_{l-1}, which lead with A_0,
+    and B_l = A_R(X) (the generalized Bézout theorem).  A non-finite quotient
+    raises ``DimensionMismatch``."""
     if p.l == 0:
         raise DimensionMismatch("cannot divide a degree-0 polynomial")
     b = _horner(p.coeffs, x)

@@ -102,10 +102,9 @@ def _check_disjoint(chain: SpectralFactorChain):
 
 
 def _chain_solvents(p: MatrixPolynomial, factors, side: str = "right") -> SolventSet:
-    """The ``side`` solvents of a checked chain's factors, with the residuals
-    that gated them.  The right ones come leftmost factor first; the left
-    ones are the right solvents of pᵀ from the transposed chain, transposed
-    back and reversed so that L_i pairs in spectrum with R_i."""
+    """The ``side`` solvents of a checked chain's factors, right ones leftmost
+    factor first, and the residuals that gated them.  The left ones are pᵀ's
+    right ones, transposed back and reversed so that L_i pairs with R_i."""
     if side == "left":
         p, factors = _transpose(p), factors[::-1].transpose(0, 2, 1)
     current = p
