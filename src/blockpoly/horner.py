@@ -101,9 +101,8 @@ class ConvergenceTrace:
 
 
 def default_guess(p: MatrixPolynomial, jitter_seed: int = 0) -> np.ndarray:
-    """A monic p's mean latent root -trace(A_1)/(l·m) times I plus 1e-3 jitter;
+    """ε-perturbed scaled identity: (-trace(A_1)/(l·m)) I plus 1e-3 jitter;
     ``NoConvergence`` where it overflows, as that start diverges at once."""
-    p.require_monic()
     rng = np.random.default_rng(jitter_seed)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = -float(np.trace(p.coeffs[1])) / (p.l * p.m)
@@ -125,6 +124,8 @@ def _run_iteration(p, cfg, step):
     relative residual go on the trace."""
     if p.l < 1:
         raise DimensionMismatch("refinement needs degree >= 1")
+    if cfg.x0 is None:
+        p.require_monic()       # the default guess is a monic p's mean latent root
     x = default_guess(p) if cfg.x0 is None else cfg.x0
     if x.shape != (p.m, p.m):
         raise DimensionMismatch(f"x must be {p.m}x{p.m}, got {x.shape}")

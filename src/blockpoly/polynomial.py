@@ -143,7 +143,7 @@ class CompletenessReport:
 
 
 def _built(cls, blocks: np.ndarray):
-    """A ``cls`` over a float stack the package built: read-only, unchecked."""
+    """The one-field stack class ``cls`` over a stack the package built, unchecked."""
     obj, view = object.__new__(cls), blocks.view()
     view.flags.writeable = False
     object.__setattr__(obj, next(iter(cls.__dataclass_fields__)), view)

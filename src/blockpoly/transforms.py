@@ -101,7 +101,7 @@ def _check_disjoint(chain: SpectralFactorChain):
         )
 
 
-def _chain_solvents(p: MatrixPolynomial, factors, side: str = "right") -> SolventSet:
+def _chain_solvents(p: MatrixPolynomial, factors: np.ndarray, side: str = "right") -> SolventSet:
     """The ``side`` solvents of a checked chain's factors, right ones leftmost
     factor first, and the residuals that gated them.  The left ones are pᵀ's
     right ones, transposed back and reversed so that L_i pairs with R_i."""
@@ -144,9 +144,9 @@ def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> 
 
 
 def chain_to_left_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> SolventSet:
-    """Recover the complete left solvent set from a factor chain; step k of
-    the errors is the k-th factor from the right, which this side divides
-    out k-th."""
+    """Recover the complete left solvent set from a factor chain.  Step k of
+    the errors is the k-th factor from the right, the order in which this
+    side divides them out."""
     p.require_monic()
     check_chain(p, chain)
     _check_disjoint(chain)
