@@ -387,7 +387,7 @@ def test_unchecked_functions_check_nothing_again():
     assert not offenders, "check called in an unchecked function: " + ", ".join(offenders)
 
 
-def test_built_stacks_are_read_only_and_not_checked_again():
+def test_built_stacks_are_read_only():
     p = reconstruct(SpectralFactorChain([E2, 2 * E2]))
     quotient, _ = synthetic_div_right(p, E2)
     for stack in (p.coeffs, quotient.coeffs, synthetic_div_left(p, E2)[0].coeffs):
