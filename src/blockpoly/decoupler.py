@@ -35,7 +35,7 @@ from .errors import (
     SingularMatrix,
 )
 from .pipeline import factorize_nonmonic
-from .polynomial import (MatrixPolynomial, SpectralFactorChain, companion_right,
+from .polynomial import (MatrixPolynomial, SpectralFactorChain, _built, companion_right,
                          reconstruct)
 
 
@@ -58,7 +58,7 @@ class MFDSystem:
             raise DimensionMismatch(f"all coefficients must be {m}x{m}")
         if len(num) >= len(den):
             raise DimensionMismatch("need deg N < deg D")
-        if not MatrixPolynomial(den[::-1]).is_monic:
+        if not _built(MatrixPolynomial, den[::-1]).is_monic:
             raise DimensionMismatch("denominator must be monic (D_l = I)")
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
@@ -79,10 +79,10 @@ class MFDSystem:
 
     def numerator_polynomial(self) -> MatrixPolynomial:
         """Descending-coefficient view (leading N_k first)."""
-        return MatrixPolynomial(self.numerator[::-1])
+        return _built(MatrixPolynomial, self.numerator[::-1])
 
     def denominator_polynomial(self) -> MatrixPolynomial:
-        return MatrixPolynomial(self.denominator[::-1])
+        return _built(MatrixPolynomial, self.denominator[::-1])
 
 
 @dataclass

@@ -54,17 +54,6 @@ class NoConvergence(BlockPolyError):
         super().__init__(message)
 
 
-class HandOff(NoConvergence):
-    """Q.D. stopped at a block end to hand its Q-row to Newton.
-
-    Raised only when the caller asks for it: the run was still descending,
-    and at its observed rate ``e_tol`` was a full block or more away.  Like
-    its base it carries the trace and the tableau of the last sweep, which
-    are the whole state of the run: ``qd_run(..., resume=handoff)`` goes on
-    from them to the end of the run without a hand-off.
-    """
-
-
 class SingularCoefficient(BlockPolyError):
     """A required interior coefficient A_k is singular (Q.D. initialization)."""
 

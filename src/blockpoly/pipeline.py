@@ -16,23 +16,23 @@ refined factor again.  The refiner accepted the factor on that same
 residual, under ``horner.RESIDUAL_GUARD``, so deflation needs no gate of its
 own.
 
-With ``newton-horner``, the default, Q.D. may hand its Q-row over early
-(``qd_run(..., hand_off=True)``): at a block end where the run is still
-descending and ``e_tol`` is a block or more away.  Newton then finishes the
-factors in a few quadratic steps, where Q.D.'s linear tail takes a hundred
-sweeps or more.  The refined chain is kept only when refinement succeeds and
-its factors are in dominance order, each factor's eigenvalue moduli at least
-those of the next to ``SPECTRUM_TOL``, the grouping a converged Q.D. run
-gives.  Newton from a handed-off Q-row has ``HAND_OFF_ITERATIONS`` steps per
-factor at most, one Q.D. block: near a simple solvent it converges
-quadratically, so a try that has not converged by then is given up.
-When the try fails, the grouping search below is tried next, and its chain
-is kept on the same dominance-order test.  Otherwise Q.D. goes on from the
-hand-off to its usual end (``qd_run(..., resume=handoff)``), and the chain
-is refined from that Q-row exactly as with no hand-off; the report's first
-warning names the rejected hand-off.  ``horner`` and ``two-stage`` converge
-linearly, so from an early Q-row they may not converge at all; they never
-ask for a hand-off.
+With ``newton-horner``, the default, the pipeline draws Q.D. one block at a
+time (``qd._blocks``) and may take its Q-row early: at the first block end
+where the run is still descending and ``e_tol`` is a block or more away.
+Newton then finishes the factors in a few quadratic steps, where Q.D.'s
+linear tail takes a hundred sweeps or more.  The refined chain is kept only
+when refinement succeeds and its factors are in dominance order, each
+factor's eigenvalue moduli at least those of the next to ``SPECTRUM_TOL``,
+the grouping a converged Q.D. run gives.  Newton from a handed-off Q-row has
+``HAND_OFF_ITERATIONS`` steps per factor at most, one Q.D. block: near a
+simple solvent it converges quadratically, so a try that has not converged
+by then is given up.  When the try fails, the grouping search below is
+tried next, and its chain is kept on the same dominance-order test.
+Otherwise the pipeline draws the next block, Q.D. runs on to its usual end,
+and the chain is refined from that Q-row exactly as with no hand-off; the
+report's first warning names the rejected hand-off.  ``horner`` and
+``two-stage`` converge linearly, so from an early Q-row they may not
+converge at all; they never take a hand-off.
 
 Without Q.D. seeds (the CLI's local methods, or Q.D. breaks down) each
 factor starts from ``MULTI_START`` jittered default guesses in turn.
@@ -65,7 +65,6 @@ import numpy as np
 from . import linalg, transforms
 from .errors import (
     BlockPolyError,
-    HandOff,
     NoConvergence,
     PipelineStageError,
     SingularCoefficient,
@@ -94,7 +93,7 @@ from .polynomial import (
     residual_left,
     residual_right,
 )
-from .qd import QDConfig, qd_run
+from .qd import QDConfig, _blocks
 
 REFINE_METHODS = ("horner", "newton-horner", "two-stage")
 
@@ -149,26 +148,11 @@ def refiner(method: str):
             "two-stage": two_stage}[method]
 
 
-def _qd_seeds(p: MatrixPolynomial, cfg: PipelineConfig, *, hand_off: bool = False,
-              resume: HandOff | None = None):
-    """Q.D. factor blocks to use as refinement seeds, plus any warnings; a
-    ``HandOff`` propagates."""
-    try:
-        return qd_run(p, cfg.qd, hand_off=hand_off, resume=resume)[0].factors, []
-    except HandOff:
-        raise
-    except NoConvergence as exc:
-        return exc.tableau.q_row, [
-            f"Q.D. did not reach e_tol ({exc}); using the final Q-row as seeds"]
-    except (SingularCoefficient, SingularPivot) as exc:
-        return None, [f"Q.D. failed ({exc}); falling back to default guesses"]
-
-
 def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
     """Refine the k-th factor from ``seeds[k]`` (or the jittered default
     guesses) and divide it out; returns ``(chain, report, traces)``, with
     each factor's residual taken from its one division.  The default guesses
-    need a monic p; Q.D. seeds come from ``qd_run``, which checked it."""
+    need a monic p; Q.D. seeds come from ``qd_init``, which checked it."""
     if seeds is None:
         p.require_monic()
     current = p
@@ -281,28 +265,39 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
     """
     cfg = cfg or PipelineConfig()
     found = unsearched = object()       # the search runs once at most
+    hand_off = cfg.refine_method == "newton-horner"
+    warnings = []
     try:
-        seeds, warnings = _qd_seeds(p, cfg, hand_off=cfg.refine_method == "newton-horner")
-    except HandOff as exc:
-        budget = min(cfg.iter.max_iterations, HAND_OFF_ITERATIONS)
-        try:
-            chain, report, traces = refine_chain(
-                p, replace(cfg, iter=replace(cfg.iter, max_iterations=budget)),
-                exc.tableau.q_row)
-        except PipelineStageError as err:
-            found = _group_search(p, cfg)
-            if found is not None and _in_dominance_order(found[0]):
-                chain, report, traces = found
-                report.warnings.append(f"{exc}, rejected: {err}; the grouping search "
-                                       "over the latent roots factorized it instead")
-                return chain, report, traces
-            reason = str(err)
-        else:
-            if _in_dominance_order(chain):
-                return chain, report, traces
-            reason = "the refined factors are not in dominance order"
-        seeds, warnings = _qd_seeds(p, cfg, resume=exc)
-        warnings.insert(0, f"{exc}, rejected: {reason}; Q.D. ran on to its end")
+        for t, qd_trace, ready in _blocks(p, cfg.qd):
+            if not (ready and hand_off):
+                continue
+            hand_off = False
+            at = (f"Q.D. handed off at sweep {t.iteration} "
+                  f"(max relative E-norm {qd_trace.max_relative_e[-1]:.3e})")
+            budget = min(cfg.iter.max_iterations, HAND_OFF_ITERATIONS)
+            try:
+                chain, report, traces = refine_chain(
+                    p, replace(cfg, iter=replace(cfg.iter, max_iterations=budget)), t.q_row)
+            except PipelineStageError as err:
+                found = _group_search(p, cfg)
+                if found is not None and _in_dominance_order(found[0]):
+                    chain, report, traces = found
+                    report.warnings.append(f"{at}, rejected: {err}; the grouping search "
+                                           "over the latent roots factorized it instead")
+                    return chain, report, traces
+                reason = str(err)
+            else:
+                if _in_dominance_order(chain):
+                    return chain, report, traces
+                reason = "the refined factors are not in dominance order"
+            warnings.append(f"{at}, rejected: {reason}; Q.D. ran on to its end")
+        seeds = t.q_row
+    except NoConvergence as exc:
+        seeds = exc.tableau.q_row
+        warnings.append(f"Q.D. did not reach e_tol ({exc}); using the final Q-row as seeds")
+    except (SingularCoefficient, SingularPivot) as exc:
+        seeds = None
+        warnings.append(f"Q.D. failed ({exc}); falling back to default guesses")
     try:
         chain, report, traces = refine_chain(p, cfg, seeds)
     except PipelineStageError as err:

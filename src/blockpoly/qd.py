@@ -51,26 +51,20 @@ one-sweep block, which alone has no rate, does not make the next block a full
 one: example 1 computes 32 + 19 + 1 + 1 + 1 = 54 sweeps, where sizing from
 the last block alone computes 84.
 
-A block end is also where the pipeline may hand the Q-row to Newton.  With
-``hand_off``, :func:`qd_run` raises ``HandOff`` at the end of a block when the
+A block end is where the run can be left.  The private generator
+:func:`_blocks` holds the loop and yields the tableau and the trace at each
+block end that the run goes on from, with a flag that reads true when the
 block's last sweep set a new best max relative E-norm (the stall counter
 reads 0) and the next block, sized from the same window, is a full one: at
-the observed rate ``e_tol`` is a block or more away.  Q.D. converges at the
-rate |λ_{km+1}/λ_{km}| of its group boundaries, 0.857 on examples 2 and 4,
-so its tail is slow; once the groups have settled, Newton on A_R(X) = 0
+the observed rate ``e_tol`` is a block or more away.  :func:`qd_run` drains
+it; the pipeline tries Newton on the Q-row of the first such yield, and
+draws the next block when it rejects the try.  Q.D. converges at the rate
+|λ_{km+1}/λ_{km}| of its group boundaries, 0.857 on examples 2 and 4, so
+its tail is slow; once the groups have settled, Newton on A_R(X) = 0
 converges quadratically near a simple solvent (Dennis, Traub & Weber, SIAM J.
 Numer. Anal. 15(3), 1978).  The new-best test keeps a hand-off out of an
 E-norm hump: examples 2 and 4 are in one at sweep 32, and Newton from that
 Q-row finds factors out of dominance order, which the pipeline rejects.
-
-A row depends only on the row before it, so the ``HandOff``'s tableau and
-trace are the whole state of the run.  When the pipeline rejects the
-hand-off, ``qd_run(..., resume=handoff)`` goes on from that tableau: the
-stall counter reads 0 at a hand-off, the best E-norm is the trace's last,
-and the next block is a full one.  So the resumed run computes the blocks of
-the run without ``hand_off`` and ends with its Q-row, trace and error.
-Draw 178 of the test corpus computes 160 sweeps in all, not the 192 of a
-second run from sweep 1.
 
 A block holds up to 32 sweeps.  Its fixed cost (the norms, the replayed stop
 and stall tests, the gate and the trace) is then paid once per 32 sweeps at
@@ -94,7 +88,6 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatch,
-    HandOff,
     NoConvergence,
     SingularCoefficient,
     SingularMatrix,
@@ -235,47 +228,24 @@ def _block_size(rels, e_tol):
     return max(1, min(_BLOCK, math.ceil(math.log(e_tol / last) / math.log(rate))))
 
 
-def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None, *, hand_off: bool = False,
-           resume: HandOff | None = None):
-    """Iterate sweeps until the interior E blocks vanish.
+def _blocks(p: MatrixPolynomial, cfg: QDConfig):
+    """The run of :func:`qd_run`, one block at a time.
 
-    Returns ``(chain, trace)``; the chain stores the Q-row blocks
-    rightmost-first (dominant block = rightmost factor = right solvent).
-    With ``resume``, a ``HandOff`` that this run of ``p`` and ``cfg`` raised,
-    the run goes on from its tableau, and returns or raises what the run
-    without ``hand_off`` does; the trace covers the whole run.  The
-    ``HandOff`` is left as it was.
-
-    Raises
-    ------
-    HandOff
-        Only with ``hand_off``: at a block end, the last sweep set a new best
-        max relative E-norm, and at the decay rate of the last ``_BLOCK``
-        sweeps ``e_tol`` is a full block or more away.  It carries the trace
-        and the tableau, which are those of a run with a budget of that many
-        sweeps.
-    NoConvergence
-        Budget exhausted or stalled; the error carries the trace and the last
-        tableau so callers (the pipeline) can still use the Q-row as seeds.
-    SingularPivot
-        A Q-block became singular mid-sweep (dominance breakdown).
+    Yields ``(tableau, trace, ready)`` at each block end that the run goes on
+    from, ``ready`` as the module docstring says, and once more with the
+    final tableau after a converged run, ``ready`` false.  The trace is the
+    run's own and grows as it goes on; at a yield at sweep n the tableau and
+    trace are those of a run with a budget of n sweeps.  Raises what
+    :func:`qd_run` raises.
     """
-    cfg = cfg or QDConfig()
-    if resume is None:
-        t = qd_init(p)
-        trace = QDTrace()
-        if p.l == 1:
-            return _built(SpectralFactorChain, t.q_row), trace
-        best = float("inf")
-    else:
-        # a hand-off follows a new best and asks for a full next block
-        t, handed = resume.tableau, resume.trace
-        trace = QDTrace(handed.sweeps[:], handed.e_block_norms[:],
-                        handed.max_relative_e[:])
-        best = trace.max_relative_e[-1]
+    t = qd_init(p)
+    trace = QDTrace()
+    if p.l == 1:
+        yield t, trace, False
+        return
 
-    q, e, done = t.q_row, t.e_row, t.iteration
-    since_best = 0
+    q, e, done = t.q_row, t.e_row, 0
+    best, since_best = float("inf"), 0
     size = _BLOCK
     stalled = False
     while True:
@@ -306,15 +276,14 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None, *, hand_off: bool =
         trace.max_relative_e.extend(rels[:used])
         done += used
         if converged:
-            return _built(SpectralFactorChain, qs[last]), trace
+            yield QDTableau(q_row=qs[last], e_row=es[last], iteration=done), trace, False
+            return
         if stalled or done == cfg.max_iterations:
             break
         q, e = qs[-1], es[-1]
         size = _block_size(trace.max_relative_e[-_BLOCK:], cfg.e_tol)
-        if hand_off and since_best == 0 and size == _BLOCK:
-            raise HandOff(f"Q.D. handed off at sweep {done} (max relative E-norm "
-                          f"{rels[last]:.3e})", trace=trace,
-                          tableau=QDTableau(q_row=q, e_row=e, iteration=done))
+        yield (QDTableau(q_row=q, e_row=e, iteration=done), trace,
+               since_best == 0 and size == _BLOCK)
 
     if stalled:
         msg = (f"Q.D. stalled: max relative E-norm {rels[last]:.3e} did not "
@@ -324,3 +293,22 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None, *, hand_off: bool =
                f"(max relative E-norm {rels[last]:.3e})")
     t = QDTableau(q_row=qs[last], e_row=es[last], iteration=done)
     raise NoConvergence(msg, trace=trace, tableau=t)
+
+
+def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
+    """Iterate sweeps until the interior E blocks vanish.
+
+    Returns ``(chain, trace)``; the chain stores the Q-row blocks
+    rightmost-first (dominant block = rightmost factor = right solvent).
+
+    Raises
+    ------
+    NoConvergence
+        Budget exhausted or stalled; the error carries the trace and the last
+        tableau so callers (the pipeline) can still use the Q-row as seeds.
+    SingularPivot
+        A Q-block became singular mid-sweep (dominance breakdown).
+    """
+    for t, trace, _ in _blocks(p, cfg or QDConfig()):
+        pass
+    return _built(SpectralFactorChain, t.q_row), trace

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from blockpoly import horner, linalg, pipeline, polynomial, qd, transforms
+from blockpoly.decoupler import MFDSystem, design_decoupling
 from blockpoly.errors import (
     BlockPolyError,
     DimensionMismatch,
-    HandOff,
     NoConvergence,
     NotMonic,
     PipelineStageError,
@@ -412,26 +412,34 @@ def test_each_factor_divided_out_once(monkeypatch):
 
 @pytest.fixture
 def qd_runs(monkeypatch):
-    """``(outcome, sweeps)`` of each Q.D. run that the pipeline starts, and
-    the sweeps that Q.D. computes in all, dropped ones included, as the last
-    entry of ``computed``."""
+    """``(ready, end, sweeps)`` of each Q.D. run that the pipeline draws: the
+    sweep of the run's first block end ready for a hand-off (or None), how the
+    run ended ("left" where the pipeline stopped drawing blocks, "converged",
+    or the error's name) and the sweeps in its trace then; and the sweeps
+    that Q.D. computes in all, dropped ones included, as the last entry of
+    ``computed``."""
     runs, computed = [], [0]
-    run, sweeps = pipeline.qd_run, qd._sweeps
+    blocks, sweeps = pipeline._blocks, qd._sweeps
 
-    def spy_run(*args, **kwargs):
+    def spy_blocks(*args):
+        ready_at, end, trace = None, "left", qd.QDTrace()
         try:
-            chain, trace = run(*args, **kwargs)
-        except NoConvergence as exc:
-            runs.append((type(exc).__name__, len(exc.trace.sweeps)))
+            for t, trace, ready in blocks(*args):
+                if ready and ready_at is None:
+                    ready_at = t.iteration
+                yield t, trace, ready
+            end = "converged"
+        except BlockPolyError as exc:
+            end, trace = type(exc).__name__, getattr(exc, "trace", trace)
             raise
-        runs.append(("converged", len(trace.sweeps)))
-        return chain, trace
+        finally:
+            runs.append((ready_at, end, len(trace.sweeps)))
 
     def spy_sweeps(q, e, n):
         computed[0] += n
         return sweeps(q, e, n)
 
-    monkeypatch.setattr(pipeline, "qd_run", spy_run)
+    monkeypatch.setattr(pipeline, "_blocks", spy_blocks)
     monkeypatch.setattr(qd, "_sweeps", spy_sweeps)
     return runs, computed
 
@@ -451,7 +459,7 @@ def test_hand_off_finishes_the_paper_fixtures_by_newton(name, request, qd_runs):
     p = request.getfixturevalue(name)
     chain, report, traces = full_factorize(p)
     runs, computed = qd_runs
-    assert runs == [("HandOff", 64)] and computed == [64]
+    assert runs == [(64, "left", 64)] and computed == [64]
     assert report.warnings == []
     assert all(len(t.iterates) >= 2 for t in traces[:-1])     # >= 1 Newton step each
     assert report.reconstruction_error <= 1e-14
@@ -477,7 +485,8 @@ def test_rejected_hand_off_falls_back_to_the_full_qd_run(name, qd_runs):
     p = corpus(2817)[name]
     chain, report, _ = full_factorize(p)
     runs, computed = qd_runs
-    assert runs[0] == ("HandOff", 32) and len(runs) == 2
+    [(ready, end, _)] = runs
+    assert ready == 32 and end != "left"
     used, computed[0] = computed[0], 0
     assert np.array_equal(chain.factors, _plain_qd_chain(p).factors)
     assert computed == [used]       # Q.D. went on from the hand-off
@@ -491,7 +500,8 @@ def test_the_slowest_kept_hand_off_stays_within_its_budget(qd_runs):
     p = corpus(718)["draw717"]
     chain, report, traces = full_factorize(p)
     runs, _ = qd_runs
-    assert len(runs) == 1 and runs[0][0] == "HandOff" and report.warnings == []
+    [(ready, end, n)] = runs
+    assert end == "left" and ready == n and report.warnings == []
     assert max(len(t.iterates) for t in traces) == 25 <= pipeline.HAND_OFF_ITERATIONS
 
 
@@ -530,7 +540,8 @@ def test_no_hand_off_keeps_the_plain_qd_chain(name, method, request, qd_runs):
         p = reconstruct(random_chain(m, l, np.random.default_rng(1000 * m + 10 * l + s)))
     chain, _, _ = full_factorize(p, PipelineConfig(refine_method=method))
     runs, _ = qd_runs
-    assert len(runs) == 1 and runs[0][0] != "HandOff"
+    [(ready, end, _)] = runs
+    assert end != "left" and (ready is None or method != "newton-horner")
     assert np.array_equal(chain.factors, _plain_qd_chain(p, method).factors)
 
 
@@ -543,7 +554,7 @@ def test_example3_hand_off_fails_then_the_grouping_search_factorizes_it(example3
         "failed in stage 'refine' at factor 0: singular matrix: pivot 3 has magnitude "
         "1.183e-12; " + SEARCH_WARNING]
     runs, computed = qd_runs
-    assert runs == [("HandOff", 32)] and computed == [32]
+    assert runs == [(32, "left", 32)] and computed == [32]
     searched, _, _ = pipeline._group_search(example3, PipelineConfig())
     assert np.array_equal(chain.factors, searched.factors)
 
@@ -568,7 +579,7 @@ def test_a_failed_search_raises_the_refine_error_itself(qd_runs, monkeypatch):
     assert str(exc.value) == ("pipeline failed in stage 'refine' at factor 1: no convergence "
                               "in 500 iterations (last δ=9.715e+01%, relative residual 1.651e-01)")
     runs, computed = qd_runs
-    assert runs == [("HandOff", 32), ("NoConvergence", 155)] and computed == [160]
+    assert runs == [(32, "NoConvergence", 155)] and computed == [160]
 
 
 @pytest.fixture
@@ -745,12 +756,13 @@ def test_corpus_failures_that_the_search_factorizes(name):
     assert report.reconstruction_error <= 1e-8
 
 
-def test_factorization_checks_each_input_once(monkeypatch, example2, example4):
+def test_factorization_checks_each_input_once(monkeypatch, example2, example4, gas_turbine):
     """The package's own quotients, transposes, iterates and factors are not
     checked again: ``as_blocks`` builds only the stacks a call returns (the
-    chain, and the two solvent sets), ``as_matrix`` does not run, and p is
-    tested monic once per public call that needs it (Q.D.'s, and the
-    completeness check's latent roots)."""
+    chain, the two solvent sets, the decoupler's two chains) and the
+    normalized numerator, a new product, ``as_matrix`` checks only the
+    caller's mode blocks, and p is tested monic once per public call that
+    needs it (Q.D.'s, and the completeness check's latent roots)."""
     grid = reconstruct(random_chain(8, 3, np.random.default_rng(8030)))
     calls = []
     for name in ("as_blocks", "as_matrix"):
@@ -768,6 +780,10 @@ def test_factorization_checks_each_input_once(monkeypatch, example2, example4):
         (lambda: full_factorize(grid), ["is_monic", "as_blocks"]),
         (lambda: full_solvent_sets(example4),
          ["is_monic", "as_blocks", "disjoint", "as_blocks", "as_blocks", "is_monic"]),
+        (lambda: design_decoupling(gas_turbine, [np.diag([-1.0, -2.0])]),
+         ["as_matrix", "as_blocks", "is_monic", "as_blocks", "as_blocks"]),
+        (lambda: MFDSystem(gas_turbine.numerator, gas_turbine.denominator),
+         ["as_blocks", "as_blocks", "is_monic"]),
     ]:
         calls.clear()
         run()

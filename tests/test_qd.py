@@ -11,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 from blockpoly import linalg
 from blockpoly import qd
 from blockpoly.errors import (
+    BlockPolyError,
     DimensionMismatch,
-    HandOff,
     NoConvergence,
     SingularCoefficient,
     SingularMatrix,
@@ -418,8 +418,8 @@ def slow_runs(draw):
     """Products of factors c_k I + N_k, c_k falling by ratios near 1 and N_k
     small, so that Q.D. converges slowly, and budgets of 33 to 200 sweeps.
 
-    About half of these runs hand off; resumed, they converge, exhaust the
-    budget or, now and then, stall."""
+    About half of these runs reach a block end ready for a hand-off; drawn on,
+    they converge, exhaust the budget or, now and then, stall."""
     m, l = draw(st.integers(1, 2)), draw(st.integers(2, 3))
     ratios = draw(hnp.arrays(np.float64, l - 1, elements=st.floats(0.8, 0.97)))
     noise = draw(hnp.arrays(np.float64, (l, m, m), elements=st.integers(-3, 3).map(float)))
@@ -464,55 +464,70 @@ def test_example1_computes_only_the_sweeps_it_uses(example1, block_sizes):
     assert trace.sweeps[-1] == sum(block_sizes) == 54
 
 
+def _yields(p, cfg):
+    """The yields of a :func:`qd._blocks` run, up to its end or its error."""
+    try:
+        yield from qd._blocks(p, cfg)
+    except BlockPolyError:
+        pass
+
+
+def _drain(blocks, last):
+    """Draw every block left in ``blocks``, a :func:`qd._blocks` run whose
+    last yield was ``(tableau, trace)``; returns the final Q-row and trace."""
+    t, trace = last
+    for t, trace, _ in blocks:
+        pass
+    return t.q_row, trace
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(small_integer_runs(), slow_runs()))
 def test_hand_off_ends_a_descending_run_at_a_block_end(run):
-    """With ``hand_off``, a run returns or raises what it does without it,
-    or raises ``HandOff`` with the trace and tableau of the same run given a
-    budget of that many sweeps, at a new best E-norm that the full run goes
-    past."""
+    """A ``ready`` yield at sweep n carries the tableau and trace of the same
+    run given a budget of n sweeps, at a new best E-norm that the full run
+    goes past."""
     p, cfg = run
     plain = _run_outcome(qd_run, p, cfg)
-    got = _run_outcome(lambda p, cfg: qd_run(p, cfg, hand_off=True), p, cfg)
-    if not isinstance(got[0], HandOff):
-        _assert_same_run(got, plain)
-        return
-    _, trace, tableau = got
-    n = trace.sweeps[-1]
-    assert str(got[0]).startswith(f"Q.D. handed off at sweep {n} ")
-    budget = _run_outcome(qd_run, p, QDConfig(max_iterations=n, e_tol=cfg.e_tol))
-    assert str(budget[0]).startswith(f"Q.D. budget of {n} sweeps exhausted")
-    _assert_same_run((budget[0], trace, tableau), budget)
-    rels = plain[1].max_relative_e
-    assert len(rels) > n and rels[n - 1] < min(rels[:n - 1])
+    handed = [copy.deepcopy((t, trace)) for t, trace, ready in _yields(p, cfg) if ready]
+    for tableau, trace in handed:
+        n = tableau.iteration
+        assert trace.sweeps[-1] == n
+        budget = _run_outcome(qd_run, p, QDConfig(max_iterations=n, e_tol=cfg.e_tol))
+        assert str(budget[0]).startswith(f"Q.D. budget of {n} sweeps exhausted")
+        _assert_same_run((budget[0], trace, tableau), budget)
+        rels = plain[1].max_relative_e
+        assert len(rels) > n and rels[n - 1] < min(rels[:n - 1])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(slow_runs())
 def test_resuming_a_hand_off_gives_the_plain_run(run):
-    """Resumed from its ``HandOff``, a run returns or raises what it does
-    without ``hand_off``, with the whole run's trace, and the ``HandOff``
-    keeps its trace and tableau."""
+    """Drained after any of its yields, a :func:`qd._blocks` run returns or
+    raises what :func:`qd_run` does, with the whole run's trace, and leaves
+    the tableau of that yield as it was."""
     p, cfg = run
-    handed = _run_outcome(lambda p, cfg: qd_run(p, cfg, hand_off=True), p, cfg)
-    if not isinstance(handed[0], HandOff):
-        return
-    exc, trace, tableau = handed
-    kept = (exc, copy.deepcopy(trace), copy.deepcopy(tableau))
-    resumed = _run_outcome(lambda p, cfg: qd_run(p, cfg, resume=exc), p, cfg)
-    _assert_same_run(resumed, _run_outcome(qd_run, p, cfg))
-    _assert_same_run((exc, exc.trace, exc.tableau), kept)
+    plain = _run_outcome(qd_run, p, cfg)
+    for k in range(len(list(_yields(p, cfg)))):
+        blocks = qd._blocks(p, cfg)
+        for _ in range(k + 1):
+            t, trace, _ = next(blocks)
+        kept = copy.deepcopy(t)
+        _assert_same_run(_run_outcome(lambda p, cfg: _drain(blocks, (t, trace)), p, cfg),
+                         plain)
+        assert np.array_equal(t.q_row, kept.q_row) and np.array_equal(t.e_row, kept.e_row)
 
 
 def test_a_resumed_run_stalls_where_the_plain_run_does():
-    # The run hands off at sweep 64, its best, then climbs and stalls 60
-    # sweeps later; a resume that forgot that best would stall at sweep 129.
+    # The run is ready to hand off at sweep 64, its best, then climbs and
+    # stalls 60 sweeps later; a run that forgot that best would stall at
+    # sweep 129.
     p = MatrixPolynomial([np.eye(2), [[0.63, 0.37], [-0.33, 1.81]],
                           [[0.81, -0.2], [-1.58, 0.37]]])
-    with pytest.raises(HandOff) as handed:
-        qd_run(p, hand_off=True)
-    assert handed.value.trace.sweeps[-1] == 64
-    resumed = _run_outcome(lambda p, cfg: qd_run(p, cfg, resume=handed.value), p, QDConfig())
+    blocks = qd._blocks(p, QDConfig())
+    t, trace, _ = next(block for block in blocks if block[2])
+    assert trace.sweeps[-1] == 64
+    resumed = _run_outcome(lambda p, cfg: _drain(blocks, (t, trace)), p, QDConfig())
     _assert_same_run(resumed, _run_outcome(qd_run, p, QDConfig()))
     assert str(resumed[0]).startswith("Q.D. stalled") and resumed[1].sweeps[-1] == 124
 
