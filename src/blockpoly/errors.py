@@ -43,14 +43,10 @@ class SingularMatrix(BlockPolyError):
 
 
 class NoConvergence(BlockPolyError):
-    """Iteration budget exhausted before the stopping criterion was met.
+    """Iteration budget exhausted before the stopping criterion was met."""
 
-    Carries the trace (and for Q.D. the final tableau) for diagnosis.
-    """
-
-    def __init__(self, message, trace=None, tableau=None):
+    def __init__(self, message, trace=None):
         self.trace = trace
-        self.tableau = tableau
         super().__init__(message)
 
 

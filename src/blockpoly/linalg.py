@@ -180,10 +180,9 @@ def as_blocks(mats) -> np.ndarray:
 
 
 def frob_norm(a) -> float:
-    """Frobenius norm: ``np.linalg.norm``'s BLAS dot without its wrapper, bit
-    for bit (a complex array takes ``np.linalg.norm`` itself)."""
-    if a.dtype.kind == "c":
-        return float(np.linalg.norm(a))
+    """Frobenius norm of a real array: ``np.linalg.norm``'s BLAS dot without
+    its wrapper, bit for bit.  The squares may overflow; a scale that must
+    not takes :func:`_max_norm`."""
     flat = a.ravel(order="K")
     return math.sqrt(flat.dot(flat))
 
@@ -197,6 +196,22 @@ def frob_norms(a) -> np.ndarray:
     k, n, _ = a.shape
     flat = a.reshape(k, n * n)
     return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]).ravel())
+
+
+def _max_norm(a) -> float:
+    """:func:`frob_norm` of a real matrix, or the largest :func:`frob_norms`
+    of a (k, n, n) stack, bit for bit where that is finite.
+
+    Where the squares overflow, as a finite entry over ~1e154 makes them, the
+    entries are divided by the largest first, so that the scale of relative
+    residuals does not read inf and turn every residual into 0.
+    """
+    with np.errstate(over="ignore"):
+        norm = frob_norm(a) if a.ndim == 2 else float(frob_norms(a).max())
+        if norm == math.inf:
+            big = float(np.abs(a).max())
+            norm = big * _max_norm(a / big)
+    return norm
 
 
 def _lu_factor(a: np.ndarray) -> None:

@@ -234,7 +234,7 @@ def _group_search(p: MatrixPolynomial, cfg: PipelineConfig):
             if sv[0] > GROUP_COND_MAX * sv[-1]:
                 continue
             x = np.linalg.solve(u.T, (u * roots[group]).T).T
-            if linalg.frob_norm(x.imag) > SPECTRUM_TOL * max(1.0, linalg.frob_norm(x)):
+            if linalg.frob_norm(x.imag) > SPECTRUM_TOL * max(1.0, np.linalg.norm(x)):
                 continue
             iter_cfg.x0 = x.real
             try:
@@ -268,16 +268,16 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
     hand_off = cfg.refine_method == "newton-horner"
     warnings = []
     try:
-        for t, qd_trace, ready in _blocks(p, cfg.qd):
+        for seeds, qd_trace, ready in _blocks(p, cfg.qd):
             if not (ready and hand_off):
                 continue
             hand_off = False
-            at = (f"Q.D. handed off at sweep {t.iteration} "
+            at = (f"Q.D. handed off at sweep {len(qd_trace.sweeps)} "
                   f"(max relative E-norm {qd_trace.max_relative_e[-1]:.3e})")
             budget = min(cfg.iter.max_iterations, HAND_OFF_ITERATIONS)
             try:
                 chain, report, traces = refine_chain(
-                    p, replace(cfg, iter=replace(cfg.iter, max_iterations=budget)), t.q_row)
+                    p, replace(cfg, iter=replace(cfg.iter, max_iterations=budget)), seeds)
             except PipelineStageError as err:
                 found = _group_search(p, cfg)
                 if found is not None and _in_dominance_order(found[0]):
@@ -291,9 +291,7 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
                     return chain, report, traces
                 reason = "the refined factors are not in dominance order"
             warnings.append(f"{at}, rejected: {reason}; Q.D. ran on to its end")
-        seeds = t.q_row
-    except NoConvergence as exc:
-        seeds = exc.tableau.q_row
+    except NoConvergence as exc:        # seeds holds the final Q-row
         warnings.append(f"Q.D. did not reach e_tol ({exc}); using the final Q-row as seeds")
     except (SingularCoefficient, SingularPivot) as exc:
         seeds = None
@@ -350,7 +348,7 @@ def _chain_report(p: MatrixPolynomial, chain: SpectralFactorChain,
     that remains after dividing out the factors to its right."""
     recon = reconstruct(chain)
     num = float(linalg.frob_norms(recon.coeffs - p.coeffs).max())
-    scale = float(linalg.frob_norms(p.coeffs).max())
+    scale = linalg._max_norm(p.coeffs)
     left = _horner(p.coeffs.transpose(0, 2, 1), chain.factors[-1].T)[-1]    # A_L(Q_l)ᵀ
     return VerificationReport(
         per_factor_residuals=residuals,

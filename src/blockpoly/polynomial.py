@@ -78,7 +78,7 @@ class MatrixPolynomial:
 
     def coefficient_scale(self) -> float:
         """max(1, ||A_l||_F): the normalization used for relative residuals."""
-        return max(1.0, linalg.frob_norm(self.coeffs[-1]))
+        return max(1.0, linalg._max_norm(self.coeffs[-1]))
 
     def eval_scalar(self, lam) -> np.ndarray:
         """Evaluate A(λ) at a scalar λ (possibly complex) by Horner nesting."""

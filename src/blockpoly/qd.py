@@ -52,19 +52,20 @@ one: example 1 computes 32 + 19 + 1 + 1 + 1 = 54 sweeps, where sizing from
 the last block alone computes 84.
 
 A block end is where the run can be left.  The private generator
-:func:`_blocks` holds the loop and yields the tableau and the trace at each
-block end that the run goes on from, with a flag that reads true when the
-block's last sweep set a new best max relative E-norm (the stall counter
-reads 0) and the next block, sized from the same window, is a full one: at
-the observed rate ``e_tol`` is a block or more away.  :func:`qd_run` drains
-it; the pipeline tries Newton on the Q-row of the first such yield, and
-draws the next block when it rejects the try.  Q.D. converges at the rate
-|λ_{km+1}/λ_{km}| of its group boundaries, 0.857 on examples 2 and 4, so
-its tail is slow; once the groups have settled, Newton on A_R(X) = 0
-converges quadratically near a simple solvent (Dennis, Traub & Weber, SIAM J.
-Numer. Anal. 15(3), 1978).  The new-best test keeps a hand-off out of an
-E-norm hump: examples 2 and 4 are in one at sweep 32, and Newton from that
-Q-row finds factors out of dominance order, which the pipeline rejects.
+:func:`_blocks` holds the loop and yields the Q-row, the only output Q.D.
+hands on, and the trace at each block end that the run goes on from and at
+its end, with a flag that reads true when the block's last sweep set a new
+best max relative E-norm (the stall counter reads 0) and the next block,
+sized from the same window, is a full one: at the observed rate ``e_tol`` is
+a block or more away.  :func:`qd_run` drains it; the pipeline tries Newton
+on the Q-row of the first such yield, and draws the next block when it
+rejects the try.  Q.D. converges at the rate |λ_{km+1}/λ_{km}| of its group
+boundaries, 0.857 on examples 2 and 4, so its tail is slow; once the groups
+have settled, Newton on A_R(X) = 0 converges quadratically near a simple
+solvent (Dennis, Traub & Weber, SIAM J. Numer. Anal. 15(3), 1978).  The
+new-best test keeps a hand-off out of an E-norm hump: examples 2 and 4 are
+in one at sweep 32, and Newton from that Q-row finds factors out of
+dominance order, which the pipeline rejects.
 
 A block holds up to 32 sweeps.  Its fixed cost (the norms, the replayed stop
 and stall tests, the gate and the trace) is then paid once per 32 sweeps at
@@ -126,19 +127,6 @@ class QDConfig:
 
 
 @dataclass
-class QDTableau:
-    """Current Q-row and E-row of the tableau, as stacks of m x m blocks.
-
-    ``q_row`` is an (l, m, m) array and ``e_row`` an (l+1, m, m) array with
-    fixed zero boundary blocks E_0 and E_l.
-    """
-
-    q_row: np.ndarray
-    e_row: np.ndarray
-    iteration: int = 0
-
-
-@dataclass
 class QDTrace:
     """Per-sweep convergence record."""
 
@@ -147,8 +135,9 @@ class QDTrace:
     max_relative_e: list = field(default_factory=list)
 
 
-def qd_init(p: MatrixPolynomial) -> QDTableau:
-    """Build the initial tableau row from the polynomial coefficients.
+def qd_init(p: MatrixPolynomial):
+    """The first tableau row: an (l, m, m) Q-row and an (l+1, m, m) E-row
+    whose boundary blocks E_0 and E_l are zero.
 
     Requires a monic p of degree l >= 1 and A_1 ... A_{l-1} nonsingular (the
     LR derivation forms the quotients A_{k+1} A_k^{-1}).  The interior E
@@ -166,7 +155,7 @@ def qd_init(p: MatrixPolynomial) -> QDTableau:
     q_row[0] = -p.coeffs[1]
     e_row = np.zeros((l + 1, m, m))
     e_row[1:l] = p.coeffs[2:] @ inv
-    return QDTableau(q_row=q_row, e_row=e_row)
+    return q_row, e_row
 
 
 def _sweeps(q, e, n):
@@ -209,13 +198,6 @@ def _gate(qs, invs, q_norms, inv_norms, done):
         raise SingularPivot(exc.block, done + sweep + 1) from exc
 
 
-def qd_step(t: QDTableau) -> QDTableau:
-    """One full row-generation sweep over the stacked blocks."""
-    qs, es, invs, (q_norms, inv_norms, _) = _sweeps(t.q_row, t.e_row, 1)
-    _gate(qs, invs, q_norms, inv_norms, t.iteration)
-    return QDTableau(q_row=qs[0], e_row=es[0], iteration=t.iteration + 1)
-
-
 def _block_size(rels, e_tol):
     """Sweeps for the next block: ``_BLOCK``, or fewer when the geometric
     decay of the relative E-norms ``rels`` reaches ``e_tol`` sooner."""
@@ -231,20 +213,21 @@ def _block_size(rels, e_tol):
 def _blocks(p: MatrixPolynomial, cfg: QDConfig):
     """The run of :func:`qd_run`, one block at a time.
 
-    Yields ``(tableau, trace, ready)`` at each block end that the run goes on
+    Yields ``(q_row, trace, ready)`` at each block end that the run goes on
     from, ``ready`` as the module docstring says, and once more with the
-    final tableau after a converged run, ``ready`` false.  The trace is the
-    run's own and grows as it goes on; at a yield at sweep n the tableau and
+    final Q-row when the run ends, ``ready`` false; a run that stalls or
+    exhausts its budget then raises ``NoConvergence``.  The trace is the
+    run's own and grows as it goes on; at a yield at sweep n the Q-row and
     trace are those of a run with a budget of n sweeps.  Raises what
     :func:`qd_run` raises.
     """
-    t = qd_init(p)
+    q, e = qd_init(p)
     trace = QDTrace()
     if p.l == 1:
-        yield t, trace, False
+        yield q, trace, False
         return
 
-    q, e, done = t.q_row, t.e_row, 0
+    done = 0
     best, since_best = float("inf"), 0
     size = _BLOCK
     stalled = False
@@ -275,24 +258,22 @@ def _blocks(p: MatrixPolynomial, cfg: QDConfig):
         trace.e_block_norms.extend(e_norms[:used].tolist())
         trace.max_relative_e.extend(rels[:used])
         done += used
-        if converged:
-            yield QDTableau(q_row=qs[last], e_row=es[last], iteration=done), trace, False
-            return
-        if stalled or done == cfg.max_iterations:
+        if converged or stalled or done == cfg.max_iterations:
             break
         q, e = qs[-1], es[-1]
         size = _block_size(trace.max_relative_e[-_BLOCK:], cfg.e_tol)
-        yield (QDTableau(q_row=q, e_row=e, iteration=done), trace,
-               since_best == 0 and size == _BLOCK)
+        yield q, trace, since_best == 0 and size == _BLOCK
 
+    yield qs[last], trace, False
+    if converged:
+        return
     if stalled:
         msg = (f"Q.D. stalled: max relative E-norm {rels[last]:.3e} did not "
                f"improve over {STALL_WINDOW} sweeps")
     else:
         msg = (f"Q.D. budget of {cfg.max_iterations} sweeps exhausted "
                f"(max relative E-norm {rels[last]:.3e})")
-    t = QDTableau(q_row=qs[last], e_row=es[last], iteration=done)
-    raise NoConvergence(msg, trace=trace, tableau=t)
+    raise NoConvergence(msg, trace=trace)
 
 
 def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
@@ -304,11 +285,11 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
     Raises
     ------
     NoConvergence
-        Budget exhausted or stalled; the error carries the trace and the last
-        tableau so callers (the pipeline) can still use the Q-row as seeds.
+        Budget exhausted or stalled; the error carries the trace, and the
+        final Q-row is the last yield of :func:`_blocks`.
     SingularPivot
         A Q-block became singular mid-sweep (dominance breakdown).
     """
-    for t, trace, _ in _blocks(p, cfg or QDConfig()):
+    for q_row, trace, _ in _blocks(p, cfg or QDConfig()):
         pass
-    return _built(SpectralFactorChain, t.q_row), trace
+    return _built(SpectralFactorChain, q_row), trace

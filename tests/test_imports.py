@@ -24,7 +24,6 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 KEPT_PUBLIC = {
     ("horner", "convergence_bounds_check"): "the residual sandwich of acceptance criterion 8",
     ("io", "save_polynomial"): "the writer of the file format that load_polynomial reads",
-    ("qd", "qd_step"): "the one-sweep form that tests drive on arbitrary tableaux",
 }
 
 

@@ -21,11 +21,6 @@ def test_frob_norm_identity():
     assert linalg.frob_norm(np.eye(2)) == pytest.approx(np.sqrt(2))
 
 
-def test_frob_norm_complex():
-    z = np.array([[3 + 4j, -1j], [0.5, 2 - 2j]])
-    assert linalg.frob_norm(z) == pytest.approx(math.sqrt(np.sum(np.abs(z) ** 2)), rel=1e-15)
-
-
 def _graded(rng, n=None):
     """U diag(s) V^T, n in 1..12 unless given, σ_min/σ_max log-uniform in
     [1e-16, 1e-6]."""

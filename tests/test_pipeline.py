@@ -219,6 +219,24 @@ def test_overflow_at_the_start_fails_the_refine_stage():
     assert isinstance(exc.value.cause, NoConvergence)
 
 
+def test_a_coefficient_norm_that_overflows_scales_the_residuals():
+    # (λ - 2e77)(λ - 1e77): ||A_2||_F = 2e154 squares past the largest float,
+    # yet is the scale of every relative residual; read as inf, it would make
+    # them all 0, and Newton would accept its default guess 1.5e77, whose
+    # true relative residual is 0.125
+    p = scalar_polynomial([1.0, -3e77, 2e154])
+    assert p.coefficient_scale() == 2e154
+    with pytest.raises(BlockPolyError):
+        horner.newton_horner(p)
+    with pytest.raises(BlockPolyError):
+        pipeline.refine_chain(p, PipelineConfig())
+    chain, report, _ = full_factorize(p)
+    assert chain.factors.ravel() == pytest.approx([2e77, 1e77], rel=1e-9)
+    assert report.reconstruction_error <= 1e-9 and report.warnings == []
+    right, _, _ = full_solvent_sets(p)
+    assert sorted(right.solvents.ravel()) == pytest.approx([1e77, 2e77], rel=1e-9)
+
+
 def test_refine_method_must_be_known():
     with pytest.raises(ValueError, match=r"^refine_method must be one of \('horner', "):
         PipelineConfig(refine_method="qd")
@@ -424,10 +442,10 @@ def qd_runs(monkeypatch):
     def spy_blocks(*args):
         ready_at, end, trace = None, "left", qd.QDTrace()
         try:
-            for t, trace, ready in blocks(*args):
+            for q, trace, ready in blocks(*args):
                 if ready and ready_at is None:
-                    ready_at = t.iteration
-                yield t, trace, ready
+                    ready_at = len(trace.sweeps)
+                yield q, trace, ready
             end = "converged"
         except BlockPolyError as exc:
             end, trace = type(exc).__name__, getattr(exc, "trace", trace)
@@ -448,9 +466,10 @@ def _plain_qd_chain(p, method="newton-horner"):
     """The chain that ``refine_chain`` gives from the seeds of a Q.D. run
     with no hand-off, as the pipeline took them before the hand-off."""
     try:
-        seeds = qd_run(p)[0].factors
-    except NoConvergence as exc:
-        seeds = exc.tableau.q_row
+        for seeds, _, _ in qd._blocks(p, QDConfig()):
+            pass
+    except NoConvergence:
+        pass        # seeds holds the final Q-row
     return pipeline.refine_chain(p, PipelineConfig(refine_method=method), seeds)[0]
 
 
@@ -726,7 +745,7 @@ def test_a_group_whose_solvent_comes_out_complex_is_skipped(search_starts, monke
     for group in pipeline._root_groups(roots, 3):
         u = vectors[:3, group]
         x = np.linalg.solve(u.T, (u * roots[group]).T).T
-        if linalg.frob_norm(x.imag) > polynomial.SPECTRUM_TOL * max(1.0, linalg.frob_norm(x)):
+        if linalg.frob_norm(x.imag) > polynomial.SPECTRUM_TOL * max(1.0, np.linalg.norm(x)):
             complex_starts.append(x.real)
         else:
             real_starts.append(x.real)

@@ -99,10 +99,10 @@ def test_division_identity_at_scalars():
             q_lam = q.eval_scalar(lam)
             s_lam = s.eval_scalar(lam)
             assert (
-                linalg.frob_norm(a_lam - (q_lam @ (lam * np.eye(2) - x) + rem)) < 1e-8
+                np.linalg.norm(a_lam - (q_lam @ (lam * np.eye(2) - x) + rem)) < 1e-8
             )
             assert (
-                linalg.frob_norm(a_lam - ((lam * np.eye(2) - x) @ s_lam + rem_l)) < 1e-8
+                np.linalg.norm(a_lam - ((lam * np.eye(2) - x) @ s_lam + rem_l)) < 1e-8
             )
 
 

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import re
 
@@ -28,11 +29,9 @@ from blockpoly.qd import (
     _BLOCK,
     STALL_WINDOW,
     QDConfig,
-    QDTableau,
     QDTrace,
     qd_init,
     qd_run,
-    qd_step,
 )
 
 from conftest import random_chain, scalar_polynomial
@@ -43,7 +42,7 @@ SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 NEAR_SINGULAR = np.array([[1.0, 2.0], [2.0, 4.0 * (1 + 2.0 ** -50)]])
 
 
-def ref_qd_step(q, e, sweep):
+def ref_sweep(q, e, sweep):
     """The rhombus rules one block at a time on lists, with the per-matrix gate."""
     l = len(q)
     new_q = [q[i - 1] + e[i] - e[i - 1] for i in range(1, l + 1)]
@@ -57,21 +56,22 @@ def ref_qd_step(q, e, sweep):
     return new_q, new_e
 
 
-def ref_qd_run(p, cfg):
-    """:func:`qd_run` as a loop of :func:`ref_qd_step`, one sweep at a time.
+def ref_blocks(p, cfg):
+    """:func:`qd._blocks` as a loop of :func:`ref_sweep`, one sweep at a time.
 
     Each sweep is gated, traced and tested for the stop and the stall as soon
-    as it is made.  Returns ``(q_row, trace)`` as lists.
+    as it is made.  Yields the final ``(q_row, trace, False)`` only, the
+    Q-row as a list, then raises as :func:`qd._blocks` does.
     """
-    t = qd_init(p)
-    q, e = list(t.q_row), list(t.e_row)
+    q, e = map(list, qd_init(p))
     trace = QDTrace()
     if p.l == 1:
-        return q, trace
-    best, since_best = math.inf, 0
+        yield q, trace, False
+        return
+    best, since_best, failure = math.inf, 0, None
     for sweep in range(1, cfg.max_iterations + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            q, e = ref_qd_step(q, e, sweep)
+            q, e = ref_sweep(q, e, sweep)
             e_norms = [linalg.frob_norm(b) for b in e[1:-1]]
             pivot_norms = [linalg.frob_norm(b) for b in q[:-1]]
         rel = max([0.0] + [x / max(1.0, y) for x, y in zip(e_norms, pivot_norms)])
@@ -79,36 +79,52 @@ def ref_qd_run(p, cfg):
         trace.e_block_norms.append(e_norms)
         trace.max_relative_e.append(rel)
         if rel <= cfg.e_tol:
-            return q, trace
-        tableau = QDTableau(np.array(q), np.array(e), sweep)
+            break
         if rel < best * (1 - 1e-12):
             best, since_best = rel, 0
         else:
             since_best += 1
             if since_best >= STALL_WINDOW:
-                raise NoConvergence(
-                    f"Q.D. stalled: max relative E-norm {rel:.3e} did not "
-                    f"improve over {STALL_WINDOW} sweeps", trace=trace, tableau=tableau)
-    raise NoConvergence(
-        f"Q.D. budget of {cfg.max_iterations} sweeps exhausted "
-        f"(max relative E-norm {rel:.3e})", trace=trace, tableau=tableau)
+                failure = (f"Q.D. stalled: max relative E-norm {rel:.3e} did not "
+                           f"improve over {STALL_WINDOW} sweeps")
+                break
+    else:
+        failure = (f"Q.D. budget of {cfg.max_iterations} sweeps exhausted "
+                   f"(max relative E-norm {rel:.3e})")
+    yield q, trace, False
+    if failure:
+        raise NoConvergence(failure, trace=trace)
 
 
-def _run_outcome(run, p, cfg):
-    """What a Q.D. run returned or raised, in a form :func:`_assert_same_run` compares."""
+def _run_outcome(blocks, p, cfg):
+    """What a Q.D. run, drawn from the generator ``blocks(p, cfg)``, returned
+    or raised, in a form :func:`_assert_same_run` compares: the final Q-row
+    (or the error), the trace, and for ``NoConvergence`` the last Q-row
+    yielded before it."""
+    q_row = None
     try:
-        q_row, trace = run(p, cfg)
+        for q_row, trace, _ in blocks(p, cfg):
+            pass
     except NoConvergence as exc:
-        return exc, exc.trace, exc.tableau
+        return exc, exc.trace, np.asarray(q_row)
     except Exception as exc:  # the error itself is the outcome compared
         return exc, None, None
-    if hasattr(q_row, "factors"):
-        q_row = q_row.factors
     return np.asarray(q_row), trace, None
 
 
+def _qd_run_outcome(p, cfg):
+    """:func:`_run_outcome` of :func:`qd_run`, whose errors carry no Q-row."""
+    try:
+        chain, trace = qd_run(p, cfg)
+    except NoConvergence as exc:
+        return exc, exc.trace, None
+    except Exception as exc:  # the error itself is the outcome compared
+        return exc, None, None
+    return chain.factors, trace, None
+
+
 def _assert_same_run(got, want):
-    (g, g_trace, g_tab), (w, w_trace, w_tab) = got, want
+    (g, g_trace, g_q), (w, w_trace, w_q) = got, want
     if isinstance(w, Exception):
         _assert_same_error(g, w)
     else:
@@ -118,10 +134,8 @@ def _assert_same_run(got, want):
         assert g_trace.e_block_norms == w_trace.e_block_norms
         assert g_trace.max_relative_e == w_trace.max_relative_e
         assert all(type(x) is float for x in g_trace.max_relative_e)
-    if w_tab is not None:
-        assert np.array_equal(g_tab.q_row, w_tab.q_row)
-        assert np.array_equal(g_tab.e_row, w_tab.e_row)
-        assert g_tab.iteration == w_tab.iteration
+    if w_q is not None:
+        assert np.array_equal(g_q, w_q)
 
 
 def _block_of(sweep, sizes):
@@ -148,18 +162,25 @@ def block_sizes(monkeypatch):
     return sizes
 
 
-def _tableau(q, interior, iteration=0):
-    """A tableau from stacked Q blocks and interior E blocks."""
-    zero = np.zeros((1,) + q.shape[1:])
-    return QDTableau(q_row=q, e_row=np.concatenate([zero, interior, zero]),
-                     iteration=iteration)
+def _sweep(q, e, done=0):
+    """The row ``(q, e)`` after one sweep, gated as sweep ``done + 1``."""
+    qs, es, invs, (q_norms, inv_norms, _) = qd._sweeps(q, e, 1)
+    qd._gate(qs, invs, q_norms, inv_norms, done)
+    return qs[0], es[0]
+
+
+def _e_row(interior):
+    """An E-row from its interior blocks, with the zero boundary blocks."""
+    zero = np.zeros((1,) + interior.shape[1:])
+    return np.concatenate([zero, interior, zero])
 
 
 @st.composite
 def tableaux(draw):
+    """``(q_row, e_row, done)``: a tableau row after ``done`` sweeps."""
     m, l = draw(st.integers(1, 6)), draw(st.integers(1, 5))
     blocks = lambda k: hnp.arrays(np.float64, (k, m, m), elements=st.floats(-4.0, 4.0))
-    return _tableau(draw(blocks(l)), draw(blocks(l - 1)), draw(st.integers(0, 9)))
+    return draw(blocks(l)), _e_row(draw(blocks(l - 1))), draw(st.integers(0, 9))
 
 
 def _assert_same_error(got, want):
@@ -168,18 +189,18 @@ def _assert_same_error(got, want):
 
 
 def test_qd_init_scalar():
-    t = qd_init(scalar_polynomial([1.0, -3.0, 2.0]))
-    assert t.q_row[0][0, 0] == pytest.approx(3.0)
-    assert t.q_row[1][0, 0] == pytest.approx(0.0)
-    assert t.e_row[1][0, 0] == pytest.approx(2.0 / -3.0)
-    assert np.allclose(t.e_row[0], 0.0) and np.allclose(t.e_row[-1], 0.0)
+    q, e = qd_init(scalar_polynomial([1.0, -3.0, 2.0]))
+    assert q[0][0, 0] == pytest.approx(3.0)
+    assert q[1][0, 0] == pytest.approx(0.0)
+    assert e[1][0, 0] == pytest.approx(2.0 / -3.0)
+    assert np.allclose(e[0], 0.0) and np.allclose(e[-1], 0.0)
 
 
 def test_qd_init_example1(example1):
-    t = qd_init(example1)
-    assert np.allclose(t.q_row[0], -example1.coeffs[1])
-    assert np.allclose(t.q_row[1], 0.0)
-    assert np.allclose(t.q_row[2], 0.0)
+    q, _ = qd_init(example1)
+    assert np.allclose(q[0], -example1.coeffs[1])
+    assert np.allclose(q[1], 0.0)
+    assert np.allclose(q[2], 0.0)
 
 
 def test_qd_init_singular_coefficient():
@@ -195,30 +216,30 @@ def test_qd_linear_polynomial_immediate():
     assert np.allclose(chain.factors[0], -a1)
 
 
-def test_qd_step_scalar_oracle():
+def test_sweep_scalar_oracle():
     # classical scalar rules: q_i' = q_i + e_i - e_{i-1}', e_i' = e_i q_{i+1}/q_i'
     p = scalar_polynomial([1.0, -3.0, 2.0])
-    t = qd_init(p)
-    qs = [b[0, 0] for b in t.q_row]
-    es = [b[0, 0] for b in t.e_row]
-    for _ in range(8):
-        t = qd_step(t)
+    q, e = qd_init(p)
+    qs = [b[0, 0] for b in q]
+    es = [b[0, 0] for b in e]
+    for done in range(8):
+        q, e = _sweep(q, e, done)
         new_q = [qs[0] + es[1] - es[0], qs[1] + es[2] - es[1]]
         new_e = [0.0, new_q[1] * es[1] / new_q[0], 0.0]
         qs, es = new_q, new_e
-        assert t.q_row[0][0, 0] == pytest.approx(qs[0])
-        assert t.q_row[1][0, 0] == pytest.approx(qs[1])
-        assert t.e_row[1][0, 0] == pytest.approx(es[1])
+        assert q[0][0, 0] == pytest.approx(qs[0])
+        assert q[1][0, 0] == pytest.approx(qs[1])
+        assert e[1][0, 0] == pytest.approx(es[1])
 
 
 def test_qd_converged_tableau_is_fixed_point():
     p = scalar_polynomial([1.0, -3.0, 2.0])
     chain, _ = qd_run(p, QDConfig(e_tol=1e-14, max_iterations=500))
-    t = qd_init(p)
-    for _ in range(200):
-        t = qd_step(t)
-    t2 = qd_step(t)
-    for a, b in zip(t.q_row, t2.q_row):
+    q, e = qd_init(p)
+    for done in range(200):
+        q, e = _sweep(q, e, done)
+    q2, _ = _sweep(q, e, 200)
+    for a, b in zip(q, q2):
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -310,56 +331,58 @@ def test_qd_reconstruction_quality():
 
 
 def test_qd_no_convergence_carries_tableau():
+    # the run's final Q-row is its last yield, just before the error
     rng = np.random.default_rng(13)
     chain = random_chain(2, 2, rng, gap=2.0)
     p = reconstruct(chain)
+    blocks = qd._blocks(p, QDConfig(max_iterations=3))
+    q_row, trace, ready = next(blocks)
+    assert not ready and len(q_row) == 2
     with pytest.raises(NoConvergence) as exc:
-        qd_run(p, QDConfig(max_iterations=3))
-    assert exc.value.tableau is not None
-    assert len(exc.value.tableau.q_row) == 2
+        next(blocks)
+    assert exc.value.trace is trace
     assert len(exc.value.trace.max_relative_e) == 3
 
 
 @SETTINGS
 @given(tableaux())
-def test_qd_step_matches_blockwise_sweep(t):
+def test_sweep_matches_blockwise_sweep(row):
+    q, e, done = row
     try:
-        want_q, want_e = ref_qd_step(list(t.q_row), list(t.e_row), t.iteration + 1)
+        want_q, want_e = ref_sweep(list(q), list(e), done + 1)
     except SingularPivot as want:
         with pytest.raises(SingularPivot) as got:
-            qd_step(t)
+            _sweep(q, e, done)
         _assert_same_error(got.value, want)
         assert (got.value.block_index, got.value.sweep) == (want.block_index, want.sweep)
         return
-    got = qd_step(t)
-    assert np.array_equal(got.q_row, np.array(want_q))
-    assert np.array_equal(got.e_row, np.array(want_e))
-    assert got.iteration == t.iteration + 1
+    got_q, got_e = _sweep(q, e, done)
+    assert np.array_equal(got_q, np.array(want_q))
+    assert np.array_equal(got_e, np.array(want_e))
 
 
-def test_qd_step_names_first_singular_middle_block():
+def test_gate_names_first_singular_middle_block():
     # pivots Q_0..Q_2 are I, NEAR_SINGULAR, NEAR_SINGULAR; block 1 is named
     q = np.array([np.eye(2), NEAR_SINGULAR, NEAR_SINGULAR, np.eye(2)])
-    t = _tableau(q, np.zeros((3, 2, 2)), iteration=6)
     with pytest.raises(SingularPivot) as exc:
-        qd_step(t)
+        _sweep(q, _e_row(np.zeros((3, 2, 2))), done=6)
     assert (exc.value.block_index, exc.value.sweep) == (1, 7)
     assert str(exc.value) == "Q-block 1 singular at sweep 7"
     assert exc.value.__cause__.pivot_index == 1
 
 
-def test_qd_step_names_exact_zero_block_when_lapack_fails_the_stack():
+def test_gate_names_exact_zero_block_when_lapack_fails_the_stack():
     # pivots are I, 0, NEAR_SINGULAR: the zero block makes LAPACK raise on
     # the stack, and it is the first block the gate rejects
     q = np.array([np.eye(2), np.zeros((2, 2)), NEAR_SINGULAR, np.eye(2)])
-    t = _tableau(q, np.zeros((3, 2, 2)))
+    e = _e_row(np.zeros((3, 2, 2)))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(q[:-1])
     with pytest.raises(SingularPivot) as exc:
-        qd_step(t)
+        _sweep(q, e)
     assert (exc.value.block_index, exc.value.sweep) == (1, 1)
     with pytest.raises(SingularPivot) as want:
-        ref_qd_step(list(t.q_row), list(t.e_row), 1)
+        ref_sweep(list(q), list(e), 1)
     _assert_same_error(exc.value, want.value)
 
 
@@ -368,18 +391,18 @@ def test_arbitrated_pivot_gets_the_per_matrix_inverse():
     # passes; new Q_1 is certified
     e1 = np.array([[0.5, 0.25], [-1.0, 0.0]])
     q = np.array([np.diag([1.0, 3e-12]) - e1, 3 * np.eye(2), np.eye(2)])
-    t = _tableau(q, np.array([e1, e1.T]))
-    pivot = (t.q_row + t.e_row[1:] - t.e_row[:-1])[0]
+    e = _e_row(np.array([e1, e1.T]))
+    pivot = (q + e[1:] - e[:-1])[0]
     assert np.array_equal(pivot, np.diag([1.0, 3e-12]))
     bound = (linalg.frob_norm(pivot) * linalg.frob_norm(np.linalg.inv(pivot))
              * math.sqrt(3) * linalg.PIVOT_RTOL)
     assert bound >= 0.5
     linalg._lu_factor(pivot)
-    got = qd_step(t)
-    want_q, want_e = ref_qd_step(list(t.q_row), list(t.e_row), 1)
-    assert np.array_equal(got.q_row, np.array(want_q))
-    assert np.array_equal(got.e_row, np.array(want_e))
-    inv = linalg.invert(got.q_row[:-1])
+    got_q, got_e = _sweep(q, e)
+    want_q, want_e = ref_sweep(list(q), list(e), 1)
+    assert np.array_equal(got_q, np.array(want_q))
+    assert np.array_equal(got_e, np.array(want_e))
+    inv = linalg.invert(got_q[:-1])
     assert np.array_equal(inv[0], linalg.invert(pivot))
 
 
@@ -434,7 +457,9 @@ def slow_runs(draw):
 @given(small_integer_runs())
 def test_qd_run_matches_one_sweep_loop(run):
     p, cfg = run
-    _assert_same_run(_run_outcome(qd_run, p, cfg), _run_outcome(ref_qd_run, p, cfg))
+    want = _run_outcome(ref_blocks, p, cfg)
+    _assert_same_run(_run_outcome(qd._blocks, p, cfg), want)
+    _assert_same_run(_qd_run_outcome(p, cfg), want[:2] + (None,))
 
 
 def test_qd_run_stops_at_each_position_of_a_block(block_sizes):
@@ -442,16 +467,16 @@ def test_qd_run_stops_at_each_position_of_a_block(block_sizes):
     # stops the run at sweep s
     p = scalar_polynomial([1.0, -3.0, 2.0])
     budget = 3 * _BLOCK + 1
-    with pytest.raises(NoConvergence) as exc:
-        ref_qd_run(p, QDConfig(max_iterations=budget, e_tol=1e-300))
-    rels = exc.value.trace.max_relative_e
+    exc, trace, _ = _run_outcome(ref_blocks, p, QDConfig(max_iterations=budget, e_tol=1e-300))
+    assert isinstance(exc, NoConvergence)
+    rels = trace.max_relative_e
     assert all(a > b for a, b in zip(rels, rels[1:]))
     positions = set()
     for stop in range(1, budget + 1):
         cfg = QDConfig(max_iterations=budget, e_tol=rels[stop - 1])
         block_sizes.clear()
-        got = _run_outcome(qd_run, p, cfg)
-        _assert_same_run(got, _run_outcome(ref_qd_run, p, cfg))
+        got = _run_outcome(qd._blocks, p, cfg)
+        _assert_same_run(got, _run_outcome(ref_blocks, p, cfg))
         assert got[1].sweeps[-1] == stop
         positions.add(_block_of(stop, block_sizes))
     assert positions == {"first", "middle", "last"}
@@ -472,30 +497,27 @@ def _yields(p, cfg):
         pass
 
 
-def _drain(blocks, last):
-    """Draw every block left in ``blocks``, a :func:`qd._blocks` run whose
-    last yield was ``(tableau, trace)``; returns the final Q-row and trace."""
-    t, trace = last
-    for t, trace, _ in blocks:
-        pass
-    return t.q_row, trace
+def _rest(blocks, last):
+    """For :func:`_run_outcome`: the run left in ``blocks`` after its yield
+    ``last``, that yield first."""
+    return lambda p, cfg: itertools.chain([last], blocks)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(small_integer_runs(), slow_runs()))
 def test_hand_off_ends_a_descending_run_at_a_block_end(run):
-    """A ``ready`` yield at sweep n carries the tableau and trace of the same
+    """A ``ready`` yield at sweep n carries the Q-row and trace of the same
     run given a budget of n sweeps, at a new best E-norm that the full run
     goes past."""
     p, cfg = run
-    plain = _run_outcome(qd_run, p, cfg)
-    handed = [copy.deepcopy((t, trace)) for t, trace, ready in _yields(p, cfg) if ready]
-    for tableau, trace in handed:
-        n = tableau.iteration
+    plain = _run_outcome(qd._blocks, p, cfg)
+    handed = [copy.deepcopy((q, trace)) for q, trace, ready in _yields(p, cfg) if ready]
+    for q_row, trace in handed:
+        n = len(trace.sweeps)
         assert trace.sweeps[-1] == n
-        budget = _run_outcome(qd_run, p, QDConfig(max_iterations=n, e_tol=cfg.e_tol))
+        budget = _run_outcome(qd._blocks, p, QDConfig(max_iterations=n, e_tol=cfg.e_tol))
         assert str(budget[0]).startswith(f"Q.D. budget of {n} sweeps exhausted")
-        _assert_same_run((budget[0], trace, tableau), budget)
+        _assert_same_run((budget[0], trace, q_row), budget)
         rels = plain[1].max_relative_e
         assert len(rels) > n and rels[n - 1] < min(rels[:n - 1])
 
@@ -504,18 +526,17 @@ def test_hand_off_ends_a_descending_run_at_a_block_end(run):
 @given(slow_runs())
 def test_resuming_a_hand_off_gives_the_plain_run(run):
     """Drained after any of its yields, a :func:`qd._blocks` run returns or
-    raises what :func:`qd_run` does, with the whole run's trace, and leaves
-    the tableau of that yield as it was."""
+    raises what an undisturbed run does, with the whole run's trace, and
+    leaves the Q-row of that yield as it was."""
     p, cfg = run
-    plain = _run_outcome(qd_run, p, cfg)
+    plain = _run_outcome(qd._blocks, p, cfg)
     for k in range(len(list(_yields(p, cfg)))):
         blocks = qd._blocks(p, cfg)
         for _ in range(k + 1):
-            t, trace, _ = next(blocks)
-        kept = copy.deepcopy(t)
-        _assert_same_run(_run_outcome(lambda p, cfg: _drain(blocks, (t, trace)), p, cfg),
-                         plain)
-        assert np.array_equal(t.q_row, kept.q_row) and np.array_equal(t.e_row, kept.e_row)
+            last = next(blocks)
+        kept = last[0].copy()
+        _assert_same_run(_run_outcome(_rest(blocks, last), p, cfg), plain)
+        assert np.array_equal(last[0], kept)
 
 
 def test_a_resumed_run_stalls_where_the_plain_run_does():
@@ -525,10 +546,10 @@ def test_a_resumed_run_stalls_where_the_plain_run_does():
     p = MatrixPolynomial([np.eye(2), [[0.63, 0.37], [-0.33, 1.81]],
                           [[0.81, -0.2], [-1.58, 0.37]]])
     blocks = qd._blocks(p, QDConfig())
-    t, trace, _ = next(block for block in blocks if block[2])
-    assert trace.sweeps[-1] == 64
-    resumed = _run_outcome(lambda p, cfg: _drain(blocks, (t, trace)), p, QDConfig())
-    _assert_same_run(resumed, _run_outcome(qd_run, p, QDConfig()))
+    last = next(block for block in blocks if block[2])
+    assert last[1].sweeps[-1] == 64
+    resumed = _run_outcome(_rest(blocks, last), p, QDConfig())
+    _assert_same_run(resumed, _run_outcome(qd._blocks, p, QDConfig()))
     assert str(resumed[0]).startswith("Q.D. stalled") and resumed[1].sweeps[-1] == 124
 
 
@@ -543,8 +564,8 @@ def test_block_size_when_the_decay_rate_rounds_to_one():
 def test_qd_run_stall_matches_one_sweep_loop():
     p = scalar_polynomial([1.0, -3.0, -3.0, -1.0])
     cfg = QDConfig(max_iterations=100)
-    got = _run_outcome(qd_run, p, cfg)
-    _assert_same_run(got, _run_outcome(ref_qd_run, p, cfg))
+    got = _run_outcome(qd._blocks, p, cfg)
+    _assert_same_run(got, _run_outcome(ref_blocks, p, cfg))
     assert str(got[0]).startswith("Q.D. stalled") and got[1].sweeps[-1] == STALL_WINDOW + 1
 
 
@@ -606,13 +627,13 @@ def test_singular_pivots_cover_every_position_of_the_first_block():
 def test_qd_run_raises_the_first_singular_pivot_of_the_one_sweep_loop(blocks, sweep, lapack):
     p = _monic(blocks)
     cfg = QDConfig(max_iterations=3 * _BLOCK + 1)
-    got = _run_outcome(qd_run, p, cfg)
-    _assert_same_run(got, _run_outcome(ref_qd_run, p, cfg))
+    got = _run_outcome(qd._blocks, p, cfg)
+    _assert_same_run(got, _run_outcome(ref_blocks, p, cfg))
     assert isinstance(got[0], SingularPivot) and got[0].sweep == sweep
-    t = qd_init(p)
-    for _ in range(sweep - 1):
-        t = qd_step(t)
-    pivots = (t.q_row + t.e_row[1:] - t.e_row[:-1])[:-1]
+    q, e = qd_init(p)
+    for done in range(sweep - 1):
+        q, e = _sweep(q, e, done)
+    pivots = (q + e[1:] - e[:-1])[:-1]
     try:
         np.linalg.inv(pivots)
         failed = False
@@ -625,10 +646,10 @@ def test_singular_pivot_after_the_stop_in_the_same_block_is_not_raised():
     blocks, sweep, _ = SINGULAR_PIVOTS[6]
     assert sweep == 7 <= _BLOCK
     p = _monic(blocks)
-    with pytest.raises(NoConvergence) as exc:
-        ref_qd_run(p, QDConfig(max_iterations=sweep - 1, e_tol=1e-300))
-    rels = exc.value.trace.max_relative_e
+    exc, trace, _ = _run_outcome(ref_blocks, p, QDConfig(max_iterations=sweep - 1, e_tol=1e-300))
+    assert isinstance(exc, NoConvergence)
+    rels = trace.max_relative_e
     cfg = QDConfig(max_iterations=_BLOCK, e_tol=min(rels[:3]))
-    got = _run_outcome(qd_run, p, cfg)
-    _assert_same_run(got, _run_outcome(ref_qd_run, p, cfg))
+    got = _run_outcome(qd._blocks, p, cfg)
+    _assert_same_run(got, _run_outcome(ref_blocks, p, cfg))
     assert got[1].sweeps[-1] <= 3

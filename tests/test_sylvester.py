@@ -256,7 +256,7 @@ def test_spectral_bound_brackets_the_inverse_norm():
                 mats, x, linalg.frob_norm(x), np.linalg.norm(mats, axis=(1, 2)).tolist())
         x_t = v @ np.diag(lam) @ np.linalg.inv(v)
         j_t = sum(np.kron(np.linalg.matrix_power(x_t, d - j).T, c) for j, c in enumerate(mats))
-        exact = linalg.frob_norm(np.linalg.inv(j_t))
+        exact = np.linalg.norm(np.linalg.inv(j_t))
         old = np.linalg.norm(v_inv, 2) * math.sqrt(np.sum(
             np.linalg.norm(v, axis=0) ** 2 * np.linalg.norm(ops_inv, axis=(1, 2)) ** 2))
         reference = SOLVE_TOL * (m * k) ** 2 * np.linalg.cond(j_t) * np.linalg.cond(v)
