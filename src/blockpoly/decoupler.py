@@ -34,7 +34,7 @@ from .errors import (
     SingularLeadingCoefficient,
     SingularMatrix,
 )
-from .pipeline import factorize_nonmonic
+from .pipeline import full_factorize
 from .polynomial import (MatrixPolynomial, SpectralFactorChain, _built, companion_right,
                          reconstruct)
 
@@ -125,8 +125,11 @@ def design_decoupling(sys: MFDSystem, modes: list) -> DecouplingResult:
 
     zero_chain, zero_residuals = None, []
     if k > 0:
+        # the monic part inv(N_k) N(λ), from the one inverse of N_k
+        monic = n_lead_inv @ sys.numerator_polynomial().coeffs
+        monic[0] = np.eye(sys.m)
         try:
-            _, zero_chain, zero_report, _ = factorize_nonmonic(sys.numerator_polynomial())
+            zero_chain, zero_report, _ = full_factorize(MatrixPolynomial(monic))
         except BlockPolyError as exc:
             raise NumeratorFactorizationFailed(str(exc)) from exc
         zero_residuals = list(zero_report.per_factor_residuals)

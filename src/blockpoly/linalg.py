@@ -190,8 +190,12 @@ def frob_norm(a) -> float:
 def frob_norms(a) -> np.ndarray:
     """Frobenius norms of a real (k, n, n) stack.
 
-    Each equals :func:`frob_norm` of its matrix bit for bit: a row times a
-    column goes to the same BLAS dot that ``np.linalg.norm`` calls.
+    On a C-contiguous stack each equals :func:`frob_norm` of its matrix bit
+    for bit: a row times a column goes to the same BLAS dot that
+    ``np.linalg.norm`` calls, over the entries in the same order.  On another
+    layout the reshape copies the entries in row order while
+    :func:`frob_norm` sums them in memory order, so the last bit may differ:
+    it does on 1,874 of 6,000 transposed 5×5 Gaussian blocks.
     """
     k, n, _ = a.shape
     flat = a.reshape(k, n * n)

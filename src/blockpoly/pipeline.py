@@ -1,11 +1,11 @@
 """The combined strategy: global Q.D. start, local Horner-family refinement.
 
-``full_factorize`` runs Q.D. for a global view (using the final Q-row even
-when the sweep budget ends first), then ``refine_chain`` for k = 1..l refines
-the k-th Q.D. block on the CURRENT deflated polynomial, appends the refined
-factor to the chain, and deflates.  The rightmost factor of each stage is an
-exact right solvent of that stage, so the final chain reconstructs the input
-to solver precision even when Q.D. alone had only a few correct digits.
+``full_factorize`` runs Q.D. for a global view, then ``refine_chain`` for
+k = 1..l refines the k-th Q.D. block on the CURRENT deflated polynomial,
+appends the refined factor to the chain, and deflates.  The rightmost
+factor of each stage is an exact right solvent of that stage, so the final
+chain reconstructs the input to solver precision even when Q.D. alone had
+only a few correct digits.
 Each factor is divided out once: the refiner's division of the iterate it
 accepts is the deflation.  The refiner's trace keeps it as the pair
 ``transforms.deflate_right`` returns, which the last, degree-1 stage gets
@@ -26,32 +26,32 @@ factor's eigenvalue moduli at least those of the next to ``SPECTRUM_TOL``,
 the grouping a converged Q.D. run gives.  Newton from a handed-off Q-row has
 ``HAND_OFF_ITERATIONS`` steps per factor at most, one Q.D. block: near a
 simple solvent it converges quadratically, so a try that has not converged
-by then is given up.  When the try fails, the grouping search below is
-tried next, and its chain is kept on the same dominance-order test.
+by then is given up.  When the try fails, the grouping search (rung 3
+below) is tried next, and its chain is kept on the same dominance-order
+test.
 Otherwise the pipeline draws the next block, Q.D. runs on to its usual end,
 and the chain is refined from that Q-row exactly as with no hand-off; the
 report's first warning names the rejected hand-off.  ``horner`` and
 ``two-stage`` converge linearly, so from an early Q-row they may not
 converge at all; they never take a hand-off.
 
-Without Q.D. seeds (the CLI's local methods, or Q.D. breaks down) each
-factor starts from ``MULTI_START`` jittered default guesses in turn.
-
 The rungs of ``full_factorize``, each tried only when the one before fails:
 
 1. Newton from a handed-off Q-row (``newton-horner`` only);
-2. when that Newton try fails (not when its factors are out of order), the
-   grouping search (``_group_search``): right solvents U Λ U⁻¹ from the
+2. the refiner from the Q-row of a Q.D. run that converged;
+3. the grouping search (``_group_search``): right solvents U Λ U⁻¹ from the
    block companion's eigenvectors, over conjugation-closed groups of the
    latent roots, polished by the refiner, with backtracking across stages.
-   Its chain is kept when it is in dominance order, and its one warning
-   names the rejected hand-off;
-3. the refiner from the Q-row of Q.D. run to its end, or from the jittered
-   default guesses when Q.D. breaks down;
-4. the grouping search's chain in any order: rung 2's result when rung 2
-   ran, so the search runs once per call at most.  Its chain's report ends
-   with a warning that names the refinement error it replaced; when it
-   finds none, that error is raised.
+   It runs once per call at most.  Right after a failed Newton try (not
+   when its factors are out of order) its chain is kept if it is in
+   dominance order, in place of rung 2, and its one warning names the
+   rejected hand-off.  When Q.D. stalls, exhausts its budget or breaks
+   down, or rung 2 fails, its chain (or the one already found) is kept in
+   any order, and the report ends with a warning that names the error it
+   replaced.  When it finds none, a refinement error is raised as it is,
+   and a Q.D. error as the ``NoConvergence`` cause of a
+   ``PipelineStageError`` at factor 0, which names the Q.D. error and
+   carries its trace if it has one.
 
 ``solvent_sets`` turns a chain into right and left solvent sets.
 """
@@ -84,10 +84,10 @@ from .polynomial import (
     MatrixPolynomial,
     SolventSet,
     SpectralFactorChain,
+    _companion,
     _horner,
     check_chain,
     check_order,
-    companion_right,
     is_complete_set,
     reconstruct,
     residual_left,
@@ -97,7 +97,8 @@ from .qd import QDConfig, _blocks
 
 REFINE_METHODS = ("horner", "newton-horner", "two-stage")
 
-#: Jittered default guesses tried per factor when Q.D. preconditions fail.
+#: Jittered default guesses that ``refine_chain`` tries per factor when it
+#: is given no seeds, as the CLI's local methods are.
 MULTI_START = 5
 
 #: Most Newton iterations per factor from a handed-off Q-row, one Q.D. block.
@@ -149,10 +150,14 @@ def refiner(method: str):
 
 
 def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
-    """Refine the k-th factor from ``seeds[k]`` (or the jittered default
-    guesses) and divide it out; returns ``(chain, report, traces)``, with
-    each factor's residual taken from its one division.  The default guesses
-    need a monic p; Q.D. seeds come from ``qd_init``, which checked it."""
+    """Refine the k-th factor from ``seeds[k]`` and divide it out; returns
+    ``(chain, report, traces)``, with each factor's residual taken from its
+    one division.
+
+    Without seeds, as the CLI's local methods call it, each factor starts
+    from ``MULTI_START`` jittered default guesses in turn.  Those need a
+    monic p; Q.D. seeds come from ``qd_init``, which checked it.
+    """
     if seeds is None:
         p.require_monic()
     current = p
@@ -224,7 +229,7 @@ def _group_search(p: MatrixPolynomial, cfg: PipelineConfig):
         if current.l == 1:
             x = -current.coeffs[1]
             return [(x, ConvergenceTrace(deflation=transforms.deflate_right(current, x)))]
-        roots, vectors = np.linalg.eig(companion_right(current))
+        roots, vectors = np.linalg.eig(_companion(current))
         for group in _root_groups(roots, current.m):
             if not budget:
                 return None
@@ -281,28 +286,25 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
             except PipelineStageError as err:
                 found = _group_search(p, cfg)
                 if found is not None and _in_dominance_order(found[0]):
-                    chain, report, traces = found
-                    report.warnings.append(f"{at}, rejected: {err}; the grouping search "
-                                           "over the latent roots factorized it instead")
-                    return chain, report, traces
+                    found[1].warnings.append(f"{at}, rejected: {err}; the grouping search "
+                                             "over the latent roots factorized it instead")
+                    return found
                 reason = str(err)
             else:
                 if _in_dominance_order(chain):
                     return chain, report, traces
                 reason = "the refined factors are not in dominance order"
             warnings.append(f"{at}, rejected: {reason}; Q.D. ran on to its end")
-    except NoConvergence as exc:        # seeds holds the final Q-row
-        warnings.append(f"Q.D. did not reach e_tol ({exc}); using the final Q-row as seeds")
-    except (SingularCoefficient, SingularPivot) as exc:
-        seeds = None
-        warnings.append(f"Q.D. failed ({exc}); falling back to default guesses")
-    try:
         chain, report, traces = refine_chain(p, cfg, seeds)
-    except PipelineStageError as err:
+    except (NoConvergence, SingularCoefficient, SingularPivot, PipelineStageError) as err:
         if found is unsearched:
             found = _group_search(p, cfg)
         if found is None:
-            raise
+            if isinstance(err, PipelineStageError):
+                raise
+            raise PipelineStageError("refine", 0, NoConvergence(
+                f"{err}; the grouping search over the latent roots found no chain",
+                trace=getattr(err, "trace", None))) from err
         chain, report, traces = found
         warnings.append(f"{err}; the grouping search over the latent roots "
                         "factorized it instead")
@@ -322,7 +324,8 @@ def _in_dominance_order(chain: SpectralFactorChain) -> bool:
 def solvent_sets(p: MatrixPolynomial, chain: SpectralFactorChain,
                  report: VerificationReport):
     """Convert a chain to right and left solvent sets, with one check of the
-    chain for both, recording their residuals and completeness in ``report``."""
+    chain for both, recording their residuals and completeness in ``report``.
+    p must be monic: the factorization that made the chain tested it."""
     try:
         check_chain(p, chain)
         transforms._check_disjoint(chain)
@@ -360,11 +363,11 @@ def _chain_report(p: MatrixPolynomial, chain: SpectralFactorChain,
 
 def verify(p: MatrixPolynomial, chain: SpectralFactorChain | None = None,
            solvents: SolventSet | None = None) -> VerificationReport:
-    """Report-only verification of a chain or solvent set against p."""
+    """Report-only verification of a chain or solvent set against a monic p."""
+    p.require_monic()
     report = VerificationReport()
     if chain is not None:
         check_chain(p, chain)
-        p.require_monic()
         residuals, deflated = [], p
         for f in chain.factors:
             deflated, residual = transforms.deflate_right(deflated, f)

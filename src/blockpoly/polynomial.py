@@ -204,6 +204,11 @@ def synthetic_div_left(p: MatrixPolynomial, x):
 def companion_right(p: MatrixPolynomial) -> np.ndarray:
     """Block companion with -A_l ... -A_1 along the last block row."""
     p.require_monic()
+    return _companion(p)
+
+
+def _companion(p: MatrixPolynomial) -> np.ndarray:
+    """:func:`companion_right` of a p already tested monic."""
     c = np.eye(p.m * p.l, k=p.m)
     c[-p.m:] = np.hstack(-p.coeffs[:0:-1])
     return c
@@ -264,7 +269,8 @@ def check_chain(p: MatrixPolynomial, chain: SpectralFactorChain) -> None:
 
 def is_complete_set(p: MatrixPolynomial, s: SolventSet) -> CompletenessReport:
     """Check the complete-set conditions: the solvents' spectra pair with the
-    latent roots, and are pairwise disjoint.
+    latent roots, and are pairwise disjoint.  p must be monic; its callers
+    test that.
 
     These two decide ``complete``: right solvents with pairwise disjoint
     spectra always have a nonsingular block Vandermonde (Dennis, Traub &
@@ -275,7 +281,7 @@ def is_complete_set(p: MatrixPolynomial, s: SolventSet) -> CompletenessReport:
     report = CompletenessReport()
     if len(s) != p.l:
         return report
-    roots = latent_roots(p)
+    roots = np.linalg.eigvals(_companion(p))
     solvent_eigs = np.linalg.eigvals(s.solvents)
     scale = max(1.0, float(np.max(np.abs(roots))))
     pairing_error = _pair_spectra(roots, solvent_eigs.ravel())

@@ -54,18 +54,19 @@ the last block alone computes 84.
 A block end is where the run can be left.  The private generator
 :func:`_blocks` holds the loop and yields the Q-row, the only output Q.D.
 hands on, and the trace at each block end that the run goes on from and at
-its end, with a flag that reads true when the block's last sweep set a new
-best max relative E-norm (the stall counter reads 0) and the next block,
-sized from the same window, is a full one: at the observed rate ``e_tol`` is
-a block or more away.  :func:`qd_run` drains it; the pipeline tries Newton
-on the Q-row of the first such yield, and draws the next block when it
-rejects the try.  Q.D. converges at the rate |λ_{km+1}/λ_{km}| of its group
-boundaries, 0.857 on examples 2 and 4, so its tail is slow; once the groups
-have settled, Newton on A_R(X) = 0 converges quadratically near a simple
-solvent (Dennis, Traub & Weber, SIAM J. Numer. Anal. 15(3), 1978).  The
-new-best test keeps a hand-off out of an E-norm hump: examples 2 and 4 are
-in one at sweep 32, and Newton from that Q-row finds factors out of
-dominance order, which the pipeline rejects.
+the end of a converged run, with a flag that reads true when the block's
+last sweep set a new best max relative E-norm (the stall counter reads 0)
+and the next block, sized from the same window, is a full one: at the
+observed rate ``e_tol`` is a block or more away.  :func:`qd_run` drains
+it; the pipeline tries Newton on the Q-row of the first such yield, and
+draws the next block when it rejects the try.  Q.D. converges at the rate
+|λ_{km+1}/λ_{km}| of its group boundaries, 0.857 on examples 2 and 4, so
+its tail is slow; once the groups have settled, Newton on A_R(X) = 0
+converges quadratically near a simple solvent (Dennis, Traub & Weber, SIAM
+J. Numer. Anal. 15(3), 1978).  The new-best test keeps a hand-off out of
+an E-norm hump: examples 2 and 4 are in one at sweep 32, and Newton from
+that Q-row finds factors out of dominance order, which the pipeline
+rejects.
 
 A block holds up to 32 sweeps.  Its fixed cost (the norms, the replayed stop
 and stall tests, the gate and the trace) is then paid once per 32 sweeps at
@@ -215,11 +216,11 @@ def _blocks(p: MatrixPolynomial, cfg: QDConfig):
 
     Yields ``(q_row, trace, ready)`` at each block end that the run goes on
     from, ``ready`` as the module docstring says, and once more with the
-    final Q-row when the run ends, ``ready`` false; a run that stalls or
-    exhausts its budget then raises ``NoConvergence``.  The trace is the
-    run's own and grows as it goes on; at a yield at sweep n the Q-row and
-    trace are those of a run with a budget of n sweeps.  Raises what
-    :func:`qd_run` raises.
+    final Q-row when the run converges, ``ready`` false; a run that stalls
+    or exhausts its budget raises ``NoConvergence`` instead, with no final
+    Q-row.  The trace is the run's own and grows as it goes on; at a yield
+    at sweep n the Q-row and trace are those of a run stopped at sweep n.
+    Raises what :func:`qd_run` raises.
     """
     q, e = qd_init(p)
     trace = QDTrace()
@@ -264,16 +265,13 @@ def _blocks(p: MatrixPolynomial, cfg: QDConfig):
         size = _block_size(trace.max_relative_e[-_BLOCK:], cfg.e_tol)
         yield q, trace, since_best == 0 and size == _BLOCK
 
-    yield qs[last], trace, False
-    if converged:
-        return
     if stalled:
-        msg = (f"Q.D. stalled: max relative E-norm {rels[last]:.3e} did not "
-               f"improve over {STALL_WINDOW} sweeps")
-    else:
-        msg = (f"Q.D. budget of {cfg.max_iterations} sweeps exhausted "
-               f"(max relative E-norm {rels[last]:.3e})")
-    raise NoConvergence(msg, trace=trace)
+        raise NoConvergence(f"Q.D. stalled: max relative E-norm {rels[last]:.3e} did not "
+                            f"improve over {STALL_WINDOW} sweeps", trace=trace)
+    if not converged:
+        raise NoConvergence(f"Q.D. budget of {cfg.max_iterations} sweeps exhausted "
+                            f"(max relative E-norm {rels[last]:.3e})", trace=trace)
+    yield qs[last], trace, False
 
 
 def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
@@ -285,8 +283,7 @@ def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):
     Raises
     ------
     NoConvergence
-        Budget exhausted or stalled; the error carries the trace, and the
-        final Q-row is the last yield of :func:`_blocks`.
+        Budget exhausted or stalled; the error carries the trace.
     SingularPivot
         A Q-block became singular mid-sweep (dominance breakdown).
     """

@@ -432,42 +432,46 @@ def test_cli_factorize_failed_local_method_saves_its_trace(runner, tmp_path):
 
 
 def test_cli_factorize_failed_pipeline_saves_its_trace(runner, tmp_path):
-    # x⁴ - x³ + 3x² + 3 has no real root, so it has no real chain
+    # λ³ - 3λ² - 3λ - 1 has one real root, so it has no real chain; Q.D.
+    # stalls, and its trace is the one saved
     path = str(tmp_path / "p.json")
-    io.save_polynomial(path, scalar_polynomial([1.0, -1.0, 3.0, 0.0, 3.0]))
+    io.save_polynomial(path, scalar_polynomial([1.0, -3.0, -3.0, -1.0]))
     out = str(tmp_path / "out")
     result = runner.invoke(main, ["factorize", path, "--method=pipeline", f"--out={out}"])
     assert result.exit_code == 2
-    assert "numerical failure: pipeline failed in stage 'refine'" in result.output
-    assert _trace_stages(out) == {"failed"}
+    assert ("numerical failure: pipeline failed in stage 'refine' at factor 0: "
+            "Q.D. stalled: ") in result.output
+    assert _trace_stages(out) == {"qd"}
 
 
 def test_cli_factorize_starved_pipeline_is_finished_by_the_grouping_search(runner, tmp_path):
-    # one Newton step per factor does not refine example1's Q.D. seeds
+    # one Q.D. sweep does not converge on example1
     out = str(tmp_path / "out")
     result = runner.invoke(
         main, ["factorize", fixture_path("example1.json"), "--method=pipeline",
                "--max-iter=1", f"--out={out}"])
     assert result.exit_code == 0, result.output
     report = json.loads(_read(os.path.join(out, "report.json")))
-    assert report["warnings"][-1].startswith("pipeline failed in stage 'refine' at factor ")
-    assert report["warnings"][-1].endswith(
-        "; the grouping search over the latent roots factorized it instead")
+    [warning] = report["warnings"]
+    assert warning.startswith("Q.D. budget of 1 sweeps exhausted (max relative E-norm ")
+    assert warning.endswith("; the grouping search over the latent roots factorized it instead")
     assert report["reconstruction_error"] <= 1e-8
     assert _trace_stages(out) == {"refine[0]", "refine[1]"}
 
 
 
 def test_cli_factorize_qd_breakdown_names_the_stage(runner, tmp_path):
-    # Q.D. breaks down on λ³ - 3λ² - 3λ - 3; the default guesses find its
-    # real root, and the deflated quadratic has none
+    # Q.D. breaks down on λ³ - 3λ² - 3λ - 3, which has one real root, so the
+    # search finds no chain; a breakdown leaves no trace, and the file holds
+    # its header only
     path = str(tmp_path / "p.json")
     io.save_polynomial(path, scalar_polynomial([1.0, -3.0, -3.0, -3.0]))
     out = str(tmp_path / "out")
     result = runner.invoke(main, ["factorize", path, f"--out={out}"])
     assert result.exit_code == 2
-    assert "pipeline failed in stage 'refine' at factor 1" in result.output
-    assert _trace_stages(out) == {"failed"}
+    assert ("pipeline failed in stage 'refine' at factor 0: Q-block 1 singular at sweep 1; "
+            "the grouping search over the latent roots found no chain") in result.output
+    assert _trace_stages(out) == set()
 
 
 def test_cli_factorize_leading_coefficient_off_identity_exit_1(runner, tmp_path):
@@ -492,7 +496,9 @@ def test_cli_factorize_report_keeps_pipeline_warnings(runner, tmp_path):
     result = runner.invoke(main, ["factorize", path, f"--out={out}"])
     assert result.exit_code == 0, result.output
     report = json.loads(_read(os.path.join(out, "report.json")))
-    assert any(w.startswith("Q.D. failed (coefficient A_1 is singular)") for w in report["warnings"])
+    assert report["warnings"] == [
+        "coefficient A_1 is singular; the grouping search over the latent roots factorized "
+        "it instead"]
 
 
 @pytest.mark.parametrize("direction, source", [

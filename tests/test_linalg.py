@@ -21,6 +21,14 @@ def test_frob_norm_identity():
     assert linalg.frob_norm(np.eye(2)) == pytest.approx(np.sqrt(2))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_frob_norms_of_a_contiguous_stack_are_frob_norm_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((500, n, n)) * 10.0 ** rng.uniform(-3, 3, (500, 1, 1))
+    assert stack.flags.c_contiguous
+    assert linalg.frob_norms(stack).tolist() == [linalg.frob_norm(a) for a in stack]
+
+
 def _graded(rng, n=None):
     """U diag(s) V^T, n in 1..12 unless given, σ_min/σ_max log-uniform in
     [1e-16, 1e-6]."""

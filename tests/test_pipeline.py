@@ -12,6 +12,7 @@ from blockpoly.errors import (
     NoConvergence,
     NotMonic,
     PipelineStageError,
+    SingularPivot,
     SingularStep,
     SingularSylvester,
     SpectrumOverlap,
@@ -181,15 +182,15 @@ def test_verify_rejects_a_chain_of_the_wrong_length(length):
         verify(p, chain=SpectralFactorChain(np.zeros((length, 2, 2))))
 
 
-def test_singular_a1_falls_back_to_default_guesses():
+def test_singular_a1_is_factorized_by_the_grouping_search():
     chain, report, _ = full_factorize(singular_a1())
     assert len(chain) == 2
     assert report.reconstruction_error < 1e-14
-    assert any(w.startswith("Q.D. failed (coefficient A_1 is singular)") for w in report.warnings)
+    assert report.warnings == [f"coefficient A_1 is singular; {SEARCH_WARNING}"]
 
 
 def test_refine_failure_names_the_stage_and_factor():
-    # no real root, so neither a start nor a grouping of the roots refines
+    # A_3 = 0 stops Q.D., and with no real root no grouping of the roots is real
     with pytest.raises(PipelineStageError) as exc:
         full_factorize(HARD_CASES["no_real_root"], PipelineConfig(refine_method="horner"))
     assert (exc.value.stage, exc.value.factor_index) == ("refine", 0)
@@ -197,20 +198,20 @@ def test_refine_failure_names_the_stage_and_factor():
 
 
 def test_singular_a1_under_horner_is_finished_by_the_grouping_search():
-    # every jittered default guess fails under plain Horner
+    # the search polishes with plain Horner, from which every jittered
+    # default guess fails
     cfg = PipelineConfig(refine_method="horner")
-    with pytest.raises(PipelineStageError) as exc:
+    with pytest.raises(PipelineStageError):
         pipeline.refine_chain(singular_a1(), cfg)
     chain, report, _ = full_factorize(singular_a1(), cfg)
     assert report.reconstruction_error <= 1e-14
-    assert report.warnings == [
-        "Q.D. failed (coefficient A_1 is singular); falling back to default guesses",
-        f"{exc.value}; {SEARCH_WARNING}"]
+    assert np.array_equal(chain.factors, pipeline._group_search(singular_a1(), cfg)[0].factors)
+    assert report.warnings == [f"coefficient A_1 is singular; {SEARCH_WARNING}"]
 
 
 def test_overflow_at_the_start_fails_the_refine_stage():
     # A_1 = 1.7e308 I: Q.D. cannot invert A_1 to a certified inverse, and
-    # every default guess overflows
+    # the search's starts overflow
     eye = np.eye(2)
     p = MatrixPolynomial([eye, 1.7e308 * eye, np.ones((2, 2))])
     with pytest.raises(PipelineStageError) as exc:
@@ -321,18 +322,42 @@ def test_solvent_sets_contract(name, method):
         assert max(report.per_factor_residuals) <= RESIDUAL_GUARD
 
 
+#: Corpus draws that ``full_factorize`` turns into a chain; it may rise.
+CORPUS_CHAINS = 2568
+
+
+def test_the_whole_corpus_keeps_the_contract():
+    """Every draw of the corpus gives a chain whose every factor passes the
+    gate, or a ``PipelineStageError`` in the 'refine' stage with a
+    ``NoConvergence`` cause (each failing draw has odd m and too few real
+    latent roots for a real chain); no draw may warn."""
+    chains = 0
+    for p in corpus(3000).values():
+        try:
+            chain, report, _ = full_factorize(p)
+        except PipelineStageError as exc:
+            assert exc.stage == "refine" and isinstance(exc.cause, NoConvergence)
+        else:
+            assert max(report.per_factor_residuals) <= RESIDUAL_GUARD
+            chains += 1
+    assert chains >= CORPUS_CHAINS
+
+
 def test_newton_horner_factors_a_singular_a_last():
     chain, report, _ = full_factorize(HARD_CASES["a_last_diag"])
     assert report.reconstruction_error < 1e-10
 
 
-def test_qd_breakdown_falls_back_to_default_guesses():
-    # Q.D. stops at its first sweep; the default guesses find the real root,
-    # and the deflated quadratic has none.
+def test_qd_breakdown_with_no_real_chain_names_the_qd_error():
+    # Q.D. stops at its first sweep, and the cubic has one real root, so the
+    # search finds no chain; the breakdown leaves no Q.D. trace
     with pytest.raises(PipelineStageError) as exc:
         full_factorize(HARD_CASES["qd_pivot"])
-    assert (exc.value.stage, exc.value.factor_index) == ("refine", 1)
-    assert isinstance(exc.value.cause, NoConvergence)
+    assert (exc.value.stage, exc.value.factor_index) == ("refine", 0)
+    assert isinstance(exc.value.cause, NoConvergence) and exc.value.cause.trace is None
+    assert str(exc.value.cause) == ("Q-block 1 singular at sweep 1; the grouping search "
+                                    "over the latent roots found no chain")
+    assert isinstance(exc.value.__cause__, SingularPivot)
 
 
 def test_leading_coefficient_off_identity_is_not_monic():
@@ -375,6 +400,7 @@ MONIC_ENTRIES = {
     "right_to_left_solvent":
         lambda p, chain, right, left: transforms.right_to_left_solvent(p, chain.factors[0]),
     "verify": lambda p, chain, right, left: verify(p, chain=chain),
+    "verify_solvents": lambda p, chain, right, left: verify(p, solvents=right),
 }
 
 
@@ -463,14 +489,15 @@ def qd_runs(monkeypatch):
 
 
 def _plain_qd_chain(p, method="newton-horner"):
-    """The chain that ``refine_chain`` gives from the seeds of a Q.D. run
-    with no hand-off, as the pipeline took them before the hand-off."""
+    """The chain that ``refine_chain`` gives from the final Q-row of a Q.D.
+    run with no hand-off, converged or not: the rhombus rules swept as many
+    times from the first row."""
     try:
-        for seeds, _, _ in qd._blocks(p, QDConfig()):
-            pass
-    except NoConvergence:
-        pass        # seeds holds the final Q-row
-    return pipeline.refine_chain(p, PipelineConfig(refine_method=method), seeds)[0]
+        sweeps = len(qd_run(p)[1].sweeps)
+    except NoConvergence as exc:
+        sweeps = len(exc.trace.sweeps)
+    q_row = qd._sweeps(*qd.qd_init(p), sweeps)[0][-1]
+    return pipeline.refine_chain(p, PipelineConfig(refine_method=method), q_row)[0]
 
 
 @pytest.mark.parametrize("name", ["example2", "example4"])
@@ -487,31 +514,43 @@ def test_hand_off_finishes_the_paper_fixtures_by_newton(name, request, qd_runs):
                for a, b in zip(chain.factors, plain.factors))
 
 
-#: Corpus draws whose handed-off Q-row does not give a kept chain: on draw
-#: 178 newton-horner fails at factor 1, on draw 2816 it returns factors out
-#: of dominance order, and on draw 135 it does not converge within the
-#: hand-off's budget of one Q.D. block.
+#: Corpus draws whose handed-off Q-row does not give a kept chain, with how
+#: Q.D. then ends: on draw 178 newton-horner fails at factor 1, on draw 2816
+#: it returns factors out of dominance order, and on draw 135 it does not
+#: converge within the hand-off's budget of one Q.D. block.
 REJECTED_HAND_OFFS = {
-    "draw178": "rejected: pipeline failed in stage 'refine' at factor 1: singular matrix",
-    "draw2816": "rejected: the refined factors are not in dominance order",
+    "draw178": ("rejected: pipeline failed in stage 'refine' at factor 1: singular matrix",
+                "NoConvergence"),
+    "draw2816": ("rejected: the refined factors are not in dominance order", "converged"),
     "draw135": ("rejected: pipeline failed in stage 'refine' at factor 0: "
-                f"no convergence in {pipeline.HAND_OFF_ITERATIONS} iterations ("),
+                f"no convergence in {pipeline.HAND_OFF_ITERATIONS} iterations (",
+                "NoConvergence"),
 }
 
 
 @pytest.mark.parametrize("name", list(REJECTED_HAND_OFFS))
 def test_rejected_hand_off_falls_back_to_the_full_qd_run(name, qd_runs):
+    # Q.D. runs on from the hand-off; the chain is refined from its Q-row
+    # when it converges, and is the grouping search's when it stalls
     p = corpus(2817)[name]
     chain, report, _ = full_factorize(p)
     runs, computed = qd_runs
     [(ready, end, _)] = runs
-    assert ready == 32 and end != "left"
+    rejected, qd_end = REJECTED_HAND_OFFS[name]
+    assert ready == 32 and end == qd_end
     used, computed[0] = computed[0], 0
-    assert np.array_equal(chain.factors, _plain_qd_chain(p).factors)
+    try:
+        qd_run(p)
+        rest = []
+    except NoConvergence as exc:
+        rest = [f"{exc}; {SEARCH_WARNING}"]
     assert computed == [used]       # Q.D. went on from the hand-off
+    want = pipeline._group_search(p, PipelineConfig()) if rest else [_plain_qd_chain(p)]
+    assert np.array_equal(chain.factors, want[0].factors)
     assert report.warnings[0].startswith("Q.D. handed off at sweep 32 (max relative E-norm ")
-    assert REJECTED_HAND_OFFS[name] in report.warnings[0]
+    assert rejected in report.warnings[0]
     assert report.warnings[0].endswith("; Q.D. ran on to its end")
+    assert report.warnings[1:] == rest
 
 
 def test_the_slowest_kept_hand_off_stays_within_its_budget(qd_runs):
@@ -578,9 +617,9 @@ def test_example3_hand_off_fails_then_the_grouping_search_factorizes_it(example3
     assert np.array_equal(chain.factors, searched.factors)
 
 
-def test_a_failed_search_raises_the_refine_error_itself(qd_runs, monkeypatch):
-    # draw 1 is a scalar cubic with one real root, so it has no real chain:
-    # its hand-off and its full run fail to refine, and the search finds none
+def test_a_failed_search_raises_the_refine_error_itself(example1, qd_runs, monkeypatch):
+    # one Horner step does not refine the Q-row of a Q.D. run stopped at
+    # e_tol 1e-3, and a search with no groups to try finds no chain
     raised = []
     refine = pipeline.refine_chain
 
@@ -592,13 +631,32 @@ def test_a_failed_search_raises_the_refine_error_itself(qd_runs, monkeypatch):
             raise
 
     monkeypatch.setattr(pipeline, "refine_chain", spy)
+    monkeypatch.setattr(pipeline, "GROUP_BUDGET", 0)
+    cfg = PipelineConfig(refine_method="horner", qd=QDConfig(e_tol=1e-3),
+                         iter=horner.IterConfig(max_iterations=1))
+    with pytest.raises(PipelineStageError) as exc:
+        full_factorize(example1, cfg)
+    assert raised == [exc.value]
+    assert str(exc.value).startswith("pipeline failed in stage 'refine' at factor 0: "
+                                     "no convergence in 1 iterations")
+    runs, _ = qd_runs
+    assert runs == [(None, "converged", 18)]
+
+
+def test_a_failed_search_after_a_qd_failure_names_it_with_its_trace(qd_runs):
+    # draw 1 is a scalar cubic with one real root, so it has no real chain:
+    # its hand-off fails to refine, Q.D. stalls, and the search finds none
     with pytest.raises(PipelineStageError) as exc:
         full_factorize(corpus(2)["draw1"])
-    assert exc.value is raised[-1] and len(raised) == 2
-    assert str(exc.value) == ("pipeline failed in stage 'refine' at factor 1: no convergence "
-                              "in 500 iterations (last δ=9.715e+01%, relative residual 1.651e-01)")
+    assert str(exc.value) == (
+        "pipeline failed in stage 'refine' at factor 0: Q.D. stalled: max relative E-norm "
+        "4.895e-01 did not improve over 60 sweeps; the grouping search over the latent "
+        "roots found no chain")
+    qd_error = exc.value.__cause__
+    assert isinstance(qd_error, NoConvergence) and exc.value.cause.trace is qd_error.trace
     runs, computed = qd_runs
     assert runs == [(32, "NoConvergence", 155)] and computed == [160]
+    assert exc.value.cause.trace.sweeps == list(range(1, 156))
 
 
 @pytest.fixture
@@ -616,9 +674,8 @@ def group_searches(monkeypatch):
 
 
 def test_the_grouping_search_runs_once_per_call_at_most(group_searches):
-    # draw 1's search finds nothing after its failed hand-off, and the final
-    # refinement's failure reuses that; draws 135 and 178 search in vain and
-    # then refine the full run's Q-row
+    # draws 1, 135 and 178 search in vain after their failed hand-offs, and
+    # reuse that when Q.D., run on, stalls
     inputs = CONTRACT_INPUTS | {name: corpus(2817)[name] for name in REJECTED_HAND_OFFS}
     counts = {}
     for name, p in inputs.items():
@@ -633,12 +690,18 @@ def test_the_grouping_search_runs_once_per_call_at_most(group_searches):
 
 
 @pytest.mark.parametrize("name", ["draw143", "draw734"])
-def test_a_failed_hand_off_takes_the_search_chain_in_dominance_order(name):
-    # Q.D. runs on to a stall here, and its Q-row refines to factors out of
-    # dominance order; the search's chain, tried first, is in that order
+def test_a_failed_hand_off_takes_the_search_chain_in_dominance_order(name, qd_runs):
+    # the search's chain is in dominance order, so Q.D. is not run on to the
+    # stall where it would end, and whose Q-row refines to factors out of
+    # that order
     p = corpus(735)[name]
     chain, report, _ = full_factorize(p)
     assert pipeline._in_dominance_order(chain)
+    runs, _ = qd_runs
+    [(ready, end, sweeps)] = runs
+    assert end == "left" and ready == sweeps
+    with pytest.raises(NoConvergence, match="^Q.D. stalled"):
+        qd_run(p)
     assert not pipeline._in_dominance_order(_plain_qd_chain(p))
     [warning] = report.warnings
     assert warning.startswith("Q.D. handed off at sweep ") and warning.endswith(SEARCH_WARNING)
@@ -646,8 +709,9 @@ def test_a_failed_hand_off_takes_the_search_chain_in_dominance_order(name):
 
 @pytest.mark.parametrize("name", ["draw667", "draw1410", "draw2804"])
 def test_a_failed_hand_off_searches_for_the_full_run_factorization(name):
-    # the search finds the factors that Q.D. run on to its end refines to;
-    # on draw 2804 those reconstruct to only 6.1e-10 and are 5.4e-8 off
+    # the search finds the factors that refining the final Q-row of Q.D. run
+    # on to its end gives; on draw 2804 those reconstruct to only 6.1e-10
+    # and are 5.4e-8 off
     p = corpus(2805)[name]
     chain, report, _ = full_factorize(p)
     assert report.warnings[-1].endswith(SEARCH_WARNING)
@@ -766,11 +830,12 @@ def test_draw_2652_is_left_to_qd():
 @pytest.mark.parametrize("name", ["draw8", "draw166", "draw904"])
 def test_corpus_failures_that_the_search_factorizes(name):
     # draw 8 is a product of real factors, draws 166 and 904 are Gaussian
-    # draws whose latent-root moduli span 10³
+    # draws whose latent-root moduli span 10³; Q.D. stalls on all three
     p = corpus(905)[name]
     chain, report, _ = full_factorize(p)
-    assert report.warnings[-1].startswith("pipeline failed in stage 'refine' at factor ")
-    assert report.warnings[-1].endswith(SEARCH_WARNING)
+    with pytest.raises(NoConvergence, match="^Q.D. stalled") as qd_error:
+        qd_run(p)
+    assert report.warnings == [f"{qd_error.value}; {SEARCH_WARNING}"]
     assert max(report.per_factor_residuals) <= RESIDUAL_GUARD
     assert report.reconstruction_error <= 1e-8
 
@@ -781,7 +846,7 @@ def test_factorization_checks_each_input_once(monkeypatch, example2, example4, g
     chain, the two solvent sets, the decoupler's two chains) and the
     normalized numerator, a new product, ``as_matrix`` checks only the
     caller's mode blocks, and p is tested monic once per public call that
-    needs it (Q.D.'s, and the completeness check's latent roots)."""
+    needs it, by Q.D."""
     grid = reconstruct(random_chain(8, 3, np.random.default_rng(8030)))
     calls = []
     for name in ("as_blocks", "as_matrix"):
@@ -798,7 +863,7 @@ def test_factorization_checks_each_input_once(monkeypatch, example2, example4, g
         (lambda: full_factorize(example2), ["is_monic", "as_blocks"]),
         (lambda: full_factorize(grid), ["is_monic", "as_blocks"]),
         (lambda: full_solvent_sets(example4),
-         ["is_monic", "as_blocks", "disjoint", "as_blocks", "as_blocks", "is_monic"]),
+         ["is_monic", "as_blocks", "disjoint", "as_blocks", "as_blocks"]),
         (lambda: design_decoupling(gas_turbine, [np.diag([-1.0, -2.0])]),
          ["as_matrix", "as_blocks", "is_monic", "as_blocks", "as_blocks"]),
         (lambda: MFDSystem(gas_turbine.numerator, gas_turbine.denominator),

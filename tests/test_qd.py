@@ -60,8 +60,8 @@ def ref_blocks(p, cfg):
     """:func:`qd._blocks` as a loop of :func:`ref_sweep`, one sweep at a time.
 
     Each sweep is gated, traced and tested for the stop and the stall as soon
-    as it is made.  Yields the final ``(q_row, trace, False)`` only, the
-    Q-row as a list, then raises as :func:`qd._blocks` does.
+    as it is made.  Yields the final ``(q_row, trace, False)`` of a converged
+    run only, the Q-row as a list, and raises as :func:`qd._blocks` does.
     """
     q, e = map(list, qd_init(p))
     trace = QDTrace()
@@ -91,40 +91,38 @@ def ref_blocks(p, cfg):
     else:
         failure = (f"Q.D. budget of {cfg.max_iterations} sweeps exhausted "
                    f"(max relative E-norm {rel:.3e})")
-    yield q, trace, False
     if failure:
         raise NoConvergence(failure, trace=trace)
+    yield q, trace, False
 
 
 def _run_outcome(blocks, p, cfg):
     """What a Q.D. run, drawn from the generator ``blocks(p, cfg)``, returned
     or raised, in a form :func:`_assert_same_run` compares: the final Q-row
-    (or the error), the trace, and for ``NoConvergence`` the last Q-row
-    yielded before it."""
-    q_row = None
+    (or the error) and the trace."""
     try:
         for q_row, trace, _ in blocks(p, cfg):
             pass
     except NoConvergence as exc:
-        return exc, exc.trace, np.asarray(q_row)
+        return exc, exc.trace
     except Exception as exc:  # the error itself is the outcome compared
-        return exc, None, None
-    return np.asarray(q_row), trace, None
+        return exc, None
+    return np.asarray(q_row), trace
 
 
 def _qd_run_outcome(p, cfg):
-    """:func:`_run_outcome` of :func:`qd_run`, whose errors carry no Q-row."""
+    """:func:`_run_outcome` of :func:`qd_run`."""
     try:
         chain, trace = qd_run(p, cfg)
     except NoConvergence as exc:
-        return exc, exc.trace, None
+        return exc, exc.trace
     except Exception as exc:  # the error itself is the outcome compared
-        return exc, None, None
-    return chain.factors, trace, None
+        return exc, None
+    return chain.factors, trace
 
 
 def _assert_same_run(got, want):
-    (g, g_trace, g_q), (w, w_trace, w_q) = got, want
+    (g, g_trace), (w, w_trace) = got, want
     if isinstance(w, Exception):
         _assert_same_error(g, w)
     else:
@@ -134,8 +132,6 @@ def _assert_same_run(got, want):
         assert g_trace.e_block_norms == w_trace.e_block_norms
         assert g_trace.max_relative_e == w_trace.max_relative_e
         assert all(type(x) is float for x in g_trace.max_relative_e)
-    if w_q is not None:
-        assert np.array_equal(g_q, w_q)
 
 
 def _block_of(sweep, sizes):
@@ -331,16 +327,14 @@ def test_qd_reconstruction_quality():
 
 
 def test_qd_no_convergence_carries_tableau():
-    # the run's final Q-row is its last yield, just before the error
+    # the error carries the run's trace, and no final Q-row is yielded
     rng = np.random.default_rng(13)
     chain = random_chain(2, 2, rng, gap=2.0)
     p = reconstruct(chain)
     blocks = qd._blocks(p, QDConfig(max_iterations=3))
-    q_row, trace, ready = next(blocks)
-    assert not ready and len(q_row) == 2
     with pytest.raises(NoConvergence) as exc:
         next(blocks)
-    assert exc.value.trace is trace
+    assert exc.value.trace.sweeps == [1, 2, 3]
     assert len(exc.value.trace.max_relative_e) == 3
 
 
@@ -459,7 +453,7 @@ def test_qd_run_matches_one_sweep_loop(run):
     p, cfg = run
     want = _run_outcome(ref_blocks, p, cfg)
     _assert_same_run(_run_outcome(qd._blocks, p, cfg), want)
-    _assert_same_run(_qd_run_outcome(p, cfg), want[:2] + (None,))
+    _assert_same_run(_qd_run_outcome(p, cfg), want)
 
 
 def test_qd_run_stops_at_each_position_of_a_block(block_sizes):
@@ -467,7 +461,7 @@ def test_qd_run_stops_at_each_position_of_a_block(block_sizes):
     # stops the run at sweep s
     p = scalar_polynomial([1.0, -3.0, 2.0])
     budget = 3 * _BLOCK + 1
-    exc, trace, _ = _run_outcome(ref_blocks, p, QDConfig(max_iterations=budget, e_tol=1e-300))
+    exc, trace = _run_outcome(ref_blocks, p, QDConfig(max_iterations=budget, e_tol=1e-300))
     assert isinstance(exc, NoConvergence)
     rels = trace.max_relative_e
     assert all(a > b for a, b in zip(rels, rels[1:]))
@@ -506,8 +500,9 @@ def _rest(blocks, last):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(small_integer_runs(), slow_runs()))
 def test_hand_off_ends_a_descending_run_at_a_block_end(run):
-    """A ``ready`` yield at sweep n carries the Q-row and trace of the same
-    run given a budget of n sweeps, at a new best E-norm that the full run
+    """A ``ready`` yield at sweep n carries the trace of the same run given a
+    budget of n sweeps, and the Q-row and trace of the same run stopped at
+    sweep n by an ``e_tol`` of its E-norm there, a new best that the full run
     goes past."""
     p, cfg = run
     plain = _run_outcome(qd._blocks, p, cfg)
@@ -517,7 +512,9 @@ def test_hand_off_ends_a_descending_run_at_a_block_end(run):
         assert trace.sweeps[-1] == n
         budget = _run_outcome(qd._blocks, p, QDConfig(max_iterations=n, e_tol=cfg.e_tol))
         assert str(budget[0]).startswith(f"Q.D. budget of {n} sweeps exhausted")
-        _assert_same_run((budget[0], trace, q_row), budget)
+        _assert_same_run((budget[0], trace), budget)
+        stopped = QDConfig(max_iterations=cfg.max_iterations, e_tol=trace.max_relative_e[-1])
+        _assert_same_run((q_row, trace), _run_outcome(qd._blocks, p, stopped))
         rels = plain[1].max_relative_e
         assert len(rels) > n and rels[n - 1] < min(rels[:n - 1])
 
@@ -646,7 +643,7 @@ def test_singular_pivot_after_the_stop_in_the_same_block_is_not_raised():
     blocks, sweep, _ = SINGULAR_PIVOTS[6]
     assert sweep == 7 <= _BLOCK
     p = _monic(blocks)
-    exc, trace, _ = _run_outcome(ref_blocks, p, QDConfig(max_iterations=sweep - 1, e_tol=1e-300))
+    exc, trace = _run_outcome(ref_blocks, p, QDConfig(max_iterations=sweep - 1, e_tol=1e-300))
     assert isinstance(exc, NoConvergence)
     rels = trace.max_relative_e
     cfg = QDConfig(max_iterations=_BLOCK, e_tol=min(rels[:3]))
