@@ -18,39 +18,35 @@ own.
 
 With ``newton-horner``, the default, the pipeline draws Q.D. one block at a
 time (``qd._blocks``) and may take its Q-row early: at the first block end
-where the run is still descending and ``e_tol`` is a block or more away.
-Newton then finishes the factors in a few quadratic steps, where Q.D.'s
-linear tail takes a hundred sweeps or more.  The refined chain is kept only
-when refinement succeeds and its factors are in dominance order, each
-factor's eigenvalue moduli at least those of the next to ``SPECTRUM_TOL``,
-the grouping a converged Q.D. run gives.  Newton from a handed-off Q-row has
+where the run is still descending and ``e_tol`` is a block or more away, the
+groups have settled, and the pipeline draws no further block.  Newton then
+finishes the factors in a few quadratic steps, where Q.D.'s linear tail takes
+a hundred sweeps or more.  Newton from a handed-off Q-row has
 ``HAND_OFF_ITERATIONS`` steps per factor at most, one Q.D. block: near a
 simple solvent it converges quadratically, so a try that has not converged
-by then is given up.  When the try fails, the grouping search (rung 3
-below) is tried next, and its chain is kept on the same dominance-order
-test.
-Otherwise the pipeline draws the next block, Q.D. runs on to its usual end,
-and the chain is refined from that Q-row exactly as with no hand-off; the
-report's first warning names the rejected hand-off.  ``horner`` and
-``two-stage`` converge linearly, so from an early Q-row they may not
-converge at all; they never take a hand-off.
+by then is given up.  The refined chain is kept only when refinement
+succeeds and its factors are in dominance order, each factor's eigenvalue
+moduli at least those of the next to ``SPECTRUM_TOL``, the grouping a
+converged Q.D. run gives.  ``horner`` and ``two-stage`` converge linearly, so
+from an early Q-row they may not converge at all; they never take a
+hand-off.
 
-The rungs of ``full_factorize``, each tried only when the one before fails:
+The rungs of ``full_factorize``:
 
-1. Newton from a handed-off Q-row (``newton-horner`` only);
-2. the refiner from the Q-row of a Q.D. run that converged;
-3. the grouping search (``_group_search``): right solvents U Λ U⁻¹ from the
-   block companion's eigenvectors, over conjugation-closed groups of the
-   latent roots, polished by the refiner, with backtracking across stages.
-   It runs once per call at most.  Right after a failed Newton try (not
-   when its factors are out of order) its chain is kept if it is in
-   dominance order, in place of rung 2, and its one warning names the
-   rejected hand-off.  When Q.D. stalls, exhausts its budget or breaks
-   down, or rung 2 fails, its chain (or the one already found) is kept in
-   any order, and the report ends with a warning that names the error it
-   replaced.  When it finds none, a refinement error is raised as it is,
-   and a Q.D. error as the ``NoConvergence`` cause of a
-   ``PipelineStageError`` at factor 0, which names the Q.D. error and
+1. Newton at the first settled block (``newton-horner`` only), kept in
+   dominance order; or, with no hand-off, the refiner from the Q-row of a
+   Q.D. run that converged;
+2. every other outcome goes to the search once: a rejected hand-off (as a
+   ``NoConvergence`` that names the hand-off and why it was rejected, with
+   the Q.D. trace at the hand-off), a Q.D. run that stalls, exhausts its
+   budget or breaks down, or a failed refinement after a converged run.
+   The grouping search (``_group_search``) builds right solvents U Λ U⁻¹
+   from the block companion's eigenvectors, over conjugation-closed groups
+   of the latent roots, polishes them with the refiner and backtracks
+   across stages.  Its chain is kept in any order, and the report's one
+   warning names the error it replaced.  When it finds none, a refinement
+   error is raised as it is, and any other error as the ``NoConvergence``
+   cause of a ``PipelineStageError`` at factor 0, which names that error and
    carries its trace if it has one.
 
 ``solvent_sets`` turns a chain into right and left solvent sets.
@@ -165,8 +161,7 @@ def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
     start = replace(cfg.iter)       # x0 below is a start the package built
     for k in range(p.l):
         if current.l == 1:
-            x = -current.coeffs[1]
-            trace = ConvergenceTrace(deflation=transforms.deflate_right(current, x))
+            x, trace = _last_stage(current)
         else:
             for s in range(MULTI_START if seeds is None else 1):
                 try:
@@ -183,6 +178,20 @@ def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
         residuals.append(residual)
     chain = SpectralFactorChain(factors)
     return chain, _chain_report(p, chain, residuals), traces
+
+
+def _last_stage(current: MatrixPolynomial):
+    """The factor of a degree-1 stage, -A_1, in closed form, with a trace
+    that holds only its ``transforms.deflate_right`` pair."""
+    x = -current.coeffs[1]
+    return x, ConvergenceTrace(deflation=transforms.deflate_right(current, x))
+
+
+def _capped(cfg: PipelineConfig) -> PipelineConfig:
+    """``cfg`` with at most ``HAND_OFF_ITERATIONS`` refinement iterations per
+    factor, the budget of a handed-off Q-row and of the grouping search."""
+    return replace(cfg, iter=replace(cfg.iter, max_iterations=min(
+        cfg.iter.max_iterations, HAND_OFF_ITERATIONS)))
 
 
 def _root_groups(roots: np.ndarray, m: int):
@@ -220,15 +229,13 @@ def _group_search(p: MatrixPolynomial, cfg: PipelineConfig):
     ``GROUP_BUDGET`` groups.  Returns ``(chain, report, traces)``.
     """
     budget = GROUP_BUDGET
-    iter_cfg = replace(cfg.iter, max_iterations=min(cfg.iter.max_iterations,
-                                                    HAND_OFF_ITERATIONS))
+    iter_cfg = _capped(cfg).iter
 
     def search(current):
         """(factor, trace) pairs of a chain of ``current``, or None."""
         nonlocal budget
         if current.l == 1:
-            x = -current.coeffs[1]
-            return [(x, ConvergenceTrace(deflation=transforms.deflate_right(current, x)))]
+            return [_last_stage(current)]
         roots, vectors = np.linalg.eig(_companion(current))
         for group in _root_groups(roots, current.m):
             if not budget:
@@ -269,47 +276,34 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
     module docstring says.
     """
     cfg = cfg or PipelineConfig()
-    found = unsearched = object()       # the search runs once at most
-    hand_off = cfg.refine_method == "newton-horner"
-    warnings = []
     try:
         for seeds, qd_trace, ready in _blocks(p, cfg.qd):
-            if not (ready and hand_off):
-                continue
-            hand_off = False
-            at = (f"Q.D. handed off at sweep {len(qd_trace.sweeps)} "
-                  f"(max relative E-norm {qd_trace.max_relative_e[-1]:.3e})")
-            budget = min(cfg.iter.max_iterations, HAND_OFF_ITERATIONS)
-            try:
-                chain, report, traces = refine_chain(
-                    p, replace(cfg, iter=replace(cfg.iter, max_iterations=budget)), seeds)
-            except PipelineStageError as err:
-                found = _group_search(p, cfg)
-                if found is not None and _in_dominance_order(found[0]):
-                    found[1].warnings.append(f"{at}, rejected: {err}; the grouping search "
-                                             "over the latent roots factorized it instead")
-                    return found
-                reason = str(err)
-            else:
-                if _in_dominance_order(chain):
-                    return chain, report, traces
-                reason = "the refined factors are not in dominance order"
-            warnings.append(f"{at}, rejected: {reason}; Q.D. ran on to its end")
-        chain, report, traces = refine_chain(p, cfg, seeds)
+            if ready and cfg.refine_method == "newton-horner":
+                break
+        else:
+            return refine_chain(p, cfg, seeds)
+        try:
+            chain, report, traces = refine_chain(p, _capped(cfg), seeds)
+        except PipelineStageError as err:
+            reason = str(err)
+        else:
+            if _in_dominance_order(chain):
+                return chain, report, traces
+            reason = "the refined factors are not in dominance order"
+        raise NoConvergence(f"Q.D. handed off at sweep {len(qd_trace.sweeps)} (max relative "
+                            f"E-norm {qd_trace.max_relative_e[-1]:.3e}), rejected: {reason}",
+                            trace=qd_trace)
     except (NoConvergence, SingularCoefficient, SingularPivot, PipelineStageError) as err:
-        if found is unsearched:
-            found = _group_search(p, cfg)
+        found = _group_search(p, cfg)
         if found is None:
             if isinstance(err, PipelineStageError):
                 raise
             raise PipelineStageError("refine", 0, NoConvergence(
                 f"{err}; the grouping search over the latent roots found no chain",
                 trace=getattr(err, "trace", None))) from err
-        chain, report, traces = found
-        warnings.append(f"{err}; the grouping search over the latent roots "
-                        "factorized it instead")
-    report.warnings.extend(warnings)
-    return chain, report, traces
+        found[1].warnings.append(f"{err}; the grouping search over the latent roots "
+                                 "factorized it instead")
+        return found
 
 
 def _in_dominance_order(chain: SpectralFactorChain) -> bool:

@@ -58,10 +58,10 @@ the end of a converged run, with a flag that reads true when the block's
 last sweep set a new best max relative E-norm (the stall counter reads 0)
 and the next block, sized from the same window, is a full one: at the
 observed rate ``e_tol`` is a block or more away.  :func:`qd_run` drains
-it; the pipeline tries Newton on the Q-row of the first such yield, and
-draws the next block when it rejects the try.  Q.D. converges at the rate
-|λ_{km+1}/λ_{km}| of its group boundaries, 0.857 on examples 2 and 4, so
-its tail is slow; once the groups have settled, Newton on A_R(X) = 0
+it; the pipeline tries Newton on the Q-row of the first such yield and
+draws no further block, whether it keeps the try or rejects it.  Q.D.
+converges at the rate |λ_{km+1}/λ_{km}| of its group boundaries, 0.857 on
+examples 2 and 4, so its tail is slow; once the groups have settled, Newton on A_R(X) = 0
 converges quadratically near a simple solvent (Dennis, Traub & Weber, SIAM
 J. Numer. Anal. 15(3), 1978).  The new-best test keeps a hand-off out of
 an E-norm hump: examples 2 and 4 are in one at sweep 32, and Newton from

@@ -514,43 +514,32 @@ def test_hand_off_finishes_the_paper_fixtures_by_newton(name, request, qd_runs):
                for a, b in zip(chain.factors, plain.factors))
 
 
-#: Corpus draws whose handed-off Q-row does not give a kept chain, with how
-#: Q.D. then ends: on draw 178 newton-horner fails at factor 1, on draw 2816
-#: it returns factors out of dominance order, and on draw 135 it does not
-#: converge within the hand-off's budget of one Q.D. block.
+#: Corpus draws whose handed-off Q-row does not give a kept chain, with why:
+#: on draw 178 newton-horner fails at factor 1, on draw 2816 it returns
+#: factors out of dominance order, and on draw 135 it does not converge
+#: within the hand-off's budget of one Q.D. block.
 REJECTED_HAND_OFFS = {
-    "draw178": ("rejected: pipeline failed in stage 'refine' at factor 1: singular matrix",
-                "NoConvergence"),
-    "draw2816": ("rejected: the refined factors are not in dominance order", "converged"),
+    "draw178": "rejected: pipeline failed in stage 'refine' at factor 1: singular matrix",
+    "draw2816": "rejected: the refined factors are not in dominance order",
     "draw135": ("rejected: pipeline failed in stage 'refine' at factor 0: "
-                f"no convergence in {pipeline.HAND_OFF_ITERATIONS} iterations (",
-                "NoConvergence"),
+                f"no convergence in {pipeline.HAND_OFF_ITERATIONS} iterations ("),
 }
 
 
 @pytest.mark.parametrize("name", list(REJECTED_HAND_OFFS))
-def test_rejected_hand_off_falls_back_to_the_full_qd_run(name, qd_runs):
-    # Q.D. runs on from the hand-off; the chain is refined from its Q-row
-    # when it converges, and is the grouping search's when it stalls
+def test_rejected_hand_off_goes_to_the_grouping_search(name, qd_runs):
+    # Q.D. stops at the hand-off, and the chain is the search's, in any order
     p = corpus(2817)[name]
     chain, report, _ = full_factorize(p)
     runs, computed = qd_runs
-    [(ready, end, _)] = runs
-    rejected, qd_end = REJECTED_HAND_OFFS[name]
-    assert ready == 32 and end == qd_end
-    used, computed[0] = computed[0], 0
-    try:
-        qd_run(p)
-        rest = []
-    except NoConvergence as exc:
-        rest = [f"{exc}; {SEARCH_WARNING}"]
-    assert computed == [used]       # Q.D. went on from the hand-off
-    want = pipeline._group_search(p, PipelineConfig()) if rest else [_plain_qd_chain(p)]
-    assert np.array_equal(chain.factors, want[0].factors)
-    assert report.warnings[0].startswith("Q.D. handed off at sweep 32 (max relative E-norm ")
-    assert rejected in report.warnings[0]
-    assert report.warnings[0].endswith("; Q.D. ran on to its end")
-    assert report.warnings[1:] == rest
+    assert runs == [(32, "left", 32)] and computed == [32]
+    searched, _, _ = pipeline._group_search(p, PipelineConfig())
+    assert np.array_equal(chain.factors, searched.factors)
+    [warning] = report.warnings
+    assert warning.startswith("Q.D. handed off at sweep 32 (max relative E-norm ")
+    assert REJECTED_HAND_OFFS[name] in warning and warning.endswith(SEARCH_WARNING)
+    if name == "draw2816":      # refined from Q.D. run on to its end: 2.4e-10
+        assert report.reconstruction_error <= 1e-12
 
 
 def test_the_slowest_kept_hand_off_stays_within_its_budget(qd_runs):
@@ -604,8 +593,8 @@ def test_no_hand_off_keeps_the_plain_qd_chain(name, method, request, qd_runs):
 
 
 def test_example3_hand_off_fails_then_the_grouping_search_factorizes_it(example3, qd_runs):
-    # Newton from the handed-off Q-row hits a singular step, and the search's
-    # chain is in dominance order, so Q.D. does not run on to its end
+    # Newton from the handed-off Q-row hits a singular step, and Q.D. stops
+    # there while the search factorizes it
     chain, report, _ = full_factorize(example3)
     assert report.warnings == [
         "Q.D. handed off at sweep 32 (max relative E-norm 9.131e-04), rejected: pipeline "
@@ -645,18 +634,30 @@ def test_a_failed_search_raises_the_refine_error_itself(example1, qd_runs, monke
 
 def test_a_failed_search_after_a_qd_failure_names_it_with_its_trace(qd_runs):
     # draw 1 is a scalar cubic with one real root, so it has no real chain:
-    # its hand-off fails to refine, Q.D. stalls, and the search finds none
+    # under horner Q.D. stalls, under newton-horner the hand-off fails to
+    # refine, and either way the search finds none
+    p = corpus(2)["draw1"]
     with pytest.raises(PipelineStageError) as exc:
-        full_factorize(corpus(2)["draw1"])
+        full_factorize(p, PipelineConfig(refine_method="horner"))
     assert str(exc.value) == (
         "pipeline failed in stage 'refine' at factor 0: Q.D. stalled: max relative E-norm "
         "4.895e-01 did not improve over 60 sweeps; the grouping search over the latent "
         "roots found no chain")
     qd_error = exc.value.__cause__
     assert isinstance(qd_error, NoConvergence) and exc.value.cause.trace is qd_error.trace
-    runs, computed = qd_runs
-    assert runs == [(32, "NoConvergence", 155)] and computed == [160]
     assert exc.value.cause.trace.sweeps == list(range(1, 156))
+    with pytest.raises(PipelineStageError) as exc:
+        full_factorize(p)
+    assert str(exc.value) == (
+        "pipeline failed in stage 'refine' at factor 0: Q.D. handed off at sweep 32 (max "
+        "relative E-norm 6.130e-01), rejected: pipeline failed in stage 'refine' at factor 1: "
+        "no convergence in 32 iterations (last δ=6.817e+02%, relative residual 3.760e-01); "
+        "the grouping search over the latent roots found no chain")
+    hand_off = exc.value.__cause__
+    assert isinstance(hand_off, NoConvergence) and exc.value.cause.trace is hand_off.trace
+    assert exc.value.cause.trace.sweeps == list(range(1, 33))
+    runs, computed = qd_runs
+    assert runs == [(32, "NoConvergence", 155), (32, "left", 32)] and computed == [160 + 32]
 
 
 @pytest.fixture
@@ -674,8 +675,8 @@ def group_searches(monkeypatch):
 
 
 def test_the_grouping_search_runs_once_per_call_at_most(group_searches):
-    # draws 1, 135 and 178 search in vain after their failed hand-offs, and
-    # reuse that when Q.D., run on, stalls
+    # draws 1, 135 and 178 reject their hand-offs, which go to the one search
+    # as every other failure does; draw 1's finds no chain
     inputs = CONTRACT_INPUTS | {name: corpus(2817)[name] for name in REJECTED_HAND_OFFS}
     counts = {}
     for name, p in inputs.items():
@@ -691,9 +692,8 @@ def test_the_grouping_search_runs_once_per_call_at_most(group_searches):
 
 @pytest.mark.parametrize("name", ["draw143", "draw734"])
 def test_a_failed_hand_off_takes_the_search_chain_in_dominance_order(name, qd_runs):
-    # the search's chain is in dominance order, so Q.D. is not run on to the
-    # stall where it would end, and whose Q-row refines to factors out of
-    # that order
+    # the search's chain is in dominance order, where Q.D. would run on to a
+    # stall and its Q-row refines to factors out of that order
     p = corpus(735)[name]
     chain, report, _ = full_factorize(p)
     assert pipeline._in_dominance_order(chain)
