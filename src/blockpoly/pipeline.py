@@ -24,27 +24,25 @@ finishes the factors in a few quadratic steps, where Q.D.'s linear tail takes
 a hundred sweeps or more.  Newton from a handed-off Q-row has
 ``HAND_OFF_ITERATIONS`` steps per factor at most, one Q.D. block: near a
 simple solvent it converges quadratically, so a try that has not converged
-by then is given up.  The refined chain is kept only when refinement
-succeeds and its factors are in dominance order, each factor's eigenvalue
-moduli at least those of the next to ``SPECTRUM_TOL``, the grouping a
-converged Q.D. run gives.  ``horner`` and ``two-stage`` converge linearly, so
+by then is given up.  ``horner`` and ``two-stage`` converge linearly, so
 from an early Q-row they may not converge at all; they never take a
 hand-off.
 
-The rungs of ``full_factorize``:
+The rungs of ``full_factorize``, each kept whenever it refines every factor,
+in whatever order the factors come (a chain in any order is a
+factorization):
 
-1. Newton at the first settled block (``newton-horner`` only), kept in
-   dominance order; or, with no hand-off, the refiner from the Q-row of a
-   Q.D. run that converged;
-2. every other outcome goes to the search once: a rejected hand-off (as a
-   ``NoConvergence`` that names the hand-off and why it was rejected, with
-   the Q.D. trace at the hand-off), a Q.D. run that stalls, exhausts its
-   budget or breaks down, or a failed refinement after a converged run.
-   The grouping search (``_group_search``) builds right solvents U Λ U⁻¹
-   from the block companion's eigenvectors, over conjugation-closed groups
-   of the latent roots, polishes them with the refiner and backtracks
-   across stages.  Its chain is kept in any order, and the report's one
-   warning names the error it replaced.  When it finds none, a refinement
+1. Newton at the first settled block (``newton-horner`` only); or, with no
+   hand-off, the refiner from the Q-row of a Q.D. run that converged;
+2. every other outcome goes to the search once: a hand-off that fails to
+   refine (as a ``NoConvergence`` that names the hand-off and the refinement
+   error, with the Q.D. trace at the hand-off), a Q.D. run that stalls,
+   exhausts its budget or breaks down, or a failed refinement after a
+   converged run.  The grouping search (``_group_search``) builds right
+   solvents U Λ U⁻¹ from the block companion's eigenvectors, over
+   conjugation-closed groups of the latent roots, polishes them with the
+   refiner and backtracks across stages.  The report's one warning names
+   the error it replaced.  When it finds none, a refinement
    error is raised as it is, and any other error as the ``NoConvergence``
    cause of a ``PipelineStageError`` at factor 0, which names that error and
    carries its trace if it has one.
@@ -98,7 +96,7 @@ REFINE_METHODS = ("horner", "newton-horner", "two-stage")
 MULTI_START = 5
 
 #: Most Newton iterations per factor from a handed-off Q-row, one Q.D. block.
-#: Kept hand-offs on the seeded test corpus take at most 24.
+#: Kept hand-offs on the seeded test corpus take at most 30.
 HAND_OFF_ITERATIONS = 32
 
 #: Groups of latent roots the grouping search tries, over all its stages.
@@ -120,6 +118,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.refine_method not in REFINE_METHODS:
             raise ValueError(f"refine_method must be one of {REFINE_METHODS}")
+        if self.iter.x0 is not None:
+            raise ValueError("iter.x0 must be None: the pipeline starts each factor itself")
 
 
 @dataclass
@@ -157,27 +157,31 @@ def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
     if seeds is None:
         p.require_monic()
     current = p
-    factors, traces, residuals = [], [], []
+    found = []
     start = replace(cfg.iter)       # x0 below is a start the package built
     for k in range(p.l):
         if current.l == 1:
-            x, trace = _last_stage(current)
+            found.append(_last_stage(current))
         else:
             for s in range(MULTI_START if seeds is None else 1):
                 try:
                     start.x0 = default_guess(current, s) if seeds is None else seeds[k]
-                    x, trace = refiner(cfg.refine_method)(current, start)
+                    found.append(refiner(cfg.refine_method)(current, start))
                     break
                 except BlockPolyError as exc:
                     last_error = exc
             else:
                 raise PipelineStageError("refine", k, last_error)
-        current, residual = trace.deflation
-        factors.append(x)
-        traces.append(trace)
-        residuals.append(residual)
-    chain = SpectralFactorChain(factors)
-    return chain, _chain_report(p, chain, residuals), traces
+        current = found[-1][1].deflation[0]
+    return _finish_chain(p, found)
+
+
+def _finish_chain(p: MatrixPolynomial, found: list):
+    """``(chain, report, traces)`` from the (factor, trace) pairs of a chain
+    of p, each factor's residual read from its trace's deflation."""
+    chain = SpectralFactorChain([x for x, _ in found])
+    traces = [trace for _, trace in found]
+    return chain, _chain_report(p, chain, [t.deflation[1] for t in traces]), traces
 
 
 def _last_stage(current: MatrixPolynomial):
@@ -261,11 +265,7 @@ def _group_search(p: MatrixPolynomial, cfg: PipelineConfig):
     # near-overflowing coefficients overflow X; the refiner then rejects it
     with np.errstate(over="ignore", invalid="ignore"):
         found = search(p)
-    if found is None:
-        return None
-    chain = SpectralFactorChain([x for x, _ in found])
-    traces = [trace for _, trace in found]
-    return chain, _chain_report(p, chain, [t.deflation[1] for t in traces]), traces
+    return None if found is None else _finish_chain(p, found)
 
 
 def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
@@ -279,20 +279,13 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
     try:
         for seeds, qd_trace, ready in _blocks(p, cfg.qd):
             if ready and cfg.refine_method == "newton-horner":
-                break
-        else:
-            return refine_chain(p, cfg, seeds)
-        try:
-            chain, report, traces = refine_chain(p, _capped(cfg), seeds)
-        except PipelineStageError as err:
-            reason = str(err)
-        else:
-            if _in_dominance_order(chain):
-                return chain, report, traces
-            reason = "the refined factors are not in dominance order"
-        raise NoConvergence(f"Q.D. handed off at sweep {len(qd_trace.sweeps)} (max relative "
-                            f"E-norm {qd_trace.max_relative_e[-1]:.3e}), rejected: {reason}",
-                            trace=qd_trace)
+                try:
+                    return refine_chain(p, _capped(cfg), seeds)
+                except PipelineStageError as err:
+                    raise NoConvergence(
+                        f"Q.D. handed off at sweep {len(qd_trace.sweeps)} (max relative E-norm "
+                        f"{qd_trace.max_relative_e[-1]:.3e}), rejected: {err}", trace=qd_trace)
+        return refine_chain(p, cfg, seeds)
     except (NoConvergence, SingularCoefficient, SingularPivot, PipelineStageError) as err:
         found = _group_search(p, cfg)
         if found is None:
@@ -304,15 +297,6 @@ def full_factorize(p: MatrixPolynomial, cfg: PipelineConfig | None = None):
         found[1].warnings.append(f"{err}; the grouping search over the latent roots "
                                  "factorized it instead")
         return found
-
-
-def _in_dominance_order(chain: SpectralFactorChain) -> bool:
-    """Whether every eigenvalue modulus of each factor is at least every
-    modulus of the next, to ``SPECTRUM_TOL`` times max(1, max |λ|): the
-    grouping of a converged Q.D. run."""
-    moduli = np.abs(np.linalg.eigvals(chain.factors))
-    tol = SPECTRUM_TOL * max(1.0, float(moduli.max()))
-    return bool((moduli[:-1].min(axis=1) >= moduli[1:].max(axis=1) - tol).all())
 
 
 def solvent_sets(p: MatrixPolynomial, chain: SpectralFactorChain,

@@ -65,8 +65,8 @@ examples 2 and 4, so its tail is slow; once the groups have settled, Newton on A
 converges quadratically near a simple solvent (Dennis, Traub & Weber, SIAM
 J. Numer. Anal. 15(3), 1978).  The new-best test keeps a hand-off out of
 an E-norm hump: examples 2 and 4 are in one at sweep 32, and Newton from
-that Q-row finds factors out of dominance order, which the pipeline
-rejects.
+that Q-row finds factors out of dominance order, which the pipeline would
+keep; the test is what keeps them on a converged run's grouping.
 
 A block holds up to 32 sweeps.  Its fixed cost (the norms, the replayed stop
 and stall tests, the gate and the trace) is then paid once per 32 sweeps at

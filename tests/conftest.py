@@ -1,20 +1,12 @@
 """Shared fixtures and generators for the blockpoly test suite."""
 
-import os
-
 import numpy as np
 import pytest
 
 from blockpoly.io import load_mfd, load_polynomial
-from blockpoly.polynomial import MatrixPolynomial, SpectralFactorChain, reconstruct
+from blockpoly.polynomial import SpectralFactorChain, reconstruct
 
-FIXTURES = os.path.join(
-    os.path.dirname(__file__), "..", "src", "blockpoly", "fixtures"
-)
-
-
-def fixture_path(name: str) -> str:
-    return os.path.abspath(os.path.join(FIXTURES, name))
+from inputs import fixture_path
 
 
 @pytest.fixture
@@ -42,33 +34,11 @@ def gas_turbine():
     return load_mfd(fixture_path("gas_turbine.json"))
 
 
-def scalar_polynomial(coeffs) -> MatrixPolynomial:
-    """An m=1 polynomial from scalar coefficients, leading one first."""
-    return MatrixPolynomial([np.array([[float(c)]]) for c in coeffs])
-
-
 def singular_a1():
     """(λI - diag(-6, 1))(λI - diag(6, 7)), whose A_1 = diag(0, -8) stops Q.D."""
     p = reconstruct(SpectralFactorChain([np.diag([6.0, 7.0]), np.diag([-6.0, 1.0])]))
     assert np.array_equal(p.coeffs[1], np.diag([0.0, -8.0]))
     return p
-
-
-def random_chain(m: int, l: int, rng, gap: float = 2.0, top: float = 8.0):
-    """A chain whose factor spectra sit in disjoint modulus bands.
-
-    factors[0] is the dominant (rightmost) block; consecutive bands are
-    separated by at least ``gap`` in modulus, which is what the Q.D.
-    dominance theory requires.
-    """
-    factors = []
-    for _ in range(l):
-        lo, hi = top / 1.2, top
-        eigs = rng.uniform(lo, hi, size=m) * rng.choice([-1.0, 1.0], size=m)
-        v = rng.standard_normal((m, m)) + 2.0 * np.eye(m)
-        factors.append(v @ np.diag(eigs) @ np.linalg.inv(v))
-        top = lo / gap
-    return SpectralFactorChain(factors)
 
 
 def spectrum_pair_error(a, b) -> float:

@@ -36,12 +36,8 @@ from blockpoly.polynomial import (
 )
 from blockpoly.qd import QDConfig, qd_run
 
-from conftest import (
-    random_chain,
-    scalar_polynomial,
-    scalar_with_separated_roots,
-    spectrum_pair_error,
-)
+from conftest import scalar_with_separated_roots, spectrum_pair_error
+from inputs import random_chain, scalar_polynomial
 
 
 def _rel(got, want):

@@ -29,7 +29,7 @@ from blockpoly.polynomial import (
     synthetic_div_right,
 )
 
-from conftest import random_chain, scalar_polynomial
+from inputs import random_chain, scalar_polynomial
 
 
 def run_steps(fn, p, x0, n, **kw):

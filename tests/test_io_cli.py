@@ -16,7 +16,8 @@ from blockpoly.polynomial import (
 )
 from blockpoly.transforms import SOLVENT_GATE
 
-from conftest import fixture_path, random_chain, scalar_polynomial, singular_a1
+from conftest import singular_a1
+from inputs import fixture_path, random_chain, scalar_polynomial
 
 
 @pytest.fixture

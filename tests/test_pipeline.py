@@ -34,7 +34,8 @@ from blockpoly.polynomial import (
 )
 from blockpoly.qd import QDConfig, qd_run
 
-from conftest import random_chain, scalar_polynomial, singular_a1, spectrum_pair_error
+from conftest import singular_a1, spectrum_pair_error
+from inputs import HARD_CASES, corpus, random_chain, scalar_polynomial
 
 
 def test_scalar_cubic():
@@ -243,6 +244,13 @@ def test_refine_method_must_be_known():
         PipelineConfig(refine_method="qd")
 
 
+def test_a_start_in_the_pipeline_config_raises():
+    # the pipeline starts every factor itself, from Q.D., the grouping search
+    # or default guesses, so a caller's x0 would be silently ignored
+    with pytest.raises(ValueError, match=r"^iter.x0 must be None: "):
+        PipelineConfig(iter=horner.IterConfig(x0=np.full((2, 2), 1e6)))
+
+
 def test_verify_reports_a_set_of_the_wrong_count_incomplete(example1):
     right, _, _ = full_solvent_sets(example1)
     report = verify(example1, solvents=SolventSet("right", right.solvents[:2]))
@@ -263,39 +271,6 @@ def test_transform_failure_names_the_stage():
 #: How a report's last warning ends when the grouping search replaced a
 #: failed refinement.
 SEARCH_WARNING = "the grouping search over the latent roots factorized it instead"
-
-
-#: A singular A_l (three ways), a Q.D. breakdown at the first sweep, and a
-#: polynomial with no real root, whose plain Horner iterates overflow.
-HARD_CASES = {
-    "a_last_zero": MatrixPolynomial(
-        [np.eye(2), np.array([[1.0, 2.0], [0.0, 3.0]]), np.zeros((2, 2))]),
-    "a_last_rank1": MatrixPolynomial(
-        [np.eye(2), np.array([[1.0, 2.0], [0.0, 3.0]]), np.outer([0.1, 0.3], [0.7, 0.2])]),
-    # (λI - diag(0, 1))(λI - diag(2, 3)), whose A_2 = diag(0, 3)
-    "a_last_diag": reconstruct(SpectralFactorChain([np.diag([2.0, 3.0]), np.diag([0.0, 1.0])])),
-    "qd_pivot": scalar_polynomial([1.0, -3.0, -3.0, -3.0]),
-    "no_real_root": scalar_polynomial([1.0, -1.0, 3.0, 0.0, 3.0]),
-}
-
-
-def corpus(n):
-    """The first ``n`` seeded random monic polynomials, m in 1..3, l in 1..4:
-    integer, scaled Gaussian and product-of-real-factors coefficients in turn."""
-    rng = np.random.default_rng(12345)
-    draws = {}
-    for i in range(n):
-        m, l = rng.integers(1, 4), rng.integers(1, 5)
-        if i % 3 == 0:
-            draws[f"draw{i}"] = MatrixPolynomial([np.eye(m), *rng.integers(-5, 6, (l, m, m))])
-        elif i % 3 == 1:
-            coeffs = rng.standard_normal((l, m, m)) * 10 ** rng.uniform(-3, 3)
-            draws[f"draw{i}"] = MatrixPolynomial([np.eye(m), *coeffs])
-        else:
-            factors = [rng.standard_normal((m, m)) + rng.uniform(-3, 3) * np.eye(m)
-                       for _ in range(l)]
-            draws[f"draw{i}"] = reconstruct(SpectralFactorChain(factors))
-    return draws
 
 
 CONTRACT_INPUTS = corpus(60) | HARD_CASES
@@ -514,13 +489,11 @@ def test_hand_off_finishes_the_paper_fixtures_by_newton(name, request, qd_runs):
                for a, b in zip(chain.factors, plain.factors))
 
 
-#: Corpus draws whose handed-off Q-row does not give a kept chain, with why:
-#: on draw 178 newton-horner fails at factor 1, on draw 2816 it returns
-#: factors out of dominance order, and on draw 135 it does not converge
+#: Corpus draws whose handed-off Q-row does not refine, with why: on draw
+#: 178 newton-horner fails at factor 1, and on draw 135 it does not converge
 #: within the hand-off's budget of one Q.D. block.
 REJECTED_HAND_OFFS = {
     "draw178": "rejected: pipeline failed in stage 'refine' at factor 1: singular matrix",
-    "draw2816": "rejected: the refined factors are not in dominance order",
     "draw135": ("rejected: pipeline failed in stage 'refine' at factor 0: "
                 f"no convergence in {pipeline.HAND_OFF_ITERATIONS} iterations ("),
 }
@@ -538,18 +511,38 @@ def test_rejected_hand_off_goes_to_the_grouping_search(name, qd_runs):
     [warning] = report.warnings
     assert warning.startswith("Q.D. handed off at sweep 32 (max relative E-norm ")
     assert REJECTED_HAND_OFFS[name] in warning and warning.endswith(SEARCH_WARNING)
-    if name == "draw2816":      # refined from Q.D. run on to its end: 2.4e-10
-        assert report.reconstruction_error <= 1e-12
+
+
+def _in_dominance_order(chain):
+    """Whether every eigenvalue modulus of each factor is at least every
+    modulus of the next, to ``SPECTRUM_TOL`` times max(1, max |λ|): the
+    grouping of a converged Q.D. run."""
+    moduli = np.abs(np.linalg.eigvals(chain.factors))
+    tol = polynomial.SPECTRUM_TOL * max(1.0, float(moduli.max()))
+    return bool((moduli[:-1].min(axis=1) >= moduli[1:].max(axis=1) - tol).all())
+
+
+def test_draw_2816_keeps_its_hand_off_chain_out_of_dominance_order(qd_runs, group_searches):
+    # Newton refines every factor from the handed-off Q-row, in another
+    # grouping than a converged Q.D. run's; any grouping is a factorization
+    p = corpus(2817)["draw2816"]
+    chain, report, _ = full_factorize(p)
+    assert not _in_dominance_order(chain)
+    assert report.warnings == [] and group_searches == []
+    runs, _ = qd_runs
+    assert runs == [(32, "left", 32)]
+    assert report.reconstruction_error <= 1e-15
 
 
 def test_the_slowest_kept_hand_off_stays_within_its_budget(qd_runs):
-    # the corpus draw whose kept hand-off takes the most Newton iterates
-    p = corpus(718)["draw717"]
+    # the first corpus draw whose kept hand-off takes the most Newton
+    # iterates (draw 2534 takes as many)
+    p = corpus(250)["draw249"]
     chain, report, traces = full_factorize(p)
     runs, _ = qd_runs
     [(ready, end, n)] = runs
     assert end == "left" and ready == n and report.warnings == []
-    assert max(len(t.iterates) for t in traces) == 25 <= pipeline.HAND_OFF_ITERATIONS
+    assert max(len(t.iterates) for t in traces) == 31 <= pipeline.HAND_OFF_ITERATIONS
 
 
 @pytest.mark.parametrize("name", list(CONTRACT_INPUTS))
@@ -696,13 +689,13 @@ def test_a_failed_hand_off_takes_the_search_chain_in_dominance_order(name, qd_ru
     # stall and its Q-row refines to factors out of that order
     p = corpus(735)[name]
     chain, report, _ = full_factorize(p)
-    assert pipeline._in_dominance_order(chain)
+    assert _in_dominance_order(chain)
     runs, _ = qd_runs
     [(ready, end, sweeps)] = runs
     assert end == "left" and ready == sweeps
     with pytest.raises(NoConvergence, match="^Q.D. stalled"):
         qd_run(p)
-    assert not pipeline._in_dominance_order(_plain_qd_chain(p))
+    assert not _in_dominance_order(_plain_qd_chain(p))
     [warning] = report.warnings
     assert warning.startswith("Q.D. handed off at sweep ") and warning.endswith(SEARCH_WARNING)
 

@@ -27,7 +27,7 @@ from blockpoly.polynomial import (
 )
 from blockpoly.transforms import right_to_left_solvent
 
-from conftest import scalar_polynomial
+from inputs import scalar_polynomial
 
 RNG = np.random.default_rng(11)
 
@@ -236,7 +236,8 @@ def test_latent_roots_scalar_complex():
 
 
 def test_latent_roots_union_of_factor_spectra():
-    from conftest import random_chain, spectrum_pair_error
+    from conftest import spectrum_pair_error
+    from inputs import random_chain
 
     chain = random_chain(2, 3, np.random.default_rng(5))
     union = np.concatenate([np.linalg.eigvals(q) for q in chain.factors])

@@ -34,7 +34,7 @@ from blockpoly.qd import (
     qd_run,
 )
 
-from conftest import random_chain, scalar_polynomial
+from inputs import random_chain, scalar_polynomial
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 

@@ -28,7 +28,7 @@ from blockpoly.polynomial import (
 )
 from blockpoly.transforms import chain_to_right_solvents, right_to_left_solvent
 
-from conftest import random_chain
+from inputs import random_chain
 
 EPS = np.finfo(float).eps
 

@@ -32,7 +32,8 @@ from blockpoly.transforms import (
     right_to_left_solvent,
 )
 
-from conftest import random_chain, scalar_polynomial, spectrum_pair_error
+from conftest import spectrum_pair_error
+from inputs import random_chain, scalar_polynomial
 
 
 def test_right_to_left_linear():

@@ -27,7 +27,7 @@ from blockpoly.transforms import (
     right_to_left_solvent,
 )
 
-from conftest import random_chain
+from inputs import random_chain
 
 EPS = np.finfo(float).eps
 
