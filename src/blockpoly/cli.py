@@ -18,8 +18,7 @@ from . import io, transforms
 from .decoupler import closed_loop_eval, design_decoupling
 from .errors import BlockPolyError, DimensionMismatch, IncompleteSet, NotMonic
 from .horner import IterConfig
-from .pipeline import (REFINE_METHODS, PipelineConfig, full_factorize, refine_chain,
-                       solvent_sets, verify)
+from .pipeline import REFINE_METHODS, PipelineConfig, full_factorize, solvent_sets, verify
 from .polynomial import SolventSet, check_chain, check_order
 from .qd import QDConfig, qd_run
 
@@ -113,9 +112,12 @@ def main():
 @click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", default="pipeline",
               type=click.Choice(["qd", *REFINE_METHODS, "pipeline"]))
-@click.option("--max-iter", default=None, type=int, help="Iteration/sweep budget.")
+@click.option("--max-iter", default=None, type=int,
+              help="Q.D.'s sweep budget and, unless --method=qd, the refiner's "
+                   "iterations per factor.")
 @click.option("--tol", default=None, type=float,
-              help="Stopping tolerance (Q.D. e_tol or Horner eta percent).")
+              help="Stopping tolerance: Q.D.'s e_tol and, unless --method=qd, "
+                   "the refiner's eta in percent.")
 @click.option("--solvents", is_flag=True,
               help="Also derive right and left solvent sets.")
 @click.option("--out", required=True, type=click.Path(file_okay=False))
@@ -142,13 +144,10 @@ def factorize(input_file, method, max_iter, tol, solvents, out):
             chain, qd_trace = qd_run(p, qd_cfg)
             traces.append(("qd", io.qd_trace_rows(qd_trace)))
             report = verify(p, chain=chain)
-        elif method == "pipeline":
-            chain, report, iter_traces = full_factorize(
-                p, PipelineConfig(qd=qd_cfg, iter=iter_cfg))
         else:
-            # no Q.D. step: jittered default guesses seed each factor
-            chain, report, iter_traces = refine_chain(
-                p, PipelineConfig(refine_method=method, iter=iter_cfg))
+            refine = "newton-horner" if method == "pipeline" else method
+            chain, report, iter_traces = full_factorize(
+                p, PipelineConfig(refine_method=refine, qd=qd_cfg, iter=iter_cfg))
         traces += [(f"refine[{i}]", io.iter_trace_rows(t))
                    for i, t in enumerate(iter_traces)]
         io.save_factors(os.path.join(out, "factors.json"), chain)

@@ -100,10 +100,10 @@ class ConvergenceTrace:
         self.residuals.append(residual)
 
 
-def default_guess(p: MatrixPolynomial, jitter_seed: int = 0) -> np.ndarray:
+def default_guess(p: MatrixPolynomial) -> np.ndarray:
     """ε-perturbed scaled identity: (-trace(A_1)/(l·m)) I plus 1e-3 jitter;
     ``NoConvergence`` where it overflows, as that start diverges at once."""
-    rng = np.random.default_rng(jitter_seed)
+    rng = np.random.default_rng(0)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = -float(np.trace(p.coeffs[1])) / (p.l * p.m)
         jitter = 1e-3 * max(1.0, abs(scale)) * rng.standard_normal((p.m, p.m))

@@ -23,15 +23,20 @@ and takes the norms of a whole block of sweeps at once.
 
 LAPACK does not expose its pivots, so the singularity decision is made by a
 certificate on the inverse.  With PA = LU and partial pivoting every
-|l_ij| <= 1, so every pivot satisfies
-|u_kk| >= 1 / (||A^{-1}||_F sqrt(n(n+1)/2)) (Higham, *Accuracy and Stability
-of Numerical Algorithms*, 2nd ed., §9).  When
+|l_ij| <= 1, and U^{-1} = A^{-1} P^T L, so every pivot satisfies
+|1/u_kk| <= ||A^{-1}||_inf, the largest absolute row sum of the inverse, and
+so |u_kk| >= 1 / (||A^{-1}||_F sqrt(n(n+1)/2)) too (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., §9).  When
 
-    ||A||_F ||A^{-1}||_F sqrt(n(n+1)/2) PIVOT_RTOL < 1/2
+    ||A||_F ||A^{-1}||_F sqrt(n(n+1)/2) PIVOT_RTOL < 1/2    (Frobenius form)
+    or  ||A||_F ||A^{-1}||_inf PIVOT_RTOL < 1/2             (row-sum form)
 
 no pivot can fall below ``PIVOT_RTOL * ||A||_F``, with a factor 2 to spare for
-rounding, and the LAPACK inverse is used as is.  The norms in the certificate
-are computed for a whole stack at once.  A matrix that it cannot clear goes to
+rounding, and the LAPACK inverse is used as is.  The Frobenius form runs first,
+on norms computed for a whole stack at once; the row-sum form, never looser
+since ||A^{-1}||_inf <= sqrt(n) ||A^{-1}||_F, runs only on a matrix that the
+first cannot clear, so that the inverses Q.D. computes by the thousand pay for
+no extra pass.  A matrix that neither form clears goes to
 :func:`_lu_factor`, a Python partial-pivoted elimination kept only as the
 arbiter, one matrix at a time in stack order: it raises ``SingularMatrix`` with
 the index and magnitude of the first pivot under the threshold, and the
@@ -243,10 +248,13 @@ def gate_inverses(a, inv, norms, inv_norms) -> None:
     """The certificate, then the arbiter, on a stack and its LAPACK inverses.
 
     ``a`` and ``inv`` are (..., n, n) stacks, and ``norms`` and ``inv_norms``
-    arrays of their Frobenius norms, of the leading shape.  Only the matrices
-    the certificate cannot clear go to :func:`_lu_factor`, in C order, and the
-    first one rejected raises, with the error's ``block`` its flat index.  The
-    certificate takes Python floats, whose products overflow to inf quietly.
+    arrays of their Frobenius norms, of the leading shape.  The Frobenius form
+    of the certificate runs first, on those norms; a matrix it cannot clear
+    takes the row-sum form, on its inverse's largest absolute row sum.  Only
+    the matrices neither form clears go to :func:`_lu_factor`, in C order, and
+    the first one rejected raises, with the error's ``block`` its flat index.
+    The certificate takes Python floats, whose products overflow to inf
+    quietly.
     """
     n = a.shape[-1]
     scale = math.sqrt(n * (n + 1) / 2)
@@ -255,6 +263,10 @@ def gate_inverses(a, inv, norms, inv_norms) -> None:
         if norm * inv_norm * scale * PIVOT_RTOL < 0.5:
             continue
         at = np.unravel_index(i, norms.shape)
+        with np.errstate(over="ignore"):
+            inv_inf = float(np.abs(inv[at]).sum(-1).max())
+        if norm * inv_inf * PIVOT_RTOL < 0.5:
+            continue
         try:
             # as_matrix rejects a non-finite matrix
             _lu_factor(as_matrix(a[at]))

@@ -5,7 +5,9 @@ k = 1..l refines the k-th Q.D. block on the CURRENT deflated polynomial,
 appends the refined factor to the chain, and deflates.  The rightmost
 factor of each stage is an exact right solvent of that stage, so the final
 chain reconstructs the input to solver precision even when Q.D. alone had
-only a few correct digits.
+only a few correct digits.  Every refinement starts from a Q.D. block or
+from a solvent of the grouping search below, never from a guess: the CLI's
+local methods, too, are ``full_factorize`` with their refiner.
 Each factor is divided out once: the refiner's division of the iterate it
 accepts is the deflation.  The refiner's trace keeps it as the pair
 ``transforms.deflate_right`` returns, which the last, degree-1 stage gets
@@ -67,7 +69,6 @@ from .errors import (
 from .horner import (
     ConvergenceTrace,
     IterConfig,
-    default_guess,
     horner_iterate,
     newton_horner,
     two_stage,
@@ -90,10 +91,6 @@ from .polynomial import (
 from .qd import QDConfig, _blocks
 
 REFINE_METHODS = ("horner", "newton-horner", "two-stage")
-
-#: Jittered default guesses that ``refine_chain`` tries per factor when it
-#: is given no seeds, as the CLI's local methods are.
-MULTI_START = 5
 
 #: Most Newton iterations per factor from a handed-off Q-row, one Q.D. block.
 #: Kept hand-offs on the seeded test corpus take at most 30.
@@ -145,17 +142,12 @@ def refiner(method: str):
             "two-stage": two_stage}[method]
 
 
-def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
+def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds):
     """Refine the k-th factor from ``seeds[k]`` and divide it out; returns
     ``(chain, report, traces)``, with each factor's residual taken from its
-    one division.
-
-    Without seeds, as the CLI's local methods call it, each factor starts
-    from ``MULTI_START`` jittered default guesses in turn.  Those need a
-    monic p; Q.D. seeds come from ``qd_init``, which checked it.
+    one division.  A refiner's error is raised at once as the
+    ``PipelineStageError`` of its factor.
     """
-    if seeds is None:
-        p.require_monic()
     current = p
     found = []
     start = replace(cfg.iter)       # x0 below is a start the package built
@@ -163,15 +155,11 @@ def refine_chain(p: MatrixPolynomial, cfg: PipelineConfig, seeds=None):
         if current.l == 1:
             found.append(_last_stage(current))
         else:
-            for s in range(MULTI_START if seeds is None else 1):
-                try:
-                    start.x0 = default_guess(current, s) if seeds is None else seeds[k]
-                    found.append(refiner(cfg.refine_method)(current, start))
-                    break
-                except BlockPolyError as exc:
-                    last_error = exc
-            else:
-                raise PipelineStageError("refine", k, last_error)
+            start.x0 = seeds[k]
+            try:
+                found.append(refiner(cfg.refine_method)(current, start))
+            except BlockPolyError as exc:
+                raise PipelineStageError("refine", k, exc)
         current = found[-1][1].deflation[0]
     return _finish_chain(p, found)
 

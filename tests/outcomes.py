@@ -1,7 +1,8 @@
 """What ``full_factorize`` returns on the shared test inputs, as one table.
 
 From the repository root, ``python tests/outcomes.py`` runs ``full_factorize``
-(``newton-horner``, the default) on the paper's four fixtures, the 36
+with the refiner that ``--method`` names (``horner``, ``newton-horner``, the
+default, or ``two-stage``) on the paper's four fixtures, the 36
 ``grid`` chains of the benchmark (``random_chain(m, l,
 default_rng(1000 m + 10 l + s))``, m in {4, 8, 16}, l in {2, 3, 4}, s in
 0..3), and ``HARD_CASES`` with the 3,000 corpus draws.  For each group it
@@ -29,7 +30,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from blockpoly.errors import BlockPolyError, PipelineStageError
 from blockpoly.io import load_polynomial
-from blockpoly.pipeline import full_factorize, solvent_sets
+from blockpoly.pipeline import REFINE_METHODS, PipelineConfig, full_factorize, solvent_sets
 from blockpoly.polynomial import reconstruct
 
 from inputs import HARD_CASES, corpus, fixture_path, random_chain
@@ -47,11 +48,11 @@ def groups() -> dict:
     }
 
 
-def outcome(p):
+def outcome(p, cfg):
     """``(reconstruction error or None, failure cause or None, solvent-set
-    cause or None, text to hash)`` of one input."""
+    cause or None, text to hash)`` of one input under ``cfg``."""
     try:
-        chain, report, _ = full_factorize(p)
+        chain, report, _ = full_factorize(p, cfg)
     except BlockPolyError as exc:
         why = (f"{exc.stage}/{type(exc.cause).__name__}"
                if isinstance(exc, PipelineStageError) else type(exc).__name__)
@@ -71,12 +72,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--hashes", metavar="FILE",
                         help="write one line per input: its name and a hash of its output")
+    parser.add_argument("--method", choices=REFINE_METHODS, default="newton-horner",
+                        help="the refiner of full_factorize")
     args = parser.parse_args(argv)
+    cfg = PipelineConfig(refine_method=args.method)
     rows, failures, solvents, lines = [], {}, {}, []
     for group, inputs in groups().items():
         errors, failed, sets = [], collections.Counter(), collections.Counter()
         for name, p in inputs.items():
-            error, failure, solvent, text = outcome(p)
+            error, failure, solvent, text = outcome(p, cfg)
             lines.append(f"{name} {hashlib.sha256(text.encode()).hexdigest()[:16]}\n")
             if failure:
                 failed[failure] += 1

@@ -177,7 +177,7 @@ def test_diverging_iterate_ends_as_no_convergence():
     # until iterate 11 overflows, with no NumPy warning on the way.
     p = scalar_polynomial([1.0, -1.0, 3.0, 0.0, 3.0])
     with pytest.raises(NoConvergence, match="^diverged: iterate 11,") as exc:
-        horner_iterate(p, IterConfig(x0=default_guess(p, 0)))
+        horner_iterate(p, IterConfig(x0=default_guess(p)))
     assert len(exc.value.trace.iterates) == 11
     assert np.isfinite(exc.value.trace.residuals).all()
 

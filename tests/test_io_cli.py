@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from blockpoly import io
+from blockpoly import io, pipeline
 from blockpoly.cli import main
+from blockpoly.pipeline import REFINE_METHODS
 from blockpoly.polynomial import (
     MatrixPolynomial,
     SolventSet,
@@ -422,13 +423,42 @@ def test_cli_factorize_other_methods(runner, tmp_path, method, stages):
     assert _trace_stages(out) == stages
 
 
+@pytest.mark.parametrize("method", REFINE_METHODS)
+def test_cli_factorize_local_methods_factorize_the_fixtures(runner, tmp_path, method):
+    # every local method refines Q.D.'s seeds, or the grouping search's
+    for i in range(1, 5):
+        out = str(tmp_path / f"out{i}")
+        result = runner.invoke(main, ["factorize", fixture_path(f"example{i}.json"),
+                                      f"--method={method}", f"--out={out}"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(_read(os.path.join(out, "report.json")))
+        assert report["reconstruction_error"] <= 1e-8
+
+
 def test_cli_factorize_failed_local_method_saves_its_trace(runner, tmp_path):
+    # λ³ - 3λ² - 3λ - 1 has one real root, so it has no real chain: from Q.D.
+    # seeds a local method fails as the pipeline does, with the stalled Q.D. trace
+    path = str(tmp_path / "p.json")
+    io.save_polynomial(path, scalar_polynomial([1.0, -3.0, -3.0, -1.0]))
     out = str(tmp_path / "out")
-    result = runner.invoke(
-        main, ["factorize", fixture_path("example1.json"), "--method=horner", f"--out={out}"])
+    result = runner.invoke(main, ["factorize", path, "--method=horner", f"--out={out}"])
     assert result.exit_code == 2
     assert ("numerical failure: pipeline failed in stage 'refine' at factor 0: "
-            "no convergence") in result.output
+            "Q.D. stalled: ") in result.output
+    assert _trace_stages(out) == {"qd"}
+
+
+def test_cli_factorize_refine_error_saves_the_failed_trace(runner, tmp_path, monkeypatch):
+    # 20 Horner steps do not refine example1's Q-row at e_tol 1e-3, and a
+    # search with no groups to try finds no chain: the refine error is raised
+    # as it is, and its trace is the one saved
+    monkeypatch.setattr(pipeline, "GROUP_BUDGET", 0)
+    out = str(tmp_path / "out")
+    result = runner.invoke(main, ["factorize", fixture_path("example1.json"), "--method=horner",
+                                  "--tol=1e-3", "--max-iter=20", f"--out={out}"])
+    assert result.exit_code == 2
+    assert ("numerical failure: pipeline failed in stage 'refine' at factor 0: "
+            "no convergence in 20 iterations") in result.output
     assert _trace_stages(out) == {"failed"}
 
 
@@ -479,16 +509,6 @@ def test_cli_factorize_leading_coefficient_off_identity_exit_1(runner, tmp_path)
     path = str(tmp_path / "p.json")
     io.save_polynomial(path, scalar_polynomial([1.0 + 5e-6, -3.0, 2.0]))
     _assert_input_error(runner.invoke(main, ["factorize", path, f"--out={tmp_path / 'out'}"]))
-
-def test_cli_factorize_horner_retries_jittered_guesses(runner, tmp_path):
-    # the first default guess fails on example 4; a jittered one converges
-    out = str(tmp_path / "out")
-    result = runner.invoke(
-        main, ["factorize", fixture_path("example4.json"), "--method=horner", f"--out={out}"])
-    assert result.exit_code == 0, result.output
-    report = json.loads(_read(os.path.join(out, "report.json")))
-    assert report["reconstruction_error"] <= 1e-8
-
 
 def test_cli_factorize_report_keeps_pipeline_warnings(runner, tmp_path):
     path = str(tmp_path / "p.json")

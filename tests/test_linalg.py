@@ -129,16 +129,26 @@ _NORMS = st.one_of(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data(), n=st.integers(1, 4))
 def test_gate_arbitrates_exactly_what_the_float_certificate_fails(data, n):
-    # The gate sends to the arbiter, in C order, exactly the pairs that fail the
-    # certificate ||A|| ||A^-1|| sqrt(n(n+1)/2) PIVOT_RTOL < 1/2 on Python
-    # floats, warns about no overflow or NaN, and raises at the first rejection.
+    # The gate sends to the arbiter, in C order, exactly the pairs that fail
+    # both forms of the certificate on Python floats, the Frobenius form
+    # ||A|| ||A^-1|| sqrt(n(n+1)/2) PIVOT_RTOL < 1/2 and the row-sum form
+    # ||A|| ||A^-1||_inf PIVOT_RTOL < 1/2, warns about no overflow or NaN, and
+    # raises at the first rejection.
     shape = data.draw(st.sampled_from([(1,), (1, 1)])
                       | hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
     norms = data.draw(hnp.arrays(float, shape, elements=_NORMS))
     inv_norms = data.draw(hnp.arrays(float, shape, elements=_NORMS))
+    # each inverse is one finite entry repeated, so its row sums are n times it
+    fills = data.draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1e308)))
+    inv = fills[..., None, None] * np.ones((n, n))
+    with np.errstate(over="ignore"):
+        row_sums = np.abs(inv).sum(-1).max(-1)
     scale = math.sqrt(n * (n + 1) / 2)
-    want = [i for i, (x, y) in enumerate(zip(norms.ravel().tolist(), inv_norms.ravel().tolist()))
-            if not x * y * scale * linalg.PIVOT_RTOL < 0.5]
+    want = [i for i, (x, y, r) in enumerate(zip(norms.ravel().tolist(),
+                                                inv_norms.ravel().tolist(),
+                                                row_sums.ravel().tolist()))
+            if not x * y * scale * linalg.PIVOT_RTOL < 0.5
+            and not x * r * linalg.PIVOT_RTOL < 0.5]
     # each matrix holds its own flat index, so the arbiter can tell them apart
     a = np.broadcast_to(np.arange(norms.size, dtype=float).reshape(shape + (1, 1)),
                         shape + (n, n))
@@ -154,13 +164,33 @@ def test_gate_arbitrates_exactly_what_the_float_certificate_fails(data, n):
         patch.setattr(linalg, "_lu_factor", arbiter)
         warnings.simplefilter("error")
         if reject is None:
-            linalg.gate_inverses(a, np.ones_like(a), norms, inv_norms)
+            linalg.gate_inverses(a, inv, norms, inv_norms)
         else:
             with pytest.raises(SingularMatrix) as exc:
-                linalg.gate_inverses(a, np.ones_like(a), norms, inv_norms)
+                linalg.gate_inverses(a, inv, norms, inv_norms)
             assert exc.value.block == reject and type(exc.value.block) is int
             want = want[:want.index(reject) + 1]
     assert seen == want
+
+
+def test_row_sum_form_clears_what_the_frobenius_form_fails(monkeypatch):
+    # A last pivot of 2e-11 at order 16: ||A^-1||_F is 5.1e10 and
+    # ||A^-1||_inf 5.0e10, so the Frobenius form reads 2.4 and the row-sum
+    # form 0.2, and the arbiter is not asked.
+    n = 16
+    a = np.eye(n) + np.triu(np.full((n, n), 0.1), 1)
+    a[-1, -1] = 2e-11
+    inv = np.linalg.inv(a)
+    norm = linalg.frob_norm(a)
+    assert norm * linalg.frob_norm(inv) * math.sqrt(n * (n + 1) / 2) * linalg.PIVOT_RTOL >= 0.5
+    assert norm * np.abs(inv).sum(-1).max() * linalg.PIVOT_RTOL < 0.5
+
+    def refuse(m):
+        raise AssertionError("the arbiter ran on a matrix the row-sum form clears")
+
+    monkeypatch.setattr(linalg, "_lu_factor", refuse)
+    assert np.array_equal(linalg.invert(a), inv)
+    assert np.array_equal(linalg.invert(np.stack([np.eye(n), a])), np.stack([np.eye(n), inv]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])

@@ -326,12 +326,21 @@ def test_newton_polish_takes_no_dense_solve(monkeypatch, m, l, seed):
     # declined about half of these runs; below order 10 the spectral route did
     # not run.  m8/l2/s1 has a near-double eigenvalue, which the starts split
     # into a complex pair.  One m = 16 start meets a system with
-    # σ_min(M_c) = 6.7e-5 that the dense certificate itself fails (1.6 against
-    # 1/2); only such systems may still be assembled.
+    # σ_min(M_c) = 6.7e-5 that the dense certificate's Frobenius form fails
+    # (1.6 against 1/2); only such systems may still be assembled.  Its
+    # row-sum form clears that one, so the arbiter never runs.
     chain = random_chain(m, l, np.random.default_rng(seed))
     p, x = reconstruct(chain), chain.factors[0]
     assemble = linalg.sylvester_matrix
     uncertified = []
+    arbiter = linalg._lu_factor
+    arbitrated = []
+
+    def counted(a):
+        arbitrated.append(len(a))
+        return arbiter(a)
+
+    monkeypatch.setattr(linalg, "_lu_factor", counted)
 
     def certified_refused(coeffs, x):
         s = assemble(coeffs, x)
@@ -350,6 +359,7 @@ def test_newton_polish_takes_no_dense_solve(monkeypatch, m, l, seed):
         got, _ = newton_horner(p, IterConfig(x0=x0))
         assert linalg.frob_norm(got - x) <= 1e-10 * linalg.frob_norm(x)
     assert len(uncertified) <= 1
+    assert arbitrated == []
 
 
 def test_exact_singular_order_16_falls_back():
