@@ -54,9 +54,12 @@ def _require(check, *args):
 
 
 def _start(out, command, input_file, overrides):
-    """Create ``out`` and write its manifest, once every input is checked."""
-    os.makedirs(out, exist_ok=True)
-    io.save_manifest(out, command, input_file, overrides)
+    """Create ``out`` and write its manifest, once every input is checked;
+    exits as an input error on a malformed SOURCE_DATE_EPOCH."""
+    try:
+        io.save_manifest(out, command, input_file, overrides)
+    except ValueError as exc:
+        _fail_input(str(exc))
 
 
 def _finite_numbers(option, text, parse, tokens):
@@ -239,10 +242,10 @@ def decouple(input_file, modes, eval_points, out):
     _start(out, "decouple", input_file, {"modes": modes, "eval": eval_points})
     result = design_decoupling(sys_mfd, mode_blocks)
     payload = {
-        "F": result.F.tolist(),
-        "desired_chain": result.desired_chain.factors.tolist(),
-        "Dd_coefficients_descending": result.Dd.coeffs.tolist(),
-        "Kc_blocks_ascending": result.Kc_blocks.tolist(),
+        "F": result.F,
+        "desired_chain": result.desired_chain.factors,
+        "Dd_coefficients_descending": result.Dd.coeffs,
+        "Kc_blocks_ascending": result.Kc_blocks,
         "zero_residuals": result.zero_residuals,
         "warnings": result.warnings,
     }
@@ -252,11 +255,11 @@ def decouple(input_file, modes, eval_points, out):
             h, target = closed_loop_eval(sys_mfd, result, lam)
             table.append({
                 "lambda": tok,
-                "closed_loop_real": np.real(h).tolist(),
-                "closed_loop_imag": np.imag(h).tolist(),
-                "target_real": np.real(target).tolist(),
-                "target_imag": np.imag(target).tolist(),
-                "max_error": float(np.max(np.abs(h - target))),
+                "closed_loop_real": np.real(h),
+                "closed_loop_imag": np.imag(h),
+                "target_real": np.real(target),
+                "target_imag": np.imag(target),
+                "max_error": np.max(np.abs(h - target)),
             })
         payload["closed_loop_table"] = table
     io.write_json(os.path.join(out, "decoupling.json"), payload)

@@ -37,8 +37,6 @@ slow progress.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,15 +64,7 @@ class IterConfig:
     max_iterations: int = 500
 
     def __post_init__(self):
-        tol = self.eta
-        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-                or not 0 < tol < math.inf):
-            raise ValueError("eta must be a finite positive number")
-        n = self.max_iterations
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"max_iterations must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError("max_iterations must be >= 1")
+        linalg._check_budget(self.max_iterations, "eta", self.eta)
         if self.x0 is not None:
             self.x0 = linalg.as_matrix(self.x0)
 

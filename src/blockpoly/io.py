@@ -1,7 +1,8 @@
 """File formats: polynomial/MFD JSON input, factor/solvent/report output.
 
-All numeric output is rendered with 17 significant digits through a single
-formatter so identical runs produce byte-identical files.
+Every number is written in Python's shortest round-trip form (``repr``),
+which reads back bit for bit, and a non-finite float as the string "inf",
+"-inf" or "nan"; identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 import time
 
@@ -26,41 +28,26 @@ class FileFormatError(ValueError):
     """Raised for malformed input files; mapped to CLI exit code 1."""
 
 
-def _fmt_number(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
-        return json.dumps(str(x))
-    return format(x, ".17g")
-
-
-def dumps_canonical(obj, indent=0) -> str:
-    """JSON text with floats fixed at 17 significant digits, sorted keys."""
-    pad = "  " * indent
-    pad2 = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, float, np.integer, np.floating)):
-        return _fmt_number(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return dumps_canonical(obj.tolist(), indent)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(pad2 + dumps_canonical(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+def _plain(obj):
+    """``obj`` with NumPy arrays and scalars as Python values and each
+    non-finite float as the string "inf", "-inf" or "nan"."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(pad2 + json.dumps(str(key)) + ": "
-                            + dumps_canonical(obj[key], indent + 1) for key in sorted(obj))
-        return "{\n" + inner + "\n" + pad + "}"
+        return {str(key): _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
     raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def dumps_canonical(obj) -> str:
+    """JSON text with sorted keys, one element per line, floats in their
+    shortest round-trip form and non-finite floats as strings."""
+    return json.dumps(_plain(obj), indent=2, sort_keys=True)
 
 
 def write_json(path, obj):
@@ -191,16 +178,13 @@ def save_trace_csv(path, traces):
     """trace.csv with standardized columns across all methods.
 
     ``traces`` is a list of (label, ConvergenceTrace-like) pairs; Q.D. traces
-    are adapted by the caller into the same column layout.
+    are adapted by the caller into the same column layout.  ``csv`` writes
+    a float as ``str``, which is its shortest round-trip ``repr``.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stage", "iteration", "delta_pct", "residual", "aux"])
-        for label, rows in traces:
-            for row in rows:
-                writer.writerow([label] + [
-                    format(v, ".17g") if isinstance(v, float) else v for v in row
-                ])
+        writer.writerows([label, *row] for label, rows in traces for row in rows)
 
 
 def iter_trace_rows(trace):
@@ -220,13 +204,22 @@ def qd_trace_rows(trace):
     for sweep, rel, blocks in zip(trace.sweeps, trace.max_relative_e,
                                   trace.e_block_norms):
         rows.append([sweep, float("nan"), float(rel),
-                     ";".join(format(b, ".17g") for b in blocks)])
+                     ";".join(repr(float(b)) for b in blocks)])
     return rows
 
 
 def save_manifest(out_dir, command, input_path, overrides):
+    """Create ``out_dir`` and write its manifest.json, stamped with the time
+    SOURCE_DATE_EPOCH gives, if set, else now.  A SOURCE_DATE_EPOCH that is
+    not an integer count of seconds the platform can date raises ValueError
+    before ``out_dir`` is created."""
     ts = os.environ.get("SOURCE_DATE_EPOCH")
-    timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(int(ts) if ts else None))
+    try:
+        timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(int(ts) if ts else None))
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ValueError(f"SOURCE_DATE_EPOCH must be an integer count of seconds "
+                         f"that the platform can date, got {ts!r}") from exc
+    os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "manifest.json"), {
         "command": command,
         "input": str(input_path),

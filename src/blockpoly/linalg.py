@@ -119,6 +119,7 @@ term and no ``np.kron``.  There are two routes.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -162,6 +163,18 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise DimensionMismatch("matrix contains non-finite entries")
     return m
+
+
+def _check_budget(max_iterations, tol_name, tol) -> None:
+    """Raise ValueError unless ``max_iterations`` is an integer >= 1 and
+    ``tol`` a finite positive real, neither of them a bool: the checks of a
+    solver config's iteration budget and tolerance."""
+    if isinstance(max_iterations, bool) or not isinstance(max_iterations, (int, np.integer)):
+        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise ValueError(f"{tol_name} must be a finite positive number")
 
 
 def as_blocks(mats) -> np.ndarray:

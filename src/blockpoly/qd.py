@@ -82,7 +82,6 @@ of m×m blocks that it drops.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,15 +115,7 @@ class QDConfig:
     e_tol: float = 1e-10
 
     def __post_init__(self):
-        n = self.max_iterations
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"max_iterations must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError("max_iterations must be >= 1")
-        tol = self.e_tol
-        if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-                or not 0 < tol < math.inf):
-            raise ValueError("e_tol must be a finite positive number")
+        linalg._check_budget(self.max_iterations, "e_tol", self.e_tol)
 
 
 @dataclass

@@ -14,7 +14,10 @@ cause.
 ``python tests/outcomes.py --hashes FILE`` also writes one line per input:
 its name and a hash of the factor bytes and ``repr(report)`` (the report
 holds the solvent residuals where ``solvent_sets`` succeeded), or of the
-error.  ``diff`` of two such files lists the inputs whose output changed.
+error.  ``python tests/outcomes.py --compare A B`` reads two such files,
+prints each input whose hash differs between them (or that only one of them
+lists) with its two hashes, and exits 1 if there is any, else 0; it runs no
+factorization.
 Standard library and NumPy only; not collected by pytest.
 """
 
@@ -68,13 +71,34 @@ def outcome(p, cfg):
     return report.reconstruction_error, None, solvents, text
 
 
+def compare(a, b) -> int:
+    """Print the inputs whose hashes differ between the ``--hashes`` files
+    ``a`` and ``b``, an input that only one of them lists included; 1 if
+    there is any, else 0."""
+    tables = []
+    for path in (a, b):
+        with open(path, encoding="utf-8") as fh:
+            tables.append(dict(line.rstrip("\n").rsplit(" ", 1) for line in fh))
+    names = dict.fromkeys([*tables[0], *tables[1]])
+    differ = [name for name in names if tables[0].get(name) != tables[1].get(name)]
+    for name in differ:
+        print(f"{name} {tables[0].get(name, '-')} {tables[1].get(name, '-')}")
+    print(f"{len(differ)} of {len(names)} inputs differ")
+    return 1 if differ else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--hashes", metavar="FILE",
                         help="write one line per input: its name and a hash of its output")
     parser.add_argument("--method", choices=REFINE_METHODS, default="newton-horner",
                         help="the refiner of full_factorize")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="print the inputs whose hashes differ between two --hashes "
+                             "files and exit 1 if there is any; runs no factorization")
     args = parser.parse_args(argv)
+    if args.compare:
+        sys.exit(compare(*args.compare))
     cfg = PipelineConfig(refine_method=args.method)
     rows, failures, solvents, lines = [], {}, {}, []
     for group, inputs in groups().items():

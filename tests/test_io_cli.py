@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import re
 
@@ -38,7 +40,7 @@ def test_polynomial_roundtrip(tmp_path):
     io.save_polynomial(path, p)
     q = io.load_polynomial(path)
     for a, b in zip(p.coeffs, q.coeffs):
-        assert np.array_equal(a, b)  # 17 significant digits: exact
+        assert np.array_equal(a, b)  # shortest round-trip form: exact
 
 
 def test_malformed_ragged_rows(tmp_path):
@@ -58,11 +60,85 @@ def test_malformed_ragged_rows(tmp_path):
     assert "1" in str(exc.value)  # names the offending coefficient index
 
 
-def test_canonical_json_deterministic(tmp_path):
-    obj = {"b": [1.0 / 3.0, 2], "a": {"x": np.float64(1e-17)}, "flag": True}
-    s1 = io.dumps_canonical(obj)
-    s2 = io.dumps_canonical(json.loads(s1))
-    assert s1 == s2
+#: A document with NumPy scalars, integral, signed-zero and non-finite floats
+#: and empty containers, beside the artifacts the CLI writes.
+LITERAL = {"b": [1.0 / 3.0, 2, 0.0, -0.0, 1e16], "a": {"x": np.float64(1e-17)},
+           "flag": True, "numpy": [np.bool_(False), np.int64(-3), np.float32(0.1)],
+           "non-finite": [math.inf, -math.inf, math.nan], "empty": [[], {}], "none": None}
+
+
+@pytest.fixture(scope="module")
+def cli_artifacts(tmp_path_factory):
+    """Each file the CLI writes on example 4 and the gas turbine, by its
+    path under the output root, as ``(path, the object written to it)``;
+    ``literal.json`` holds ``LITERAL``."""
+    root = tmp_path_factory.mktemp("artifacts")
+    written = {}
+
+    def spy(writer):
+        def write(path, obj):
+            written[os.path.relpath(path, root)] = (path, obj)
+            writer(path, obj)
+        return write
+
+    example4 = fixture_path("example4.json")
+    commands = [
+        ["factorize", example4, "--solvents", f"--out={root / 'factorize'}"],
+        ["factorize", example4, "--method=qd", f"--out={root / 'qd'}"],
+        ["convert", example4, "--direction=chain-to-right",
+         f"--factors={root / 'factorize' / 'factors.json'}", f"--out={root / 'convert'}"],
+        ["decouple", fixture_path("gas_turbine.json"), "--modes=-1,-2", "--eval=0,1j",
+         f"--out={root / 'decouple'}"],
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "write_json", spy(io.write_json))
+        mp.setattr(io, "save_trace_csv", spy(io.save_trace_csv))
+        io.write_json(str(root / "literal.json"), LITERAL)
+        for command in commands:
+            result = CliRunner().invoke(main, command)
+            assert result.exit_code == 0, result.output
+    return written
+
+
+def _same(back, value):
+    """Whether ``back``, read from an artifact, is ``value`` bit for bit: a
+    NumPy value reads as its Python twin, a float stays a float and a
+    non-finite float reads as its string."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return back.keys() == value.keys() and all(_same(back[k], value[k]) for k in value)
+    if isinstance(value, (list, tuple)):
+        return type(back) is list and len(back) == len(value) and all(map(_same, back, value))
+    if isinstance(value, float) and not math.isfinite(value):
+        return back == str(value)
+    return type(back) is type(value) and repr(back) == repr(value)
+
+
+def _cell(text):
+    """A trace.csv cell as the number it spells, else as text."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+@pytest.mark.parametrize("name", [
+    "literal.json", "factorize/factors.json", "factorize/solvents_right.json",
+    "factorize/solvents_left.json", "factorize/report.json", "factorize/manifest.json",
+    "factorize/trace.csv", "qd/trace.csv", "convert/report.json",
+    "decouple/decoupling.json",
+])
+def test_canonical_json_deterministic(cli_artifacts, name):
+    path, obj = cli_artifacts[name]
+    text = _read(path)
+    if name.endswith(".csv"):
+        back = [[_cell(c) for c in row] for row in csv.reader(text.splitlines()[1:])]
+        obj = [[label, *row] for label, rows in obj for row in rows]
+    else:
+        back = json.loads(text)
+        assert io.dumps_canonical(back) + "\n" == text
+    assert back and _same(back, obj)
 
 
 def test_factors_solvents_roundtrip(tmp_path):
@@ -290,6 +366,16 @@ def _assert_exit_1(result, message):
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == 1
     assert f"error: {message}" in result.output
+
+
+@pytest.mark.parametrize("epoch", ["abc", "99999999999999999999"])
+def test_cli_malformed_source_date_epoch_exit_1(runner, tmp_path, monkeypatch, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["factorize", fixture_path("example1.json"), f"--out={out}"])
+    _assert_exit_1(result, "SOURCE_DATE_EPOCH must be an integer count of seconds "
+                           f"that the platform can date, got '{epoch}'")
+    assert not out.exists()
 
 
 def _assert_input_error(result):

@@ -36,6 +36,7 @@ from blockpoly.qd import QDConfig, qd_run
 
 from conftest import singular_a1, spectrum_pair_error
 from inputs import HARD_CASES, corpus, random_chain, scalar_polynomial
+from outcomes import compare
 
 
 def test_scalar_cubic():
@@ -859,3 +860,14 @@ def test_factorization_checks_each_input_once(monkeypatch, example2, example4, g
         calls.clear()
         run()
         assert calls == want
+
+
+def test_outcomes_compare_lists_the_inputs_whose_hashes_differ(tmp_path, capsys):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("example1 aaaa\nm4/l2/s0 bbbb\ndraw7 cccc\n")
+    b.write_text("example1 aaaa\nm4/l2/s0 dddd\ndraw8 eeee\n")
+    assert compare(a, a) == 0
+    assert compare(a, b) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 3 inputs differ", "m4/l2/s0 bbbb dddd", "draw7 cccc -", "draw8 - eeee",
+        "3 of 4 inputs differ"]
