@@ -2,7 +2,8 @@
 
 Each command loads its files, checks them, creates ``--out`` with its
 manifest, then runs.  Exit codes: 0 success, 1 usage/input errors, 2
-numerical failures; the group maps a usage error or a ``BlockPolyError``.
+numerical failures; the group maps a usage error, a malformed file
+(``io.FileFormatError``) or a ``BlockPolyError``.
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ def _fail_input(msg):
 def _fail_numerical(msg):
     click.echo(f"numerical failure: {msg}", err=True)
     sys.exit(EXIT_NUMERICAL)
-
-
-def _load(loader, path):
-    """``loader(path)``; exits as an input error on a malformed file."""
-    try:
-        return loader(path)
-    except io.FileFormatError as exc:
-        _fail_input(str(exc))
 
 
 def _require(check, *args):
@@ -87,13 +80,15 @@ CONVERSIONS = {
 
 @contextlib.contextmanager
 def _exit_codes():
-    """Exit 1 on a usage error of click's, keeping its message, and 2 on a
-    ``BlockPolyError``."""
+    """Exit 1 on a usage error of click's, keeping its message, or on a
+    malformed file, and 2 on a ``BlockPolyError``."""
     try:
         yield
     except click.UsageError as exc:
         exc.exit_code = EXIT_INPUT
         raise
+    except io.FileFormatError as exc:
+        _fail_input(str(exc))
     except BlockPolyError as exc:
         _fail_numerical(str(exc))
 
@@ -126,7 +121,7 @@ def main():
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 def factorize(input_file, method, max_iter, tol, solvents, out):
     """Factorize a monic matrix polynomial into spectral factors."""
-    p = _load(io.load_polynomial, input_file)
+    p = io.load_polynomial(input_file)
     _require(p.require_monic)
     qd_args, iter_args = {}, {}
     if max_iter is not None:
@@ -183,9 +178,9 @@ def factorize(input_file, method, max_iter, tol, solvents, out):
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 def convert(input_file, direction, factors_file, solvents_file, out):
     """Convert between factor chains and solvent sets of a polynomial."""
-    p = _load(io.load_polynomial, input_file)
-    chain = _load(io.load_factors, factors_file) if factors_file else None
-    solv = _load(io.load_solvents, solvents_file) if solvents_file else None
+    p = io.load_polynomial(input_file)
+    chain = io.load_factors(factors_file) if factors_file else None
+    solv = io.load_solvents(solvents_file) if solvents_file else None
     _require(p.require_monic)
     from_chain = direction.startswith("chain")
     if from_chain and chain is None:
@@ -225,7 +220,7 @@ def convert(input_file, direction, factors_file, solvents_file, out):
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 def decouple(input_file, modes, eval_points, out):
     """Design block-decoupling state feedback for an MFD system."""
-    sys_mfd = _load(io.load_mfd, input_file)
+    sys_mfd = io.load_mfd(input_file)
     entries = _finite_numbers("--modes", modes, float,
                               [v for v in modes.split(",") if v.strip() != ""])
     m = sys_mfd.m
@@ -277,8 +272,8 @@ def verify_cmd(input_file, against, tol, out):
     """Verify a factor chain against a polynomial file."""
     if not 0 < tol < np.inf:
         _fail_input(f"--tol must be a finite number > 0, got {tol}")
-    p = _load(io.load_polynomial, input_file)
-    chain = _load(io.load_factors, against)
+    p = io.load_polynomial(input_file)
+    chain = io.load_factors(against)
     _require(p.require_monic)
     _require(check_chain, p, chain)
     report = verify(p, chain=chain)

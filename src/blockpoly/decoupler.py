@@ -34,7 +34,7 @@ from .errors import (
     SingularLeadingCoefficient,
     SingularMatrix,
 )
-from .pipeline import full_factorize
+from .pipeline import factorize_nonmonic
 from .polynomial import (MatrixPolynomial, SpectralFactorChain, _built, companion_right,
                          reconstruct)
 
@@ -125,14 +125,11 @@ def design_decoupling(sys: MFDSystem, modes: list) -> DecouplingResult:
 
     zero_chain, zero_residuals = None, []
     if k > 0:
-        # the monic part inv(N_k) N(λ), from the one inverse of N_k
-        monic = n_lead_inv @ sys.numerator_polynomial().coeffs
-        monic[0] = np.eye(sys.m)
         try:
-            zero_chain, zero_report, _ = full_factorize(MatrixPolynomial(monic))
+            zero_chain, report, _ = factorize_nonmonic(sys.numerator_polynomial(), n_lead_inv)
         except BlockPolyError as exc:
             raise NumeratorFactorizationFailed(str(exc)) from exc
-        zero_residuals = list(zero_report.per_factor_residuals)
+        zero_residuals = list(report.per_factor_residuals)
 
     # Desired chain, rightmost-first: the numerator zeros keep their positions
     # (so they cancel), the conjugated mode blocks fill the leftmost slots.

@@ -114,6 +114,7 @@ def _run_iteration(p, cfg, step):
     relative residual go on the trace."""
     if p.l < 1:
         raise DimensionMismatch("refinement needs degree >= 1")
+    cfg = cfg or IterConfig()
     if cfg.x0 is None:
         p.require_monic()       # the default guess is a monic p's mean latent root
     x = default_guess(p) if cfg.x0 is None else cfg.x0
@@ -157,8 +158,6 @@ def _run_iteration(p, cfg, step):
 
 def horner_iterate(p: MatrixPolynomial, cfg: IterConfig | None = None):
     """Plain Block Horner fixed-point iteration X' = -inv(B_{l-1}(X)) A_l."""
-    cfg = cfg or IterConfig()
-
     def step(x, quotient, remainder):
         return -linalg.solve(quotient.coeffs[-1], p.coeffs[p.l])
 
@@ -183,8 +182,6 @@ def newton_horner(p: MatrixPolynomial, cfg: IterConfig | None = None):
     right division whose remainder is A_R(X).  Quadratic residual decay near
     a solvent with nonsingular L; a singular L raises ``SingularSylvester``.
     """
-    cfg = cfg or IterConfig()
-
     def step(x, quotient, remainder):
         return x - linalg.solve_sylvester(quotient.coeffs, x, remainder)
 
@@ -198,8 +195,6 @@ def two_stage(p: MatrixPolynomial, cfg: IterConfig | None = None):
     second division's remainder is C_{l-1} = q_R(X).  Reduces to scalar
     Newton at m = 1.
     """
-    cfg = cfg or IterConfig()
-
     def step(x, quotient, remainder):
         return x - remainder @ linalg.invert(_horner(quotient.coeffs, x)[-1])
 

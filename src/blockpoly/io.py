@@ -177,9 +177,10 @@ def save_report(path, report):
 def save_trace_csv(path, traces):
     """trace.csv with standardized columns across all methods.
 
-    ``traces`` is a list of (label, ConvergenceTrace-like) pairs; Q.D. traces
-    are adapted by the caller into the same column layout.  ``csv`` writes
-    a float as ``str``, which is its shortest round-trip ``repr``.
+    ``traces`` is a list of (label, rows) pairs, the rows from
+    :func:`iter_trace_rows` or :func:`qd_trace_rows`, which put both kinds of
+    trace in the same column layout.  ``csv`` writes a float as ``str``,
+    which is its shortest round-trip ``repr``.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

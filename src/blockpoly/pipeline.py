@@ -347,14 +347,11 @@ def verify(p: MatrixPolynomial, chain: SpectralFactorChain | None = None,
     return report
 
 
-def factorize_nonmonic(n_poly: MatrixPolynomial):
-    """Factorize a possibly non-monic polynomial N(λ) = N_k Π (λI - Z_i).
-
-    Normalizes by the leading coefficient (inv(N_k) N(λ)), factorizes the
-    monic part, and returns ``(leading, chain, report, traces)``.
+def factorize_nonmonic(n_poly: MatrixPolynomial, lead_inv):
+    """Factorize the monic part inv(N_k) N(λ) of N(λ) = N_k Π (λI - Z_i),
+    given ``lead_inv`` = inv(N_k); returns ``full_factorize``'s
+    ``(chain, report, traces)``.
     """
-    lead = n_poly.coeffs[0]
-    monic = linalg.invert(lead) @ n_poly.coeffs
+    monic = lead_inv @ n_poly.coeffs
     monic[0] = np.eye(n_poly.m)
-    chain, report, traces = full_factorize(MatrixPolynomial(monic))
-    return lead, chain, report, traces
+    return full_factorize(MatrixPolynomial(monic))

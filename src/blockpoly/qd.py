@@ -209,9 +209,11 @@ def _blocks(p: MatrixPolynomial, cfg: QDConfig):
     from, ``ready`` as the module docstring says, and once more with the
     final Q-row when the run converges, ``ready`` false; a run that stalls
     or exhausts its budget raises ``NoConvergence`` instead, with no final
-    Q-row.  The trace is the run's own and grows as it goes on; at a yield
-    at sweep n the Q-row and trace are those of a run stopped at sweep n.
-    Raises what :func:`qd_run` raises.
+    Q-row.  Each block is gated and traced, then decides how the run goes
+    on: a converged block yields and returns, else a stall raises, else an
+    exhausted budget raises.  The trace is the run's own and grows as it
+    goes on; at a yield at sweep n the Q-row and trace are those of a run
+    stopped at sweep n.  Raises what :func:`qd_run` raises.
     """
     q, e = qd_init(p)
     trace = QDTrace()
@@ -219,11 +221,10 @@ def _blocks(p: MatrixPolynomial, cfg: QDConfig):
         yield q, trace, False
         return
 
-    done = 0
     best, since_best = float("inf"), 0
     size = _BLOCK
-    stalled = False
     while True:
+        done = len(trace.sweeps)
         qs, es, invs, (q_norms, inv_norms, e_norms) = _sweeps(
             q, e, min(size, cfg.max_iterations - done))
         # max over interior blocks of ||E_i||_F / max(1, ||Q_{i-1}||_F)
@@ -231,38 +232,32 @@ def _blocks(p: MatrixPolynomial, cfg: QDConfig):
             rels = np.fmax.reduce(e_norms / np.fmax(q_norms, 1.0),
                                   axis=1, initial=0.0).tolist()
         # the stop and stall tests in sweep order find the last sweep used
-        converged = False
         for last, rel in enumerate(rels):
             if rel <= cfg.e_tol:
-                converged = True
                 break
             if rel < best * (1 - 1e-12):
-                best = rel
-                since_best = 0
+                best, since_best = rel, 0
             else:
                 since_best += 1
                 if since_best >= STALL_WINDOW:
-                    stalled = True
                     break
         used = last + 1
         _gate(qs[:used], invs[:used], q_norms[:used], inv_norms[:used], done)
         trace.sweeps.extend(range(done + 1, done + used + 1))
         trace.e_block_norms.extend(e_norms[:used].tolist())
         trace.max_relative_e.extend(rels[:used])
-        done += used
-        if converged or stalled or done == cfg.max_iterations:
-            break
+        if rels[last] <= cfg.e_tol:
+            yield qs[last], trace, False
+            return
+        if since_best >= STALL_WINDOW:
+            raise NoConvergence(f"Q.D. stalled: max relative E-norm {rels[last]:.3e} did not "
+                                f"improve over {STALL_WINDOW} sweeps", trace=trace)
+        if len(trace.sweeps) == cfg.max_iterations:
+            raise NoConvergence(f"Q.D. budget of {cfg.max_iterations} sweeps exhausted "
+                                f"(max relative E-norm {rels[last]:.3e})", trace=trace)
         q, e = qs[-1], es[-1]
         size = _block_size(trace.max_relative_e[-_BLOCK:], cfg.e_tol)
         yield q, trace, since_best == 0 and size == _BLOCK
-
-    if stalled:
-        raise NoConvergence(f"Q.D. stalled: max relative E-norm {rels[last]:.3e} did not "
-                            f"improve over {STALL_WINDOW} sweeps", trace=trace)
-    if not converged:
-        raise NoConvergence(f"Q.D. budget of {cfg.max_iterations} sweeps exhausted "
-                            f"(max relative E-norm {rels[last]:.3e})", trace=trace)
-    yield qs[last], trace, False
 
 
 def qd_run(p: MatrixPolynomial, cfg: QDConfig | None = None):

@@ -147,7 +147,7 @@ def test_numerator_factorization_failure_is_named(gas_turbine, monkeypatch):
     def fail(*args):
         raise NoConvergence("no convergence in 0 iterations")
 
-    monkeypatch.setattr(decoupler, "full_factorize", fail)
+    monkeypatch.setattr(decoupler, "factorize_nonmonic", fail)
     with pytest.raises(NumeratorFactorizationFailed, match="no convergence in 0"):
         design_decoupling(gas_turbine, [np.diag([-1.0, -2.0])])
 
