@@ -91,7 +91,8 @@ class RankDeficientTransformer(BlockPolyError):
 
 
 class DeflationResidualLarge(BlockPolyError):
-    """A chain→solvent step's left division left a remainder above the gate."""
+    """A chain→solvent step's division left a remainder above the gate,
+    relative to the stage it divides."""
 
     def __init__(self, index, residual):
         self.index = index

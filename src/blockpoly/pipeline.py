@@ -80,7 +80,8 @@ from .polynomial import (
     SolventSet,
     SpectralFactorChain,
     _companion,
-    _horner,
+    _residual,
+    _transpose,
     check_chain,
     check_order,
     is_complete_set,
@@ -318,12 +319,11 @@ def _chain_report(p: MatrixPolynomial, chain: SpectralFactorChain,
     recon = reconstruct(chain)
     num = float(linalg.frob_norms(recon.coeffs - p.coeffs).max())
     scale = linalg._max_norm(p.coeffs)
-    left = _horner(p.coeffs.transpose(0, 2, 1), chain.factors[-1].T)[-1]    # A_L(Q_l)ᵀ
     return VerificationReport(
         per_factor_residuals=residuals,
         reconstruction_error=num / max(scale, 1.0),
         rightmost_residual=residuals[0],
-        leftmost_residual=linalg.frob_norm(left) / p.coefficient_scale(),
+        leftmost_residual=_residual(_transpose(p), chain.factors[-1].T),    # A_L(Q_l)
     )
 
 

@@ -19,10 +19,10 @@ Coefficients, chains and solvent sets are each stored as one read-only float
 whole-list operations (transposition, reversal, batched products) act on the
 stack at once.  The constructors check a caller's blocks with
 :func:`linalg.as_blocks`, and ``_square`` a caller's X.  The unchecked
-functions ``_horner`` (the one right-side Horner kernel),
-``synthetic_div_right``, ``synthetic_div_left``, ``_transpose`` and
-``reconstruct`` see only blocks the package built or checked; ``_built``
-wraps the stacks they build.
+functions ``_horner`` (the one right-side Horner kernel), ``_residual``
+(the one residual kernel), ``synthetic_div_right``, ``synthetic_div_left``,
+``_transpose`` and ``reconstruct`` see only blocks the package built or
+checked; ``_built`` wraps the stacks they build.
 
 Every left-side operation is its right twin applied to the transposed data.
 With pᵀ the polynomial whose coefficients are the transposed A_i,
@@ -196,7 +196,11 @@ def synthetic_div_right(p: MatrixPolynomial, x):
 
 def synthetic_div_left(p: MatrixPolynomial, x):
     """Divide A(λ) = (λI - X) S(λ) + A_L(X) on the left, for any A_0, as the
-    transpose of the right division of pᵀ by (λI - Xᵀ); S leads with A_0."""
+    transpose of the right division of pᵀ by (λI - Xᵀ); S leads with A_0.
+
+    No package code calls it: the solvent conversions make that right
+    division themselves, through ``transforms.deflate_right``.  It stays
+    while ``bench/tracer.py`` names it as a span."""
     quotient, remainder = synthetic_div_right(_transpose(p), np.transpose(x))
     return _transpose(quotient), remainder.T
 
@@ -308,11 +312,18 @@ def latent_roots(p: MatrixPolynomial) -> np.ndarray:
     return np.linalg.eigvals(companion_right(p))
 
 
+def _residual(p: MatrixPolynomial, x: np.ndarray) -> float:
+    """The relative residual ||A_R(X)||_F / max(1, ||A_l||_F), the one kernel
+    of every evaluation residual the package reports or gates."""
+    return linalg.frob_norm(_horner(p.coeffs, x)[-1]) / p.coefficient_scale()
+
+
 def residual_right(p: MatrixPolynomial, x) -> float:
     """Relative right-evaluation residual ||A_R(X)||_F / max(1, ||A_l||_F)."""
-    return linalg.frob_norm(eval_right(p, x)) / p.coefficient_scale()
+    return _residual(p, _square(p, x))
 
 
 def residual_left(p: MatrixPolynomial, x) -> float:
-    """Relative left-evaluation residual."""
-    return linalg.frob_norm(eval_left(p, x)) / p.coefficient_scale()
+    """Relative left-evaluation residual: pᵀ's right one at Xᵀ, so
+    ||A_L(X)||_F / max(1, ||A_l||_F)."""
+    return _residual(_transpose(p), _square(p, x).T)

@@ -3,8 +3,8 @@
 Chain storage is rightmost-first throughout (``factors[0]`` is the rightmost
 factor of the product).  :func:`chain_to_right_solvents` processes the chain
 from its LEFTMOST factor inward: factor Q is pulled out of the current
-polynomial by left synthetic division, and the remaining (deflated)
-coefficients A_{ji} give the polynomial Sylvester equation
+polynomial by left division, and the remaining (deflated) coefficients
+A_{ji} give the polynomial Sylvester equation
 
     Σ_j A_{ji} P Q^{d-j} = I
 
@@ -13,10 +13,18 @@ whose solution P is the similarity with R = P Q P^{-1}, solved by
 :func:`right_to_left_solvent` is this same step on the transposed data, and
 :func:`right_solvents_to_chain` shares its rank-checked conjugation.
 
+Every division is a right one, through :func:`deflate_right`: the left
+division of a stage by (λI - Q) is the transpose of the right division of
+its transpose by (λI - Qᵀ).  Each remainder is measured against the stage it
+divides, max(1, ||A_l||_F) of that stage, as the refiner and ``verify``
+measure it, and each solvent's residual against p.
+
 The left-side transforms are the right ones applied to the transposed data.
 Transposing A(λ) = (λI - Q_l) ... (λI - Q_1) gives
 Aᵀ(λ) = (λI - Q_1ᵀ) ... (λI - Q_lᵀ), whose right solvents are the transposed
-left solvents of A.  Output solvent sets are indexed so that R_i and L_i
+left solvents of A.  So the left conversion divides p itself on the right,
+rightmost factor first, and its remainders are ``verify``'s per-factor
+residuals.  Output solvent sets are indexed so that R_i and L_i
 share spectrum (index 1 carries the leftmost factor's spectrum, matching the
 worked-example ordering R_l = rightmost factor = right solvent).
 """
@@ -39,13 +47,12 @@ from .polynomial import (
     MatrixPolynomial,
     SolventSet,
     SpectralFactorChain,
-    _horner,
+    _residual,
     _square,
     _transpose,
     check_chain,
     check_order,
     spectral_overlap,
-    synthetic_div_left,
     synthetic_div_right,
 )
 
@@ -102,23 +109,31 @@ def _check_disjoint(chain: SpectralFactorChain):
 
 
 def _chain_solvents(p: MatrixPolynomial, factors: np.ndarray, side: str = "right") -> SolventSet:
-    """The ``side`` solvents of a checked chain's factors, right ones leftmost
-    factor first, and the residuals that gated them.  The left ones are pᵀ's
-    right ones, transposed back and reversed so that L_i pairs with R_i."""
+    """The ``side`` solvents of a checked chain's factors, and the residuals
+    that gated them.
+
+    The ``side`` solvents of p are the right solvents of ``target``: p for
+    the right side, pᵀ for the left.  Step k left-divides what remains of
+    ``target`` by (λI - Q) for its leftmost remaining factor Q, as the right
+    division of its transpose ``current`` by (λI - Qᵀ) in
+    :func:`deflate_right`; gates the remainder against that stage; and
+    conjugates Q by the similarity of the quotient.  So the right side
+    divides pᵀ, leftmost factor first, and the left side divides p,
+    rightmost factor first, as ``verify`` does.  The left solvents are
+    transposed back and reversed so that L_i pairs with R_i.
+    """
+    target, current, divisors = p, _transpose(p), factors[::-1].transpose(0, 2, 1)
     if side == "left":
-        p, factors = _transpose(p), factors[::-1].transpose(0, 2, 1)
-    current = p
+        target, current, divisors = current, p, factors
     solvents, residuals = [], []
-    scale = p.coefficient_scale()
-    for step, q in enumerate(factors[::-1]):
-        solvent = q
+    for step, q in enumerate(divisors):
+        solvent = q.T
         if current.l > 1:
-            current, remainder = synthetic_div_left(current, q)
-            rem = linalg.frob_norm(remainder) / scale
+            current, rem = deflate_right(current, q)
             if rem > SOLVENT_GATE:
                 raise DeflationResidualLarge(step, rem)
-            solvent = _similarity_step(current.coeffs, q, step)[1]
-        res = linalg.frob_norm(_horner(p.coeffs, solvent)[-1]) / scale
+            solvent = _similarity_step(current.coeffs.transpose(0, 2, 1), q.T, step)[1]
+        res = _residual(target, solvent)
         if res > SOLVENT_GATE:
             raise SolventResidualLarge(step, res)
         solvents.append(solvent)
@@ -132,10 +147,12 @@ def chain_to_right_solvents(p: MatrixPolynomial, chain: SpectralFactorChain) -> 
     """Recover the complete right solvent set from a factor chain.
 
     Processes the chain leftmost-first; each step left-divides the current
-    polynomial by (λI - Q), solves Σ_j A_j P Q^{d-j} = I for P, and emits
-    R = P Q P^{-1}.  Output index 1 carries the leftmost factor's spectrum;
-    the last output equals the rightmost factor (P = I there).  Each emitted
-    solvent must be a right solvent of p to the gate, or the step fails.
+    polynomial by (λI - Q), as the right division of its transpose, solves
+    Σ_j A_j P Q^{d-j} = I for P, and emits R = P Q P^{-1}.  Output index 1
+    carries the leftmost factor's spectrum; the last output equals the
+    rightmost factor (P = I there).  Each division's remainder must be under
+    the gate relative to the polynomial it divides, and each emitted solvent
+    a right solvent of p to the gate, or the step fails.
     """
     p.require_monic()
     check_chain(p, chain)

@@ -73,6 +73,8 @@ def main(functions):
     row("total", total)
     for qualified in functions:
         module, _, function = qualified.rpartition(".")
+        if module + ".py" not in sources:
+            raise SystemExit(f"no module {module!r}")
         source = sources[module + ".py"]
         row(qualified, split(source, function_lines(source, function)))
 

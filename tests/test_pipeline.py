@@ -36,6 +36,7 @@ from blockpoly.qd import QDConfig, qd_run
 
 from conftest import singular_a1, spectrum_pair_error
 from inputs import HARD_CASES, corpus, random_chain, scalar_polynomial
+from line_count import main as line_count
 from outcomes import compare
 
 
@@ -875,3 +876,13 @@ def test_outcomes_compare_lists_the_inputs_whose_hashes_differ(tmp_path, capsys)
     assert capsys.readouterr().out.splitlines() == [
         "0 of 3 inputs differ", "m4/l2/s0 bbbb dddd", "draw7 cccc -", "draw8 - eeee",
         "3 of 4 inputs differ"]
+
+
+def test_line_count_names_a_module_it_does_not_have(capsys):
+    line_count(["pipeline.full_factorize"])
+    assert capsys.readouterr().out.splitlines()[-1].startswith("pipeline.full_factorize ")
+    for qualified, module in (("nosuch.f", "nosuch"), ("--functions", "")):
+        with pytest.raises(SystemExit, match=f"^no module {module!r}$"):
+            line_count([qualified])
+    with pytest.raises(SystemExit, match="^no function 'nosuch'$"):
+        line_count(["pipeline.nosuch"])

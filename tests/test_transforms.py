@@ -12,7 +12,7 @@ from blockpoly.errors import (
     SolventResidualLarge,
     SpectrumOverlap,
 )
-from blockpoly.pipeline import full_factorize
+from blockpoly.pipeline import full_factorize, verify
 from blockpoly.polynomial import (
     MatrixPolynomial,
     SolventSet,
@@ -253,6 +253,25 @@ def test_chain_to_left_solvents_checks_the_chain_once(monkeypatch):
     assert calls == ["disjoint"]
 
 
+def test_left_conversion_remainders_are_verifys_factor_residuals(example1, example4,
+                                                                monkeypatch):
+    # The left conversion divides p on the right, rightmost factor first, as
+    # verify does, and measures each remainder against the stage it divides.
+    cases = [(p, full_factorize(p)[0]) for p in (example1, example4)]
+    for m in (4, 8, 16):
+        for l in (2, 3, 4):
+            chain = random_chain(m, l, np.random.default_rng(1000 * m + 10 * l))
+            cases.append((reconstruct(chain), chain))
+    expected = [verify(p, chain=chain).per_factor_residuals[:-1] for p, chain in cases]
+    remainders, divide = [], transforms.deflate_right
+    monkeypatch.setattr(transforms, "deflate_right",
+                        lambda *args: remainders.append(divide(*args)) or remainders[-1])
+    for (p, chain), want in zip(cases, expected):
+        remainders.clear()
+        chain_to_left_solvents(p, chain)
+        assert [rem for _, rem in remainders] == want
+
+
 def test_right_to_left_evaluates_nothing(monkeypatch):
     calls = []
     for name in ("eval_left", "eval_right"):
@@ -302,11 +321,18 @@ def test_chain_to_solvents_rejects_a_chain_of_the_wrong_length(example1, convert
 def test_chain_to_solvents_honour_a_gate_below_1e_6(example1, monkeypatch):
     # Every quantity below was accepted while the gate was floored at 1e-6.
     chain, _, _ = full_factorize(example1)
+    # Each remainder is measured against the stage it divides: step 1's
+    # reads 1.08e-10 so, and 2.76e-11 against p's scale.
     monkeypatch.setattr(transforms, "SOLVENT_GATE", 1e-10)
+    with pytest.raises(DeflationResidualLarge) as exc:
+        chain_to_right_solvents(example1, chain)
+    assert exc.value.index == 1
+    assert 1e-10 < exc.value.residual < 2e-10
+    monkeypatch.setattr(transforms, "SOLVENT_GATE", 2e-10)
     with pytest.raises(SolventResidualLarge) as exc:
         chain_to_right_solvents(example1, chain)
     assert exc.value.index == 1
-    assert 1e-10 < exc.value.residual < 1e-9
+    assert 2e-10 < exc.value.residual < 1e-9
     monkeypatch.setattr(transforms, "SOLVENT_GATE", 1e-14)
     for convert in (chain_to_right_solvents, chain_to_left_solvents):
         with pytest.raises((DeflationResidualLarge, SolventResidualLarge)):
