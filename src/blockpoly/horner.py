@@ -9,9 +9,9 @@ B_l = A_R(X):
 * Newton-Horner: a true Newton step on A_R(X) = 0, one
   :func:`linalg.solve_sylvester` on the quotient coefficients.  From order
   ``linalg.SPECTRAL_MIN_ORDER`` on it solves column by column in X's
-  eigenvector basis when that is certified, else it solves the dense m² x m²
-  Kronecker system, which also decides singularity; quadratic convergence
-  near simple solvents;
+  eigenvector basis when that answer's backward error is at the rounding
+  level, else it solves the dense m² x m² Kronecker system, which also
+  decides singularity; quadratic convergence near simple solvents;
 * two-stage Block Horner: a double synthetic division.  Dividing B(λ) by
   (λI - X) again leaves the remainder C_{l-1} = B_R(X), the matrix analogue
   of p'(x), and X' = X - B_l inv(C_{l-1}).  C_{l-1} equals the closed form

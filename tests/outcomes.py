@@ -5,7 +5,9 @@ with the refiner that ``--method`` names (``horner``, ``newton-horner``, the
 default, or ``two-stage``) on the paper's four fixtures, the 36
 ``grid`` chains of the benchmark (``random_chain(m, l,
 default_rng(1000 m + 10 l + s))``, m in {4, 8, 16}, l in {2, 3, 4}, s in
-0..3), and ``HARD_CASES`` with the 3,000 corpus draws.  For each group it
+0..3), ``HARD_CASES`` with the 3,000 corpus draws, and the 27 ``wide``
+chains of the same generator at m in {32, 48, 64}, l in {2, 3, 4}, s in
+0..2.  For each group it
 prints the chains, the failures by stage and cause, the reconstruction error
 of the chains (max, median and the counts above 1e-8 and 1e-10), and the
 outcomes of ``pipeline.solvent_sets`` on the chains of degree l >= 2, by
@@ -39,15 +41,22 @@ from blockpoly.polynomial import reconstruct
 from inputs import HARD_CASES, corpus, fixture_path, random_chain
 
 
+def chains(orders, seeds) -> dict:
+    """``random_chain(m, l, default_rng(1000 m + 10 l + s))`` for m in
+    ``orders``, l in {2, 3, 4} and s in ``range(seeds)``, reconstructed."""
+    return {f"m{m}/l{l}/s{s}": reconstruct(random_chain(
+        m, l, np.random.default_rng(1000 * m + 10 * l + s)))
+        for m in orders for l in (2, 3, 4) for s in range(seeds)}
+
+
 def groups() -> dict:
     """Group name -> {input name: polynomial}."""
     return {
         "fixtures": {f"example{i}": load_polynomial(fixture_path(f"example{i}.json"))
                      for i in range(1, 5)},
-        "grid": {f"m{m}/l{l}/s{s}": reconstruct(random_chain(
-            m, l, np.random.default_rng(1000 * m + 10 * l + s)))
-            for m in (4, 8, 16) for l in (2, 3, 4) for s in range(4)},
+        "grid": chains((4, 8, 16), 4),
         "corpus + HARD_CASES": HARD_CASES | corpus(3000),
+        "wide": chains((32, 48, 64), 3),
     }
 
 

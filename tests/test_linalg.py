@@ -268,7 +268,7 @@ def test_only_linalg_assembles_kronecker_systems():
 
 
 UNCHECKED_KERNELS = {"solve", "invert", "unvec", "sylvester_matrix", "solve_sylvester",
-                     "_spectral_sylvester", "_spectral_factors"}
+                     "_spectral_sylvester"}
 
 
 def test_unchecked_kernels_call_no_validator():

@@ -274,10 +274,15 @@ E2 = np.eye(2)
     lambda: MFDSystem([[[1, 2], [3]]], [E2, E2]),
     lambda: MFDSystem([np.full((2, 2), np.nan)], [E2, E2]),
     lambda: MFDSystem([], [E2, E2]),
+    lambda: MatrixPolynomial(np.zeros((3, 0, 0))),
+    lambda: SpectralFactorChain(np.zeros((2, 0, 0))),
+    lambda: SolventSet("right", np.zeros((2, 0, 0))),
+    lambda: MFDSystem(np.zeros((1, 0, 0)), np.zeros((2, 0, 0))),
 ], ids=["poly-ragged", "poly-mixed-order", "poly-non-square", "poly-2d", "poly-nan",
         "poly-empty", "chain-ragged", "chain-non-square", "chain-inf", "chain-empty",
         "solvents-mixed-order", "solvents-non-square", "solvents-inf", "solvents-empty",
-        "mfd-mixed-order", "mfd-ragged", "mfd-nan", "mfd-empty"])
+        "mfd-mixed-order", "mfd-ragged", "mfd-nan", "mfd-empty", "poly-order-0",
+        "chain-order-0", "solvents-order-0", "mfd-order-0"])
 def test_block_constructors_raise_dimension_mismatch(build):
     with pytest.raises(DimensionMismatch):
         build()
